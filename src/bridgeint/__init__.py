@@ -24,13 +24,8 @@ from .potentials import Potential, BoundsReport, k1_bound, alpha1_divergence_pro
 from .path_sim import (
     BridgeSpec,
     TimeGrid,
-    PathSample,
-    sample_bridge,
-    sample_free,
-    integrate_along_path,
-    sample_bridge_integral,
-    sample_free_integral,
-    sample_two_sided_integral,
+    bridge_integral_batch,
+    free_integral_batch,
 )
 from .estimators import (
     McEstimate,
@@ -74,13 +69,8 @@ __all__ = [
     "alpha1_divergence_probe",
     "BridgeSpec",
     "TimeGrid",
-    "PathSample",
-    "sample_bridge",
-    "sample_free",
-    "integrate_along_path",
-    "sample_bridge_integral",
-    "sample_free_integral",
-    "sample_two_sided_integral",
+    "bridge_integral_batch",
+    "free_integral_batch",
     "McEstimate",
     "MgfCurve",
     "EstimatorConfig",

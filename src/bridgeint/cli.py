@@ -16,16 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_workers
 from .convergence import (
     CSV_COLUMNS,
     ConvergenceReport,
     ReportRow,
+    _fmt,
     run_lemma4,
     run_theorem1,
     run_theorem2,
 )
-from .estimators import EstimatorConfig, McEstimate, draw_integrals, mc_mgf
+from .estimators import EstimatorConfig, McEstimate, draw_integrals, mc_mgf, tail_corrected
 from .gaussian import transition_density
 from .potentials import alpha1_divergence_probe, k1_bound
 from .quadrature import QuadConfig, moment_bridge, moment_free, moment_two_sided
@@ -33,14 +34,6 @@ from .quadrature import QuadConfig, moment_bridge, moment_free, moment_two_sided
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FAIL = 3
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
 
 
 def _write_rows(path: Path, rows, columns=CSV_COLUMNS):
@@ -128,17 +121,18 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     rows, entries = [], []
     all_pass = True
     for k in cfg.k_list:
-        sample = values + tails if (k == 1 and cfg.tail_correction and
-                                    tails is not None) else values
+        sample = tail_corrected(values, tails, est_cfg, k)
+        # a tail-corrected free or two-sided sample estimates the untruncated law
+        corrected = sample is not values
         est = McEstimate.from_samples(sample**k)
         if kind == "bridge":
             target = moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, k, qcfg)
         elif kind == "free":
-            horizon = math.inf if cfg.tail_correction and k == 1 else t
+            horizon = math.inf if corrected else t
             target = moment_free(cfg.x, horizon, cfg.potential, k, qcfg)
         else:
             target = moment_two_sided(cfg.x, cfg.y, cfg.potential, k, qcfg) \
-                if (cfg.tail_correction and k == 1) else None
+                if corrected else None
         if target is None:
             rows.append(ReportRow(f"moment[{kind}]", str(k), t, est.mean,
                                   est.std_error, None, None, None))
@@ -254,7 +248,7 @@ def main(argv=None) -> int:
             cfg.seed = int(args.seed)
             cfg.raw["seed"] = int(args.seed)
         if args.workers is not None:
-            cfg.workers = int(args.workers)
+            cfg.workers = parse_workers(args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

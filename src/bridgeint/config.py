@@ -1,10 +1,11 @@
 """Strict JSON experiment configuration for the command-line interface.
 
 Unknown keys are rejected so that typos fail loudly instead of silently
-running a default.  Units: times are abstract Brownian time, lengths are
-space units.  A summary file produced by a previous run can be fed back as
-a config; its embedded ``resolved_config`` is used, which makes every run
-reproducible from its own output.
+running a default, and a key is accepted only by the commands that read
+it, so no setting is taken and then ignored.  Units: times are abstract
+Brownian time, lengths are space units.  A summary file produced by a
+previous run can be fed back as a config; its embedded ``resolved_config``
+is used, which makes every run reproducible from its own output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .convergence import EndpointRule, SweepPlan
 from .potentials import Potential
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_workers"]
 
 
 class ConfigError(ValueError):
@@ -30,27 +31,24 @@ _POTENTIAL_KEYS = {
     "tabulated": {"kind", "origin", "spacing", "values"},
 }
 
-_GRID_KEYS = {"policy", "h", "h_fine", "h_coarse", "u"}
+_BASE_KEYS = {"dimension", "potential", "seed", "workers"}
 
-_BASE_KEYS = {
-    "dimension", "potential", "seed", "grid", "tail_correction", "workers",
-}
+# keys are per command and accepted only where the command reads them;
+# grid keys are written "grid.<key>"
+_GRID = {"grid", "grid.h_fine", "grid.h_coarse"}
+_PATH = {"statistic_kind", "x", "y", "t", "free_horizon", "n_paths", "grid.u"} | _GRID
+_SWEEP = {"horizons", "alphas", "k_list", "n_paths", "n_paths_by_horizon",
+          "target_n_paths", "target_free_horizon"} | _GRID
 
 _COMMAND_KEYS = {
-    "sample": {"statistic_kind", "x", "y", "t", "free_horizon", "n_paths"},
-    "mgf": {"statistic_kind", "x", "y", "t", "free_horizon", "n_paths", "alphas"},
-    "moments": {"statistic_kind", "x", "y", "t", "free_horizon", "n_paths", "k_list"},
+    "sample": _PATH,
+    "mgf": _PATH | {"alphas", "tail_correction"},
+    "moments": _PATH | {"k_list", "tail_correction"},
     "bounds": {"probe_points", "alphas", "n_paths", "free_horizon", "x"},
-    "theorem1": {"x", "y", "horizons", "alphas", "k_list", "n_paths",
-                 "n_paths_by_horizon", "target_n_paths", "free_horizon",
-                 "target_free_horizon", "u_rule"},
-    "theorem2": {"x", "endpoint_rule", "horizons", "alphas", "k_list", "n_paths",
-                 "n_paths_by_horizon", "target_n_paths", "free_horizon",
-                 "target_free_horizon", "u_rule"},
-    "lemma4": {"part", "x", "x_sequence", "horizons", "alphas", "k_list",
-               "n_paths", "n_paths_by_horizon", "target_n_paths",
-               "free_horizon", "target_free_horizon"},
-    "bloch": {"bloch_points", "n_paths"},
+    "theorem1": _SWEEP | {"x", "y"},
+    "theorem2": _SWEEP | {"x", "endpoint_rule"},
+    "lemma4": _SWEEP | {"part", "x", "x_sequence"},
+    "bloch": {"bloch_points", "n_paths", "grid.u"} | _GRID,
 }
 
 _ENDPOINT_KEYS = {"kind", "scale", "y"}
@@ -61,9 +59,25 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _check_keys(mapping: dict, allowed: set, where: str):
-    unknown = set(mapping) - allowed
+def _check_keys(keys, allowed: set, where: str):
+    unknown = set(keys) - allowed
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _positive(value: float, name: str):
+    _require(math.isfinite(value) and value > 0, f"{name} must be positive and finite")
+
+
+def _point(p: np.ndarray, dim: int, name: str):
+    _require(p.size == dim, f"{name} dimension mismatch")
+    _require(bool(np.all(np.isfinite(p))), f"{name} coordinates must be finite")
+
+
+def parse_workers(value) -> int:
+    """Worker count from a config value or the --workers override."""
+    workers = int(value)
+    _require(workers >= 1, "workers must be at least 1")
+    return workers
 
 
 def _build_potential(raw: dict, dim: int) -> Potential:
@@ -100,32 +114,26 @@ class ExperimentConfig:
         self.command = command
         allowed = _BASE_KEYS | _COMMAND_KEYS[command]
         _check_keys(raw, allowed, "config")
+        grid = raw.get("grid", {})
+        _require(isinstance(grid, dict), "grid must be an object")
+        _check_keys({f"grid.{k}" for k in grid}, allowed, "config")
         self.raw = dict(raw)
 
         _require("dimension" in raw, "dimension is required")
         self.dimension = int(raw["dimension"])
-        _require(self.dimension >= 1, "dimension must be positive")
-        if command in ("theorem1", "theorem2", "lemma4"):
-            _require(self.dimension >= 3,
-                     "theorem commands need d >= 3 (transient dimension is assumed "
-                     "throughout the limit statements)")
+        _require(self.dimension >= 3,
+                 "bridgeint needs d >= 3 (transient dimension is assumed "
+                 "throughout the limit statements)")
         _require("potential" in raw, "potential is required")
         self.potential = _build_potential(raw["potential"], self.dimension)
         _require(self.potential.support_radius > 0 or self.potential.is_zero,
                  "potential support radius must be positive unless v is zero")
 
         self.seed = int(raw.get("seed", 0))
-        self.workers = int(raw.get("workers", 1))
+        self.workers = parse_workers(raw.get("workers", 1))
         self.tail_correction = bool(raw.get("tail_correction", True))
 
-        grid = raw.get("grid", {})
-        _require(isinstance(grid, dict), "grid must be an object")
-        _check_keys(grid, _GRID_KEYS, "grid")
-        policy = grid.get("policy", "endpoint_refined")
-        _require(policy in ("endpoint_refined", "uniform"),
-                 "grid policy must be endpoint_refined or uniform")
-        self.grid_policy = policy
-        self.h_fine = float(grid.get("h_fine", grid.get("h", 0.01)))
+        self.h_fine = float(grid.get("h_fine", 0.01))
         self.h_coarse = None if grid.get("h_coarse") is None else float(grid["h_coarse"])
         self.refine_window = None if grid.get("u") is None else float(grid["u"])
 
@@ -148,7 +156,6 @@ class ExperimentConfig:
         self.k_list = [int(k) for k in raw.get("k_list", [1, 2])]
         self.horizons = None if raw.get("horizons") is None \
             else [float(t) for t in raw["horizons"]]
-        self.u_rule = raw.get("u_rule", "sqrt")
         self.part = raw.get("part", "a")
         _require(self.part in ("a", "b"), "lemma4 part must be 'a' or 'b'")
         self.x_sequence = raw.get("x_sequence")
@@ -157,7 +164,18 @@ class ExperimentConfig:
 
         for p in (self.x, self.y):
             if p is not None:
-                _require(p.size == self.dimension, "endpoint dimension mismatch")
+                _point(p, self.dimension, "endpoint")
+        times = {"t": self.t, "free_horizon": self.free_horizon,
+                 "target_free_horizon": self.target_free_horizon}
+        for name, value in times.items():
+            if value is not None:
+                _positive(value, name)
+        for t in self.horizons or ():
+            _positive(t, "every horizon")
+        budgets = [self.n_paths, *(self.n_paths_by_horizon or ()),
+                   *([self.target_n_paths] if self.target_n_paths is not None else [])]
+        _require(all(int(n) >= 2 for n in budgets),
+                 "n_paths, n_paths_by_horizon and target_n_paths must be at least 2")
 
         self.endpoint_rule = None
         if raw.get("endpoint_rule") is not None:
@@ -199,6 +217,8 @@ class ExperimentConfig:
         if c == "lemma4":
             _require(self.horizons is not None, "lemma4 needs a horizons grid")
             _require(self.x_sequence is not None, "lemma4 needs x_sequence")
+            for p in self.x_sequence:
+                _point(np.asarray(p, dtype=float), self.dimension, "x_sequence point")
             if self.part == "a":
                 _require(self.x is not None, "lemma4 part a needs the limit point x")
         if c == "bloch":
@@ -207,6 +227,9 @@ class ExperimentConfig:
                 _require(isinstance(entry, dict) and
                          set(entry) == {"x", "y", "t"},
                          "each bloch point needs exactly x, y and t")
+                _point(np.asarray(entry["x"], dtype=float), self.dimension, "bloch x")
+                _point(np.asarray(entry["y"], dtype=float), self.dimension, "bloch y")
+                _positive(float(entry["t"]), "bloch t")
 
     # -- derived objects -------------------------------------------------
 
@@ -228,8 +251,7 @@ class ExperimentConfig:
             alphas=self.alphas, budgets=self.budgets(),
             target_budget=self.target_n_paths, k_list=tuple(self.k_list),
             seed=self.seed, workers=self.workers, h_fine=self.h_fine,
-            h_coarse=self.h_coarse, free_horizon=self.free_horizon,
-            target_free_horizon=self.target_free_horizon, u_rule=self.u_rule,
+            h_coarse=self.h_coarse, target_free_horizon=self.target_free_horizon,
         )
         if self.command == "theorem2":
             kwargs["endpoint_rule"] = self.endpoint_rule
@@ -264,4 +286,9 @@ def load_config(path_or_dict, command: str) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if isinstance(raw, dict) and "resolved_config" in raw:
         raw = raw["resolved_config"]
-    return ExperimentConfig(command, raw)
+    try:
+        return ExperimentConfig(command, raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
+        raise ConfigError(f"invalid config value: {exc}") from exc

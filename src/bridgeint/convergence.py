@@ -83,7 +83,6 @@ class SweepPlan:
     endpoint_rule: EndpointRule | None = None
     x_sequence: tuple | None = None
     alphas: tuple | None = None
-    u_rule: str = "sqrt"
     budgets: object = 10_000
     target_budget: int | None = None
     k_list: tuple = (1, 2)
@@ -91,7 +90,6 @@ class SweepPlan:
     workers: int = 1
     h_fine: float = 0.01
     h_coarse: float | None = None
-    free_horizon: float | None = None
     target_free_horizon: float | None = None
     batch_size: int | None = None
 
@@ -107,8 +105,6 @@ class SweepPlan:
         self.x = np.asarray(self.x, dtype=float)
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=float)
-        if self.u_rule not in _U_RULES:
-            raise ValueError(f"unknown u rule {self.u_rule!r}; choose from {sorted(_U_RULES)}")
         if self.theorem == "T1":
             if self.y is None and self.endpoint_rule is None:
                 raise ValueError("theorem-1 sweeps need a fixed endpoint y")
@@ -138,9 +134,6 @@ class SweepPlan:
         if isinstance(self.budgets, (list, tuple)):
             return int(self.budgets[i])
         return int(self.budgets)
-
-    def u_at(self, t: float) -> float:
-        return _U_RULES[self.u_rule](t)
 
 
 @dataclass
@@ -217,22 +210,57 @@ def _apply_verdict(rows: list, zero_floor: float = 1e-12) -> str:
     return verdict
 
 
-def _grid_kwargs(plan: SweepPlan) -> dict:
-    kw = {"h_fine": plan.h_fine, "h_coarse": plan.h_coarse}
+def _trend_verdict(rows: list) -> str:
+    """PASS when the gap shrinks at every horizon and ends within noise.
+
+    For statistics with no finite-start limit to hit: the deviation decays
+    like |x|^(2-d) but never vanishes, so the verdict is trend-based.
+    """
+    ordered = sorted(rows, key=lambda r: r.t)
+    gaps = [r.gap for r in ordered]
+    shrinking = all(b < a for a, b in zip(gaps, gaps[1:]))
+    last = ordered[-1]
+    threshold = max(3.0 * last.std_error, 0.5 * gaps[0])
+    verdict = "PASS" if (shrinking and last.gap <= threshold) else "FAIL"
+    last.verdict = verdict
+    return verdict
+
+
+def _sampler(plan: SweepPlan, v: Potential, channel: int, **law) -> EstimatorConfig:
+    """Sampler config on the plan's grid, seed and workers, on its own stream channel."""
     if plan.batch_size:
-        kw["batch_size"] = plan.batch_size
-    return kw
+        law["batch_size"] = plan.batch_size
+    return EstimatorConfig(potential=v, seed=plan.seed, stream_channel=channel,
+                           workers=plan.workers, h_fine=plan.h_fine,
+                           h_coarse=plan.h_coarse, **law)
 
 
-def _estimates_from_values(values: np.ndarray, k_list, alphas):
-    moments = {k: McEstimate.from_samples(values**k) for k in k_list}
-    mgfs = {}
-    for a in alphas:
-        if a == 0.0:
-            mgfs[a] = McEstimate(1.0, 0.0, values.size, 1.0 / values.size)
-        else:
-            mgfs[a] = McEstimate.from_samples(np.exp(a * values))
-    return moments, mgfs
+def _mgf_estimate(values: np.ndarray, alpha: float) -> McEstimate:
+    if alpha == 0.0:
+        return McEstimate(1.0, 0.0, values.size, 1.0 / values.size)
+    return McEstimate.from_samples(np.exp(alpha * values))
+
+
+@dataclass(frozen=True)
+class _Stat:
+    """One reported statistic of a sweep and the limit it is compared with.
+
+    ``order`` is the moment order k, or None for the mgf at ``alpha``.
+    ``minus_one`` reports |mgf - 1| in place of the mgf itself.
+    """
+
+    name: str
+    label: str
+    order: int | None = None
+    alpha: float = 0.0
+    target: float = 0.0
+    target_error: float = 0.0
+    minus_one: bool = False
+
+    def estimate(self, values: np.ndarray) -> McEstimate:
+        if self.order is not None:
+            return McEstimate.from_samples(values**self.order)
+        return _mgf_estimate(values, self.alpha)
 
 
 def _one_sided_mgf_reference(v, x, alphas, plan: SweepPlan, channel: int):
@@ -241,18 +269,10 @@ def _one_sided_mgf_reference(v, x, alphas, plan: SweepPlan, channel: int):
     horizon = plan.target_free_horizon
     if horizon is None:
         horizon = 400.0 * max(v.support_radius**2, 1.0)
-    cfg = EstimatorConfig(potential=v, x=x, free_horizon=horizon,
-                          seed=plan.seed, stream_channel=channel,
-                          workers=plan.workers, **_grid_kwargs(plan))
-    values, tails = draw_integrals("free", n, cfg)
+    values, tails = draw_integrals("free", n, _sampler(plan, v, channel, x=x,
+                                                       free_horizon=horizon))
     corrected = values + tails
-    out = {}
-    for a in alphas:
-        if a == 0.0:
-            out[a] = McEstimate(1.0, 0.0, n, 1.0 / n)
-        else:
-            out[a] = McEstimate.from_samples(np.exp(a * corrected))
-    return out
+    return {a: _mgf_estimate(corrected, a) for a in alphas}
 
 
 def _resolve_alphas(plan: SweepPlan, v: Potential):
@@ -265,6 +285,58 @@ def _resolve_alphas(plan: SweepPlan, v: Potential):
     return (-half, half)
 
 
+def _check_plan(plan: SweepPlan, v: Potential, tags: tuple):
+    if plan.theorem not in tags:
+        raise ValueError(f"plan/theorem mismatch: expected a {' or '.join(tags)} plan, "
+                         f"got {plan.theorem!r}")
+    if v.dim < 3:
+        raise ValueError("limit-theorem sweeps assume transience, d >= 3")
+
+
+def _moment_stats(name: str, k_list, target_of, v: Potential, qcfg: QuadConfig) -> list:
+    stats = []
+    for k in k_list:
+        tgt = target_of(k)
+        stats.append(_Stat(name, str(k), order=k, target=tgt,
+                           target_error=qcfg.tolerance(k, v, infinite_horizon=True) * abs(tgt)))
+    return stats
+
+
+def _one_sided_stats(prefix: str, x, alphas, plan: SweepPlan, v: Potential,
+                     channel: int) -> list:
+    """Moments and mgfs against the infinite-horizon one-sided law started at x."""
+    qcfg = QuadConfig()
+    stats = _moment_stats(f"{prefix}_moment", plan.k_list,
+                          lambda k: moment_free(x, math.inf, v, k, qcfg), v, qcfg)
+    ref = _one_sided_mgf_reference(v, x, alphas, plan, channel=channel)
+    return stats + [_Stat(f"{prefix}_mgf", _fmt(a), alpha=a, target=ref[a].mean,
+                          target_error=ref[a].std_error) for a in alphas]
+
+
+def _sweep(plan: SweepPlan, legs: list, stats: list, meta: dict,
+           verdict=_apply_verdict) -> ConvergenceReport:
+    """The horizon loop shared by every limit sweep.
+
+    ``legs`` holds one (sample kind, EstimatorConfig) per horizon.  Each
+    horizon adds one row per statistic, in ``stats`` order; ``verdict``
+    then judges each statistic on its rows across the horizons.
+    """
+    report = ConvergenceReport(meta=meta)
+    groups: dict = {}
+    for i, (t, (kind, cfg)) in enumerate(zip(plan.horizons, legs)):
+        values, _ = draw_integrals(kind, plan.budget_for(i), cfg)
+        for stat in stats:
+            est = stat.estimate(values)
+            value = abs(est.mean - 1.0) if stat.minus_one else est.mean
+            row = ReportRow(stat.name, stat.label, t, value, est.std_error,
+                            stat.target, stat.target_error, abs(value - stat.target))
+            groups.setdefault((stat.name, stat.label), []).append(row)
+            report.rows.append(row)
+    for key, rows in groups.items():
+        report.verdicts["/".join(key)] = verdict(rows)
+    return report
+
+
 def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     """Fixed endpoints: bridge statistics against two-sided limit targets.
 
@@ -272,95 +344,38 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     the mgf is compared with the product of two independently estimated
     one-sided mgfs, so a pass also certifies the factorized limit form.
     """
-    if plan.theorem != "T1":
-        raise ValueError("plan/theorem mismatch: expected a T1 plan")
-    if v.dim < 3:
-        raise ValueError("limit-theorem sweeps assume transience, d >= 3")
+    _check_plan(plan, v, ("T1",))
     x = plan.x
     y = plan.y if plan.y is not None else plan.endpoint_rule.y_at(0.0, v.dim)
     alphas = _resolve_alphas(plan, v)
     qcfg = QuadConfig()
-    k_list = tuple(plan.k_list)
 
-    moment_targets = {k: moment_two_sided(x, y, v, k, qcfg) for k in k_list}
+    stats = _moment_stats("bridge_moment", plan.k_list,
+                          lambda k: moment_two_sided(x, y, v, k, qcfg), v, qcfg)
     mgf_x = _one_sided_mgf_reference(v, x, alphas, plan, channel=101)
     mgf_y = _one_sided_mgf_reference(v, y, alphas, plan, channel=102)
-
-    report = ConvergenceReport(meta={
+    for a in alphas:
+        ex, ey = mgf_x[a], mgf_y[a]
+        stats.append(_Stat("bridge_mgf", _fmt(a), alpha=a, target=ex.mean * ey.mean,
+                           target_error=abs(ex.mean) * ey.std_error
+                           + abs(ey.mean) * ex.std_error))
+    legs = [("bridge", _sampler(plan, v, 10 + i, x=x, y=y, t=t))
+            for i, t in enumerate(plan.horizons)]
+    return _sweep(plan, legs, stats, {
         "theorem": "T1", "alphas": list(alphas), "horizons": list(plan.horizons)})
-    groups: dict = {}
-    for i, t in enumerate(plan.horizons):
-        n = plan.budget_for(i)
-        cfg = EstimatorConfig(potential=v, x=x, y=y, t=t, seed=plan.seed,
-                              stream_channel=10 + i, workers=plan.workers,
-                              **_grid_kwargs(plan))
-        values, _ = draw_integrals("bridge", n, cfg)
-        moments, mgfs = _estimates_from_values(values, k_list, alphas)
-        for k in k_list:
-            tgt = moment_targets[k]
-            est = moments[k]
-            terr = qcfg.tolerance(k, v, infinite_horizon=True) * abs(tgt)
-            row = ReportRow("bridge_moment", str(k), t, est.mean, est.std_error,
-                            tgt, terr, abs(est.mean - tgt))
-            groups.setdefault(("bridge_moment", str(k)), []).append(row)
-            report.rows.append(row)
-        for a in alphas:
-            ex, ey = mgf_x[a], mgf_y[a]
-            tgt = ex.mean * ey.mean
-            terr = abs(ex.mean) * ey.std_error + abs(ey.mean) * ex.std_error
-            est = mgfs[a]
-            row = ReportRow("bridge_mgf", _fmt(a), t, est.mean, est.std_error,
-                            tgt, terr, abs(est.mean - tgt))
-            groups.setdefault(("bridge_mgf", _fmt(a)), []).append(row)
-            report.rows.append(row)
-    for key, rows in groups.items():
-        report.verdicts["/".join(key)] = _apply_verdict(rows)
-    return report
 
 
 def run_theorem2(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     """Escaping endpoint: bridge statistics against one-sided targets."""
-    if plan.theorem not in ("T2a", "T2b"):
-        raise ValueError("plan/theorem mismatch: expected a T2a or T2b plan")
-    if v.dim < 3:
-        raise ValueError("limit-theorem sweeps assume transience, d >= 3")
-    x = plan.x
+    _check_plan(plan, v, ("T2a", "T2b"))
     alphas = _resolve_alphas(plan, v)
-    qcfg = QuadConfig()
-    k_list = tuple(plan.k_list)
-    moment_targets = {k: moment_free(x, math.inf, v, k, qcfg) for k in k_list}
-    mgf_ref = _one_sided_mgf_reference(v, x, alphas, plan, channel=103)
-
-    report = ConvergenceReport(meta={
+    stats = _one_sided_stats("bridge", plan.x, alphas, plan, v, channel=103)
+    legs = [("bridge", _sampler(plan, v, 10 + i, x=plan.x, t=t,
+                                y=plan.endpoint_rule.y_at(t, v.dim)))
+            for i, t in enumerate(plan.horizons)]
+    return _sweep(plan, legs, stats, {
         "theorem": plan.theorem, "alphas": list(alphas),
         "endpoint_rule": plan.endpoint_rule.kind, "horizons": list(plan.horizons)})
-    groups: dict = {}
-    for i, t in enumerate(plan.horizons):
-        n = plan.budget_for(i)
-        y_t = plan.endpoint_rule.y_at(t, v.dim)
-        cfg = EstimatorConfig(potential=v, x=x, y=y_t, t=t, seed=plan.seed,
-                              stream_channel=10 + i, workers=plan.workers,
-                              **_grid_kwargs(plan))
-        values, _ = draw_integrals("bridge", n, cfg)
-        moments, mgfs = _estimates_from_values(values, k_list, alphas)
-        for k in k_list:
-            tgt = moment_targets[k]
-            est = moments[k]
-            terr = qcfg.tolerance(k, v, infinite_horizon=True) * abs(tgt)
-            row = ReportRow("bridge_moment", str(k), t, est.mean, est.std_error,
-                            tgt, terr, abs(est.mean - tgt))
-            groups.setdefault(("bridge_moment", str(k)), []).append(row)
-            report.rows.append(row)
-        for a in alphas:
-            ref = mgf_ref[a]
-            est = mgfs[a]
-            row = ReportRow("bridge_mgf", _fmt(a), t, est.mean, est.std_error,
-                            ref.mean, ref.std_error, abs(est.mean - ref.mean))
-            groups.setdefault(("bridge_mgf", _fmt(a)), []).append(row)
-            report.rows.append(row)
-    for key, rows in groups.items():
-        report.verdicts["/".join(key)] = _apply_verdict(rows)
-    return report
 
 
 def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
@@ -371,72 +386,21 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     escapes, consistent with the |x|^(2-d) decay of the expected occupation;
     the mgf itself tends to 1, the multiplicative identity.
     """
-    if plan.theorem not in ("L4a", "L4b"):
-        raise ValueError("plan/theorem mismatch: expected an L4a or L4b plan")
-    if v.dim < 3:
-        raise ValueError("limit-theorem sweeps assume transience, d >= 3")
+    _check_plan(plan, v, ("L4a", "L4b"))
     alphas = _resolve_alphas(plan, v)
     if plan.theorem == "L4b":
         alphas = tuple(a for a in alphas if a > 0) or alphas
-    qcfg = QuadConfig()
-    k_list = tuple(plan.k_list)
-    report = ConvergenceReport(meta={
-        "theorem": plan.theorem, "alphas": list(alphas),
-        "horizons": list(plan.horizons),
-        "x_sequence": [list(map(float, p)) for p in plan.x_sequence]})
-    groups: dict = {}
-
-    if plan.theorem == "L4a":
-        x_limit = plan.x
-        moment_targets = {k: moment_free(x_limit, math.inf, v, k, qcfg) for k in k_list}
-        mgf_ref = _one_sided_mgf_reference(v, x_limit, alphas, plan, channel=104)
-    for i, t in enumerate(plan.horizons):
-        n = plan.budget_for(i)
-        x_n = plan.x_sequence[i]
-        cfg = EstimatorConfig(potential=v, x=x_n, free_horizon=t, seed=plan.seed,
-                              stream_channel=10 + i, workers=plan.workers,
-                              tail_correction=False, **_grid_kwargs(plan))
-        values, _ = draw_integrals("free", n, cfg)
-        moments, mgfs = _estimates_from_values(values, k_list, alphas)
-        if plan.theorem == "L4a":
-            for k in k_list:
-                tgt = moment_targets[k]
-                est = moments[k]
-                terr = qcfg.tolerance(k, v, infinite_horizon=True) * abs(tgt)
-                row = ReportRow("free_moment", str(k), t, est.mean, est.std_error,
-                                tgt, terr, abs(est.mean - tgt))
-                groups.setdefault(("free_moment", str(k)), []).append(row)
-                report.rows.append(row)
-            for a in alphas:
-                ref = mgf_ref[a]
-                est = mgfs[a]
-                row = ReportRow("free_mgf", _fmt(a), t, est.mean, est.std_error,
-                                ref.mean, ref.std_error, abs(est.mean - ref.mean))
-                groups.setdefault(("free_mgf", _fmt(a)), []).append(row)
-                report.rows.append(row)
-        else:
-            for a in alphas:
-                est = mgfs[a]
-                row = ReportRow("mgf_minus_one", _fmt(a), t,
-                                abs(est.mean - 1.0), est.std_error,
-                                0.0, 0.0, abs(est.mean - 1.0))
-                groups.setdefault(("mgf_minus_one", _fmt(a)), []).append(row)
-                report.rows.append(row)
-    for key, rows in groups.items():
-        if key[0] == "mgf_minus_one":
-            # no finite-start limit to hit: the deviation decays like
-            # |x|^(2-d) but never vanishes, so the verdict is trend-based
-            ordered = sorted(rows, key=lambda r: r.t)
-            gaps = [r.gap for r in ordered]
-            shrinking = all(b < a for a, b in zip(gaps, gaps[1:]))
-            last = ordered[-1]
-            threshold = max(3.0 * last.std_error, 0.5 * gaps[0])
-            verdict = "PASS" if (shrinking and last.gap <= threshold) else "FAIL"
-            last.verdict = verdict
-            report.verdicts["/".join(key)] = verdict
-        else:
-            report.verdicts["/".join(key)] = _apply_verdict(rows)
-    return report
+    meta = {"theorem": plan.theorem, "alphas": list(alphas),
+            "horizons": list(plan.horizons),
+            "x_sequence": [list(map(float, p)) for p in plan.x_sequence]}
+    legs = [("free", _sampler(plan, v, 10 + i, x=x_n, free_horizon=t,
+                              tail_correction=False))
+            for i, (t, x_n) in enumerate(zip(plan.horizons, plan.x_sequence))]
+    if plan.theorem == "L4b":
+        stats = [_Stat("mgf_minus_one", _fmt(a), alpha=a, minus_one=True) for a in alphas]
+        return _sweep(plan, legs, stats, meta, verdict=_trend_verdict)
+    stats = _one_sided_stats("free", plan.x, alphas, plan, v, channel=104)
+    return _sweep(plan, legs, stats, meta)
 
 
 def density_ratio_sweep(x, y, horizons, v: Potential, *, u_rule: str = "sqrt",

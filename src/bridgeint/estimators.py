@@ -45,6 +45,7 @@ __all__ = [
     "ReactionEstimate",
     "EstimatorConfig",
     "draw_integrals",
+    "tail_corrected",
     "mc_moment",
     "mc_mgf",
     "reaction_probability",
@@ -83,7 +84,11 @@ class McEstimate:
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / math.sqrt(n))
         total = float(np.sum(np.abs(values)))
-        share = float(np.max(np.abs(values)) / total) if total > 0 else 0.0
+        if not np.all(np.isfinite(values)):
+            # an overflowed sample (an mgf past its blow-up) dominates by definition
+            share = 1.0
+        else:
+            share = float(np.max(np.abs(values)) / total) if total > 0 else 0.0
         return cls(mean=mean, std_error=se, n=n, max_sample_share=share)
 
     def as_dict(self):
@@ -256,6 +261,19 @@ def draw_integrals(kind: str, n: int, cfg: EstimatorConfig):
     return _collect(kind, n, cfg)
 
 
+def tail_corrected(values: np.ndarray, tails, cfg: EstimatorConfig, k: int = 1):
+    """The sample with its closed-form expected tail added where that applies.
+
+    The correction is the exact mean of the truncated part, so it is added
+    only for first-order statistics (k = 1: the mean, and the mgf, which
+    takes it inside the exponent) and only to truncated kinds (tails is
+    None for bridges).  ``cfg.tail_correction = False`` switches it off.
+    """
+    if k == 1 and cfg.tail_correction and tails is not None:
+        return values + tails
+    return values
+
+
 def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
     """Empirical k-th moment of the requested path integral.
 
@@ -270,9 +288,7 @@ def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
     if cfg.potential.is_zero:
         return McEstimate(mean=0.0, std_error=0.0, n=n, max_sample_share=0.0)
     values, tails = _collect(kind, n, cfg)
-    if k == 1 and cfg.tail_correction and tails is not None:
-        values = values + tails
-    return McEstimate.from_samples(values**k)
+    return McEstimate.from_samples(tail_corrected(values, tails, cfg, k)**k)
 
 
 def _mgf_warnings(alphas: np.ndarray, cfg: EstimatorConfig):
@@ -305,9 +321,7 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     if cfg.potential.is_zero:
         estimates = [McEstimate(1.0, 0.0, n, 1.0 / n) for _ in alphas]
         return MgfCurve(alphas, estimates, np.zeros(alphas.size, dtype=bool))
-    values, tails = _collect(kind, n, cfg)
-    if cfg.tail_correction and tails is not None:
-        values = values + tails
+    values = tail_corrected(*_collect(kind, n, cfg), cfg)
     estimates = []
     unstable = np.zeros(alphas.size, dtype=bool)
     for i, a in enumerate(alphas):
@@ -331,9 +345,7 @@ def reaction_probability(kind: str, n: int, cfg: EstimatorConfig) -> ReactionEst
         raise ValueError("reaction probabilities need a nonnegative rate potential")
     if n < 2:
         raise ValueError("at least 2 samples are required")
-    values, tails = _collect(kind, n, cfg)
-    if cfg.tail_correction and tails is not None:
-        values = values + tails
+    values = tail_corrected(*_collect(kind, n, cfg), cfg)
     surv = McEstimate.from_samples(np.exp(-values))
     react = McEstimate(mean=1.0 - surv.mean, std_error=surv.std_error,
                        n=surv.n, max_sample_share=surv.max_sample_share)

@@ -1,4 +1,10 @@
-"""Exact-in-law sampling of Brownian motion and bridge paths on time grids.
+"""Batched path integrals along Brownian bridges and free Brownian motion.
+
+The whole path API is two batch engines: ``bridge_integral_batch`` and
+``free_integral_batch`` step n paths together node by node on a
+``TimeGrid`` and return the left-node integrals of a potential, plus the
+positions a caller asks for (``record_idx`` for bridges, the terminal
+points for free paths).  A single draw is a batch of one.
 
 Bridge paths are drawn by sequential conditional sampling: given the
 current position at s_j, the next position is Gaussian with mean pulled
@@ -16,7 +22,7 @@ bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +32,7 @@ __all__ = [
     "BATCH_SIZE",
     "TimeGrid",
     "BridgeSpec",
-    "PathSample",
     "stream",
-    "sample_bridge",
-    "sample_free",
-    "integrate_along_path",
-    "sample_bridge_integral",
-    "sample_free_integral",
-    "sample_two_sided_integral",
     "bridge_integral_batch",
     "free_integral_batch",
 ]
@@ -54,8 +53,6 @@ class TimeGrid:
     """Strictly increasing nodes from 0 to the horizon."""
 
     nodes: np.ndarray
-    policy: str = "explicit"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -81,7 +78,7 @@ class TimeGrid:
         if t <= 0 or h <= 0:
             raise ValueError("horizon and step must be positive")
         n = max(1, math.ceil(t / h))
-        return cls(np.linspace(0.0, t, n + 1), "uniform", {"h": h})
+        return cls(np.linspace(0.0, t, n + 1))
 
     @classmethod
     def front_refined(cls, t: float, u: float | None = None,
@@ -98,15 +95,14 @@ class TimeGrid:
         h_coarse = min(1.0, t / 100.0) if h_coarse is None else float(h_coarse)
         if h_fine <= 0 or h_coarse <= 0 or u <= 0:
             raise ValueError("grid parameters must be positive")
-        params = {"u": u, "h_fine": h_fine, "h_coarse": h_coarse}
         if u >= t:
             n = max(1, math.ceil(t / h_fine))
-            return cls(np.linspace(0.0, t, n + 1), "front_refined", params)
+            return cls(np.linspace(0.0, t, n + 1))
         nf = max(1, math.ceil(u / h_fine))
         left = np.linspace(0.0, u, nf + 1)
         nc = max(1, math.ceil((t - u) / h_coarse))
         rest = np.linspace(u, t, nc + 1)
-        return cls(np.concatenate((left, rest[1:])), "front_refined", params)
+        return cls(np.concatenate((left, rest[1:])))
 
     @classmethod
     def endpoint_refined(cls, t: float, u: float | None = None,
@@ -125,17 +121,15 @@ class TimeGrid:
         h_coarse = min(1.0, t / 100.0) if h_coarse is None else float(h_coarse)
         if h_fine <= 0 or h_coarse <= 0 or u <= 0:
             raise ValueError("grid parameters must be positive")
-        params = {"u": u, "h_fine": h_fine, "h_coarse": h_coarse}
         if 2.0 * u >= t:
             n = max(1, math.ceil(t / h_fine))
-            return cls(np.linspace(0.0, t, n + 1), "endpoint_refined", params)
+            return cls(np.linspace(0.0, t, n + 1))
         nf = max(1, math.ceil(u / h_fine))
         left = np.linspace(0.0, u, nf + 1)
         nc = max(1, math.ceil((t - 2.0 * u) / h_coarse))
         mid = np.linspace(u, t - u, nc + 1)
         right = np.linspace(t - u, t, nf + 1)
-        nodes = np.concatenate((left, mid[1:], right[1:]))
-        return cls(nodes, "endpoint_refined", params)
+        return cls(np.concatenate((left, mid[1:], right[1:])))
 
 
 @dataclass(frozen=True)
@@ -160,78 +154,6 @@ class BridgeSpec:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """A realized path: one position per grid node, plus its law tag."""
-
-    grid: TimeGrid
-    positions: np.ndarray
-    law: dict
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.shape[0] != self.grid.nodes.size:
-            raise ValueError("one position per grid node is required")
-        object.__setattr__(self, "positions", pos)
-
-
-def _bridge_step_moments(z, s_j, s_next, t, y):
-    ds = s_next - s_j
-    w = ds / (t - s_j)
-    mean = z + w * (y - z)
-    var = ds * (t - s_next) / (t - s_j)
-    return mean, var
-
-
-def sample_bridge(spec: BridgeSpec, grid: TimeGrid, seed) -> PathSample:
-    """Draw one bridge path with the exact joint law restricted to the grid."""
-    if grid.horizon != spec.t:
-        raise ValueError("grid must span [0, t] for the bridge horizon t")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed), 0)
-    nodes = grid.nodes
-    pos = np.empty((nodes.size, spec.d))
-    pos[0] = spec.x
-    z = spec.x.copy()
-    for j in range(nodes.size - 1):
-        s_j, s_next = nodes[j], nodes[j + 1]
-        if s_next >= spec.t:
-            z = spec.y.copy()
-        else:
-            mean, var = _bridge_step_moments(z, s_j, s_next, spec.t, spec.y)
-            z = mean + math.sqrt(var) * rng.standard_normal(spec.d)
-        pos[j + 1] = z
-    return PathSample(grid, pos, {"kind": "bridge", "x": spec.x, "y": spec.y, "t": spec.t})
-
-
-def sample_free(x, grid: TimeGrid, seed) -> PathSample:
-    """Draw one unconstrained Brownian path on the grid."""
-    rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed), 0)
-    x = np.asarray(x, dtype=float)
-    nodes = grid.nodes
-    steps = grid.steps
-    eps = rng.standard_normal((steps.size, x.size))
-    incr = eps * np.sqrt(steps)[:, None]
-    pos = np.empty((nodes.size, x.size))
-    pos[0] = x
-    np.cumsum(incr, axis=0, out=incr)
-    pos[1:] = x + incr
-    return PathSample(grid, pos, {"kind": "free", "x": x})
-
-
-def integrate_along_path(v: Potential, path: PathSample) -> float:
-    """Left-node quadrature sum_j v(z_j) (s_{j+1} - s_j) along the path.
-
-    v may be a bare indicator, so higher-order rules buy nothing; accuracy
-    is controlled by grid refinement instead.
-    """
-    if v.dim != path.positions.shape[1]:
-        raise ValueError("potential dimension does not match the path")
-    vals = v(path.positions[:-1])
-    return float(np.asarray(vals) @ path.grid.steps)
-
-
-# -- batched engines -------------------------------------------------------
-
 def _expand_antithetic(rng, n, d, antithetic):
     """Standard normal block of shape (n, d), optionally antithetic-paired."""
     if not antithetic:
@@ -250,6 +172,8 @@ def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
     requested node indices with shape (len(record_idx), n, d).  Memory
     stays O(n d) regardless of the grid size.
     """
+    if grid.horizon != spec.t:
+        raise ValueError("grid must span [0, t] for the bridge horizon t")
     nodes = grid.nodes
     record_idx = sorted(record_idx) if record_idx else []
     rec = {i: None for i in record_idx}
@@ -267,7 +191,16 @@ def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
             w = ds / (spec.t - s_j)
             sd = math.sqrt(ds * (spec.t - s_next) / (spec.t - s_j))
             eps = _expand_antithetic(rng, n, spec.d, antithetic)
-            z = z + w * (spec.y - z) + sd * eps
+            # z + w (y - z) + sd eps with the same roundings, in place and
+            # column by column: broadcasting y over rows of length d is slow
+            step = np.empty_like(z)
+            for i, y_i in enumerate(spec.y):
+                np.subtract(y_i, z[:, i], out=step[:, i])
+            step *= w
+            step += z
+            eps *= sd
+            step += eps
+            z = step
         if (j + 1) in rec:
             rec[j + 1] = z.copy()
     recorded = np.stack([rec[i] for i in record_idx]) if record_idx else None
@@ -285,35 +218,6 @@ def free_integral_batch(x, grid: TimeGrid, v: Potential,
     for ds in grid.steps:
         acc += v(z) * ds
         eps = _expand_antithetic(rng, n, d, antithetic)
-        z = z + math.sqrt(ds) * eps
+        eps *= math.sqrt(ds)
+        z += eps
     return acc, z
-
-
-# -- single-draw conveniences ----------------------------------------------
-
-def sample_bridge_integral(spec: BridgeSpec, grid: TimeGrid, v: Potential, seed) -> float:
-    """One draw of the bridge path integral of v."""
-    vals, _ = bridge_integral_batch(spec, grid, v, stream(int(seed), 0), 1)
-    return float(vals[0])
-
-
-def sample_free_integral(x, horizon: float, grid: TimeGrid, v: Potential, seed) -> float:
-    """One draw of the free path integral of v up to the truncation horizon."""
-    if grid.horizon != horizon:
-        raise ValueError("grid must span the requested horizon")
-    vals, _ = free_integral_batch(x, grid, v, stream(int(seed), 0), 1)
-    return float(vals[0])
-
-
-def sample_two_sided_integral(x, y, horizon_each: float, grids, v: Potential, seed) -> float:
-    """One draw of the sum of two independent one-sided integrals.
-
-    The two legs use separate counter-based streams derived from the same
-    master seed, so they are independent by construction.
-    """
-    gx, gy = grids if isinstance(grids, (tuple, list)) else (grids, grids)
-    if gx.horizon != horizon_each or gy.horizon != horizon_each:
-        raise ValueError("both grids must span the truncation horizon")
-    vx, _ = free_integral_batch(x, gx, v, stream(int(seed), 0), 1)
-    vy, _ = free_integral_batch(y, gy, v, stream(int(seed), 1 << 32), 1)
-    return float(vx[0] + vy[0])

@@ -36,6 +36,27 @@ _RADIAL_KINDS = ("ball_indicator", "radial_step")
 KINDS = _RADIAL_KINDS + ("tabulated",)
 
 
+def _row_norms(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """|pts - center| row by row, bit-identical to np.linalg.norm(pts - center, axis=-1).
+
+    numpy sums a row shorter than 8 left to right; doing the same sum
+    column by column skips its per-row broadcast and reduction overhead,
+    which dominated a path step.  Longer rows take numpy's pairwise
+    reduction itself.
+    """
+    if pts.shape[-1] >= 8:
+        return np.linalg.norm(pts - center, axis=-1)
+    total = None
+    for i, c in enumerate(center):
+        col = pts[..., i] - c
+        col *= col
+        if total is None:
+            total = col
+        else:
+            total += col
+    return np.sqrt(total, out=total)
+
+
 def green_constant(d: int) -> float:
     """Constant c_d in the Green kernel c_d |w|^(2-d); requires d >= 3."""
     if d < 3:
@@ -165,9 +186,13 @@ class Potential:
         if not self.is_radial:
             raise ValueError("profile is defined for radial potentials only")
         u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self.breakpoints, u, side="left")
-        padded = np.concatenate((self.heights, [0.0]))
-        out = padded[np.minimum(idx, len(self.heights))]
+        if self.breakpoints.size == 1:
+            # a ball: one compare; NaN falls outside, as with searchsorted
+            out = np.where(u <= self.breakpoints[0], self.heights[0], 0.0)
+        else:
+            idx = np.searchsorted(self.breakpoints, u, side="left")
+            padded = np.concatenate((self.heights, [0.0]))
+            out = padded[np.minimum(idx, len(self.heights))]
         return out if out.ndim else float(out)
 
     def bands(self):
@@ -185,8 +210,7 @@ class Potential:
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[-1]}, potential has {self.dim}")
         if self.is_radial:
-            u = np.linalg.norm(pts - self.center, axis=-1)
-            out = self.profile(u)
+            out = self.profile(_row_norms(pts, self.center))
         else:
             rel = (pts - self.origin) / self.spacing
             idx = np.floor(rel).astype(int)

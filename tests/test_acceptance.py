@@ -53,7 +53,7 @@ class TestCriterion01GreensFunctionFlagship:
 
         grid = TimeGrid.front_refined(100.0, u=20.0, h_fine=0.004, h_coarse=0.2)
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=100.0,
-                              grid=grid, seed=303)
+                              grid=grid, seed=303, workers=2)
         est = mc_moment("free", 1, 100_000, cfg)
         mc_ok = abs(est.mean - quad) < 3.0 * est.std_error
         report("greens_function_flagship", quad_ok and mc_ok,
@@ -95,7 +95,8 @@ class TestCriterion03OracleAgreement:
                     est = mc_moment(
                         "bridge", k, 25_000,
                         EstimatorConfig(potential=v, x=x, y=y, t=t, h_fine=0.004,
-                                        seed=909, stream_channel=vi * 10 + si))
+                                        seed=909, stream_channel=vi * 10 + si,
+                                        workers=2))
                     band = 3.0 * (est.std_error + QCFG.tolerance(k, v) * abs(q))
                     ratio = abs(est.mean - q) / band
                     worst = max(worst, ratio)
@@ -109,7 +110,7 @@ class TestCriterion04TwoSidedLimit:
                          x=np.zeros(3), y=np.zeros(3),
                          budgets=(6_000, 30_000, 30_000), target_budget=60_000,
                          k_list=(1, 2), seed=2025, h_fine=0.004,
-                         target_free_horizon=1600.0)
+                         target_free_horizon=1600.0, workers=2)
         rep = run_theorem1(plan, BALL)
         k1_rows = sorted((r for r in rep.rows if r.statistic == "bridge_moment"
                           and r.k_or_alpha == "1"), key=lambda r: r.t)

@@ -80,6 +80,79 @@ class TestConfigValidation:
         path.write_text("{nope")
         assert main(["moments", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"n_paths": 1}, []),
+        ({"t": -1.0}, []),
+        ({"x": [0.0, float("nan"), 0.0]}, []),
+        ({"dimension": 2, "x": [0.0, 0.0], "y": [0.0, 0.0]}, []),
+        ({"workers": 0}, []),
+        ({}, ["--workers", "0"]),
+        ({"n_paths": "many"}, []),
+    ], ids=["n_paths_1", "negative_t", "nan_in_x", "dimension_2", "workers_0",
+            "workers_flag_0", "n_paths_not_a_number"])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, overrides, flags):
+        path = write_config(tmp_path, base_bridge_config(k_list=[1], **overrides))
+        code = main(["moments", "--config", path, "--out", str(tmp_path), *flags])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+
+_BALL = {"kind": "ball_indicator", "radius": 1.0}
+# small budgets, so that a key which slips through fails fast
+_SWEEP = {"dimension": 3, "potential": _BALL, "horizons": [4.0, 8.0], "k_list": [1],
+          "alphas": [0.0], "n_paths": 20, "target_n_paths": 20,
+          "target_free_horizon": 8.0, "grid": {"h_fine": 0.1}}
+_MINIMAL = {
+    "sample": base_bridge_config(n_paths=20),
+    "moments": base_bridge_config(n_paths=20, k_list=[1]),
+    "bounds": {"dimension": 3, "potential": _BALL},
+    "theorem1": dict(_SWEEP, x=[0.0, 0.0, 0.0], y=[0.0, 0.0, 0.0]),
+    "theorem2": dict(_SWEEP, x=[0.0, 0.0, 0.0],
+                     endpoint_rule={"kind": "sqrt_t", "scale": 1.0}),
+    "lemma4": dict(_SWEEP, part="a", x=[0.0, 0.0, 0.0],
+                   x_sequence=[[0.2, 0.0, 0.0], [0.1, 0.0, 0.0]]),
+    "bloch": {"dimension": 3, "potential": _BALL, "n_paths": 20,
+              "bloch_points": [{"x": [0, 0, 0], "y": [0.5, 0, 0], "t": 1.0}]},
+}
+
+
+_IGNORED_KEYS = [
+    ("moments", "grid.policy", "uniform"),
+    ("moments", "grid.h", 0.02),
+    ("theorem1", "grid.u", 3.0),
+    ("theorem1", "u_rule", "sqrt"),
+    ("theorem2", "u_rule", "cbrt"),
+    ("theorem1", "free_horizon", 50.0),
+    ("theorem2", "free_horizon", 50.0),
+    ("lemma4", "free_horizon", 50.0),
+    ("sample", "tail_correction", False),
+    ("bounds", "tail_correction", False),
+    ("theorem1", "tail_correction", False),
+    ("theorem2", "tail_correction", False),
+    ("lemma4", "tail_correction", False),
+    ("bloch", "tail_correction", False),
+    ("bounds", "grid", {"h_fine": 0.05}),
+]
+
+
+class TestSchemaRejectsIgnoredKeys:
+    """Keys a command does not read are rejected, not silently ignored."""
+
+    @pytest.mark.parametrize("command, key, value", _IGNORED_KEYS,
+                             ids=[f"{c}-{k}" for c, k, _ in _IGNORED_KEYS])
+    def test_key_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = json.loads(json.dumps(_MINIMAL[command]))
+        load_config(cfg, command)  # valid without the key
+        if key.startswith("grid."):
+            cfg.setdefault("grid", {})[key.split(".", 1)[1]] = value
+        else:
+            cfg[key] = value
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and repr(key) in err
+
 
 class TestBoundsCommand:
     def test_unit_ball_values(self, tmp_path):
@@ -111,7 +184,6 @@ class TestBoundsCommand:
             "alphas": [0.0, 0.5, 20.0],
             "n_paths": 1500,
             "free_horizon": 50.0,
-            "grid": {"h_fine": 0.05},
         }
         path = write_config(tmp_path, cfg)
         assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
@@ -312,6 +384,22 @@ class TestVerdictExitCodes:
         assert code in (EXIT_OK, EXIT_FAIL)
         doc = json.loads((out_b / "lemma4_summary.json").read_text())
         assert {row["statistic"] for row in doc["rows"]} == {"mgf_minus_one"}
+
+    def test_mgf_overflow_is_flagged(self, tmp_path):
+        # exp(20 Z) overflows on a height-50 ball: flagged, not a crash
+        cfg = base_bridge_config(t=4.0, alphas=[20.0], n_paths=200)
+        cfg["potential"]["height"] = 50.0
+        del cfg["grid"]
+        path = write_config(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["mgf", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "mgf.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][-1] == "UNSTABLE"
+        assert not math.isfinite(float(rows[1][3]))
+        doc = json.loads((tmp_path / "mgf_summary.json").read_text())
+        assert doc["curve"][0]["unstable"] is True
+        assert doc["curve"][0]["max_sample_share"] == 1.0
 
     def test_mgf_unstable_flag_in_csv(self, tmp_path):
         cfg = base_bridge_config(statistic_kind="free", alphas=[40.0],

@@ -77,7 +77,7 @@ class TestMcMoment:
 
         grid = TimeGrid.front_refined(100.0, u=20.0, h_fine=0.005, h_coarse=0.2)
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), y=np.zeros(3),
-                              free_horizon=100.0, grid=grid, seed=404)
+                              free_horizon=100.0, grid=grid, seed=404, workers=2)
         est = mc_moment("two_sided", 1, 100_000, cfg)
         assert abs(est.mean - 2.0) < 3.0 * est.std_error
 

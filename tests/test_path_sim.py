@@ -8,16 +8,9 @@ import pytest
 from bridgeint.gaussian import bridge_marginal
 from bridgeint.path_sim import (
     BridgeSpec,
-    PathSample,
     TimeGrid,
     bridge_integral_batch,
     free_integral_batch,
-    integrate_along_path,
-    sample_bridge,
-    sample_bridge_integral,
-    sample_free,
-    sample_free_integral,
-    sample_two_sided_integral,
     stream,
 )
 from bridgeint.potentials import Potential
@@ -45,9 +38,15 @@ class TestTimeGrid:
         assert np.all(g.steps <= 1.0 + 1e-12)
 
     def test_endpoint_refined_defaults(self):
-        g = TimeGrid.endpoint_refined(9.0)
-        assert g.params["u"] == 3.0
-        assert g.params["h_coarse"] == min(1.0, 9.0 / 100.0)
+        # u = sqrt(t), h_coarse = min(1, t/100): t/100 rules at t=9, 1 at t=400
+        for t, u, h_coarse in ((9.0, 3.0, 0.09), (400.0, 20.0, 1.0)):
+            g = TimeGrid.endpoint_refined(t)
+            explicit = TimeGrid.endpoint_refined(t, u=u, h_coarse=h_coarse)
+            assert np.array_equal(g.nodes, explicit.nodes)
+            assert u in g.nodes and t - u in g.nodes
+            bulk = g.steps[(g.nodes[:-1] >= u) & (g.nodes[1:] <= t - u)]
+            assert bulk.max() <= h_coarse + 1e-12
+            assert bulk.max() > 0.5 * h_coarse
 
     def test_small_horizon_collapses_to_fine(self):
         g = TimeGrid.endpoint_refined(0.5, u=1.0, h_fine=0.1)
@@ -72,28 +71,40 @@ class TestBridgeSpecValidation:
             BridgeSpec(3, 1.0, np.array([np.nan, 0, 0]), np.zeros(3))
 
 
+def _bridge_positions(spec, grid, seed, n=1):
+    """Every node of n bridge paths, shape (nodes, n, d)."""
+    _, rec = bridge_integral_batch(spec, grid, ZERO, stream(seed, 0), n,
+                                   record_idx=range(grid.nodes.size))
+    return rec
+
+
 class TestBridgeSampler:
     def test_two_node_grid_is_deterministic(self):
         spec = BridgeSpec(3, 4.0, np.zeros(3), np.array([1.0, 2.0, 3.0]))
         grid = TimeGrid(np.array([0.0, 4.0]))
-        path = sample_bridge(spec, grid, 0)
-        assert np.array_equal(path.positions[0], spec.x)
-        assert np.array_equal(path.positions[-1], spec.y)
+        a = _bridge_positions(spec, grid, 0, n=3)
+        assert np.array_equal(a, _bridge_positions(spec, grid, 1, n=3))
+        assert np.all(a[0] == spec.x)
+        assert np.all(a[-1] == spec.y)
 
     def test_terminal_pinned_exactly(self):
         spec = BridgeSpec(3, 2.0, np.zeros(3), np.array([0.3, -0.7, 1.1]))
         grid = TimeGrid.uniform(2.0, 0.1)
-        path = sample_bridge(spec, grid, 5)
-        assert np.array_equal(path.positions[-1], spec.y)
+        _, rec = bridge_integral_batch(spec, grid, BALL, stream(5, 0), 64,
+                                       record_idx=[grid.nodes.size - 1])
+        assert np.all(rec[0] == spec.y)
 
     def test_seed_determinism_bitwise(self):
         spec = BridgeSpec(3, 3.0, np.zeros(3), np.ones(3))
         grid = TimeGrid.uniform(3.0, 0.05)
-        a = sample_bridge(spec, grid, 123).positions
-        b = sample_bridge(spec, grid, 123).positions
+        a = _bridge_positions(spec, grid, 123, n=4)
+        b = _bridge_positions(spec, grid, 123, n=4)
         assert np.array_equal(a, b)
-        c = sample_bridge(spec, grid, 124).positions
+        c = _bridge_positions(spec, grid, 124, n=4)
         assert not np.array_equal(a, c)
+        va, _ = bridge_integral_batch(spec, grid, BALL, stream(123, 0), 4)
+        vb, _ = bridge_integral_batch(spec, grid, BALL, stream(123, 0), 4)
+        assert np.array_equal(va, vb)
 
     def test_marginal_law(self):
         # sampled mean and per-coordinate variance at grid nodes vs closed form
@@ -149,57 +160,77 @@ class TestFreeSampler:
         rho = np.corrcoef(incs[0], incs[2])[0, 1]
         assert abs(rho) < 4.0 / math.sqrt(n)
 
-    def test_sample_free_path_object(self):
-        grid = TimeGrid.uniform(1.0, 0.25)
-        path = sample_free(np.zeros(3), grid, 11)
-        assert isinstance(path, PathSample)
-        assert path.positions.shape == (grid.nodes.size, 3)
-        assert np.array_equal(path.positions[0], np.zeros(3))
+    def test_free_path_start_and_shape(self):
+        # one step: the left node is the start point x, the terminal point
+        # is x plus one scaled normal block of the same stream
+        x = np.array([2.0, -1.0, 0.5])
+        grid = TimeGrid(np.array([0.0, 0.25]))
+        at_x = Potential.ball_indicator(3, 0.1, center=x)
+        vals, term = free_integral_batch(x, grid, at_x, stream(11, 0), 16)
+        assert vals.shape == (16,) and term.shape == (16, 3)
+        assert np.all(vals == 0.25)
+        expected = x + math.sqrt(0.25) * stream(11, 0).standard_normal((16, 3))
+        assert np.array_equal(term, expected)
 
 
 class TestIntegrateAlongPath:
+    """Left-node quadrature sum_j v(z_j) (s_{j+1} - s_j) of the batch engines."""
+
     def test_zero_potential(self):
         grid = TimeGrid.uniform(2.0, 0.1)
-        path = sample_free(np.zeros(3), grid, 3)
-        assert integrate_along_path(ZERO, path) == 0.0
+        free, _ = free_integral_batch(np.zeros(3), grid, ZERO, stream(3, 0), 32)
+        spec = BridgeSpec(3, 2.0, np.zeros(3), np.zeros(3))
+        bridge, _ = bridge_integral_batch(spec, grid, ZERO, stream(3, 0), 32)
+        assert np.all(free == 0.0) and np.all(bridge == 0.0)
 
     def test_constant_inside_huge_ball(self):
         big = Potential.ball_indicator(3, 50.0, height=2.5)
         grid = TimeGrid.uniform(1.0, 0.05)
-        path = sample_free(np.zeros(3), grid, 17)
-        assert np.all(np.linalg.norm(path.positions, axis=1) < 50.0)
-        assert integrate_along_path(big, path) == pytest.approx(2.5 * 1.0, rel=1e-12)
+        spec = BridgeSpec(3, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        bridge, rec = bridge_integral_batch(spec, grid, big, stream(17, 0), 8,
+                                            record_idx=range(grid.nodes.size))
+        assert np.all(np.linalg.norm(rec, axis=2) < 50.0)
+        assert np.allclose(bridge, 2.5 * 1.0, rtol=1e-12, atol=0.0)
+        free, term = free_integral_batch(np.zeros(3), grid, big, stream(17, 0), 8)
+        assert np.all(np.linalg.norm(term, axis=1) < 50.0)
+        assert np.allclose(free, 2.5 * 1.0, rtol=1e-12, atol=0.0)
 
     def test_straight_miss(self):
+        # a two-node bridge is the straight segment (5,0,0) -> (6,0,0)
+        spec = BridgeSpec(3, 1.0, np.array([5.0, 0, 0]), np.array([6.0, 0, 0]))
         grid = TimeGrid(np.array([0.0, 1.0]))
-        path = PathSample(grid, np.array([[5.0, 0, 0], [6.0, 0, 0]]),
-                          {"kind": "free", "x": np.array([5.0, 0, 0])})
-        assert integrate_along_path(BALL, path) == 0.0
+        vals, _ = bridge_integral_batch(spec, grid, BALL, stream(0, 0), 4)
+        assert np.all(vals == 0.0)
 
     def test_dimension_mismatch(self):
         grid = TimeGrid(np.array([0.0, 1.0]))
-        path = PathSample(grid, np.zeros((2, 4)), {"kind": "free", "x": np.zeros(4)})
-        with pytest.raises(ValueError):
-            integrate_along_path(BALL, path)
+        with pytest.raises(ValueError, match="dimension"):
+            free_integral_batch(np.zeros(4), grid, BALL, stream(0, 0), 2)
 
 
 class TestIntegralDraws:
-    def test_single_draw_wrappers(self):
+    def test_batch_of_one_draws(self):
         spec = BridgeSpec(3, 5.0, np.zeros(3), np.zeros(3))
         grid = TimeGrid.endpoint_refined(5.0, h_fine=0.05)
-        z = sample_bridge_integral(spec, grid, BALL, 12)
-        assert z >= 0.0
-        assert z == sample_bridge_integral(spec, grid, BALL, 12)
-        y = sample_free_integral(np.zeros(3), 5.0, grid, BALL, 12)
-        assert y >= 0.0
-        with pytest.raises(ValueError):
-            sample_free_integral(np.zeros(3), 6.0, grid, BALL, 12)
+        z, _ = bridge_integral_batch(spec, grid, BALL, stream(12, 0), 1)
+        assert z.shape == (1,) and z[0] >= 0.0
+        again, _ = bridge_integral_batch(spec, grid, BALL, stream(12, 0), 1)
+        assert z[0] == again[0]
+        y, _ = free_integral_batch(np.zeros(3), grid, BALL, stream(12, 0), 1)
+        assert y[0] >= 0.0
+        with pytest.raises(ValueError, match="grid must span"):
+            bridge_integral_batch(BridgeSpec(3, 6.0, np.zeros(3), np.zeros(3)),
+                                  grid, BALL, stream(12, 0), 1)
 
     def test_zero_potential_draws(self):
         spec = BridgeSpec(3, 5.0, np.zeros(3), np.zeros(3))
         grid = TimeGrid.uniform(5.0, 0.1)
-        assert sample_bridge_integral(spec, grid, ZERO, 1) == 0.0
-        assert sample_two_sided_integral(np.zeros(3), np.zeros(3), 5.0, grid, ZERO, 1) == 0.0
+        bridge, _ = bridge_integral_batch(spec, grid, ZERO, stream(1, 0), 1)
+        assert bridge[0] == 0.0
+        # the two-sided integral is the sum of two free legs on separate streams
+        vx, _ = free_integral_batch(np.zeros(3), grid, ZERO, stream(1, 0), 1)
+        vy, _ = free_integral_batch(np.zeros(3), grid, ZERO, stream(1, 1 << 32), 1)
+        assert vx[0] + vy[0] == 0.0
 
     def test_two_sided_legs_exchangeable(self):
         # same start points: the two legs are identically distributed

@@ -13,6 +13,7 @@ import pytest
 from bridgeint.potentials import (
     BoundsReport,
     Potential,
+    _row_norms,
     alpha1_divergence_probe,
     ball_green_integral,
     green_constant,
@@ -53,6 +54,25 @@ class TestPotentialKinds:
         assert v(np.array([2.0, 0, 0])) == 0.0
         assert v.sup_bound == 2.0
         assert v.bands() == [(0.0, 0.5, 2.0), (0.5, 1.5, -1.0)]
+
+    @pytest.mark.parametrize("v", [
+        Potential.ball_indicator(3, 1.3, height=2.5, center=[0.2, -0.1, 0.4]),
+        Potential.radial_step(5, [0.5, 1.0, 2.0], [3.0, -1.0, 2.0]),
+        Potential.ball_indicator(9, 1.0),
+    ], ids=["ball_d3", "step_d5", "ball_d9"])
+    def test_radial_evaluation_bit_identical_to_norm_rule(self, v):
+        # the reference rule: np.linalg.norm, then the band found by searchsorted
+        gen = np.random.default_rng(8)
+        pts = v.center + gen.normal(size=(20000, v.dim)) * gen.uniform(0.1, 3.0, (20000, 1))
+        edge = np.concatenate([np.nextafter(b, [0.0, b, 9.0]) for b in v.breakpoints])
+        on_axis = np.zeros((edge.size, v.dim))
+        on_axis[:, -1] = edge
+        pts = np.concatenate((pts, v.center + on_axis, np.full((1, v.dim), np.nan)))
+        u = np.linalg.norm(pts - v.center, axis=-1)
+        assert np.array_equal(_row_norms(pts, v.center), u, equal_nan=True)
+        idx = np.searchsorted(v.breakpoints, u, side="left")
+        expected = np.concatenate((v.heights, [0.0]))[np.minimum(idx, v.heights.size)]
+        assert np.array_equal(v(pts), expected)
 
     def test_sup_and_support_spot_checks(self):
         v = Potential.radial_step(3, [0.4, 1.1], [1.5, 0.25], center=[1.0, 0.0, 0.0])

@@ -148,7 +148,7 @@ class TestFreeMoments:
         est = mc_moment("free", 3, 60_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=2000.0,
                                         h_fine=0.01, h_coarse=1.0, seed=15,
-                                        tail_correction=False))
+                                        tail_correction=False, workers=2))
         assert abs(est.mean - q3) < 3.0 * est.std_error + 0.08
 
 

@@ -51,15 +51,25 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _finite_or_null(obj):
+    """A copy of a JSON document with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_summary(path: Path, command: str, cfg: ExperimentConfig, payload: dict):
+    # strict JSON: an overflowed mgf row (inf value, nan error) is written as null
     doc = {"command": command, "resolved_config": cfg.resolved(), **payload}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=True,
+        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False,
                   default=_json_default)
         fh.write("\n")
 
@@ -113,15 +123,14 @@ def cmd_mgf(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 
 def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     est_cfg = _estimator_config(cfg)
-    qcfg = QuadConfig(expert_k3=max(cfg.k_list) > 2,
-                      k_max=max(2, max(cfg.k_list)))
+    qcfg = QuadConfig(k_max=max([2, *cfg.k_list]))
     kind = cfg.statistic_kind
     values, tails = draw_integrals(kind, cfg.n_paths, est_cfg)
     t = cfg.t if kind == "bridge" else est_cfg.resolved_free_horizon()
     rows, entries = [], []
     all_pass = True
     for k in cfg.k_list:
-        sample = tail_corrected(values, tails, est_cfg, k)
+        sample = tail_corrected(values, tails, k)
         # a tail-corrected free or two-sided sample estimates the untruncated law
         corrected = sample is not values
         est = McEstimate.from_samples(sample**k)

@@ -51,7 +51,7 @@ _COMMAND_KEYS = {
     "bloch": {"bloch_points", "n_paths", "grid.u"} | _GRID,
 }
 
-_ENDPOINT_KEYS = {"kind", "scale", "y"}
+_ENDPOINT_KEYS = {"kind", "scale"}
 
 
 def _require(cond: bool, msg: str):
@@ -183,11 +183,10 @@ class ExperimentConfig:
             _require(isinstance(er, dict), "endpoint_rule must be an object")
             _check_keys(er, _ENDPOINT_KEYS, "endpoint_rule")
             kind = er.get("kind")
-            _require(kind in ("fixed", "sqrt_t", "fourth_root"),
-                     "endpoint_rule kind must be fixed, sqrt_t or fourth_root")
-            value = er.get("y") if kind == "fixed" else er.get("scale", 1.0)
+            _require(kind in ("sqrt_t", "fourth_root"),
+                     "endpoint_rule kind must be sqrt_t or fourth_root")
             try:
-                self.endpoint_rule = EndpointRule(kind, value)
+                self.endpoint_rule = EndpointRule(kind, er.get("scale", 1.0))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -204,6 +203,14 @@ class ExperimentConfig:
                 _require(self.y is not None, "two_sided statistics need both endpoints")
         if c == "mgf":
             _require(self.alphas is not None, "mgf needs an alphas grid")
+        if c in ("moments", "theorem1", "theorem2", "lemma4"):
+            # the oracles stop at k = 2, except the k = 3 bridge tensor rule;
+            # a free k = 3 sample would need the finite-horizon k = 3 moment
+            k_top = 3 if c == "moments" and self.statistic_kind != "free" else 2
+            where = f"moments with statistic_kind {self.statistic_kind}" \
+                if c == "moments" else c
+            _require(all(0 <= k <= k_top for k in self.k_list),
+                     f"k_list orders must lie in 0..{k_top} for {where}")
         if c == "theorem1":
             _require(self.x is not None and self.y is not None,
                      "theorem1 needs fixed endpoints x and y")
@@ -221,6 +228,9 @@ class ExperimentConfig:
                 _point(np.asarray(p, dtype=float), self.dimension, "x_sequence point")
             if self.part == "a":
                 _require(self.x is not None, "lemma4 part a needs the limit point x")
+            else:
+                _require(self.x is None, "lemma4 part b does not read 'x'; its start "
+                                         "points are x_sequence")
         if c == "bloch":
             _require(self.bloch_points, "bloch needs a bloch_points list")
             for entry in self.bloch_points:
@@ -258,7 +268,7 @@ class ExperimentConfig:
         if self.command == "lemma4":
             kwargs["x_sequence"] = tuple(np.asarray(p, float) for p in self.x_sequence)
             if self.part == "b":
-                kwargs["x"] = np.asarray(self.x_sequence[0], float) if self.x is None else self.x
+                kwargs["x"] = kwargs["x_sequence"][0]
         try:
             return SweepPlan(**kwargs)
         except ValueError as exc:

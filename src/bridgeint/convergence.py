@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, McEstimate, draw_integrals
+from .estimators import (
+    EstimatorConfig,
+    McEstimate,
+    _mgf_estimate,
+    draw_integrals,
+    tail_corrected,
+)
 from .gaussian import TimePoints, density_ratio
 from .potentials import Potential, k1_bound
 from .quadrature import QuadConfig, moment_free, moment_two_sided
@@ -43,33 +49,31 @@ _U_RULES = {
 
 @dataclass(frozen=True)
 class EndpointRule:
-    """How the terminal endpoint depends on the horizon.
+    """How an escaping terminal endpoint grows with the horizon.
 
-    fixed:        y(t) = value (a point)
     sqrt_t:       y(t) = scale * sqrt(t) * e1   (|y|^2/t bounded away from 0, inf)
     fourth_root:  y(t) = scale * t^(1/4) * e1   (|y| -> inf, |y|^2/t -> 0)
 
     The growth conditions hold by construction of the rule, so they are
-    validated symbolically rather than sampled.
+    validated symbolically rather than sampled.  A fixed endpoint is not a
+    rule: theorem-1 plans take ``y`` directly.
     """
 
     kind: str
-    value: object = 1.0
+    scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "sqrt_t", "fourth_root"):
+        if self.kind not in ("sqrt_t", "fourth_root"):
             raise ValueError(f"unknown endpoint rule {self.kind!r}")
-        if self.kind in ("sqrt_t", "fourth_root") and not (float(self.value) > 0):
+        if not (float(self.scale) > 0):
             raise ValueError("growing endpoint rules need a positive scale")
 
     def y_at(self, t: float, d: int) -> np.ndarray:
-        if self.kind == "fixed":
-            return np.asarray(self.value, dtype=float).reshape(d)
         e1 = np.zeros(d)
         e1[0] = 1.0
         if self.kind == "sqrt_t":
-            return float(self.value) * math.sqrt(t) * e1
-        return float(self.value) * t**0.25 * e1
+            return float(self.scale) * math.sqrt(t) * e1
+        return float(self.scale) * t**0.25 * e1
 
 
 @dataclass
@@ -83,7 +87,7 @@ class SweepPlan:
     endpoint_rule: EndpointRule | None = None
     x_sequence: tuple | None = None
     alphas: tuple | None = None
-    budgets: object = 10_000
+    budgets: int | tuple = 10_000
     target_budget: int | None = None
     k_list: tuple = (1, 2)
     seed: int = 0
@@ -91,7 +95,6 @@ class SweepPlan:
     h_fine: float = 0.01
     h_coarse: float | None = None
     target_free_horizon: float | None = None
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.theorem not in ("T1", "T2a", "T2b", "L4a", "L4b"):
@@ -105,11 +108,8 @@ class SweepPlan:
         self.x = np.asarray(self.x, dtype=float)
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=float)
-        if self.theorem == "T1":
-            if self.y is None and self.endpoint_rule is None:
-                raise ValueError("theorem-1 sweeps need a fixed endpoint y")
-            if self.endpoint_rule is not None and self.endpoint_rule.kind != "fixed":
-                raise ValueError("theorem-1 hypotheses need fixed endpoints")
+        if self.theorem == "T1" and (self.y is None or self.endpoint_rule is not None):
+            raise ValueError("theorem-1 sweeps need a fixed endpoint y, not an endpoint rule")
         if self.theorem == "T2a":
             if self.endpoint_rule is None or self.endpoint_rule.kind != "fourth_root":
                 raise ValueError("the T2a branch needs the fourth_root endpoint rule "
@@ -129,8 +129,6 @@ class SweepPlan:
                     raise ValueError("the escaping branch needs |x_n| strictly increasing")
 
     def budget_for(self, i: int) -> int:
-        if isinstance(self.budgets, dict):
-            return int(self.budgets[self.horizons[i]])
         if isinstance(self.budgets, (list, tuple)):
             return int(self.budgets[i])
         return int(self.budgets)
@@ -228,17 +226,9 @@ def _trend_verdict(rows: list) -> str:
 
 def _sampler(plan: SweepPlan, v: Potential, channel: int, **law) -> EstimatorConfig:
     """Sampler config on the plan's grid, seed and workers, on its own stream channel."""
-    if plan.batch_size:
-        law["batch_size"] = plan.batch_size
     return EstimatorConfig(potential=v, seed=plan.seed, stream_channel=channel,
                            workers=plan.workers, h_fine=plan.h_fine,
                            h_coarse=plan.h_coarse, **law)
-
-
-def _mgf_estimate(values: np.ndarray, alpha: float) -> McEstimate:
-    if alpha == 0.0:
-        return McEstimate(1.0, 0.0, values.size, 1.0 / values.size)
-    return McEstimate.from_samples(np.exp(alpha * values))
 
 
 @dataclass(frozen=True)
@@ -269,9 +259,8 @@ def _one_sided_mgf_reference(v, x, alphas, plan: SweepPlan, channel: int):
     horizon = plan.target_free_horizon
     if horizon is None:
         horizon = 400.0 * max(v.support_radius**2, 1.0)
-    values, tails = draw_integrals("free", n, _sampler(plan, v, channel, x=x,
-                                                       free_horizon=horizon))
-    corrected = values + tails
+    cfg = _sampler(plan, v, channel, x=x, free_horizon=horizon)
+    corrected = tail_corrected(*draw_integrals("free", n, cfg))
     return {a: _mgf_estimate(corrected, a) for a in alphas}
 
 
@@ -345,8 +334,7 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     one-sided mgfs, so a pass also certifies the factorized limit form.
     """
     _check_plan(plan, v, ("T1",))
-    x = plan.x
-    y = plan.y if plan.y is not None else plan.endpoint_rule.y_at(0.0, v.dim)
+    x, y = plan.x, plan.y
     alphas = _resolve_alphas(plan, v)
     qcfg = QuadConfig()
 
@@ -462,7 +450,7 @@ def density_ratio_sweep(x, y, horizons, v: Potential, *, u_rule: str = "sqrt",
                                      1.0, 0.0, abs(q0 - 1.0)))
     ordered = sorted(max_rows, key=lambda r: r.t)
     gaps = [r.gap for r in ordered]
-    if endpoint_rule is None or endpoint_rule.kind == "fixed":
+    if endpoint_rule is None:
         verdict = "PASS" if all(b < a for a, b in zip(gaps, gaps[1:])) else "FAIL"
         report.verdicts["density_ratio_max_dev"] = verdict
     else:

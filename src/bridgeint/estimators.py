@@ -20,6 +20,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,10 +34,10 @@ from .path_sim import (
     stream,
 )
 from .potentials import (
-    BoundsReport,
     Potential,
     green_potential,
     green_potential_radial,
+    k1_bound,
 )
 
 __all__ = [
@@ -125,26 +126,24 @@ class EstimatorConfig:
 
     ``free_horizon`` defaults to 100 R^2 (support radius R), the scale at
     which exterior occupation is negligible by transience; the adequacy of
-    the truncation is checked by the doubling test in the suite.
+    the truncation is checked by the doubling test in the suite.  Paths
+    are drawn in batches of ``batch_size``, one stream per batch.
     """
+
+    batch_size: ClassVar[int] = BATCH_SIZE
 
     potential: Potential
     x: np.ndarray = None
     y: np.ndarray = None
     t: float = None
     free_horizon: float | None = None
-    grid: TimeGrid | None = None
     h_fine: float = 0.01
     h_coarse: float | None = None
     refine_window: float | None = None
     seed: int = 0
     stream_channel: int = 0
-    batch_size: int = BATCH_SIZE
     workers: int = 1
-    antithetic: bool = False
     tail_correction: bool = True
-    bounds: BoundsReport | None = None
-    alpha1_hint: float | None = None
 
     def __post_init__(self):
         if self.x is not None:
@@ -168,46 +167,40 @@ class EstimatorConfig:
         return BridgeSpec(self.dim, float(self.t), self.x, self.y)
 
     def grid_for(self, horizon: float, kind: str = "bridge") -> TimeGrid:
-        if self.grid is not None:
-            if self.grid.horizon != horizon:
-                raise ValueError("explicit grid does not span the requested horizon")
-            return self.grid
         builder = TimeGrid.endpoint_refined if kind == "bridge" else TimeGrid.front_refined
         return builder(horizon, u=self.refine_window,
                        h_fine=self.h_fine, h_coarse=self.h_coarse)
+
 
 def _stream_id(channel: int, leg: int, batch: int) -> int:
     return batch + (leg << 32) + (channel << 40)
 
 
 def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int):
-    """One batch of path integrals; returns (values, tail_potential or None)."""
+    """One batch of path integrals; returns (values, tail_potential or None).
+
+    Tails are computed only when ``cfg.tail_correction`` will use them.
+    """
     v = cfg.potential
     if kind == "bridge":
         spec = cfg.bridge_spec()
-        grid = cfg.grid_for(spec.t)
         rng = stream(cfg.seed, _stream_id(cfg.stream_channel, 0, batch))
-        vals, _ = bridge_integral_batch(spec, grid, v, rng, count,
-                                        antithetic=cfg.antithetic)
+        vals, _ = bridge_integral_batch(spec, cfg.grid_for(spec.t), v, rng, count)
         return vals, None
-    horizon = cfg.resolved_free_horizon()
-    grid = cfg.grid_for(horizon, kind="free")
-    if kind == "free":
-        rng = stream(cfg.seed, _stream_id(cfg.stream_channel, 0, batch))
-        vals, term = free_integral_batch(cfg.x, grid, v, rng, count,
-                                         antithetic=cfg.antithetic)
-        return vals, _green_potential_vec(v, term)
+    grid = cfg.grid_for(cfg.resolved_free_horizon(), kind="free")
+    starts = [cfg.x]
     if kind == "two_sided":
         if cfg.y is None:
             raise ValueError("two-sided sampling needs both endpoints")
-        rng_x = stream(cfg.seed, _stream_id(cfg.stream_channel, 0, batch))
-        rng_y = stream(cfg.seed, _stream_id(cfg.stream_channel, 1, batch))
-        vx, tx = free_integral_batch(cfg.x, grid, v, rng_x, count,
-                                     antithetic=cfg.antithetic)
-        vy, ty = free_integral_batch(cfg.y, grid, v, rng_y, count,
-                                     antithetic=cfg.antithetic)
-        return vx + vy, _green_potential_vec(v, tx) + _green_potential_vec(v, ty)
-    raise ValueError(f"unknown sample kind {kind!r}; expected one of {_KINDS}")
+        starts.append(cfg.y)
+    vals, tails = 0.0, 0.0
+    for leg, start in enumerate(starts):
+        rng = stream(cfg.seed, _stream_id(cfg.stream_channel, leg, batch))
+        leg_vals, term = free_integral_batch(start, grid, v, rng, count)
+        vals = vals + leg_vals
+        if cfg.tail_correction:
+            tails = tails + _green_potential_vec(v, term)
+    return vals, (tails if cfg.tail_correction else None)
 
 
 def _green_potential_vec(v: Potential, points: np.ndarray) -> np.ndarray:
@@ -255,23 +248,31 @@ def draw_integrals(kind: str, n: int, cfg: EstimatorConfig):
     """Raw path-integral samples plus terminal tail potentials.
 
     Returns (values, tails); ``tails`` is None for the bridge kind, where
-    the horizon is exact and no truncation correction exists.  Harnesses
-    use this to evaluate several statistics on one sampling pass.
+    the horizon is exact and no truncation correction exists, and when
+    ``cfg.tail_correction`` is off.  Harnesses use this to evaluate
+    several statistics on one sampling pass.
     """
     return _collect(kind, n, cfg)
 
 
-def tail_corrected(values: np.ndarray, tails, cfg: EstimatorConfig, k: int = 1):
+def tail_corrected(values: np.ndarray, tails, k: int = 1):
     """The sample with its closed-form expected tail added where that applies.
 
     The correction is the exact mean of the truncated part, so it is added
     only for first-order statistics (k = 1: the mean, and the mgf, which
-    takes it inside the exponent) and only to truncated kinds (tails is
-    None for bridges).  ``cfg.tail_correction = False`` switches it off.
+    takes it inside the exponent) and only where tails were drawn (None
+    for bridges and with ``tail_correction`` off).
     """
-    if k == 1 and cfg.tail_correction and tails is not None:
+    if k == 1 and tails is not None:
         return values + tails
     return values
+
+
+def _mgf_estimate(values: np.ndarray, alpha: float) -> McEstimate:
+    """E exp(alpha Z) from a sample of Z; alpha = 0 is returned exactly."""
+    if alpha == 0.0:
+        return McEstimate(1.0, 0.0, values.size, 1.0 / values.size)
+    return McEstimate.from_samples(np.exp(alpha * values))
 
 
 def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
@@ -288,24 +289,23 @@ def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
     if cfg.potential.is_zero:
         return McEstimate(mean=0.0, std_error=0.0, n=n, max_sample_share=0.0)
     values, tails = _collect(kind, n, cfg)
-    return McEstimate.from_samples(tail_corrected(values, tails, cfg, k)**k)
+    return McEstimate.from_samples(tail_corrected(values, tails, k)**k)
 
 
-def _mgf_warnings(alphas: np.ndarray, cfg: EstimatorConfig):
-    v = cfg.potential
-    if cfg.bounds is not None and cfg.bounds.alpha0 is not None and not v.is_nonnegative:
-        if np.any(np.abs(alphas) >= cfg.bounds.alpha0):
-            warnings.warn(
-                "alpha grid reaches the guaranteed mgf radius alpha0 for a "
-                "sign-changing potential; estimates beyond it may not converge",
-                RuntimeWarning, stacklevel=3)
-    hint = cfg.alpha1_hint
-    if hint is None and cfg.bounds is not None and cfg.bounds.alpha1_bracket:
-        hint = cfg.bounds.alpha1_bracket[1]
-    if v.is_nonnegative and hint is not None and np.any(alphas >= hint):
+def _mgf_warnings(alphas: np.ndarray, v: Potential):
+    """Warn when |alpha| reaches alpha0 = 1/K1 for a sign-changing potential.
+
+    alpha0 is the mgf radius that Khas'minskii's lemma guarantees; beyond
+    it a sign-changing potential's mgf may diverge unnoticed.
+    """
+    if v.is_nonnegative:
+        return
+    alpha0 = k1_bound(v).alpha0
+    if alpha0 is not None and np.any(np.abs(alphas) >= alpha0):
         warnings.warn(
-            "alpha grid reaches the bracketed blow-up threshold; expect "
-            "heavy-tail flags", RuntimeWarning, stacklevel=3)
+            f"alpha grid reaches the guaranteed mgf radius alpha0 = {alpha0:.6g} "
+            "for a sign-changing potential; estimates beyond it may not converge",
+            RuntimeWarning, stacklevel=3)
 
 
 def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
@@ -317,20 +317,13 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if n < 2:
         raise ValueError("at least 2 samples are required")
-    _mgf_warnings(alphas, cfg)
+    _mgf_warnings(alphas, cfg.potential)
     if cfg.potential.is_zero:
         estimates = [McEstimate(1.0, 0.0, n, 1.0 / n) for _ in alphas]
-        return MgfCurve(alphas, estimates, np.zeros(alphas.size, dtype=bool))
-    values = tail_corrected(*_collect(kind, n, cfg), cfg)
-    estimates = []
-    unstable = np.zeros(alphas.size, dtype=bool)
-    for i, a in enumerate(alphas):
-        if a == 0.0:
-            estimates.append(McEstimate(1.0, 0.0, n, 1.0 / n))
-            continue
-        est = McEstimate.from_samples(np.exp(a * values))
-        estimates.append(est)
-        unstable[i] = est.max_sample_share > 0.5
+    else:
+        values = tail_corrected(*_collect(kind, n, cfg))
+        estimates = [_mgf_estimate(values, a) for a in alphas]
+    unstable = np.array([e.max_sample_share > 0.5 for e in estimates], dtype=bool)
     return MgfCurve(alphas, estimates, unstable)
 
 
@@ -345,7 +338,7 @@ def reaction_probability(kind: str, n: int, cfg: EstimatorConfig) -> ReactionEst
         raise ValueError("reaction probabilities need a nonnegative rate potential")
     if n < 2:
         raise ValueError("at least 2 samples are required")
-    values = tail_corrected(*_collect(kind, n, cfg), cfg)
+    values = tail_corrected(*_collect(kind, n, cfg))
     surv = McEstimate.from_samples(np.exp(-values))
     react = McEstimate(mean=1.0 - surv.mean, std_error=surv.std_error,
                        n=surv.n, max_sample_share=surv.max_sample_share)

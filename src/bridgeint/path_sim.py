@@ -89,20 +89,7 @@ class TimeGrid:
         only the early segment needs resolution; the far end carries no
         pinning and no occupation worth refining.
         """
-        if t <= 0:
-            raise ValueError("horizon must be positive")
-        u = math.sqrt(t) if u is None else float(u)
-        h_coarse = min(1.0, t / 100.0) if h_coarse is None else float(h_coarse)
-        if h_fine <= 0 or h_coarse <= 0 or u <= 0:
-            raise ValueError("grid parameters must be positive")
-        if u >= t:
-            n = max(1, math.ceil(t / h_fine))
-            return cls(np.linspace(0.0, t, n + 1))
-        nf = max(1, math.ceil(u / h_fine))
-        left = np.linspace(0.0, u, nf + 1)
-        nc = max(1, math.ceil((t - u) / h_coarse))
-        rest = np.linspace(u, t, nc + 1)
-        return cls(np.concatenate((left, rest[1:])))
+        return cls._refined(t, u, h_fine, h_coarse, both_ends=False)
 
     @classmethod
     def endpoint_refined(cls, t: float, u: float | None = None,
@@ -115,21 +102,28 @@ class TimeGrid:
         contribute nothing; occupation missed between coarse nodes is a
         known, refinement-controlled bias.
         """
+        return cls._refined(t, u, h_fine, h_coarse, both_ends=True)
+
+    @classmethod
+    def _refined(cls, t, u, h_fine, h_coarse, both_ends: bool) -> "TimeGrid":
+        """Fine window [0, u] (and [t - u, t] when ``both_ends``), coarse bulk."""
         if t <= 0:
             raise ValueError("horizon must be positive")
         u = math.sqrt(t) if u is None else float(u)
         h_coarse = min(1.0, t / 100.0) if h_coarse is None else float(h_coarse)
         if h_fine <= 0 or h_coarse <= 0 or u <= 0:
             raise ValueError("grid parameters must be positive")
-        if 2.0 * u >= t:
+        fine_span = 2.0 * u if both_ends else u
+        if fine_span >= t:
             n = max(1, math.ceil(t / h_fine))
             return cls(np.linspace(0.0, t, n + 1))
         nf = max(1, math.ceil(u / h_fine))
-        left = np.linspace(0.0, u, nf + 1)
-        nc = max(1, math.ceil((t - 2.0 * u) / h_coarse))
-        mid = np.linspace(u, t - u, nc + 1)
-        right = np.linspace(t - u, t, nf + 1)
-        return cls(np.concatenate((left, mid[1:], right[1:])))
+        nc = max(1, math.ceil((t - fine_span) / h_coarse))
+        parts = [np.linspace(0.0, u, nf + 1),
+                 np.linspace(u, t - u if both_ends else t, nc + 1)[1:]]
+        if both_ends:
+            parts.append(np.linspace(t - u, t, nf + 1)[1:])
+        return cls(np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -154,18 +148,9 @@ class BridgeSpec:
         object.__setattr__(self, "y", y)
 
 
-def _expand_antithetic(rng, n, d, antithetic):
-    """Standard normal block of shape (n, d), optionally antithetic-paired."""
-    if not antithetic:
-        return rng.standard_normal((n, d))
-    half = (n + 1) // 2
-    eps = rng.standard_normal((half, d))
-    return np.concatenate((eps, -eps[: n - half]), axis=0)
-
-
 def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
                           rng: np.random.Generator, n: int,
-                          record_idx=None, antithetic: bool = False):
+                          record_idx=None):
     """Integrals of v along n bridge paths, streamed node by node.
 
     Returns (values, recorded) where recorded stacks positions at the
@@ -190,7 +175,7 @@ def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
         else:
             w = ds / (spec.t - s_j)
             sd = math.sqrt(ds * (spec.t - s_next) / (spec.t - s_j))
-            eps = _expand_antithetic(rng, n, spec.d, antithetic)
+            eps = rng.standard_normal((n, spec.d))
             # z + w (y - z) + sd eps with the same roundings, in place and
             # column by column: broadcasting y over rows of length d is slow
             step = np.empty_like(z)
@@ -208,8 +193,7 @@ def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
 
 
 def free_integral_batch(x, grid: TimeGrid, v: Potential,
-                        rng: np.random.Generator, n: int,
-                        antithetic: bool = False):
+                        rng: np.random.Generator, n: int):
     """Integrals of v along n free paths; also returns terminal positions."""
     x = np.asarray(x, dtype=float)
     d = x.size
@@ -217,7 +201,7 @@ def free_integral_batch(x, grid: TimeGrid, v: Potential,
     acc = np.zeros(n)
     for ds in grid.steps:
         acc += v(z) * ds
-        eps = _expand_antithetic(rng, n, d, antithetic)
+        eps = rng.standard_normal((n, d))
         eps *= math.sqrt(ds)
         z += eps
     return acc, z

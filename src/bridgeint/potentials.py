@@ -250,14 +250,6 @@ class Potential:
                              breakpoints=self.breakpoints, heights=self.heights)
         return Potential.tabulated(self.dim, self.origin + delta, self.spacing, self.values)
 
-    def abs(self) -> "Potential":
-        """Pointwise absolute value |v|."""
-        if self.is_radial:
-            return Potential(self.dim, self.kind, self.center, self.sup_bound,
-                             self.support_radius, breakpoints=self.breakpoints,
-                             heights=np.abs(self.heights))
-        return Potential.tabulated(self.dim, self.origin, self.spacing, np.abs(self.values))
-
     @property
     def is_nonnegative(self) -> bool:
         data = self.heights if self.is_radial else self.values

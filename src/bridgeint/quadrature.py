@@ -24,7 +24,7 @@ Gauss-Legendre rules with a correspondingly coarser declared tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -51,34 +51,29 @@ __all__ = [
 ]
 
 
+# Gauss-Legendre orders: per time panel (or per simplex dimension in the
+# tensor fallback), per radial band panel, of the polar rule, and per axis
+# of the tensor fallback.  The declared tolerances hold for these orders.
+_TIME_NODES = 8
+_SPACE_NODES = 12
+_ANGULAR_NODES = 16
+_BOX_NODES = 7
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Node counts and limits for the quadrature oracles.
+    """The highest moment order an oracle call may compute.
 
-    ``time_nodes`` is the Gauss-Legendre order per time panel (or per
-    simplex dimension in the tensor fallback), ``space_nodes`` the radial
-    order per band panel, ``angular_nodes`` the order of the polar rule,
-    and ``box_nodes`` the per-axis order of the tensor fallback.  k = 3 is
-    available only behind ``expert_k3`` and only through the coarse tensor
-    rule or the infinite-horizon Green chain.
+    k <= 2 by default.  ``k_max=3`` opts in to k = 3, which is available
+    only through the coarse tensor rule or the infinite-horizon Green
+    chain.
     """
 
-    time_nodes: int = 8
-    space_nodes: int = 12
-    angular_nodes: int = 16
-    box_nodes: int = 7
     k_max: int = 2
-    expert_k3: bool = False
-    domain: tuple | None = None
 
     def __post_init__(self):
-        for name in ("time_nodes", "space_nodes", "angular_nodes", "box_nodes"):
-            if getattr(self, name) < 4:
-                raise ValueError(f"{name} must be at least 4")
-        if self.k_max > (3 if self.expert_k3 else 2):
-            raise ValueError("k_max above 2 requires the expert_k3 flag")
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        if not (0 <= self.k_max <= 3):
+            raise ValueError("k_max must lie in 0..3")
 
     def check_order(self, k: int):
         if k < 0:
@@ -86,16 +81,8 @@ class QuadConfig:
         if k > self.k_max:
             raise ValueError(
                 f"moment order k={k} exceeds k_max={self.k_max}; "
-                "orders above 2 need the expert_k3 flag"
+                "k = 3 needs QuadConfig(k_max=3)"
             )
-
-    def check_domain(self, v: Potential):
-        if self.domain is None:
-            return
-        lo, hi = (np.asarray(a, dtype=float) for a in self.domain)
-        blo, bhi = v.support_box()
-        if np.any(lo > blo) or np.any(hi < bhi):
-            raise ValueError("quadrature domain does not contain the potential support")
 
     def tolerance(self, k: int, v: Potential, infinite_horizon: bool = False) -> float:
         """Declared relative tolerance of the oracle for order k.
@@ -303,7 +290,7 @@ def _radial_edges(v: Potential, extra=()):
 
 # -- first moments -----------------------------------------------------------
 
-def _smear(v: Potential, mu, var, cfg: QuadConfig):
+def _smear(v: Potential, mu, var):
     """int v(z) N(z; mu, var I) dz for a batch of means and variances."""
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     var = np.broadcast_to(np.asarray(var, dtype=float), mu.shape[:1]).astype(float)
@@ -329,7 +316,7 @@ def _tabulated_smear(v: Potential, mu, var: float) -> float:
     return float(acc)
 
 
-def _moment_free_k1(x, horizon: float, v: Potential, cfg: QuadConfig) -> float:
+def _moment_free_k1(x, horizon: float, v: Potential) -> float:
     if not math.isfinite(horizon):
         return green_potential(v, x)
     d = v.dim
@@ -343,27 +330,27 @@ def _moment_free_k1(x, horizon: float, v: Potential, cfg: QuadConfig) -> float:
                 if lo < cand < hi:
                     crit.add(cand)
         edges = sorted(crit)
-        r, w = _panel_rule(edges, cfg.space_nodes)
+        r, w = _panel_rule(edges, _SPACE_NODES)
         if r.size == 0:
             return 0.0
         integ = r ** (d - 1) * truncated_green(r, horizon, d) * _sphere_avg_profile(v, b, r)
         return float(sphere_area(d) * np.sum(w * integ))
     base = 0.125 * min(1.0, max(v.support_radius**2, 1e-3))
-    s, w = _panel_rule(_log_edges(horizon, base), max(cfg.time_nodes, 16))
-    vals = _smear(v, np.broadcast_to(np.asarray(x, float), (s.size, v.dim)), s, cfg)
+    s, w = _panel_rule(_log_edges(horizon, base), 16)
+    vals = _smear(v, np.broadcast_to(np.asarray(x, float), (s.size, v.dim)), s)
     return float(np.sum(w * vals))
 
 
 # -- infinite-horizon second and third moments -------------------------------
 
-def _moment_free_inf_k2(x, v: Potential, cfg: QuadConfig) -> float:
+def _moment_free_inf_k2(x, v: Potential) -> float:
     d = v.dim
     if not v.is_radial:
-        return _moment_free_inf_k2_general(x, v, cfg)
+        return _moment_free_inf_k2_general(x, v)
     b = float(np.linalg.norm(np.asarray(x, float) - v.center))
     cd = green_constant(d)
     edges = _radial_edges(v, extra=(b,))
-    u, w = _panel_rule(edges, cfg.space_nodes)
+    u, w = _panel_rule(edges, _SPACE_NODES)
     if u.size == 0:
         return 0.0
     kernel = cd * np.maximum(u, b) ** (2.0 - d)
@@ -371,7 +358,7 @@ def _moment_free_inf_k2(x, v: Potential, cfg: QuadConfig) -> float:
     return float(2.0 * sphere_area(d) * np.sum(w * integ))
 
 
-def _moment_free_inf_k3(x, v: Potential, cfg: QuadConfig) -> float:
+def _moment_free_inf_k3(x, v: Potential) -> float:
     """Green chain E Y^3 = 3! int v G v G v G, radial potentials only."""
     if not v.is_radial:
         raise ValueError("k = 3 infinite-horizon moments need a radial potential")
@@ -380,7 +367,7 @@ def _moment_free_inf_k3(x, v: Potential, cfg: QuadConfig) -> float:
     cd = green_constant(d)
     area = sphere_area(d)
     edges = _radial_edges(v, extra=(b,))
-    u, w = _panel_rule(edges, cfg.space_nodes)
+    u, w = _panel_rule(edges, _SPACE_NODES)
     if u.size == 0:
         return 0.0
     # middle layer evaluated at every outer node: one nested pass
@@ -393,8 +380,8 @@ def _moment_free_inf_k3(x, v: Potential, cfg: QuadConfig) -> float:
     return float(6.0 * total)
 
 
-def _moment_free_inf_k2_general(x, v: Potential, cfg: QuadConfig) -> float:
-    pts, w, vv = _box_nodes(v, cfg)
+def _moment_free_inf_k2_general(x, v: Potential) -> float:
+    pts, w, vv = _box_nodes(v)
     d = v.dim
     cd = green_constant(d)
     x = np.asarray(x, dtype=float)
@@ -434,16 +421,16 @@ def _pair_nodes(t: float, base: float, m: int, symmetric: bool):
     return np.concatenate(out_s), np.concatenate(out_d), np.concatenate(out_w)
 
 
-def _moment_free_k2(x, horizon: float, v: Potential, cfg: QuadConfig) -> float:
+def _moment_free_k2(x, horizon: float, v: Potential) -> float:
     if not math.isfinite(horizon):
-        return _moment_free_inf_k2(x, v, cfg)
+        return _moment_free_inf_k2(x, v)
     if not v.is_radial:
-        return _moment_free_fin_k2_general(x, horizon, v, cfg)
+        return _moment_free_fin_k2_general(x, horizon, v)
     d = v.dim
     b = float(np.linalg.norm(np.asarray(x, float) - v.center))
     base = 0.5 * min(1.0, max(v.support_radius**2, 1e-3))
-    s1, delta, wt = _pair_nodes(horizon, base, cfg.time_nodes, symmetric=False)
-    u, wu = _panel_rule(_radial_edges(v), cfg.space_nodes)
+    s1, delta, wt = _pair_nodes(horizon, base, _TIME_NODES, symmetric=False)
+    u, wu = _panel_rule(_radial_edges(v), _SPACE_NODES)
     if u.size == 0:
         return 0.0
     rho = v.profile(u)
@@ -509,14 +496,14 @@ def _normalized_gauss_matrix(pts, w, dist2, var, lo, hi):
     return kern * scale[:, None]
 
 
-def _moment_free_fin_k2_general(x, horizon: float, v: Potential, cfg: QuadConfig) -> float:
-    pts, w, vv = _box_nodes(v, cfg)
+def _moment_free_fin_k2_general(x, horizon: float, v: Potential) -> float:
+    pts, w, vv = _box_nodes(v)
     lo, hi = v.support_box()
     x = np.asarray(x, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
     dist2 = np.sum(diff * diff, axis=-1)
     base = max(0.5 * min(1.0, max(v.support_radius**2, 1e-3)), horizon / 256.0)
-    s1, delta, wt = _pair_nodes(horizon, base, max(4, cfg.time_nodes - 2), symmetric=False)
+    s1, delta, wt = _pair_nodes(horizon, base, _TIME_NODES - 2, symmetric=False)
     total = 0.0
     for s, dl, wgt in zip(s1, delta, wt):
         a = vv * w * _normalized_gauss_vector(pts, w, x, s, lo, hi)
@@ -550,10 +537,10 @@ def _bridge_axis_frame(x, y, v: Potential):
     return axis, ax1, ax2, perp, collinear
 
 
-def _angular_grid(v: Potential, collinear: bool, cfg: QuadConfig):
+def _angular_grid(v: Potential, collinear: bool):
     """Polar (and azimuthal, when needed) directions with sphere weights."""
     d = v.dim
-    cnodes, cw = _leggauss(cfg.angular_nodes)
+    cnodes, cw = _leggauss(_ANGULAR_NODES)
     if collinear:
         if d == 3:
             wts = cw * (sphere_area(d) / 2.0)
@@ -566,35 +553,35 @@ def _angular_grid(v: Potential, collinear: bool, cfg: QuadConfig):
             "bridge k=2 quadrature with endpoints off the support axis is "
             "implemented for d=3 only; use collinear endpoints or higher dimension MC"
         )
-    nphi = max(8, cfg.angular_nodes // 2)
+    nphi = max(8, _ANGULAR_NODES // 2)
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
     cth, cph = np.meshgrid(cnodes, phi, indexing="ij")
     wts = np.broadcast_to(cw[:, None] * (2.0 * math.pi / nphi), cth.shape)
     return cth.ravel(), cph.ravel(), wts.ravel()
 
 
-def _moment_bridge_k1(x, y, t: float, v: Potential, cfg: QuadConfig) -> float:
+def _moment_bridge_k1(x, y, t: float, v: Potential) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     # the occupancy curve has erf-type layers near both endpoints; a single
     # 1-d integral is cheap, so refine hard
     base = min(0.125 * min(1.0, max(v.support_radius**2, 1e-3)), t / 8.0)
-    s, w = _panel_rule(_sym_edges(t, base), max(cfg.time_nodes, 16))
+    s, w = _panel_rule(_sym_edges(t, base), 16)
     mu = x[None, :] + (s / t)[:, None] * (y - x)[None, :]
     var = s * (t - s) / t
-    vals = _smear(v, mu, var, cfg)
+    vals = _smear(v, mu, var)
     return float(np.sum(w * vals))
 
 
-def _moment_bridge_k2(x, y, t: float, v: Potential, cfg: QuadConfig) -> float:
+def _moment_bridge_k2(x, y, t: float, v: Potential) -> float:
     if not v.is_radial:
-        return _moment_bridge_tensor(x, y, t, v, 2, cfg)
+        return _moment_bridge_tensor(x, y, t, v, 2)
     d = v.dim
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     axis, _, _, _, collinear = _bridge_axis_frame(x, y, v)
-    cth, cph, ang_w = _angular_grid(v, collinear, cfg)
-    u, wu = _panel_rule(_radial_edges(v), cfg.space_nodes)
+    cth, cph, ang_w = _angular_grid(v, collinear)
+    u, wu = _panel_rule(_radial_edges(v), _SPACE_NODES)
     if u.size == 0:
         return 0.0
     rho = v.profile(u)
@@ -627,7 +614,7 @@ def _moment_bridge_k2(x, y, t: float, v: Potential, cfg: QuadConfig) -> float:
     u2 = (U**2) * np.ones_like(dot_axis)
 
     base = min(0.5 * min(1.0, max(v.support_radius**2, 1e-3)), t / 8.0)
-    s1, delta, wt = _pair_nodes(t, base, cfg.time_nodes, symmetric=True)
+    s1, delta, wt = _pair_nodes(t, base, _TIME_NODES, symmetric=True)
     s2 = s1 + delta
     sigma_floor = 0.04 * max(v.support_radius, 1e-6)
     total = 0.0
@@ -673,9 +660,9 @@ def _moment_bridge_k2(x, y, t: float, v: Potential, cfg: QuadConfig) -> float:
     return 2.0 * total
 
 
-def _box_nodes(v: Potential, cfg: QuadConfig):
+def _box_nodes(v: Potential):
     lo, hi = v.support_box()
-    x, w = _leggauss(cfg.box_nodes)
+    x, w = _leggauss(_BOX_NODES)
     axes, weights = [], []
     for i in range(v.dim):
         half = 0.5 * (hi[i] - lo[i])
@@ -687,7 +674,7 @@ def _box_nodes(v: Potential, cfg: QuadConfig):
     return pts, wts, v(pts)
 
 
-def _moment_bridge_tensor(x, y, t: float, v: Potential, k: int, cfg: QuadConfig) -> float:
+def _moment_bridge_tensor(x, y, t: float, v: Potential, k: int) -> float:
     """Tensor-product fallback on the support box; resolution limited.
 
     Every Gaussian factor (start, transitions, terminal) is rescaled to its
@@ -697,9 +684,9 @@ def _moment_bridge_tensor(x, y, t: float, v: Potential, k: int, cfg: QuadConfig)
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pts, w, vv = _box_nodes(v, cfg)
+    pts, w, vv = _box_nodes(v)
     lo, hi = v.support_box()
-    nodes, tw = ordered_simplex_nodes(k, t, cfg.time_nodes)
+    nodes, tw = ordered_simplex_nodes(k, t, _TIME_NODES)
     diff = pts[:, None, :] - pts[None, :, :]
     dist2 = np.sum(diff * diff, axis=-1)
     log_norm = (-v.dim / 2.0 * math.log(2.0 * math.pi * t)
@@ -728,7 +715,6 @@ def moment_free(x, horizon: float, v: Potential, k: int,
     reduction, k = 2 the collapsed pair-correlation form.
     """
     cfg.check_order(k)
-    cfg.check_domain(v)
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
     if k == 0:
@@ -738,11 +724,11 @@ def moment_free(x, horizon: float, v: Potential, k: int,
     if not math.isfinite(horizon) and v.dim < 3:
         raise ValueError("infinite-horizon moments require d >= 3")
     if k == 1:
-        return float(_moment_free_k1(x, horizon, v, cfg))
+        return float(_moment_free_k1(x, horizon, v))
     if k == 2:
-        return float(_moment_free_k2(x, horizon, v, cfg))
+        return float(_moment_free_k2(x, horizon, v))
     if not math.isfinite(horizon):
-        return float(_moment_free_inf_k3(x, v, cfg))
+        return float(_moment_free_inf_k3(x, v))
     raise ValueError("finite-horizon k=3 free moments are not supported; "
                      "use the infinite-horizon Green chain or Monte Carlo")
 
@@ -755,7 +741,6 @@ def moment_bridge(x, y, t: float, v: Potential, k: int,
     which the bridge law satisfies exactly.
     """
     cfg.check_order(k)
-    cfg.check_domain(v)
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("bridge horizon must be positive and finite")
     if k == 0:
@@ -763,13 +748,22 @@ def moment_bridge(x, y, t: float, v: Potential, k: int,
     if v.is_zero:
         return 0.0
     if k == 1:
-        return 0.5 * (_moment_bridge_k1(x, y, t, v, cfg) +
-                      _moment_bridge_k1(y, x, t, v, cfg))
+        return 0.5 * (_moment_bridge_k1(x, y, t, v) +
+                      _moment_bridge_k1(y, x, t, v))
     if k == 2:
-        return 0.5 * (_moment_bridge_k2(x, y, t, v, cfg) +
-                      _moment_bridge_k2(y, x, t, v, cfg))
-    return 0.5 * (_moment_bridge_tensor(x, y, t, v, 3, cfg) +
-                  _moment_bridge_tensor(y, x, t, v, 3, cfg))
+        return 0.5 * (_moment_bridge_k2(x, y, t, v) +
+                      _moment_bridge_k2(y, x, t, v))
+    return 0.5 * (_moment_bridge_tensor(x, y, t, v, 3) +
+                  _moment_bridge_tensor(y, x, t, v, 3))
+
+
+def _two_sided_moment(x, y, horizon: float, v: Potential, k: int, cfg: QuadConfig) -> float:
+    """E[(Y_x(h) + Y'_y(h))^k] by the binomial sum over one-sided moments."""
+    total = 0.0
+    for j in range(k + 1):
+        total += math.comb(k, j) * moment_free(x, horizon, v, j, cfg) * \
+            moment_free(y, horizon, v, k - j, cfg)
+    return total
 
 
 def moment_two_sided(x, y, v: Potential, k: int,
@@ -779,11 +773,7 @@ def moment_two_sided(x, y, v: Potential, k: int,
     Binomial expansion over the one-sided moments.
     """
     cfg.check_order(k)
-    total = 0.0
-    for j in range(k + 1):
-        total += math.comb(k, j) * moment_free(x, math.inf, v, j, cfg) * \
-            moment_free(y, math.inf, v, k - j, cfg)
-    return total
+    return _two_sided_moment(x, y, math.inf, v, k, cfg)
 
 
 def horizon_moment_gap(x, y, t: float, u: float, v: Potential, k: int,
@@ -798,12 +788,5 @@ def horizon_moment_gap(x, y, t: float, u: float, v: Potential, k: int,
         raise ValueError("the comparison horizon must satisfy 0 < u <= t")
     if u == t:
         return 0.0
-
-    def two_sided_at(h: float) -> float:
-        total = 0.0
-        for j in range(k + 1):
-            total += math.comb(k, j) * moment_free(x, h, v, j, cfg) * \
-                moment_free(y, h, v, k - j, cfg)
-        return total
-
-    return (two_sided_at(t) - two_sided_at(u)) / math.factorial(k)
+    return (_two_sided_moment(x, y, t, v, k, cfg)
+            - _two_sided_moment(x, y, u, v, k, cfg)) / math.factorial(k)

@@ -51,9 +51,10 @@ class TestCriterion01GreensFunctionFlagship:
         quad = moment_free([0, 0, 0], math.inf, BALL, 1, QCFG)
         quad_ok = abs(quad - 1.0) < 1e-3
 
-        grid = TimeGrid.front_refined(100.0, u=20.0, h_fine=0.004, h_coarse=0.2)
+        # a front-refined grid: fine steps of 0.004 up to s = 20, then 0.2
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=100.0,
-                              grid=grid, seed=303, workers=2)
+                              h_fine=0.004, h_coarse=0.2, refine_window=20.0,
+                              seed=303, workers=2)
         est = mc_moment("free", 1, 100_000, cfg)
         mc_ok = abs(est.mean - quad) < 3.0 * est.std_error
         report("greens_function_flagship", quad_ok and mc_ok,

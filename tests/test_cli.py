@@ -154,6 +154,50 @@ class TestSchemaRejectsIgnoredKeys:
         assert "unknown config keys" in err and repr(key) in err
 
 
+_FREE_MOMENTS = {k: v for k, v in base_bridge_config(n_paths=20).items()
+                 if k not in ("y", "t")}
+_OUT_OF_RANGE_ORDERS = [
+    ("moments", _MINIMAL["moments"], [4]),
+    ("moments", _MINIMAL["moments"], [-1]),
+    ("theorem1", _MINIMAL["theorem1"], [3]),
+    ("moments", dict(_FREE_MOMENTS, statistic_kind="free"), [1, 3]),
+]
+
+
+class TestMomentOrders:
+    """An order no oracle computes is a config error, not a traceback."""
+
+    @pytest.mark.parametrize("command, base, k_list", _OUT_OF_RANGE_ORDERS,
+                             ids=["moments-4", "moments-negative", "theorem1-3",
+                                  "moments-free-3"])
+    def test_order_rejected(self, tmp_path, capsys, command, base, k_list):
+        path = write_config(tmp_path, dict(base, k_list=k_list))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "k_list orders must lie in" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_bridge_third_moment_accepted(self):
+        cfg = load_config(dict(_MINIMAL["moments"], k_list=[1, 2, 3]), "moments")
+        assert cfg.k_list == [1, 2, 3]
+
+
+class TestKeysReadOnlyInSomeModes:
+    def test_lemma4_part_b_rejects_x(self, tmp_path, capsys):
+        cfg = dict(_MINIMAL["lemma4"], part="b",
+                   x_sequence=[[6.0, 0.0, 0.0], [12.0, 0.0, 0.0]])
+        path = write_config(tmp_path, cfg)
+        assert main(["lemma4", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "'x'" in capsys.readouterr().err
+
+    def test_theorem2_rejects_endpoint_y(self, tmp_path, capsys):
+        cfg = dict(_MINIMAL["theorem2"],
+                   endpoint_rule={"kind": "sqrt_t", "scale": 1.0, "y": [1.0, 0.0, 0.0]})
+        path = write_config(tmp_path, cfg)
+        assert main(["theorem2", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown endpoint_rule keys" in err and "'y'" in err
+
+
 class TestBoundsCommand:
     def test_unit_ball_values(self, tmp_path):
         cfg = {
@@ -400,6 +444,30 @@ class TestVerdictExitCodes:
         doc = json.loads((tmp_path / "mgf_summary.json").read_text())
         assert doc["curve"][0]["unstable"] is True
         assert doc["curve"][0]["max_sample_share"] == 1.0
+
+    def test_overflowed_mgf_summary_is_strict_json(self, tmp_path):
+        cfg = base_bridge_config(t=4.0, alphas=[20.0], n_paths=200)
+        cfg["potential"]["height"] = 50.0
+        del cfg["grid"]
+        path = write_config(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["mgf", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((tmp_path / "mgf_summary.json").read_text(),
+                         parse_constant=reject)
+        assert doc["curve"][0]["mean"] is None
+        assert doc["curve"][0]["std_error"] is None
+
+    def test_mgf_warns_beyond_alpha0(self, tmp_path):
+        cfg = base_bridge_config(t=3.0, alphas=[0.0, 4.0], n_paths=200)
+        cfg["potential"] = {"kind": "radial_step", "breakpoints": [0.5, 1.0],
+                            "heights": [1.0, -0.5]}
+        path = write_config(tmp_path, cfg)
+        with pytest.warns(RuntimeWarning, match="alpha0"):
+            assert main(["mgf", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
 
     def test_mgf_unstable_flag_in_csv(self, tmp_path):
         cfg = base_bridge_config(statistic_kind="free", alphas=[40.0],

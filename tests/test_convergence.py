@@ -26,8 +26,9 @@ ZERO = Potential.ball_indicator(3, 1.0, height=0.0)
 
 class TestEndpointRule:
     def test_fixed(self):
-        rule = EndpointRule("fixed", [1.0, 0.0, 0.0])
-        assert np.allclose(rule.y_at(123.0, 3), [1.0, 0.0, 0.0])
+        # a fixed endpoint is the plan's y, not a rule
+        with pytest.raises(ValueError):
+            EndpointRule("fixed", 1.0)
 
     def test_sqrt_growth(self):
         rule = EndpointRule("sqrt_t", 2.0)

@@ -1,10 +1,12 @@
 """Monte Carlo estimator contracts: moments, mgf curve, survival, kernel value."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bridgeint import estimators
 from bridgeint.estimators import (
     EstimatorConfig,
     McEstimate,
@@ -73,11 +75,9 @@ class TestMcMoment:
 
     def test_two_sided_mean_reaches_two(self):
         # both legs from the ball center: corrected mean must sit at 2 E Y0 = 2
-        from bridgeint.path_sim import TimeGrid
-
-        grid = TimeGrid.front_refined(100.0, u=20.0, h_fine=0.005, h_coarse=0.2)
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), y=np.zeros(3),
-                              free_horizon=100.0, grid=grid, seed=404, workers=2)
+                              free_horizon=100.0, h_fine=0.005, h_coarse=0.2,
+                              refine_window=20.0, seed=404, workers=2)
         est = mc_moment("two_sided", 1, 100_000, cfg)
         assert abs(est.mean - 2.0) < 3.0 * est.std_error
 
@@ -99,10 +99,22 @@ class TestMcMoment:
         b = mc_moment("bridge", 1, 20_000, bridge_cfg(workers=2))
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_antithetic_option_consistent(self):
-        a = mc_moment("bridge", 1, 20_000, bridge_cfg())
-        b = mc_moment("bridge", 1, 20_000, bridge_cfg(antithetic=True, stream_channel=3))
-        assert abs(a.mean - b.mean) < 3.0 * math.hypot(a.std_error, b.std_error)
+    def test_green_tails_skipped_without_tail_correction(self, monkeypatch):
+        calls = []
+        real = estimators._green_potential_vec
+
+        def spy(v, points):
+            calls.append(len(points))
+            return real(v, points)
+
+        monkeypatch.setattr(estimators, "_green_potential_vec", spy)
+        cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=4.0,
+                              h_fine=0.05, seed=9, tail_correction=False)
+        raw = mc_moment("free", 1, 10_000, cfg)
+        assert calls == []
+        corrected = mc_moment("free", 1, 10_000, replace(cfg, tail_correction=True))
+        assert calls == [8192, 1808]
+        assert corrected.mean > raw.mean
 
 
 class TestMcMgf:
@@ -147,14 +159,9 @@ class TestMcMgf:
     def test_warning_sign_changing_beyond_alpha0(self):
         bounds = k1_bound(SIGNED)
         cfg = EstimatorConfig(potential=SIGNED, x=np.zeros(3), y=np.zeros(3),
-                              t=3.0, seed=5, bounds=bounds)
+                              t=3.0, seed=5)
         with pytest.warns(RuntimeWarning):
             mc_mgf("bridge", [1.5 * bounds.alpha0], 500, cfg)
-
-    def test_warning_beyond_alpha1_hint(self):
-        cfg = bridge_cfg(alpha1_hint=4.0)
-        with pytest.warns(RuntimeWarning):
-            mc_mgf("bridge", [5.0], 500, cfg)
 
     def test_zero_potential_curve(self):
         curve = mc_mgf("bridge", [-1.0, 0.0, 2.0], 100, bridge_cfg(potential=ZERO))

@@ -36,22 +36,13 @@ EZ_BRIDGE_T10 = 1.812692469220181
 
 
 class TestQuadConfig:
-    def test_node_floor(self):
-        with pytest.raises(ValueError):
-            QuadConfig(time_nodes=3)
-
     def test_expert_flag_gates_k3(self):
-        with pytest.raises(ValueError):
-            QuadConfig(k_max=3)
-        cfg = QuadConfig(k_max=3, expert_k3=True)
-        cfg.check_order(3)
+        # the default config rejects k = 3, k_max=3 opts in, and nothing goes past 3
         with pytest.raises(ValueError):
             CFG.check_order(3)
-
-    def test_domain_must_cover_support(self):
-        cfg = QuadConfig(domain=(np.full(3, -0.5), np.full(3, 0.5)))
+        QuadConfig(k_max=3).check_order(3)
         with pytest.raises(ValueError):
-            moment_free([0, 0, 0], math.inf, BALL, 1, cfg)
+            QuadConfig(k_max=4)
 
 
 class TestSimplexRule:
@@ -138,12 +129,12 @@ class TestFreeMoments:
     def test_order_gating(self):
         with pytest.raises(ValueError):
             moment_free([0, 0, 0], 1.0, BALL, 3, CFG)
-        cfg3 = QuadConfig(k_max=3, expert_k3=True)
+        cfg3 = QuadConfig(k_max=3)
         with pytest.raises(ValueError):
             moment_free([0, 0, 0], 1.0, BALL, 3, cfg3)  # finite horizon unsupported
 
     def test_third_moment_green_chain_vs_mc(self):
-        cfg3 = QuadConfig(k_max=3, expert_k3=True)
+        cfg3 = QuadConfig(k_max=3)
         q3 = moment_free([0, 0, 0], math.inf, BALL, 3, cfg3)
         est = mc_moment("free", 3, 60_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=2000.0,

@@ -45,9 +45,8 @@ THEOREM2 = {
     "grid": {"h_fine": 0.02}, "seed": 23,
 }
 LEMMA4 = {
-    "dimension": 3, "potential": BALL, "horizons": [30.0, 120.0], "k_list": [1],
-    "alphas": [0.3], "n_paths": 2000, "target_n_paths": 2000,
-    "grid": {"h_fine": 0.05}, "seed": 29,
+    "dimension": 3, "potential": BALL, "horizons": [30.0, 120.0], "alphas": [0.3],
+    "n_paths": 2000, "grid": {"h_fine": 0.05}, "seed": 29,
 }
 FREE = {
     "dimension": 3, "potential": BALL, "statistic_kind": "free", "x": ZERO,
@@ -68,7 +67,8 @@ RUNS = [
     ("theorem2_fourth", "theorem2",
      dict(THEOREM2, endpoint_rule={"kind": "fourth_root", "scale": 1.0}), [], 3),
     ("lemma4_a", "lemma4",
-     dict(LEMMA4, part="a", x=ZERO, x_sequence=[[0.3, 0.0, 0.0], [0.1, 0.0, 0.0]]), [], 0),
+     dict(LEMMA4, part="a", k_list=[1], target_n_paths=2000, x=ZERO,
+          x_sequence=[[0.3, 0.0, 0.0], [0.1, 0.0, 0.0]]), [], 0),
     ("lemma4_b", "lemma4",
      dict(LEMMA4, part="b", x_sequence=[[6.0, 0.0, 0.0], [12.0, 0.0, 0.0]]), [], 3),
     ("sample_bridge", "sample",

@@ -22,7 +22,6 @@ from .gaussian import (
 )
 from .potentials import Potential, BoundsReport, k1_bound, alpha1_divergence_probe
 from .path_sim import (
-    BridgeSpec,
     TimeGrid,
     bridge_integral_batch,
     free_integral_batch,
@@ -67,7 +66,6 @@ __all__ = [
     "BoundsReport",
     "k1_bound",
     "alpha1_divergence_probe",
-    "BridgeSpec",
     "TimeGrid",
     "bridge_integral_batch",
     "free_integral_batch",

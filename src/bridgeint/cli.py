@@ -26,7 +26,9 @@ from .convergence import (
     run_theorem1,
     run_theorem2,
 )
-from .estimators import EstimatorConfig, McEstimate, draw_integrals, mc_mgf, tail_corrected
+# estimators._collect is looked up at call time, so a wrapper on it sees every pass
+from . import estimators
+from .estimators import EstimatorConfig, McEstimate, mc_mgf, tail_corrected
 from .gaussian import transition_density
 from .potentials import alpha1_divergence_probe, k1_bound
 from .quadrature import QuadConfig, moment_bridge, moment_free, moment_two_sided
@@ -86,8 +88,8 @@ def _estimator_config(cfg: ExperimentConfig, channel: int = 0) -> EstimatorConfi
 # -- commands -----------------------------------------------------------------
 
 def cmd_sample(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    values, tails = draw_integrals(cfg.statistic_kind, cfg.n_paths,
-                                   _estimator_config(cfg))
+    values, tails = estimators._collect(cfg.statistic_kind, cfg.n_paths,
+                                        _estimator_config(cfg))
     rows = []
     for i, val in enumerate(values):
         tail = tails[i] if tails is not None else None
@@ -125,7 +127,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     est_cfg = _estimator_config(cfg)
     qcfg = QuadConfig(k_max=max([2, *cfg.k_list]))
     kind = cfg.statistic_kind
-    values, tails = draw_integrals(kind, cfg.n_paths, est_cfg)
+    values, tails = estimators._collect(kind, cfg.n_paths, est_cfg)
     t = cfg.t if kind == "bridge" else est_cfg.resolved_free_horizon()
     rows, entries = [], []
     all_pass = True
@@ -199,15 +201,13 @@ def cmd_lemma4(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 
 
 def cmd_bloch(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    from .estimators import bloch_green
-
     rows, entries = [], []
     for i, entry in enumerate(cfg.bloch_points):
         x = np.asarray(entry["x"], dtype=float)
         y = np.asarray(entry["y"], dtype=float)
         t = float(entry["t"])
         est_cfg = _estimator_config(cfg, channel=20 + i)
-        est = bloch_green(x, y, t, cfg.n_paths, est_cfg)
+        est = estimators.bloch_green(x, y, t, cfg.n_paths, est_cfg)
         kernel = transition_density(t, y - x)
         rows.append(ReportRow(f"bloch[{i}]", "", t, est.mean, est.std_error,
                               kernel, 0.0, kernel - est.mean))

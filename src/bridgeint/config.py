@@ -17,6 +17,7 @@ import numpy as np
 
 from .convergence import EndpointRule, SweepPlan
 from .potentials import Potential
+from .quadrature import _bridge_axis_frame
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_workers"]
 
@@ -69,7 +70,7 @@ def _positive(value: float, name: str):
 
 
 def _point(p: np.ndarray, dim: int, name: str):
-    _require(p.size == dim, f"{name} dimension mismatch")
+    _require(p.shape == (dim,), f"{name} dimension mismatch")
     _require(bool(np.all(np.isfinite(p))), f"{name} coordinates must be finite")
 
 
@@ -201,8 +202,15 @@ class ExperimentConfig:
                          "bridge statistics need endpoints x, y and horizon t")
             if self.statistic_kind == "two_sided":
                 _require(self.y is not None, "two_sided statistics need both endpoints")
+        # every run reports a statistic; a sweep without alphas picks its own
         if c == "mgf":
-            _require(self.alphas is not None, "mgf needs an alphas grid")
+            _require(self.alphas, "mgf needs a non-empty alphas grid")
+        if c == "moments":
+            _require(self.k_list, "moments needs at least one k_list order")
+        if c in ("theorem1", "theorem2", "lemma4"):
+            moment_rows = self.k_list if c != "lemma4" or self.part == "a" else []
+            _require(moment_rows or self.alphas != [],
+                     f"{c} needs at least one statistic: a k_list order or an alpha")
         if c in ("moments", "theorem1", "theorem2", "lemma4"):
             # the oracles stop at k = 2, except the k = 3 bridge tensor rule;
             # a free k = 3 sample would need the finite-horizon k = 3 moment
@@ -211,6 +219,15 @@ class ExperimentConfig:
                 if c == "moments" else c
             _require(all(0 <= k <= k_top for k in self.k_list),
                      f"k_list orders must lie in 0..{k_top} for {where}")
+        if c == "moments" and self.statistic_kind == "bridge" and 2 in self.k_list:
+            # the radial k = 2 bridge oracle takes endpoints off the support
+            # axis in d = 3 only; "off the axis" is the oracle's own test
+            v = self.potential
+            if self.dimension != 3 and v.is_radial and not v.is_zero:
+                on_axis = all(_bridge_axis_frame(p, q, v)[-1]
+                              for p, q in ((self.x, self.y), (self.y, self.x)))
+                _require(on_axis, "moments k = 2 for a bridge with endpoints off the "
+                                  "support axis is computed for d = 3 only")
         if c == "theorem1":
             _require(self.x is not None and self.y is not None,
                      "theorem1 needs fixed endpoints x and y")
@@ -229,8 +246,19 @@ class ExperimentConfig:
             if self.part == "a":
                 _require(self.x is not None, "lemma4 part a needs the limit point x")
             else:
-                _require(self.x is None, "lemma4 part b does not read 'x'; its start "
-                                         "points are x_sequence")
+                for key in ("x", "k_list", "target_n_paths", "target_free_horizon"):
+                    _require(self.raw.get(key) is None,
+                             f"lemma4 part b does not read {key!r}; it reports "
+                             "|mgf - 1| along the start points x_sequence")
+        if c == "bounds":
+            if self.probe_points is not None:
+                _require(isinstance(self.probe_points, list) and self.probe_points,
+                         "probe_points must be a non-empty list of points")
+                for p in self.probe_points:
+                    _point(np.asarray(p, dtype=float), self.dimension, "probe point")
+            alphas = self.alphas or []
+            _require(all(b > a for a, b in zip(alphas, alphas[1:])),
+                     "bounds alphas (the divergence probe grid) must be strictly increasing")
         if c == "bloch":
             _require(self.bloch_points, "bloch needs a bloch_points list")
             for entry in self.bloch_points:

@@ -17,13 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (
-    EstimatorConfig,
-    McEstimate,
-    _mgf_estimate,
-    draw_integrals,
-    tail_corrected,
-)
+# estimators._collect is looked up at call time, so a wrapper on it sees every leg
+from . import estimators
+from .estimators import EstimatorConfig, McEstimate, _mgf_estimate, tail_corrected
 from .gaussian import TimePoints, density_ratio
 from .potentials import Potential, k1_bound
 from .quadrature import QuadConfig, moment_free, moment_two_sided
@@ -260,7 +256,7 @@ def _one_sided_mgf_reference(v, x, alphas, plan: SweepPlan, channel: int):
     if horizon is None:
         horizon = 400.0 * max(v.support_radius**2, 1.0)
     cfg = _sampler(plan, v, channel, x=x, free_horizon=horizon)
-    corrected = tail_corrected(*draw_integrals("free", n, cfg))
+    corrected = tail_corrected(*estimators._collect("free", n, cfg))
     return {a: _mgf_estimate(corrected, a) for a in alphas}
 
 
@@ -313,7 +309,7 @@ def _sweep(plan: SweepPlan, legs: list, stats: list, meta: dict,
     report = ConvergenceReport(meta=meta)
     groups: dict = {}
     for i, (t, (kind, cfg)) in enumerate(zip(plan.horizons, legs)):
-        values, _ = draw_integrals(kind, plan.budget_for(i), cfg)
+        values, _ = estimators._collect(kind, plan.budget_for(i), cfg)
         for stat in stats:
             est = stat.estimate(values)
             value = abs(est.mean - 1.0) if stat.minus_one else est.mean
@@ -482,13 +478,13 @@ def scaling_restatement(x, y, t: float, v: Potential, lam: float, n: int,
     y = np.asarray(y, dtype=float)
     cfg_a = EstimatorConfig(potential=v, x=x, y=y, t=t, seed=seed,
                             stream_channel=105, workers=workers, h_fine=h_fine)
-    va, _ = draw_integrals("bridge", n, cfg_a)
+    va, _ = estimators._collect("bridge", n, cfg_a)
     v_scaled = v.dilated(1.0 / lam).with_height_factor(lam * lam)
     channel_b = 105 if lam == 1.0 else 106
     cfg_b = EstimatorConfig(potential=v_scaled, x=x / lam, y=y / lam,
                             t=t / lam**2, seed=seed, stream_channel=channel_b,
                             workers=workers, h_fine=h_fine / lam**2)
-    vb, _ = draw_integrals("bridge", n, cfg_b)
+    vb, _ = estimators._collect("bridge", n, cfg_b)
     ea = McEstimate.from_samples(va**k)
     eb = McEstimate.from_samples(vb**k)
     gap = abs(ea.mean - eb.mean)

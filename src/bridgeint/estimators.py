@@ -27,7 +27,6 @@ import numpy as np
 from .gaussian import transition_density
 from .path_sim import (
     BATCH_SIZE,
-    BridgeSpec,
     TimeGrid,
     bridge_integral_batch,
     free_integral_batch,
@@ -45,7 +44,6 @@ __all__ = [
     "MgfCurve",
     "ReactionEstimate",
     "EstimatorConfig",
-    "draw_integrals",
     "tail_corrected",
     "mc_moment",
     "mc_mgf",
@@ -105,12 +103,6 @@ class MgfCurve:
     estimates: list
     unstable: np.ndarray
 
-    def estimate_at(self, alpha: float) -> McEstimate:
-        idx = int(np.argmin(np.abs(self.alphas - alpha)))
-        if abs(self.alphas[idx] - alpha) > 1e-12:
-            raise KeyError(f"alpha={alpha} is not on the curve grid")
-        return self.estimates[idx]
-
 
 @dataclass(frozen=True)
 class ReactionEstimate:
@@ -124,6 +116,9 @@ class ReactionEstimate:
 class EstimatorConfig:
     """Everything a sampler needs: target law, grid, budget mechanics.
 
+    The law is checked on construction: the dimension must be transient
+    (d >= 3), and ``t`` and ``free_horizon`` positive and finite when
+    given; the path kernels reject non-finite endpoints.
     ``free_horizon`` defaults to 100 R^2 (support radius R), the scale at
     which exterior occupation is negligible by transience; the adequacy of
     the truncation is checked by the doubling test in the suite.  Paths
@@ -146,10 +141,19 @@ class EstimatorConfig:
     tail_correction: bool = True
 
     def __post_init__(self):
+        if self.dim < 3:
+            raise ValueError("sampled laws require transient dimension d >= 3")
         if self.x is not None:
             self.x = np.asarray(self.x, dtype=float)
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=float)
+        for name in ("t", "free_horizon"):
+            value = getattr(self, name)
+            if value is not None:
+                value = float(value)
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{name} must be positive and finite")
+                setattr(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -160,11 +164,6 @@ class EstimatorConfig:
             return float(self.free_horizon)
         r = self.potential.support_radius
         return max(100.0 * r * r, 1.0)
-
-    def bridge_spec(self) -> BridgeSpec:
-        if self.x is None or self.y is None or self.t is None:
-            raise ValueError("bridge sampling needs x, y and t in the config")
-        return BridgeSpec(self.dim, float(self.t), self.x, self.y)
 
     def grid_for(self, horizon: float, kind: str = "bridge") -> TimeGrid:
         builder = TimeGrid.endpoint_refined if kind == "bridge" else TimeGrid.front_refined
@@ -183,9 +182,10 @@ def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int):
     """
     v = cfg.potential
     if kind == "bridge":
-        spec = cfg.bridge_spec()
+        if cfg.x is None or cfg.y is None or cfg.t is None:
+            raise ValueError("bridge sampling needs x, y and t in the config")
         rng = stream(cfg.seed, _stream_id(cfg.stream_channel, 0, batch))
-        vals, _ = bridge_integral_batch(spec, cfg.grid_for(spec.t), v, rng, count)
+        vals, _ = bridge_integral_batch(cfg.x, cfg.y, cfg.grid_for(cfg.t), v, rng, count)
         return vals, None
     grid = cfg.grid_for(cfg.resolved_free_horizon(), kind="free")
     starts = [cfg.x]
@@ -224,13 +224,20 @@ def _batch_plan(n: int, batch_size: int):
 
 
 def _collect(kind: str, n: int, cfg: EstimatorConfig):
-    """All samples for the request, concatenated in batch order."""
+    """Raw path-integral samples plus terminal tail potentials, in batch order.
+
+    Returns (values, tails); ``tails`` is None for the bridge kind, where
+    the horizon is exact and no truncation correction exists, and when
+    ``cfg.tail_correction`` is off.  Every estimator and harness samples
+    through this call, so one sampling pass can feed several statistics.
+    """
     if kind not in _KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; expected one of {_KINDS}")
     plan = _batch_plan(n, cfg.batch_size)
     if cfg.workers > 1 and len(plan) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_worker, [(kind, cfg, b, c) for b, c in plan]))
+            columns = [[kind] * len(plan), [cfg] * len(plan), *zip(*plan)]
+            parts = list(pool.map(_run_batch, *columns))
     else:
         parts = [_run_batch(kind, cfg, b, c) for b, c in plan]
     values = np.concatenate([p[0] for p in parts])
@@ -238,21 +245,6 @@ def _collect(kind: str, n: int, cfg: EstimatorConfig):
     if parts[0][1] is not None:
         tails = np.concatenate([p[1] for p in parts])
     return values, tails
-
-
-def _worker(args):
-    return _run_batch(*args)
-
-
-def draw_integrals(kind: str, n: int, cfg: EstimatorConfig):
-    """Raw path-integral samples plus terminal tail potentials.
-
-    Returns (values, tails); ``tails`` is None for the bridge kind, where
-    the horizon is exact and no truncation correction exists, and when
-    ``cfg.tail_correction`` is off.  Harnesses use this to evaluate
-    several statistics on one sampling pass.
-    """
-    return _collect(kind, n, cfg)
 
 
 def tail_corrected(values: np.ndarray, tails, k: int = 1):
@@ -286,8 +278,6 @@ def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
         raise ValueError("moment order must be at least 1")
     if n < 2:
         raise ValueError("at least 2 samples are required")
-    if cfg.potential.is_zero:
-        return McEstimate(mean=0.0, std_error=0.0, n=n, max_sample_share=0.0)
     values, tails = _collect(kind, n, cfg)
     return McEstimate.from_samples(tail_corrected(values, tails, k)**k)
 
@@ -318,11 +308,8 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     if n < 2:
         raise ValueError("at least 2 samples are required")
     _mgf_warnings(alphas, cfg.potential)
-    if cfg.potential.is_zero:
-        estimates = [McEstimate(1.0, 0.0, n, 1.0 / n) for _ in alphas]
-    else:
-        values = tail_corrected(*_collect(kind, n, cfg))
-        estimates = [_mgf_estimate(values, a) for a in alphas]
+    values = tail_corrected(*_collect(kind, n, cfg))
+    estimates = [_mgf_estimate(values, a) for a in alphas]
     unstable = np.array([e.max_sample_share > 0.5 for e in estimates], dtype=bool)
     return MgfCurve(alphas, estimates, unstable)
 
@@ -351,11 +338,8 @@ def bloch_green(x, y, t: float, n: int, cfg: EstimatorConfig) -> McEstimate:
     Reduces to the free heat kernel when v vanishes; for v >= 0 the value
     is dominated by the kernel pathwise.
     """
-    cfg = replace(cfg, x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
-                  t=float(t))
-    kernel = transition_density(t, np.asarray(y, float) - np.asarray(x, float))
-    if cfg.potential.is_zero:
-        return McEstimate(mean=kernel, std_error=0.0, n=n, max_sample_share=1.0 / n)
+    cfg = replace(cfg, x=x, y=y, t=t)
+    kernel = transition_density(t, cfg.y - cfg.x)
     values, _ = _collect("bridge", n, cfg)
     est = McEstimate.from_samples(np.exp(-values))
     return McEstimate(mean=kernel * est.mean, std_error=kernel * est.std_error,

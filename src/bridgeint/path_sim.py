@@ -31,7 +31,6 @@ from .potentials import Potential
 __all__ = [
     "BATCH_SIZE",
     "TimeGrid",
-    "BridgeSpec",
     "stream",
     "bridge_integral_batch",
     "free_integral_batch",
@@ -126,43 +125,31 @@ class TimeGrid:
         return cls(np.concatenate(parts))
 
 
-@dataclass(frozen=True)
-class BridgeSpec:
-    """Endpoints, horizon and dimension of one bridge configuration."""
-
-    d: int
-    t: float
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.d < 3:
-            raise ValueError("bridge experiments require transient dimension d >= 3")
-        if not (self.t > 0):
-            raise ValueError("bridge horizon must be positive")
-        x = np.asarray(self.x, dtype=float).reshape(self.d)
-        y = np.asarray(self.y, dtype=float).reshape(self.d)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("bridge endpoints must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+def _finite_point(p) -> np.ndarray:
+    """A path endpoint as a float vector; NaN or infinite coordinates are rejected."""
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("path endpoints must be finite")
+    return p
 
 
-def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
+def bridge_integral_batch(x, y, grid: TimeGrid, v: Potential,
                           rng: np.random.Generator, n: int,
                           record_idx=None):
-    """Integrals of v along n bridge paths, streamed node by node.
+    """Integrals of v along n bridge paths from x to y over [0, grid.horizon].
 
     Returns (values, recorded) where recorded stacks positions at the
     requested node indices with shape (len(record_idx), n, d).  Memory
     stays O(n d) regardless of the grid size.
     """
-    if grid.horizon != spec.t:
-        raise ValueError("grid must span [0, t] for the bridge horizon t")
+    x, y = _finite_point(x), _finite_point(y)
+    if x.shape != y.shape:
+        raise ValueError("bridge endpoints must have the same dimension")
+    t = grid.horizon
     nodes = grid.nodes
     record_idx = sorted(record_idx) if record_idx else []
     rec = {i: None for i in record_idx}
-    z = np.broadcast_to(spec.x, (n, spec.d)).copy()
+    z = np.broadcast_to(x, (n, x.size)).copy()
     if 0 in rec:
         rec[0] = z.copy()
     acc = np.zeros(n)
@@ -170,16 +157,16 @@ def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
         s_j, s_next = nodes[j], nodes[j + 1]
         ds = s_next - s_j
         acc += v(z) * ds
-        if s_next >= spec.t:
-            z = np.broadcast_to(spec.y, (n, spec.d)).copy()
+        if s_next >= t:
+            z = np.broadcast_to(y, (n, y.size)).copy()
         else:
-            w = ds / (spec.t - s_j)
-            sd = math.sqrt(ds * (spec.t - s_next) / (spec.t - s_j))
-            eps = rng.standard_normal((n, spec.d))
+            w = ds / (t - s_j)
+            sd = math.sqrt(ds * (t - s_next) / (t - s_j))
+            eps = rng.standard_normal((n, y.size))
             # z + w (y - z) + sd eps with the same roundings, in place and
             # column by column: broadcasting y over rows of length d is slow
             step = np.empty_like(z)
-            for i, y_i in enumerate(spec.y):
+            for i, y_i in enumerate(y):
                 np.subtract(y_i, z[:, i], out=step[:, i])
             step *= w
             step += z
@@ -195,7 +182,7 @@ def bridge_integral_batch(spec: BridgeSpec, grid: TimeGrid, v: Potential,
 def free_integral_batch(x, grid: TimeGrid, v: Potential,
                         rng: np.random.Generator, n: int):
     """Integrals of v along n free paths; also returns terminal positions."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_point(x)
     d = x.size
     z = np.broadcast_to(x, (n, d)).copy()
     acc = np.zeros(n)

@@ -22,7 +22,7 @@ from bridgeint.convergence import (
 )
 from bridgeint.estimators import EstimatorConfig, mc_moment
 from bridgeint.gaussian import TimePoints, bridge_marginal, density_ratio, jensen_lower_bound
-from bridgeint.path_sim import BridgeSpec, TimeGrid, bridge_integral_batch, stream
+from bridgeint.path_sim import TimeGrid, bridge_integral_batch, stream
 from bridgeint.potentials import Potential
 from bridgeint.quadrature import (
     QuadConfig,
@@ -65,15 +65,15 @@ class TestCriterion02BridgeLaw:
     def test_marginals_at_five_interior_times(self):
         n = 100_000
         t = 10.0
-        spec = BridgeSpec(3, t, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        x, y = np.zeros(3), np.array([1.0, 0.0, 0.0])
         grid = TimeGrid.endpoint_refined(t)
         idx = [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 3.0, 5.0, 7.0, 9.0)]
-        _, rec = bridge_integral_batch(spec, grid, ZERO, stream(2024, 0), n,
+        _, rec = bridge_integral_batch(x, y, grid, ZERO, stream(2024, 0), n,
                                        record_idx=idx)
         worst = 0.0
         for j, i in enumerate(idx):
             s = grid.nodes[i]
-            mean, var = bridge_marginal(spec.x, spec.y, t, s)
+            mean, var = bridge_marginal(x, y, t, s)
             z_mean = np.abs(rec[j].mean(axis=0) - mean) / math.sqrt(var / n)
             z_var = np.abs(rec[j].var(axis=0, ddof=1) - var) / (var * math.sqrt(2.0 / (n - 1)))
             worst = max(worst, float(z_mean.max()), float(z_var.max()))

@@ -115,6 +115,10 @@ _MINIMAL = {
     "bloch": {"dimension": 3, "potential": _BALL, "n_paths": 20,
               "bloch_points": [{"x": [0, 0, 0], "y": [0.5, 0, 0], "t": 1.0}]},
 }
+# lemma4 part b: no limit point, no moment rows, no reference leg
+_PART_B = dict({k: v for k, v in _MINIMAL["lemma4"].items()
+                if k not in ("x", "k_list", "target_n_paths", "target_free_horizon")},
+               part="b", x_sequence=[[6.0, 0.0, 0.0], [12.0, 0.0, 0.0]])
 
 
 _IGNORED_KEYS = [
@@ -189,6 +193,14 @@ class TestKeysReadOnlyInSomeModes:
         assert main(["lemma4", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("k_list", [1]), ("target_n_paths", 20),
+                                            ("target_free_horizon", 8.0)])
+    def test_lemma4_part_b_rejects_reference_keys(self, tmp_path, capsys, key, value):
+        load_config(_PART_B, "lemma4")  # valid without the key
+        path = write_config(tmp_path, dict(_PART_B, **{key: value}))
+        assert main(["lemma4", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
     def test_theorem2_rejects_endpoint_y(self, tmp_path, capsys):
         cfg = dict(_MINIMAL["theorem2"],
                    endpoint_rule={"kind": "sqrt_t", "scale": 1.0, "y": [1.0, 0.0, 0.0]})
@@ -196,6 +208,69 @@ class TestKeysReadOnlyInSomeModes:
         assert main(["theorem2", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unknown endpoint_rule keys" in err and "'y'" in err
+
+
+_BAD_BOUNDS = [
+    ({"probe_points": [[0.0, 0.0]]}, "dimension mismatch"),
+    ({"probe_points": []}, "non-empty list"),
+    ({"probe_points": [[float("nan"), 0.0, 0.0]]}, "finite"),
+    ({"alphas": [0.5, 0.2], "n_paths": 20}, "strictly increasing"),
+]
+
+
+class TestBoundsInput:
+    """Bad probe points or a probe grid out of order are config errors."""
+
+    @pytest.mark.parametrize("overrides, message", _BAD_BOUNDS,
+                             ids=["probe_point_2d", "no_probe_points", "nan_probe_point",
+                                  "alphas_decreasing"])
+    def test_bad_input_rejected(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, dict(_MINIMAL["bounds"], **overrides))
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bounds_summary.json").exists()
+
+    def test_empty_alphas_turn_the_probe_off(self):
+        cfg = load_config(dict(_MINIMAL["bounds"], alphas=[]), "bounds")
+        assert cfg.alphas == []
+
+
+class TestOracleCoverage:
+    """A moment the oracles cannot compute for this geometry is a config error."""
+
+    _D4 = {"dimension": 4, "potential": _BALL, "statistic_kind": "bridge", "t": 2.0,
+           "n_paths": 20, "k_list": [2]}
+
+    def test_bridge_k2_off_axis_in_d4_rejected(self, tmp_path, capsys):
+        cfg = dict(self._D4, x=[0.5, 0.0, 0.0, 0.0], y=[0.0, 0.5, 0.0, 0.0])
+        path = write_config(tmp_path, cfg)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "off the support axis" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_bridge_k2_on_axis_in_d4_accepted(self):
+        cfg = dict(self._D4, x=[0.5, 0.0, 0.0, 0.0], y=[-0.3, 0.0, 0.0, 0.0])
+        assert load_config(cfg, "moments").k_list == [2]
+
+
+_NO_STATISTIC = [
+    ("theorem1", dict(_MINIMAL["theorem1"], k_list=[], alphas=[]), "at least one statistic"),
+    ("lemma4", dict(_PART_B, alphas=[]), "at least one statistic"),
+    ("moments", dict(_MINIMAL["moments"], k_list=[]), "at least one k_list order"),
+    ("mgf", base_bridge_config(n_paths=20, alphas=[]), "non-empty alphas grid"),
+]
+
+
+class TestAtLeastOneStatistic:
+    """A run that would report no statistic is a config error, not a PASS."""
+
+    @pytest.mark.parametrize("command, cfg, message", _NO_STATISTIC,
+                             ids=["theorem1", "lemma4_part_b", "moments", "mgf"])
+    def test_empty_run_rejected(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestBoundsCommand:
@@ -420,8 +495,9 @@ class TestVerdictExitCodes:
         stats = {row["statistic"] for row in doc["rows"]}
         assert "free_moment" in stats and "free_mgf" in stats
 
-        cfg_b = dict(base, part="b",
-                     x_sequence=[[6.0, 0.0, 0.0], [12.0, 0.0, 0.0]])
+        # part b reads no moment orders and no reference budget
+        cfg_b = {k: v for k, v in base.items() if k not in ("k_list", "target_n_paths")}
+        cfg_b.update(part="b", x_sequence=[[6.0, 0.0, 0.0], [12.0, 0.0, 0.0]])
         path = write_config(tmp_path, cfg_b, "b.json")
         out_b = tmp_path / "b"
         code = main(["lemma4", "--config", path, "--out", str(out_b)])

@@ -11,7 +11,6 @@ from bridgeint.estimators import (
     EstimatorConfig,
     McEstimate,
     bloch_green,
-    draw_integrals,
     mc_mgf,
     mc_moment,
     reaction_probability,
@@ -45,6 +44,23 @@ class TestMcEstimate:
     def test_share_bounds(self):
         with pytest.raises(ValueError):
             McEstimate(mean=0.0, std_error=0.0, n=5, max_sample_share=1.5)
+
+
+class TestLawChecks:
+    """Every sample kind gets the same checks of the law it samples."""
+
+    def test_nan_free_start_rejected(self):
+        cfg = EstimatorConfig(potential=BALL, x=[np.nan, 0, 0], free_horizon=4.0)
+        with pytest.raises(ValueError, match="finite"):
+            mc_moment("free", 1, 100, cfg)
+
+    def test_infinite_bridge_horizon_rejected(self):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            bridge_cfg(t=math.inf)
+
+    def test_infinite_free_horizon_rejected(self):
+        with pytest.raises(ValueError, match="free_horizon must be positive and finite"):
+            EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=math.inf)
 
 
 class TestMcMoment:
@@ -120,12 +136,12 @@ class TestMcMoment:
 class TestMcMgf:
     def test_alpha_zero_exact(self):
         curve = mc_mgf("bridge", [0.0], 1_000, bridge_cfg())
-        est = curve.estimate_at(0.0)
+        est = curve.estimates[0]
         assert est.mean == 1.0 and est.std_error == 0.0
 
     def test_negative_alpha_bounded_for_nonneg_potential(self):
         cfg = bridge_cfg()
-        values, _ = draw_integrals("bridge", 5_000, cfg)
+        values, _ = estimators._collect("bridge", 5_000, cfg)
         w = np.exp(-0.7 * values)
         assert np.all(w <= 1.0) and np.all(w > 0.0)
         curve = mc_mgf("bridge", [-0.7], 5_000, cfg)
@@ -179,7 +195,7 @@ class TestReactionProbability:
 
     def test_survival_in_unit_interval_pathwise(self):
         cfg = bridge_cfg(t=4.0)
-        values, _ = draw_integrals("bridge", 5_000, cfg)
+        values, _ = estimators._collect("bridge", 5_000, cfg)
         w = np.exp(-values)
         assert np.all((w > 0.0) & (w <= 1.0))
 

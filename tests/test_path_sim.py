@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bridgeint.estimators import EstimatorConfig
 from bridgeint.gaussian import bridge_marginal
 from bridgeint.path_sim import (
-    BridgeSpec,
     TimeGrid,
     bridge_integral_batch,
     free_integral_batch,
@@ -62,62 +62,72 @@ class TestTimeGrid:
 
 
 class TestBridgeSpecValidation:
+    """The law checks: a transient dimension, and finite path endpoints."""
+
     def test_transience_required(self):
-        with pytest.raises(ValueError):
-            BridgeSpec(2, 1.0, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="d >= 3"):
+            EstimatorConfig(potential=Potential.ball_indicator(2, 1.0),
+                            x=np.zeros(2), y=np.zeros(2), t=1.0)
 
     def test_finite_endpoints(self):
-        with pytest.raises(ValueError):
-            BridgeSpec(3, 1.0, np.array([np.nan, 0, 0]), np.zeros(3))
+        grid = TimeGrid.uniform(1.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            bridge_integral_batch(np.array([np.nan, 0, 0]), np.zeros(3), grid, BALL,
+                                  stream(0, 0), 2)
+        with pytest.raises(ValueError, match="finite"):
+            bridge_integral_batch(np.zeros(3), np.array([0, np.inf, 0]), grid, BALL,
+                                  stream(0, 0), 2)
+        with pytest.raises(ValueError, match="finite"):
+            free_integral_batch(np.array([np.nan, 0, 0]), grid, BALL, stream(0, 0), 2)
 
 
-def _bridge_positions(spec, grid, seed, n=1):
+def _bridge_positions(x, y, grid, seed, n=1):
     """Every node of n bridge paths, shape (nodes, n, d)."""
-    _, rec = bridge_integral_batch(spec, grid, ZERO, stream(seed, 0), n,
+    _, rec = bridge_integral_batch(x, y, grid, ZERO, stream(seed, 0), n,
                                    record_idx=range(grid.nodes.size))
     return rec
 
 
 class TestBridgeSampler:
     def test_two_node_grid_is_deterministic(self):
-        spec = BridgeSpec(3, 4.0, np.zeros(3), np.array([1.0, 2.0, 3.0]))
+        x, y = np.zeros(3), np.array([1.0, 2.0, 3.0])
         grid = TimeGrid(np.array([0.0, 4.0]))
-        a = _bridge_positions(spec, grid, 0, n=3)
-        assert np.array_equal(a, _bridge_positions(spec, grid, 1, n=3))
-        assert np.all(a[0] == spec.x)
-        assert np.all(a[-1] == spec.y)
+        a = _bridge_positions(x, y, grid, 0, n=3)
+        assert np.array_equal(a, _bridge_positions(x, y, grid, 1, n=3))
+        assert np.all(a[0] == x)
+        assert np.all(a[-1] == y)
 
     def test_terminal_pinned_exactly(self):
-        spec = BridgeSpec(3, 2.0, np.zeros(3), np.array([0.3, -0.7, 1.1]))
+        x, y = np.zeros(3), np.array([0.3, -0.7, 1.1])
         grid = TimeGrid.uniform(2.0, 0.1)
-        _, rec = bridge_integral_batch(spec, grid, BALL, stream(5, 0), 64,
+        _, rec = bridge_integral_batch(x, y, grid, BALL, stream(5, 0), 64,
                                        record_idx=[grid.nodes.size - 1])
-        assert np.all(rec[0] == spec.y)
+        assert np.all(rec[0] == y)
 
     def test_seed_determinism_bitwise(self):
-        spec = BridgeSpec(3, 3.0, np.zeros(3), np.ones(3))
+        x, y = np.zeros(3), np.ones(3)
         grid = TimeGrid.uniform(3.0, 0.05)
-        a = _bridge_positions(spec, grid, 123, n=4)
-        b = _bridge_positions(spec, grid, 123, n=4)
+        a = _bridge_positions(x, y, grid, 123, n=4)
+        b = _bridge_positions(x, y, grid, 123, n=4)
         assert np.array_equal(a, b)
-        c = _bridge_positions(spec, grid, 124, n=4)
+        c = _bridge_positions(x, y, grid, 124, n=4)
         assert not np.array_equal(a, c)
-        va, _ = bridge_integral_batch(spec, grid, BALL, stream(123, 0), 4)
-        vb, _ = bridge_integral_batch(spec, grid, BALL, stream(123, 0), 4)
+        va, _ = bridge_integral_batch(x, y, grid, BALL, stream(123, 0), 4)
+        vb, _ = bridge_integral_batch(x, y, grid, BALL, stream(123, 0), 4)
         assert np.array_equal(va, vb)
 
     def test_marginal_law(self):
         # sampled mean and per-coordinate variance at grid nodes vs closed form
         n = 30_000
         t = 10.0
-        spec = BridgeSpec(3, t, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        x, y = np.zeros(3), np.array([1.0, 0.0, 0.0])
         grid = TimeGrid.uniform(t, 0.5)
         idx = [4, 10, 16]
-        _, rec = bridge_integral_batch(spec, grid, ZERO, stream(2024, 0), n,
+        _, rec = bridge_integral_batch(x, y, grid, ZERO, stream(2024, 0), n,
                                        record_idx=idx)
         for j, i in enumerate(idx):
             s = grid.nodes[i]
-            mean, var = bridge_marginal(spec.x, spec.y, t, s)
+            mean, var = bridge_marginal(x, y, t, s)
             se_mean = math.sqrt(var / n)
             se_var = var * math.sqrt(2.0 / (n - 1))
             assert np.all(np.abs(rec[j].mean(axis=0) - mean) < 4.0 * se_mean)
@@ -125,10 +135,9 @@ class TestBridgeSampler:
 
     def test_coordinates_uncorrelated(self):
         n = 40_000
-        spec = BridgeSpec(3, 6.0, np.zeros(3), np.zeros(3))
         grid = TimeGrid.uniform(6.0, 1.0)
-        _, rec = bridge_integral_batch(spec, grid, ZERO, stream(9, 0), n,
-                                       record_idx=[3])
+        _, rec = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, ZERO, stream(9, 0),
+                                       n, record_idx=[3])
         z = rec[0]
         corr = np.corrcoef(z.T)
         off = corr[~np.eye(3, dtype=bool)]
@@ -179,15 +188,15 @@ class TestIntegrateAlongPath:
     def test_zero_potential(self):
         grid = TimeGrid.uniform(2.0, 0.1)
         free, _ = free_integral_batch(np.zeros(3), grid, ZERO, stream(3, 0), 32)
-        spec = BridgeSpec(3, 2.0, np.zeros(3), np.zeros(3))
-        bridge, _ = bridge_integral_batch(spec, grid, ZERO, stream(3, 0), 32)
+        bridge, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, ZERO,
+                                          stream(3, 0), 32)
         assert np.all(free == 0.0) and np.all(bridge == 0.0)
 
     def test_constant_inside_huge_ball(self):
         big = Potential.ball_indicator(3, 50.0, height=2.5)
         grid = TimeGrid.uniform(1.0, 0.05)
-        spec = BridgeSpec(3, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        bridge, rec = bridge_integral_batch(spec, grid, big, stream(17, 0), 8,
+        bridge, rec = bridge_integral_batch(np.zeros(3), np.array([1.0, 0.0, 0.0]), grid,
+                                            big, stream(17, 0), 8,
                                             record_idx=range(grid.nodes.size))
         assert np.all(np.linalg.norm(rec, axis=2) < 50.0)
         assert np.allclose(bridge, 2.5 * 1.0, rtol=1e-12, atol=0.0)
@@ -197,9 +206,9 @@ class TestIntegrateAlongPath:
 
     def test_straight_miss(self):
         # a two-node bridge is the straight segment (5,0,0) -> (6,0,0)
-        spec = BridgeSpec(3, 1.0, np.array([5.0, 0, 0]), np.array([6.0, 0, 0]))
         grid = TimeGrid(np.array([0.0, 1.0]))
-        vals, _ = bridge_integral_batch(spec, grid, BALL, stream(0, 0), 4)
+        vals, _ = bridge_integral_batch(np.array([5.0, 0, 0]), np.array([6.0, 0, 0]), grid,
+                                        BALL, stream(0, 0), 4)
         assert np.all(vals == 0.0)
 
     def test_dimension_mismatch(self):
@@ -210,22 +219,19 @@ class TestIntegrateAlongPath:
 
 class TestIntegralDraws:
     def test_batch_of_one_draws(self):
-        spec = BridgeSpec(3, 5.0, np.zeros(3), np.zeros(3))
         grid = TimeGrid.endpoint_refined(5.0, h_fine=0.05)
-        z, _ = bridge_integral_batch(spec, grid, BALL, stream(12, 0), 1)
+        z, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, BALL, stream(12, 0), 1)
         assert z.shape == (1,) and z[0] >= 0.0
-        again, _ = bridge_integral_batch(spec, grid, BALL, stream(12, 0), 1)
+        again, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, BALL,
+                                         stream(12, 0), 1)
         assert z[0] == again[0]
         y, _ = free_integral_batch(np.zeros(3), grid, BALL, stream(12, 0), 1)
         assert y[0] >= 0.0
-        with pytest.raises(ValueError, match="grid must span"):
-            bridge_integral_batch(BridgeSpec(3, 6.0, np.zeros(3), np.zeros(3)),
-                                  grid, BALL, stream(12, 0), 1)
 
     def test_zero_potential_draws(self):
-        spec = BridgeSpec(3, 5.0, np.zeros(3), np.zeros(3))
         grid = TimeGrid.uniform(5.0, 0.1)
-        bridge, _ = bridge_integral_batch(spec, grid, ZERO, stream(1, 0), 1)
+        bridge, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, ZERO,
+                                          stream(1, 0), 1)
         assert bridge[0] == 0.0
         # the two-sided integral is the sum of two free legs on separate streams
         vx, _ = free_integral_batch(np.zeros(3), grid, ZERO, stream(1, 0), 1)

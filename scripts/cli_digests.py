@@ -27,12 +27,16 @@ from pathlib import Path
 ZERO = [0.0, 0.0, 0.0]
 BALL = {"kind": "ball_indicator", "radius": 1.0, "height": 1.0}
 SIGNED = {"kind": "radial_step", "breakpoints": [0.5, 1.0], "heights": [1.0, -0.5]}
+STEP = {"kind": "radial_step", "breakpoints": [0.6, 1.2], "heights": [1.2, 0.4]}
 
 BRIDGE = {
     "dimension": 3, "potential": BALL, "statistic_kind": "bridge",
     "x": ZERO, "y": ZERO, "t": 10.0, "n_paths": 20000, "seed": 7,
 }
 README_MOMENTS = dict(BRIDGE, k_list=[1, 2])
+# bridge k = 2 geometries beside x = y on the ball: collinear endpoints on
+# two bands, endpoints off the support axis in d = 3, and an on-axis pair in d = 4
+ORACLE_BRIDGES = dict(README_MOMENTS, n_paths=4000, grid={"h_fine": 0.01})
 README_THEOREM1 = {
     "dimension": 3, "potential": BALL, "x": ZERO, "y": ZERO,
     "horizons": [10.0, 100.0, 1000.0], "k_list": [1, 2],
@@ -86,6 +90,13 @@ RUNS = [
       "n_paths": 1500, "free_horizon": 50.0, "seed": 3}, [], 0),
     ("bloch_w1", "bloch", BLOCH, ["--workers", "1"], 0),
     ("bloch_w2", "bloch", BLOCH, ["--workers", "2"], 0),
+    ("moments_step_collinear", "moments",
+     dict(ORACLE_BRIDGES, potential=STEP, y=[1.5, 0.0, 0.0], t=8.0, seed=31), [], 0),
+    ("moments_noncollinear_d3", "moments",
+     dict(ORACLE_BRIDGES, x=[0.8, 0.6, 0.0], y=[-0.5, 1.0, 0.3], t=4.0, seed=37), [], 0),
+    ("moments_on_axis_d4", "moments",
+     dict(ORACLE_BRIDGES, dimension=4, x=[0.5, 0.0, 0.0, 0.0], y=[-1.0, 0.0, 0.0, 0.0],
+          t=4.0, seed=41), [], 0),
     ("moments_k3", "moments",
      dict(README_MOMENTS, t=4.0, k_list=[1, 2, 3], n_paths=4000,
           grid={"h_fine": 0.02}), [], 0),

@@ -259,6 +259,17 @@ class ExperimentConfig:
             alphas = self.alphas or []
             _require(all(b > a for a, b in zip(alphas, alphas[1:])),
                      "bounds alphas (the divergence probe grid) must be strictly increasing")
+            # the alpha1 probe runs on a nonnegative, nonzero potential, and
+            # only when alphas is non-empty; its keys are read only then
+            v = self.potential
+            _require(not alphas or (v.is_nonnegative and not v.is_zero),
+                     "bounds does not read 'alphas' here: the alpha1 probe runs "
+                     "only on a nonnegative, nonzero potential")
+            if not alphas:
+                for key in ("n_paths", "free_horizon", "x"):
+                    _require(self.raw.get(key) is None,
+                             f"bounds does not read {key!r} without a non-empty "
+                             "alphas grid for the alpha1 probe")
         if c == "bloch":
             _require(self.bloch_points, "bloch needs a bloch_points list")
             for entry in self.bloch_points:

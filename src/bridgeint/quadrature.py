@@ -58,6 +58,9 @@ _TIME_NODES = 8
 _SPACE_NODES = 12
 _ANGULAR_NODES = 16
 _BOX_NODES = 7
+# Time nodes evaluated together by the k = 2 bridge rule.  Larger blocks
+# save little more and raise peak memory with the n_u * n_ang grid.
+_NODE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -229,12 +232,14 @@ def radial_expectation(v: Potential, b, var):
         raise ValueError("radial expectation needs a radial potential")
     b, var = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (b, var)))
     total = np.zeros(b.shape)
+    cdf = {}  # one CDF per band edge; adjacent bands share one
     for lo, hi, h in v.bands():
         if h == 0.0:
             continue
-        upper = radial_ball_cdf(hi, b, var, v.dim)
-        lower = radial_ball_cdf(lo, b, var, v.dim) if lo > 0 else 0.0
-        total = total + h * (upper - lower)
+        for edge in (lo, hi):
+            if edge > 0 and edge not in cdf:
+                cdf[edge] = radial_ball_cdf(edge, b, var, v.dim)
+        total = total + h * (cdf[hi] - cdf.get(lo, 0.0))
     return total if total.ndim else float(total)
 
 
@@ -370,11 +375,14 @@ def _moment_free_inf_k3(x, v: Potential) -> float:
     u, w = _panel_rule(edges, _SPACE_NODES)
     if u.size == 0:
         return 0.0
-    # middle layer evaluated at every outer node: one nested pass
+    # middle layer at every outer node, on panels split at the kernel's
+    # kink u = u_i
     middle = np.empty(u.size)
     for i, ui in enumerate(u):
-        kern = cd * np.maximum(u, ui) ** (2.0 - d)
-        middle[i] = area * np.sum(w * u ** (d - 1) * v.profile(u) * kern * green_potential_radial(v, u))
+        um, wm = _panel_rule(_radial_edges(v, extra=(ui,)), _SPACE_NODES)
+        kern = cd * np.maximum(um, ui) ** (2.0 - d)
+        middle[i] = area * np.sum(
+            wm * um ** (d - 1) * v.profile(um) * kern * green_potential_radial(v, um))
     outer_kern = cd * np.maximum(u, b) ** (2.0 - d)
     total = area * np.sum(w * u ** (d - 1) * v.profile(u) * outer_kern * middle)
     return float(6.0 * total)
@@ -573,6 +581,16 @@ def _moment_bridge_k1(x, y, t: float, v: Potential) -> float:
     return float(np.sum(w * vals))
 
 
+def _scalar_pow(a, p):
+    """a ** p element by element, as a (len(a), 1, 1) column.
+
+    numpy's vectorized power can differ from its scalar power in the last
+    bit.  The k = 2 bridge rule raises its per-node factors with the scalar
+    power, so its values do not depend on how time nodes are blocked.
+    """
+    return np.array([ai ** p for ai in a])[:, None, None]
+
+
 def _moment_bridge_k2(x, y, t: float, v: Potential) -> float:
     if not v.is_radial:
         return _moment_bridge_tensor(x, y, t, v, 2)
@@ -612,13 +630,14 @@ def _moment_bridge_k2(x, y, t: float, v: Potential) -> float:
     else:
         dot_perp = U * omega_perp[None, :]
     u2 = (U**2) * np.ones_like(dot_axis)
+    y_dot = yc_ax * dot_axis + yc_perp * dot_perp
 
     base = min(0.5 * min(1.0, max(v.support_radius**2, 1e-3)), t / 8.0)
     s1, delta, wt = _pair_nodes(t, base, _TIME_NODES, symmetric=True)
     s2 = s1 + delta
     sigma_floor = 0.04 * max(v.support_radius, 1e-6)
     total = 0.0
-    chunk = 128
+    chunk = 128  # sets the summation order of total
     for i0 in range(0, s1.size, chunk):
         sa = s1[i0:i0 + chunk]
         sb = s2[i0:i0 + chunk]
@@ -645,17 +664,21 @@ def _moment_bridge_k2(x, y, t: float, v: Potential) -> float:
             eff = dvar[idx] + (1.0 - beta[idx]) ** 2 * var1[idx]
             vals[idx] = v.profile(b1[idx]) * np.asarray(radial_expectation(v, dist, eff))
         big = np.where(~small)[0]
-        for i in big:
+        for j0 in range(0, big.size, _NODE_BLOCK):
+            # one (block, n_u, n_ang) evaluation; each node is a row sum
+            blk = big[j0:j0 + _NODE_BLOCK]
+            one_b = 1.0 - beta[blk]
             dist_mu2 = np.sqrt(
-                (1.0 - beta[i]) ** 2 * u2
-                + beta[i] ** 2 * (yc_ax**2 + yc_perp**2)
-                + 2.0 * (1.0 - beta[i]) * beta[i] * (yc_ax * dot_axis + yc_perp * dot_perp)
+                _scalar_pow(one_b, 2) * u2
+                + _scalar_pow(beta[blk], 2) * (yc_ax**2 + yc_perp**2)
+                + (2.0 * one_b * beta[blk])[:, None, None] * y_dot
             )
-            inner = np.asarray(radial_expectation(v, dist_mu2, dvar[i]))
-            sq = u2 + b1[i] ** 2 - 2.0 * (a_ax[i] * dot_axis + a_perp[i] * dot_perp)
-            dens = np.exp(-np.maximum(sq, 0.0) / (2.0 * var1[i]))
-            dens *= (2.0 * math.pi * var1[i]) ** (-d / 2.0)
-            vals[i] = float(np.sum(W_space * dens * inner))
+            inner = radial_expectation(v, dist_mu2, dvar[blk][:, None, None])
+            sq = u2 + _scalar_pow(b1[blk], 2) - 2.0 * (
+                a_ax[blk][:, None, None] * dot_axis + a_perp[blk][:, None, None] * dot_perp)
+            dens = np.exp(-np.maximum(sq, 0.0) / (2.0 * var1[blk])[:, None, None])
+            dens *= _scalar_pow(2.0 * math.pi * var1[blk], -d / 2.0)
+            vals[blk] = np.sum((W_space * dens * inner).reshape(blk.size, -1), axis=1)
         total += float(np.sum(w_t * vals))
     return 2.0 * total
 
@@ -751,8 +774,10 @@ def moment_bridge(x, y, t: float, v: Potential, k: int,
         return 0.5 * (_moment_bridge_k1(x, y, t, v) +
                       _moment_bridge_k1(y, x, t, v))
     if k == 2:
-        return 0.5 * (_moment_bridge_k2(x, y, t, v) +
-                      _moment_bridge_k2(y, x, t, v))
+        forward = _moment_bridge_k2(x, y, t, v)
+        if np.array_equal(np.asarray(x, float), np.asarray(y, float)):
+            return forward  # both orientations are the same call
+        return 0.5 * (forward + _moment_bridge_k2(y, x, t, v))
     return 0.5 * (_moment_bridge_tensor(x, y, t, v, 3) +
                   _moment_bridge_tensor(y, x, t, v, 3))
 

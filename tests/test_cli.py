@@ -234,6 +234,28 @@ class TestBoundsInput:
         cfg = load_config(dict(_MINIMAL["bounds"], alphas=[]), "bounds")
         assert cfg.alphas == []
 
+    def test_probe_keys_rejected_on_a_signed_potential(self, tmp_path, capsys):
+        cfg = {"dimension": 3,
+               "potential": {"kind": "radial_step", "breakpoints": [0.5, 1.0],
+                             "heights": [1.0, -0.5]},
+               "alphas": [0.1, 0.5], "n_paths": 50, "free_horizon": 5.0,
+               "x": [0.0, 0.0, 0.0]}
+        path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "'alphas'" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_summary.json").exists()
+
+    @pytest.mark.parametrize("alphas", [None, []], ids=["no_alphas", "empty_alphas"])
+    @pytest.mark.parametrize("key, value", [("n_paths", 50), ("free_horizon", 5.0),
+                                            ("x", [0.0, 0.0, 0.0])])
+    def test_probe_keys_rejected_without_the_probe(self, tmp_path, capsys, alphas, key, value):
+        cfg = dict(_MINIMAL["bounds"], **{key: value})
+        if alphas is not None:
+            cfg["alphas"] = alphas
+        path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
 
 class TestOracleCoverage:
     """A moment the oracles cannot compute for this geometry is a config error."""

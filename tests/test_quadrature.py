@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from bridgeint import quadrature
 from bridgeint.estimators import EstimatorConfig, mc_moment
 from bridgeint.potentials import Potential
 from bridgeint.quadrature import (
@@ -83,6 +84,16 @@ class TestRadialPrimitives:
             assert radial_expectation(BALL, b, 1e-14) == pytest.approx(
                 BALL.profile(b), abs=1e-10)
 
+    def test_expectation_shares_band_edges_exactly(self):
+        # one CDF per band edge gives the per-band sum bit for bit
+        v = Potential.radial_step(3, [0.4, 0.9, 1.3], [1.0, -0.5, 0.7])
+        b, var = np.meshgrid([0.0, 0.3, 0.9, 1.6, 40.0], [0.0, 1e-9, 0.05, 0.8, 30.0])
+        per_band = 0.0
+        for lo, hi, h in v.bands():
+            lower = radial_ball_cdf(lo, b, var, 3) if lo > 0 else 0.0
+            per_band = per_band + h * (radial_ball_cdf(hi, b, var, 3) - lower)
+        assert np.array_equal(radial_expectation(v, b, var), per_band)
+
 
 class TestFreeMoments:
     def test_flagship_first_moment(self):
@@ -142,6 +153,15 @@ class TestFreeMoments:
                                         tail_correction=False, workers=2))
         assert abs(est.mean - q3) < 3.0 * est.std_error + 0.08
 
+    @pytest.mark.parametrize("b, exact", [(0.0, 61.0 / 15.0), (0.5, 24611.0 / 6720.0)])
+    def test_third_moment_green_chain_closed_form(self, b, exact):
+        # the Kac hierarchy for the d = 3 unit ball, solved exactly:
+        # m_1 = 1 - r^2/3 inside, and m_3 at r = 0 and r = 1/2
+        cfg3 = QuadConfig(k_max=3)
+        q3 = moment_free([b, 0, 0], math.inf, BALL, 3, cfg3)
+        tol = cfg3.tolerance(3, BALL, infinite_horizon=True)
+        assert q3 == pytest.approx(exact, rel=tol)
+
 
 class TestBridgeMoments:
     def test_frozen_first_moment(self):
@@ -186,6 +206,44 @@ class TestBridgeMoments:
 
     def test_nonnegative_moments(self):
         assert moment_bridge([0, 0, 0], [3, 0, 0], 5.0, BALL, 2, CFG) >= 0.0
+
+
+BALL4 = Potential.ball_indicator(4, 1.0)
+# moment_bridge(x, y, t=2, v, k=2), recorded from the node-by-node evaluation
+# of the same rule; evaluating time nodes in blocks must reproduce them
+_BRIDGE_K2 = [
+    ("x_equals_y", [0.0, 0, 0], [0.0, 0, 0], BALL, 1.7626208525665714),
+    ("collinear_ball", [0.0, 0, 0], [1.5, 0, 0], BALL, 0.733856905975178),
+    ("collinear_step", [0.0, 0, 0], [1.5, 0, 0], STEP, 0.5343483528470203),
+    ("noncollinear_d3", [0.8, 0.6, 0.0], [-0.5, 1.0, 0.3], BALL, 0.5595695618066381),
+    ("collinear_d4", [0.5, 0, 0, 0], [-1.0, 0, 0, 0], BALL4, 0.7465481356535588),
+]
+
+
+class TestBridgeSecondMomentRule:
+    @pytest.mark.parametrize("x, y, v, recorded", [c[1:] for c in _BRIDGE_K2],
+                             ids=[c[0] for c in _BRIDGE_K2])
+    def test_recorded_value(self, x, y, v, recorded):
+        assert moment_bridge(x, y, 2.0, v, 2, CFG) == pytest.approx(recorded, rel=1e-13)
+
+    @pytest.mark.parametrize("x, y, v", [c[1:4] for c in _BRIDGE_K2[2::2]],
+                             ids=[c[0] for c in _BRIDGE_K2[2::2]])
+    def test_node_blocks_do_not_change_the_value(self, monkeypatch, x, y, v):
+        blocked = moment_bridge(x, y, 2.0, v, 2, CFG)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 1)
+        assert moment_bridge(x, y, 2.0, v, 2, CFG) == blocked
+
+    @pytest.mark.parametrize("y, calls", [([0.0, 0, 0], 1), ([1.5, 0, 0], 2)])
+    def test_one_orientation_when_endpoints_coincide(self, monkeypatch, y, calls):
+        seen = []
+
+        def spy(x, y, t, v):
+            seen.append((x, y))
+            return 1.25
+
+        monkeypatch.setattr(quadrature, "_moment_bridge_k2", spy)
+        assert moment_bridge([0.0, 0, 0], y, 3.0, BALL, 2, CFG) == 1.25
+        assert len(seen) == calls
 
 
 class TestTwoSided:

@@ -149,7 +149,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
                                   est.std_error, None, None, None))
             entries.append({"k": k, **est.as_dict(), "target": None})
             continue
-        terr = qcfg.tolerance(k, cfg.potential) * abs(target)
+        terr = qcfg.tolerance(k, cfg.potential, infinite_horizon=corrected) * abs(target)
         gap = abs(est.mean - target)
         ok = gap <= 3.0 * (est.std_error + terr)
         all_pass = all_pass and ok
@@ -166,7 +166,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 
 def cmd_bounds(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     report = k1_bound(cfg.potential, cfg.probe_points)
-    payload = report.as_dict()
+    payload = {**report.as_dict(), "alpha1_bracket": None}
     if cfg.alphas:  # the config accepts alphas only where the probe runs
         probe = alpha1_divergence_probe(
             cfg.potential, cfg.alphas, cfg.n_paths,

@@ -27,7 +27,6 @@ __all__ = [
     "ball_green_integral",
     "green_potential",
     "green_potential_radial",
-    "truncated_green",
     "k1_bound",
     "alpha1_divergence_probe",
 ]
@@ -72,37 +71,40 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / float(special.gamma(d / 2.0))
 
 
-def ball_green_integral(radius: float, b: float, d: int) -> float:
-    """Integral of |z - y|^(2-d) over the ball |z| <= radius, with b = |y|.
+def ball_green_integral(radius: float, b, d: int):
+    """Integral of |z - y|^(2-d) over the ball |z| <= radius, at offsets b = |y|.
 
     The kernel is harmonic away from y, so spherical shells average to
     max(shell radius, b)^(2-d) and the integral has the closed form used
-    here.  Valid for d >= 3.
+    here.  Vectorized over b; valid for d >= 3.
     """
-    if radius < 0 or b < 0:
+    b = np.asarray(b, dtype=float)
+    if radius < 0 or np.any(b < 0):
         raise ValueError("radius and offset must be nonnegative")
-    area = sphere_area(d)
     if radius == 0.0:
-        return 0.0
-    if b >= radius:
-        return area * radius**d * b ** (2.0 - d) / d
-    return area * (b * b / d + (radius * radius - b * b) / 2.0)
-
-
-def truncated_green(r, horizon: float, d: int):
-    """Time integral of q(s; w) over s in (0, horizon], |w| = r.
-
-    Equals c_d r^(2-d) * Q(d/2 - 1, r^2 / (2 horizon)) with Q the
-    regularized upper incomplete gamma function; horizon = inf recovers the
-    full Green kernel.
-    """
-    cd = green_constant(d)
-    r = np.asarray(r, dtype=float)
-    out = np.where(r > 0, cd * r ** (2.0 - d), np.inf)
-    if math.isfinite(horizon):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = out * special.gammaincc(d / 2.0 - 1.0, r * r / (2.0 * horizon))
+        out = np.zeros(b.shape)
+        return out if out.ndim else float(out)
+    area = sphere_area(d)
+    inside = b < radius
+    out = np.empty(b.shape)
+    bo = np.maximum(b, radius)
+    out[~inside] = area * radius**d * bo[~inside] ** (2.0 - d) / d
+    out[inside] = area * (b[inside] ** 2 / d + (radius**2 - b[inside] ** 2) / 2.0)
     return out if out.ndim else float(out)
+
+
+def cell_green_kernel(dist, cell_vol: float, d: int):
+    """|w|^(2-d) at distances ``dist`` from the nodes of cells of volume ``cell_vol``.
+
+    Within the radius of the equal-volume ball the singular kernel is
+    replaced by its average over that ball.
+    """
+    dist = np.asarray(dist, dtype=float)
+    r_eq = (cell_vol * d / sphere_area(d)) ** (1.0 / d)
+    kern = np.full(dist.shape, ball_green_integral(r_eq, 0.0, d) / cell_vol)
+    far = dist > r_eq
+    kern[far] = dist[far] ** (2.0 - d)
+    return kern
 
 
 class Potential:
@@ -277,7 +279,7 @@ def green_potential_radial(v: Potential, dist, *, absolute: bool = False):
     """Green potential of a radial v at distances ``dist`` from its center.
 
     Vectorized band-by-band closed form; the workhorse behind k1 bounds,
-    infinite-horizon first moments and truncation-tail corrections.
+    infinite-horizon moments and truncation-tail corrections.
     """
     if not v.is_radial:
         raise ValueError("the radial Green potential needs a radial potential")
@@ -290,24 +292,11 @@ def green_potential_radial(v: Potential, dist, *, absolute: bool = False):
             h = abs(h)
         if h == 0.0:
             continue
-        hi_int = _ball_green_vec(hi, dist, d)
-        lo_int = _ball_green_vec(lo, dist, d) if lo > 0 else 0.0
+        hi_int = ball_green_integral(hi, dist, d)
+        lo_int = ball_green_integral(lo, dist, d) if lo > 0 else 0.0
         total = total + h * (hi_int - lo_int)
     out = cd * total
     return out if out.ndim else float(out)
-
-
-def _ball_green_vec(radius: float, b, d: int):
-    b = np.asarray(b, dtype=float)
-    area = sphere_area(d)
-    if radius <= 0.0:
-        return np.zeros(b.shape)
-    inside = b < radius
-    out = np.empty(b.shape)
-    bo = np.maximum(b, radius)
-    out[~inside] = area * radius**d * bo[~inside] ** (2.0 - d) / d
-    out[inside] = area * (b[inside] ** 2 / d + (radius**2 - b[inside] ** 2) / 2.0)
-    return out
 
 
 def green_potential(v: Potential, y, *, absolute: bool = False) -> float:
@@ -329,12 +318,8 @@ def green_potential(v: Potential, y, *, absolute: bool = False) -> float:
     mesh = np.meshgrid(*centers, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     w = vals.ravel()
-    dist = np.linalg.norm(pts - y, axis=-1)
     cell_vol = h**d
-    r_eq = (cell_vol * d / sphere_area(d)) ** (1.0 / d)
-    kern = np.full(dist.shape, ball_green_integral(r_eq, 0.0, d) / cell_vol)
-    far = dist > r_eq
-    kern[far] = dist[far] ** (2.0 - d)
+    kern = cell_green_kernel(np.linalg.norm(pts - y, axis=-1), cell_vol, d)
     return cd * cell_vol * float(np.sum(w * kern))
 
 
@@ -346,7 +331,6 @@ class BoundsReport:
     alpha0: float | None
     degenerate: bool = False
     probe_count: int = 0
-    alpha1_bracket: tuple | None = None
 
     def as_dict(self):
         return {
@@ -354,7 +338,6 @@ class BoundsReport:
             "alpha0": self.alpha0,
             "degenerate": self.degenerate,
             "probe_count": self.probe_count,
-            "alpha1_bracket": list(self.alpha1_bracket) if self.alpha1_bracket else None,
         }
 
 

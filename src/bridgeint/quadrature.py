@@ -8,12 +8,16 @@ be removed analytically:
 * one-point laws reduce to the expected potential mass of an offset
   Gaussian, a noncentral chi-square ball probability for radial
   potentials;
-* infinite-horizon first moments reduce to the closed-form Green
-  potential;
-* infinite-horizon second moments collapse to a one-dimensional radial
-  integral through the spherical mean-value property of the Green kernel;
-* remaining time integrals run over panel-refined grids that resolve the
-  endpoint boundary layers and the long polynomial tails.
+* every finite-horizon first moment, free or bridge, is one time rule:
+  the one-point law integrated over sigma = sqrt(s) on doubling
+  Gauss-Legendre panels, a bridge taking its second half from the far
+  endpoint at s = t - sigma^2;
+* every infinite-horizon moment of a radial potential is one Green-chain
+  recursion, Kac's m_k = k G(v m_{k-1}) from the closed-form Green
+  potential m_1, each order a one-dimensional radial integral through the
+  spherical mean-value property of the Green kernel;
+* finite-horizon second moments run over panel-refined pair grids that
+  resolve the endpoint boundary layers and the long polynomial tails.
 
 Radial potentials with endpoints collinear with the support center (the
 flagship configurations) follow the high-accuracy reductions; general
@@ -31,12 +35,11 @@ from scipy import special
 
 from .potentials import (
     Potential,
-    ball_green_integral,
+    cell_green_kernel,
     green_constant,
     green_potential,
     green_potential_radial,
     sphere_area,
-    truncated_green,
 )
 
 __all__ = [
@@ -58,6 +61,13 @@ _TIME_NODES = 8
 _SPACE_NODES = 12
 _ANGULAR_NODES = 16
 _BOX_NODES = 7
+# The k = 1 time rule: nodes per panel in sigma = sqrt(s), its first panel
+# as a fraction of min(1, R), and its longest bridge panel in units of
+# t / |y - x|.  Doubling panels from a first panel this small resolve the
+# erf layer of a start within 1e-4 to 1e-2 of a band edge.
+_SQRT_NODES = 16
+_SQRT_BASE = 2.0**-7
+_SQRT_CAP = 2.0
 # Time nodes evaluated together by the k = 2 bridge rule.  Larger blocks
 # save little more and raise peak memory with the n_u * n_ang grid.
 _NODE_BLOCK = 16
@@ -133,15 +143,15 @@ def _panel_rule(edges, m: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _log_edges(length: float, base: float):
-    """Edges 0, base, 2 base, 4 base, ... covering [0, length]."""
+def _log_edges(length: float, base: float, cap: float = math.inf):
+    """Edges 0, base, 2 base, 4 base, ... covering [0, length], panels at most cap long."""
     if length <= 0:
         return [0.0]
     edges = [0.0]
     h = min(base, length)
     while edges[-1] + h < length:
         edges.append(edges[-1] + h)
-        h *= 2.0
+        h = min(2.0 * h, cap)
     edges.append(length)
     return edges
 
@@ -243,29 +253,6 @@ def radial_expectation(v: Potential, b, var):
     return total if total.ndim else float(total)
 
 
-def _sphere_avg_profile(v: Potential, b: float, r):
-    """Average of the radial profile over the sphere |z - (c + b e1)| = r."""
-    r = np.asarray(r, dtype=float)
-    if b <= 0.0 or np.all(r <= 0.0):
-        return v.profile(np.hypot(b, r))
-    d = v.dim
-    total = np.zeros(r.shape)
-    a_beta = (d - 1) / 2.0
-    for lo, hi, h in v.bands():
-        if h == 0.0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_hi = np.clip((hi * hi - b * b - r * r) / (2.0 * b * r), -1.0, 1.0)
-            c_lo = np.clip((lo * lo - b * b - r * r) / (2.0 * b * r), -1.0, 1.0)
-        frac = special.betainc(a_beta, a_beta, (1.0 + c_hi) / 2.0) - \
-            special.betainc(a_beta, a_beta, (1.0 + c_lo) / 2.0)
-        total = total + h * frac
-    small = r <= 0.0
-    if np.any(small):
-        total[small] = v.profile(np.full(np.sum(small), b))
-    return total
-
-
 def _radial_norm_pdf(u, b: float, var: float, d: int):
     """Density of |Z| at u for Z ~ N(b e1, var I_d)."""
     u = np.asarray(u, dtype=float)
@@ -321,71 +308,60 @@ def _tabulated_smear(v: Potential, mu, var: float) -> float:
     return float(acc)
 
 
-def _moment_free_k1(x, horizon: float, v: Potential) -> float:
-    if not math.isfinite(horizon):
-        return green_potential(v, x)
-    d = v.dim
-    if v.is_radial:
-        b = float(np.linalg.norm(np.asarray(x, float) - v.center))
-        R = v.support_radius
-        lo, hi = max(0.0, b - R), b + R
-        crit = {lo, hi}
-        for bp in [e for _, e, _ in v.bands()] + [e for e, _, _ in v.bands()]:
-            for cand in (abs(b - bp), b + bp):
-                if lo < cand < hi:
-                    crit.add(cand)
-        edges = sorted(crit)
-        r, w = _panel_rule(edges, _SPACE_NODES)
-        if r.size == 0:
-            return 0.0
-        integ = r ** (d - 1) * truncated_green(r, horizon, d) * _sphere_avg_profile(v, b, r)
-        return float(sphere_area(d) * np.sum(w * integ))
-    base = 0.125 * min(1.0, max(v.support_radius**2, 1e-3))
-    s, w = _panel_rule(_log_edges(horizon, base), 16)
-    vals = _smear(v, np.broadcast_to(np.asarray(x, float), (s.size, v.dim)), s)
+def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
+    """E int_0^horizon v(X_s) ds for free motion from x, or the bridge x -> y.
+
+    The substitution s = sigma^2 turns the sqrt(s) layer of a start on a
+    band edge into a smooth integrand, and doubling Gauss-Legendre panels
+    in sigma follow the s^(-d/2) tail.  A bridge integrates its first half
+    from x and its second half at s = horizon - sigma^2 from y on the same
+    nodes, so the rule is symmetric under time reversal.  Where the
+    bridge's mean crosses a band edge, its one-point law changes over a
+    sigma interval of about horizon / (2 |y - x|) at any s, which caps the
+    bridge panels.
+    """
+    x = np.asarray(x, dtype=float)
+    base = _SQRT_BASE * min(1.0, v.support_radius)
+    if y is None:
+        half, cap = horizon, math.inf
+    else:
+        y = np.asarray(y, dtype=float)
+        gap = float(np.linalg.norm(y - x))
+        half, cap = horizon / 2.0, _SQRT_CAP * horizon / gap if gap > 0 else math.inf
+    sigma, w = _panel_rule(_log_edges(math.sqrt(half), base, cap), _SQRT_NODES)
+    s = sigma * sigma
+    w = 2.0 * sigma * w
+    if y is None:
+        return float(np.sum(w * _smear(v, np.broadcast_to(x, (s.size, v.dim)), s)))
+    frac = (s / horizon)[:, None]
+    var = s * (horizon - s) / horizon
+    vals = _smear(v, x + frac * (y - x), var) + _smear(v, y + frac * (x - y), var)
     return float(np.sum(w * vals))
 
 
-# -- infinite-horizon second and third moments -------------------------------
+# -- infinite-horizon moments -----------------------------------------------
 
-def _moment_free_inf_k2(x, v: Potential) -> float:
+def _green_chain(v: Potential, b: float, k: int) -> float:
+    """E Y^k of the infinite-horizon integral from distance b to the center of a radial v.
+
+    Kac's moment formula m_k = k G(v m_{k-1}), with m_1 the Green potential.
+    Over the sphere of radius u the Green kernel averages to
+    c_d max(u, b)^(2-d), so each order is a radial integral on panels split
+    at the kernel's kink u = b.
+    """
+    if k == 1:
+        return float(green_potential_radial(v, b))
     d = v.dim
-    if not v.is_radial:
-        return _moment_free_inf_k2_general(x, v)
-    b = float(np.linalg.norm(np.asarray(x, float) - v.center))
-    cd = green_constant(d)
-    edges = _radial_edges(v, extra=(b,))
-    u, w = _panel_rule(edges, _SPACE_NODES)
+    u, w = _panel_rule(_radial_edges(v, extra=(b,)), _SPACE_NODES)
     if u.size == 0:
         return 0.0
-    kernel = cd * np.maximum(u, b) ** (2.0 - d)
-    integ = u ** (d - 1) * v.profile(u) * kernel * green_potential_radial(v, u)
-    return float(2.0 * sphere_area(d) * np.sum(w * integ))
-
-
-def _moment_free_inf_k3(x, v: Potential) -> float:
-    """Green chain E Y^3 = 3! int v G v G v G, radial potentials only."""
-    if not v.is_radial:
-        raise ValueError("k = 3 infinite-horizon moments need a radial potential")
-    d = v.dim
-    b = float(np.linalg.norm(np.asarray(x, float) - v.center))
-    cd = green_constant(d)
-    area = sphere_area(d)
-    edges = _radial_edges(v, extra=(b,))
-    u, w = _panel_rule(edges, _SPACE_NODES)
-    if u.size == 0:
-        return 0.0
-    # middle layer at every outer node, on panels split at the kernel's
-    # kink u = u_i
-    middle = np.empty(u.size)
-    for i, ui in enumerate(u):
-        um, wm = _panel_rule(_radial_edges(v, extra=(ui,)), _SPACE_NODES)
-        kern = cd * np.maximum(um, ui) ** (2.0 - d)
-        middle[i] = area * np.sum(
-            wm * um ** (d - 1) * v.profile(um) * kern * green_potential_radial(v, um))
-    outer_kern = cd * np.maximum(u, b) ** (2.0 - d)
-    total = area * np.sum(w * u ** (d - 1) * v.profile(u) * outer_kern * middle)
-    return float(6.0 * total)
+    if k == 2:
+        prev = green_potential_radial(v, u)
+    else:
+        prev = np.array([_green_chain(v, ui, k - 1) for ui in u])
+    kernel = green_constant(d) * np.maximum(u, b) ** (2.0 - d)
+    integ = u ** (d - 1) * v.profile(u) * kernel * prev
+    return float(k * sphere_area(d) * np.sum(w * integ))
 
 
 def _moment_free_inf_k2_general(x, v: Potential) -> float:
@@ -393,18 +369,10 @@ def _moment_free_inf_k2_general(x, v: Potential) -> float:
     d = v.dim
     cd = green_constant(d)
     x = np.asarray(x, dtype=float)
-    # Green kernel matrix with an equal-volume ball rule on the diagonal
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
     cell_vol = float(np.mean(w))
-    r_eq = (cell_vol * d / sphere_area(d)) ** (1.0 / d)
-    with np.errstate(divide="ignore"):
-        kern = np.where(dist > r_eq, dist ** (2.0 - d),
-                        ball_green_integral(r_eq, 0.0, d) / cell_vol)
-    start = np.linalg.norm(pts - x, axis=-1)
-    with np.errstate(divide="ignore"):
-        gstart = np.where(start > r_eq, start ** (2.0 - d),
-                          ball_green_integral(r_eq, 0.0, d) / cell_vol)
+    kern = cell_green_kernel(np.linalg.norm(diff, axis=-1), cell_vol, d)
+    gstart = cell_green_kernel(np.linalg.norm(pts - x, axis=-1), cell_vol, d)
     a = vv * w * gstart
     bvec = vv * w
     return float(2.0 * cd * cd * a @ kern @ bvec)
@@ -430,8 +398,6 @@ def _pair_nodes(t: float, base: float, m: int, symmetric: bool):
 
 
 def _moment_free_k2(x, horizon: float, v: Potential) -> float:
-    if not math.isfinite(horizon):
-        return _moment_free_inf_k2(x, v)
     if not v.is_radial:
         return _moment_free_fin_k2_general(x, horizon, v)
     d = v.dim
@@ -566,19 +532,6 @@ def _angular_grid(v: Potential, collinear: bool):
     cth, cph = np.meshgrid(cnodes, phi, indexing="ij")
     wts = np.broadcast_to(cw[:, None] * (2.0 * math.pi / nphi), cth.shape)
     return cth.ravel(), cph.ravel(), wts.ravel()
-
-
-def _moment_bridge_k1(x, y, t: float, v: Potential) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # the occupancy curve has erf-type layers near both endpoints; a single
-    # 1-d integral is cheap, so refine hard
-    base = min(0.125 * min(1.0, max(v.support_radius**2, 1e-3)), t / 8.0)
-    s, w = _panel_rule(_sym_edges(t, base), 16)
-    mu = x[None, :] + (s / t)[:, None] * (y - x)[None, :]
-    var = s * (t - s) / t
-    vals = _smear(v, mu, var)
-    return float(np.sum(w * vals))
 
 
 def _scalar_pow(a, p):
@@ -734,8 +687,9 @@ def moment_free(x, horizon: float, v: Potential, k: int,
                 cfg: QuadConfig = DEFAULT) -> float:
     """E[(int_0^horizon v(W_s) ds)^k] for Brownian motion started at x.
 
-    horizon may be inf (d >= 3 required there); k = 1 uses the Green
-    reduction, k = 2 the collapsed pair-correlation form.
+    horizon may be inf (d >= 3 required there).  Infinite-horizon moments
+    of a radial v come from the Green chain; a finite-horizon first moment
+    from the sqrt(s) time rule, and a second from the pair-correlation form.
     """
     cfg.check_order(k)
     if not (horizon > 0):
@@ -744,14 +698,20 @@ def moment_free(x, horizon: float, v: Potential, k: int,
         return 1.0
     if v.is_zero:
         return 0.0
-    if not math.isfinite(horizon) and v.dim < 3:
-        raise ValueError("infinite-horizon moments require d >= 3")
+    if not math.isfinite(horizon):
+        if v.dim < 3:
+            raise ValueError("infinite-horizon moments require d >= 3")
+        if v.is_radial:
+            return _green_chain(v, float(np.linalg.norm(np.asarray(x, float) - v.center)), k)
+        if k == 1:
+            return float(green_potential(v, x))
+        if k == 2:
+            return float(_moment_free_inf_k2_general(x, v))
+        raise ValueError("k = 3 infinite-horizon moments need a radial potential")
     if k == 1:
-        return float(_moment_free_k1(x, horizon, v))
+        return _occupation_k1(v, x, horizon)
     if k == 2:
         return float(_moment_free_k2(x, horizon, v))
-    if not math.isfinite(horizon):
-        return float(_moment_free_inf_k3(x, v))
     raise ValueError("finite-horizon k=3 free moments are not supported; "
                      "use the infinite-horizon Green chain or Monte Carlo")
 
@@ -760,8 +720,9 @@ def moment_bridge(x, y, t: float, v: Potential, k: int,
                   cfg: QuadConfig = DEFAULT) -> float:
     """E[(int_0^t v(X_s) ds)^k] for the bridge from x to y over [0, t].
 
-    The result is symmetrized over the time reversal (x, y) <-> (y, x),
-    which the bridge law satisfies exactly.
+    The result is symmetric under the time reversal (x, y) <-> (y, x),
+    which the bridge law satisfies exactly: the k = 1 rule treats both
+    endpoints alike, and higher orders average the two orientations.
     """
     cfg.check_order(k)
     if not (t > 0) or not math.isfinite(t):
@@ -771,8 +732,7 @@ def moment_bridge(x, y, t: float, v: Potential, k: int,
     if v.is_zero:
         return 0.0
     if k == 1:
-        return 0.5 * (_moment_bridge_k1(x, y, t, v) +
-                      _moment_bridge_k1(y, x, t, v))
+        return _occupation_k1(v, x, t, y)
     if k == 2:
         forward = _moment_bridge_k2(x, y, t, v)
         if np.array_equal(np.asarray(x, float), np.asarray(y, float)):

@@ -9,6 +9,7 @@ import pytest
 
 from bridgeint.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from bridgeint.config import ConfigError, load_config
+from bridgeint.quadrature import QuadConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -331,6 +332,13 @@ class TestBoundsCommand:
         doc = json.loads((tmp_path / "bounds_summary.json").read_text())
         assert "alpha1_probe" in doc
         assert doc["alpha1_probe"]["unstable"][0] is False
+        assert doc["alpha1_bracket"] == doc["alpha1_probe"]["bracket"]
+
+    def test_bracket_is_null_without_the_probe(self, tmp_path):
+        path = write_config(tmp_path, _MINIMAL["bounds"])
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "bounds_summary.json").read_text())
+        assert doc["alpha1_bracket"] is None and "alpha1_probe" not in doc
 
 
 class TestMomentsCommand:
@@ -387,6 +395,20 @@ class TestMomentsCommand:
         k2 = next(e for e in doc["moments"] if e["k"] == 2)
         assert k1["target"] == pytest.approx(2.0, abs=1e-3)
         assert k2["target"] is None
+
+    def test_corrected_rows_use_the_infinite_horizon_tolerance(self, tmp_path):
+        # the tail-corrected k = 1 row estimates the untruncated law; k = 2 does not
+        cfg = dict(_FREE_MOMENTS, statistic_kind="free", k_list=[1, 2], n_paths=200,
+                   free_horizon=20.0, grid={"h_fine": 0.05})
+        path = write_config(tmp_path, cfg)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_FAIL)
+        with open(tmp_path / "moments.csv") as fh:
+            rows = {row["k_or_alpha"]: row for row in csv.DictReader(fh)}
+        v = load_config(cfg, "moments").potential
+        for k, infinite in ((1, True), (2, False)):
+            target = float(rows[str(k)]["target"])
+            terr = float(rows[str(k)]["target_error"])
+            assert terr == QuadConfig().tolerance(k, v, infinite_horizon=infinite) * abs(target)
 
     def test_bloch_zero_potential_equals_kernel(self, tmp_path):
         from bridgeint.gaussian import transition_density

@@ -16,16 +16,11 @@ from bridgeint.potentials import (
     _row_norms,
     alpha1_divergence_probe,
     ball_green_integral,
-    green_constant,
     green_potential,
     k1_bound,
-    truncated_green,
 )
 
 rng = np.random.default_rng(77)
-
-# frozen via mpmath: c_d r^{2-d} Gamma(d/2-1, r^2/(2T)) at r=0.7, T=2.3, d=3
-TRUNC_GREEN_REF = 0.146511752545258
 
 
 def brute_green_unit_ball(y, cells=160):
@@ -141,10 +136,12 @@ class TestGreenPotential:
         outer = ball_green_integral(R, R + 1e-9, d)
         assert inner == pytest.approx(outer, rel=1e-6)
 
-    def test_truncated_green_frozen(self):
-        assert truncated_green(0.7, 2.3, 3) == pytest.approx(TRUNC_GREEN_REF, rel=1e-12)
-        assert truncated_green(0.7, math.inf, 3) == pytest.approx(
-            green_constant(3) * 0.7 ** -1.0, rel=1e-14)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_ball_green_integral_vectorized(self, d):
+        # one array call gives each scalar call's value, both sides of the radius
+        b = np.array([0.0, 0.4, 1.3, 2.0, 7.5])
+        assert np.array_equal(ball_green_integral(1.3, b, d),
+                              [ball_green_integral(1.3, bi, d) for bi in b])
 
 
 class TestK1Bound:

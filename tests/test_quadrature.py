@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from bridgeint import quadrature
 from bridgeint.estimators import EstimatorConfig, mc_moment
@@ -25,7 +28,9 @@ from bridgeint.quadrature import (
 )
 
 BALL = Potential.ball_indicator(3, 1.0)
+BALL4 = Potential.ball_indicator(4, 1.0)
 STEP = Potential.radial_step(3, [0.6, 1.2], [1.2, 0.4])
+SIGNED = Potential.radial_step(3, [0.5, 1.0], [1.0, -0.5])
 ZERO = Potential.ball_indicator(3, 1.0, height=0.0)
 CFG = QuadConfig()
 
@@ -163,6 +168,108 @@ class TestFreeMoments:
         assert q3 == pytest.approx(exact, rel=tol)
 
 
+def _adaptive_k1(v, x, t, y=None):
+    """Adaptive quadrature of the one-point law over s, split at t / 2.
+
+    Free motion from x when y is None, else the bridge from x to y.
+    """
+    x = np.asarray(x, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
+
+    def law(s):
+        if y is None:
+            return float(quadrature._smear(v, x[None, :], np.array([s]))[0])
+        mu = x + (s / t) * (y - x)
+        return float(quadrature._smear(v, mu[None, :], np.array([s * (t - s) / t]))[0])
+
+    return sum(integrate.quad(law, a, b, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+               for a, b in ((0.0, t / 2.0), (t / 2.0, t)))
+
+
+class TestFirstMomentTimeRule:
+    def test_small_horizon_inside_a_large_ball(self):
+        # the path cannot leave a radius-3 ball in time 0.01: the integral is h
+        big = Potential.ball_indicator(3, 3.0)
+        assert moment_free([0, 0, 0], 0.01, big, 1, CFG) == pytest.approx(
+            0.01, rel=CFG.tolerance(1, big))
+
+    @pytest.mark.parametrize("v, x, y, t", [
+        (SIGNED, [0.5, 0, 0], [1.0, 0, 0], 3.0),
+        (BALL, [1.0, 0, 0], [1.0, 0, 0], 4.0),
+        (BALL4, [1.0, 0, 0, 0], [-1.0, 0, 0, 0], 4.0),
+        (BALL, [-10.0, 0.3, 0], [10.0, 0.2, 0], 0.1),
+    ], ids=["edge_signed_step", "edge_ball_loop", "edge_ball_d4", "fast_crossing"])
+    def test_bridge_against_adaptive_quadrature(self, v, x, y, t):
+        # endpoints on a band edge, and a bridge that crosses the ball at speed 200
+        assert moment_bridge(x, y, t, v, 1, CFG) == pytest.approx(
+            _adaptive_k1(v, x, t, y), rel=CFG.tolerance(1, v))
+
+    def test_free_start_next_to_a_band_edge(self):
+        # the one-point law turns over at sigma ~ 3e-4, deep inside the
+        # first sigma panels
+        v = Potential.radial_step(5, [0.6, 1.2], [1.2, 0.4])
+        x = [1.2003, 0, 0, 0, 0]
+        assert moment_free(x, 0.01, v, 1, CFG) == pytest.approx(
+            _adaptive_k1(v, x, 0.01), rel=CFG.tolerance(1, v))
+
+    def test_green_chain_fourth_moment(self):
+        # the Kac hierarchy for the d = 3 unit ball gives E Y^4 = 277/21 at the center
+        assert quadrature._green_chain(BALL, 0.0, 4) == pytest.approx(277.0 / 21.0, rel=1e-13)
+
+
+@st.composite
+def _radial_case(draw):
+    """A radial potential, two points near its support and a horizon."""
+    v = draw(st.sampled_from([BALL, STEP, SIGNED, BALL4]))
+    point = st.lists(st.floats(-1.5, 1.5), min_size=v.dim, max_size=v.dim).map(np.array)
+    return v, draw(point), draw(point), draw(st.floats(0.01, 30.0))
+
+
+_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+class TestOracleInvariants:
+    @_PROPERTY
+    @given(_radial_case())
+    def test_bridge_time_reversal(self, case):
+        v, x, y, t = case
+        assert moment_bridge(x, y, t, v, 1, CFG) == moment_bridge(y, x, t, v, 1, CFG)
+
+    @_PROPERTY
+    @given(_radial_case(), st.floats(0.25, 4.0))
+    def test_brownian_scaling(self, case, lam):
+        # z -> lam z with time lam^2 s maps each k = 1 law onto the zoomed potential
+        v, x, y, t = case
+        zoom = v.dilated(lam)
+        tol = CFG.tolerance(1, v)
+        bridge = moment_bridge(x, y, t, v, 1, CFG)
+        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, 1, CFG) == \
+            pytest.approx(lam * lam * bridge, rel=tol, abs=1e-12)
+        free = moment_free(x, t, v, 1, CFG)
+        assert moment_free(lam * x, lam * lam * t, zoom, 1, CFG) == \
+            pytest.approx(lam * lam * free, rel=tol, abs=1e-12)
+
+    @_PROPERTY
+    @given(_radial_case(), st.floats(-3.0, 3.0))
+    def test_height_linearity(self, case, c):
+        v, x, y, t = case
+        scaled = v.with_height_factor(c)
+        for k, q in ((1, lambda w: moment_bridge(x, y, t, w, 1, CFG)),
+                     (1, lambda w: moment_free(x, t, w, 1, CFG)),
+                     (2, lambda w: moment_free(x, math.inf, w, 2, CFG))):
+            assert q(scaled) == pytest.approx(c**k * q(v), rel=1e-12, abs=1e-15)
+
+    @_PROPERTY
+    @given(_radial_case())
+    def test_order_zero_is_one(self, case):
+        v, x, y, t = case
+        for w in (v, v.with_height_factor(0.0)):
+            assert moment_bridge(x, y, t, w, 0, CFG) == 1.0
+            assert moment_free(x, t, w, 0, CFG) == 1.0
+            assert moment_free(x, math.inf, w, 0, CFG) == 1.0
+            assert moment_two_sided(x, y, w, 0, CFG) == 1.0
+
+
 class TestBridgeMoments:
     def test_frozen_first_moment(self):
         val = moment_bridge([0, 0, 0], [0, 0, 0], 10.0, BALL, 1, CFG)
@@ -208,7 +315,6 @@ class TestBridgeMoments:
         assert moment_bridge([0, 0, 0], [3, 0, 0], 5.0, BALL, 2, CFG) >= 0.0
 
 
-BALL4 = Potential.ball_indicator(4, 1.0)
 # moment_bridge(x, y, t=2, v, k=2), recorded from the node-by-node evaluation
 # of the same rule; evaluating time nodes in blocks must reproduce them
 _BRIDGE_K2 = [

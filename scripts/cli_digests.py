@@ -9,9 +9,11 @@ keeps every CLI output byte-identical:
 
     PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
 
-The script exits 1 when an exit code differs from the one recorded below
-(the hashes are printed, not checked), and 0 otherwise.  It takes under
-a minute on a 2-vCPU machine.
+The script exits 1 when an exit code differs from the one recorded below,
+or when the two runs of a worker-count twin (the same config at 1 and 2
+workers) write files that hash differently; other hashes are printed,
+not checked.  It exits 0 otherwise, and takes about a minute on a 2-vCPU
+machine.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ FREE = {
     "dimension": 3, "potential": BALL, "statistic_kind": "free", "x": ZERO,
     "free_horizon": 50.0, "grid": {"h_fine": 0.05}, "seed": 13,
 }
+# two batches of free paths that leave the support's neighbourhood and
+# skip grid nodes
+FREE_SKIPPING = dict(FREE, n_paths=9000, free_horizon=400.0, grid={"h_fine": 0.01})
 BLOCH = {
     "dimension": 3, "potential": BALL, "n_paths": 9000, "seed": 17,
     "bloch_points": [{"x": ZERO, "y": [0.5, 0.0, 0.0], "t": 1.0},
@@ -65,7 +70,9 @@ BLOCH = {
 # (name, command, config, extra flags, expected exit code)
 RUNS = [
     ("moments_readme", "moments", README_MOMENTS, [], 0),
-    ("theorem1_readme_reduced", "theorem1", README_THEOREM1, [], 0),
+    # 300 paths per horizon: the bridge_mgf -0.5 row needs its t = 1000 gap
+    # below its t = 10 gap, two gaps of about one combined SE (0.0160, 0.0157)
+    ("theorem1_readme_reduced", "theorem1", README_THEOREM1, [], 3),
     ("theorem2_sqrt", "theorem2",
      dict(THEOREM2, endpoint_rule={"kind": "sqrt_t", "scale": 1.0}), [], 0),
     ("theorem2_fourth", "theorem2",
@@ -90,6 +97,8 @@ RUNS = [
       "n_paths": 1500, "free_horizon": 50.0, "seed": 3}, [], 0),
     ("bloch_w1", "bloch", BLOCH, ["--workers", "1"], 0),
     ("bloch_w2", "bloch", BLOCH, ["--workers", "2"], 0),
+    ("free_w1", "sample", FREE_SKIPPING, ["--workers", "1"], 0),
+    ("free_w2", "sample", FREE_SKIPPING, ["--workers", "2"], 0),
     ("moments_step_collinear", "moments",
      dict(ORACLE_BRIDGES, potential=STEP, y=[1.5, 0.0, 0.0], t=8.0, seed=31), [], 0),
     ("moments_noncollinear_d3", "moments",
@@ -107,11 +116,16 @@ RUNS = [
 ]
 
 
+# runs whose outputs must hash the same, file by file
+TWINS = [("bloch_w1", "bloch_w2"), ("free_w1", "free_w2")]
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_one(name, command, config, flags, root: Path) -> int:
+def run_one(name, command, config, flags, root: Path):
+    """Run one invocation; returns its exit code and (file name, sha256) pairs."""
     work = root / name
     out = work / "out"
     work.mkdir()
@@ -122,20 +136,26 @@ def run_one(name, command, config, flags, root: Path) -> int:
          "--out", str(out), *flags],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=os.environ.copy())
     print(f"{name} exit={proc.returncode}")
-    for path in sorted(out.iterdir()) if out.exists() else []:
-        print(f"  {path.name} {_sha256(path)}")
-    return proc.returncode
+    digests = [(path.name, _sha256(path))
+               for path in (sorted(out.iterdir()) if out.exists() else [])]
+    for file_name, digest in digests:
+        print(f"  {file_name} {digest}")
+    return proc.returncode, digests
 
 
 def main() -> int:
     bad = []
+    digests = {}
     with tempfile.TemporaryDirectory(prefix="cli_digests_") as tmp:
         for name, command, config, flags, expected in RUNS:
-            code = run_one(name, command, config, flags, Path(tmp))
+            code, digests[name] = run_one(name, command, config, flags, Path(tmp))
             if code != expected:
-                bad.append(f"{name}: exit {code}, expected {expected}")
+                bad.append(f"UNEXPECTED EXIT {name}: exit {code}, expected {expected}")
+    for a, b in TWINS:
+        if digests[a] != digests[b]:
+            bad.append(f"TWIN MISMATCH {a} and {b} wrote different files")
     for line in bad:
-        print(f"UNEXPECTED EXIT {line}", file=sys.stderr)
+        print(line, file=sys.stderr)
     return 1 if bad else 0
 
 

@@ -21,6 +21,7 @@ from .convergence import (
     CSV_COLUMNS,
     ConvergenceReport,
     ReportRow,
+    _combined_se,
     _fmt,
     run_lemma4,
     run_theorem1,
@@ -151,12 +152,15 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
             continue
         terr = qcfg.tolerance(k, cfg.potential, infinite_horizon=corrected) * abs(target)
         gap = abs(est.mean - target)
-        ok = gap <= 3.0 * (est.std_error + terr)
+        row = ReportRow(f"moment[{kind}]", str(k), t, est.mean, est.std_error,
+                        target, terr, gap)
+        # the sweeps' rule: 3 combined standard errors, hypot(se, terr)
+        ok = gap <= 3.0 * _combined_se(row)
+        row.verdict = "PASS" if ok else "FAIL"
         all_pass = all_pass and ok
-        rows.append(ReportRow(f"moment[{kind}]", str(k), t, est.mean, est.std_error,
-                              target, terr, gap, "PASS" if ok else "FAIL"))
+        rows.append(row)
         entries.append({"k": k, **est.as_dict(), "target": target, "gap": gap,
-                        "verdict": "PASS" if ok else "FAIL"})
+                        "verdict": row.verdict})
     if fmt == "csv":
         _write_rows(out / "moments.csv", [r.as_list() for r in rows])
     _write_summary(out / "moments_summary.json", "moments", cfg,

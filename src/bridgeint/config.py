@@ -240,7 +240,8 @@ class ExperimentConfig:
             _require(self.horizons is not None, "theorem2 needs a horizons grid")
         if c == "lemma4":
             _require(self.horizons is not None, "lemma4 needs a horizons grid")
-            _require(self.x_sequence is not None, "lemma4 needs x_sequence")
+            _require(isinstance(self.x_sequence, list) and self.x_sequence,
+                     "lemma4 needs a non-empty x_sequence list of start points")
             for p in self.x_sequence:
                 _point(np.asarray(p, dtype=float), self.dimension, "x_sequence point")
             if self.part == "a":
@@ -339,5 +340,5 @@ def load_config(path_or_dict, command: str) -> ExperimentConfig:
         return ExperimentConfig(command, raw)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
+    except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type or form
         raise ConfigError(f"invalid config value: {exc}") from exc

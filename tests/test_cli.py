@@ -1,11 +1,16 @@
 """Command-line interface: strict configs, outputs, exit codes, reproducibility."""
 
+import copy
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgeint.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from bridgeint.config import ConfigError, load_config
@@ -599,3 +604,63 @@ class TestVerdictExitCodes:
         with open(tmp_path / "mgf.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][-1] == "UNSTABLE"
+
+
+_ORIGIN = [0.0, 0.0, 0.0]
+_TINY_SWEEP = {"horizons": [1.0, 2.0], "n_paths": 4, "target_n_paths": 4,
+               "target_free_horizon": 2.0, "grid": {"h_fine": 0.1}}
+_TINY_PATH = {"statistic_kind": "bridge", "x": _ORIGIN, "y": _ORIGIN, "t": 1.0,
+              "n_paths": 4, "grid": {"h_fine": 0.1}}
+# one small valid config per command (both parts of lemma4)
+_TINY = {
+    "sample": _TINY_PATH,
+    "mgf": dict(_TINY_PATH, alphas=[0.5]),
+    "moments": dict(_TINY_PATH, k_list=[1]),
+    "bounds": {"alphas": [0.5], "n_paths": 4, "free_horizon": 2.0},
+    "theorem1": dict(_TINY_SWEEP, x=_ORIGIN, y=_ORIGIN, k_list=[1], alphas=[0.5]),
+    "theorem2": dict(_TINY_SWEEP, x=_ORIGIN, k_list=[1], endpoint_rule={"kind": "sqrt_t"}),
+    "lemma4/a": dict(_TINY_SWEEP, part="a", x=_ORIGIN, k_list=[1], alphas=[0.5],
+                     x_sequence=[[0.3, 0.0, 0.0]]),
+    "lemma4/b": {"horizons": [1.0, 2.0], "n_paths": 4, "grid": {"h_fine": 0.1}, "part": "b",
+                 "alphas": [0.5], "x_sequence": [[3.0, 0.0, 0.0]]},
+    "bloch": {"n_paths": 4, "grid": {"h_fine": 0.1},
+              "bloch_points": [{"x": _ORIGIN, "y": [0.5, 0.0, 0.0], "t": 1.0}]},
+}
+_FUZZ_KEYS = sorted({"dimension", "potential", "seed", "part", "x_sequence", "workers",
+                     *(k for cfg in _TINY.values() for k in cfg)})
+_DROP = object()
+# small or malformed values only, so a mutated budget or horizon stays cheap
+_FUZZ_VALUES = st.sampled_from([
+    None, True, -1, 0, 1, 2, 0.5, float("inf"), float("nan"), "a", "b", "",
+    [], [1.0], [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], [[]], {}, {"kind": "sqrt_t"},
+    {"kind": "ball_indicator", "radius": 1.0}, [{"x": _ORIGIN, "y": _ORIGIN}],
+])
+
+
+class TestFuzzedConfigs:
+    """Any config, however malformed, ends in exit 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    # crashes found before they exited 2: int(inf) in a budget, and an
+    # empty x_sequence indexed by lemma4 part b
+    @example(name="bloch", edits=[("n_paths", float("inf"))])
+    @example(name="lemma4/b", edits=[("x_sequence", [])])
+    @given(name=st.sampled_from(sorted(_TINY)),
+           edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
+                                    st.one_of(st.just(_DROP), _FUZZ_VALUES)),
+                          max_size=2))
+    def test_exit_code_contract(self, name, edits):
+        cfg = {"dimension": 3, "seed": 1,
+               "potential": {"kind": "ball_indicator", "radius": 1.0, "height": 1.0},
+               **copy.deepcopy(_TINY[name])}
+        for key, value in edits:
+            if value is _DROP:
+                cfg.pop(key, None)
+            else:
+                cfg[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            code = main([name.split("/")[0], "--config", str(path),
+                         "--out", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FAIL)

@@ -4,19 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeint.estimators import EstimatorConfig
 from bridgeint.gaussian import bridge_marginal
 from bridgeint.path_sim import (
+    _KAPPA,
     TimeGrid,
+    _plan_steps,
     bridge_integral_batch,
     free_integral_batch,
     stream,
 )
 from bridgeint.potentials import Potential
+from bridgeint.quadrature import QuadConfig, moment_bridge, moment_free
 
 BALL = Potential.ball_indicator(3, 1.0)
 ZERO = Potential.ball_indicator(3, 1.0, height=0.0)
+STEP = Potential.radial_step(3, [0.3, 0.6, 1.2], [1.0, 2.0, 0.5])
 
 
 class TestTimeGrid:
@@ -192,6 +198,14 @@ class TestIntegrateAlongPath:
                                           stream(3, 0), 32)
         assert np.all(free == 0.0) and np.all(bridge == 0.0)
 
+    def test_zero_potential_when_paths_skip(self):
+        # from 6 e1 on a fine grid every path skips nodes from the first one
+        grid = TimeGrid.uniform(2.0, 0.001)
+        x = np.array([6.0, 0.0, 0.0])
+        free, _ = free_integral_batch(x, grid, ZERO, stream(3, 0), 32)
+        bridge, _ = bridge_integral_batch(x, np.zeros(3), grid, ZERO, stream(3, 0), 32)
+        assert np.all(free == 0.0) and np.all(bridge == 0.0)
+
     def test_constant_inside_huge_ball(self):
         big = Potential.ball_indicator(3, 50.0, height=2.5)
         grid = TimeGrid.uniform(1.0, 0.05)
@@ -270,3 +284,168 @@ class TestIntegralDraws:
         combined = math.hypot(m_h.std_error, m_h2.std_error)
         # 3 sigma plus a discretization allowance that shrinks with h
         assert abs(m_h.mean - m_h2.mean) < 3.0 * combined + 0.02
+
+
+class _Spy:
+    """A potential that keeps every point the engine evaluates it at."""
+
+    def __init__(self, v):
+        self.v, self.dim = v, v.dim
+        self.center, self.support_radius = v.center, v.support_radius
+        self.points = []
+
+    def __call__(self, z):
+        self.points.append(z.copy())
+        return self.v(z)
+
+    def seen(self):
+        return {tuple(p) for p in np.concatenate(self.points)}
+
+
+class TestNodeSkipping:
+    """The two-phase engine: the cohort walks every node, far paths jump."""
+
+    def test_cohort_reproduces_the_node_by_node_kernel(self):
+        # the cohort is checked (at 16 nodes of the bridge, 3 of the free
+        # leg), but no path comes near leaving it: values, recorded and
+        # terminal positions are those of the node-by-node kernel, bit for bit
+        vals, rec = bridge_integral_batch([0.1, 0.0, 0.0], [-0.2, 0.1, 0.0],
+                                          TimeGrid.uniform(0.5, 0.002), STEP,
+                                          stream(11, 0), 3, record_idx=[125])
+        assert vals.tolist() == [0.603, 0.5890000000000001, 0.7099999999999999]
+        assert rec[0].tolist() == [
+            [0.3549998827999907, -0.0776025981674049, 0.191804011787754],
+            [-0.3966646470520551, -0.5329400882541173, 0.1324128839903751],
+            [-0.5548021979394857, 0.028247829049624577, -0.3478498210743376]]
+        vals, term = free_integral_batch([0.2, 0.0, 0.0], TimeGrid.uniform(0.3, 0.002), STEP,
+                                         stream(12, 0), 3)
+        assert vals.tolist() == [0.326, 0.32800000000000007, 0.35300000000000004]
+        assert term.tolist() == [
+            [-0.2338636348686059, -0.651350399439261, 0.1402309910785362],
+            [0.8502207592031398, 0.2405233716963241, -0.3783821720927484],
+            [0.041936032658584664, 0.40942216533089754, 0.009424150287354549]]
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),      # paths leave the cohort as they go
+        ([12.0, 0.0, 0.0], [12.0, 0.0, 0.0]),    # every path jumps from the start
+    ], ids=["mixed", "far"])
+    def test_recorded_nodes_are_visited(self, x, y):
+        # a path at a recorded node below the horizon evaluates v there in
+        # its next step, so every recorded position is among the evaluated
+        # points; the horizon is pinned to y
+        grid = TimeGrid.endpoint_refined(10.0, h_fine=0.004)
+        idx = [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 5.0, 9.0)]
+        spy = _Spy(ZERO)
+        _, rec = bridge_integral_batch(x, y, grid, spy, stream(5, 0), 2000,
+                                       record_idx=idx + [grid.nodes.size - 1])
+        steps = sum(len(p) for p in spy.points)
+        assert steps < 2000 * (grid.nodes.size - 1)  # some nodes were skipped
+        seen = spy.seen()
+        for k in range(len(idx)):
+            assert all(tuple(p) in seen for p in rec[k])
+        assert np.all(rec[-1] == y)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([12.0, 0.0, 0.0], [12.0, 0.0, 0.0]),
+    ], ids=["mixed", "far"])
+    def test_marginals_with_skipping(self, x, y):
+        # criterion 2's check on paths that skip nodes
+        n, t = 20_000, 10.0
+        x, y = np.asarray(x), np.asarray(y)
+        grid = TimeGrid.endpoint_refined(t, h_fine=0.004)
+        idx = [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 5.0, 9.0)]
+        _, rec = bridge_integral_batch(x, y, grid, ZERO, stream(2024, 0), n, record_idx=idx)
+        for j, i in enumerate(idx):
+            mean, var = bridge_marginal(x, y, t, grid.nodes[i])
+            z_mean = np.abs(rec[j].mean(axis=0) - mean) / math.sqrt(var / n)
+            z_var = np.abs(rec[j].var(axis=0, ddof=1) - var) / (var * math.sqrt(2.0 / (n - 1)))
+            assert z_mean.max() < 4.0 and z_var.max() < 4.0
+
+    @pytest.mark.parametrize("start, R, horizon, h", [
+        (2.5, 2.0, 16.0, 0.01),    # some paths leave the cohort
+        (10.0, 4.0, 25.0, 0.005),  # every path jumps from the start
+    ], ids=["mixed", "far"])
+    def test_free_terminals_in_path_order(self, start, R, horizon, h):
+        # paths finish in another order than they were drawn in; a path
+        # ending deep inside the ball was inside at its last left node, so
+        # its integral is positive in the same row
+        n = 2000
+        x = np.array([start, 0.0, 0.0])
+        grid = TimeGrid.uniform(horizon, h)
+        spy = _Spy(Potential.ball_indicator(3, R))
+        vals, term = free_integral_batch(x, grid, spy, stream(8, 0), n)
+        assert sum(len(p) for p in spy.points) < n * (grid.nodes.size - 1)
+        deep = np.linalg.norm(term, axis=1) < R - 6.0 * math.sqrt(h)
+        assert deep.sum() >= 10 and (vals == 0.0).sum() >= 100
+        assert np.all(vals[deep] > 0.0)
+        se_mean = math.sqrt(horizon / n)
+        assert np.all(np.abs(term.mean(axis=0) - x) < 4.0 * se_mean)
+        se_var = horizon * math.sqrt(2.0 / (n - 1))
+        assert np.all(np.abs(term.var(axis=0, ddof=1) - horizon) < 4.0 * se_var)
+
+    def test_long_horizon_first_moments(self):
+        # k = 1 against the oracles: a bridge at t = 1000 and a free leg to
+        # 1600 from the centre of the unit ball, within 3 SE plus the tolerance
+        qcfg = QuadConfig()
+        n = 4096
+        cases = [
+            ("bridge", TimeGrid.endpoint_refined(1000.0, h_fine=0.004),
+             moment_bridge(np.zeros(3), np.zeros(3), 1000.0, BALL, 1, qcfg)),
+            ("free", TimeGrid.front_refined(1600.0, h_fine=0.004),
+             moment_free(np.zeros(3), 1600.0, BALL, 1, qcfg)),
+        ]
+        for kind, grid, target in cases:
+            if kind == "bridge":
+                vals, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, BALL,
+                                                stream(61, 0), n)
+            else:
+                vals, _ = free_integral_batch(np.zeros(3), grid, BALL, stream(61, 1), n)
+            se = vals.std(ddof=1) / math.sqrt(n)
+            band = 3.0 * se + qcfg.tolerance(1, BALL) * abs(target)
+            assert abs(vals.mean() - target) < band, (kind, vals.mean(), target, se)
+
+
+def _grids():
+    """Grids mixing fine and coarse steps, as the refined grids do."""
+    steps = st.lists(st.sampled_from([0.001, 0.004, 0.05, 1.0]), min_size=2, max_size=60)
+    return steps.map(lambda h: np.concatenate(([0.0], np.cumsum(h))))
+
+
+class TestStepPlan:
+    """No step longer than one node or one finest step starts within reach of the ball."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nodes=_grids(), data=st.data())
+    def test_no_jump_starts_near_the_support(self, nodes, data):
+        last = nodes.size - 1
+        m = 12
+        radius = data.draw(st.floats(0.1, 3.0))
+        center = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=3, max_size=3)))
+        v = Potential.ball_indicator(3, radius, center=center)
+        node = np.array(data.draw(st.lists(st.integers(0, last - 1), min_size=m, max_size=m)))
+        frac = np.array(data.draw(st.lists(st.floats(0.0, 0.9), min_size=m, max_size=m)))
+        s = nodes[node] + frac * (nodes[node + 1] - nodes[node])
+        z = np.array(data.draw(st.lists(st.lists(st.floats(-40, 40), min_size=3, max_size=3),
+                                        min_size=m, max_size=m)))
+        y_off = data.draw(st.one_of(st.none(), st.floats(0.0, 20.0)))
+        recs = sorted(set(data.draw(st.lists(st.integers(1, last), max_size=4))))
+        stops = np.array(recs + [last])
+        fine = float(np.diff(nodes).min())
+
+        to, s_to = _plan_steps(nodes, node, s, z, v, y_off, fine, stops)
+
+        t = nodes[-1]
+        gap = np.maximum(np.linalg.norm(z - center, axis=1) - radius, 0.0)
+        speed = 0.0 if y_off is None else (np.linalg.norm(z - center, axis=1) + y_off) / (t - s)
+        next_stop = stops[np.searchsorted(stops, node, side="right")]
+        span = s_to - s
+        on_grid = to > node
+        assert np.all(span > 0.0)
+        assert np.all(s_to <= nodes[next_stop])
+        assert np.all(s_to[on_grid] == nodes[to[on_grid]])
+        assert np.all((to == node) | (to >= node + 1))
+        assert np.all(s_to[~on_grid] < nodes[node[~on_grid] + 1])
+        forced = np.where(on_grid, to == node + 1, span <= fine * (1.0 + 1e-9))
+        margin = _KAPPA * np.sqrt(span) + speed * span
+        assert np.all(forced | (margin <= gap * (1.0 + 1e-9) + 1e-12))

@@ -86,8 +86,7 @@ RUNS = [
      dict(BRIDGE, t=5.0, n_paths=500, grid={"h_fine": 0.02}), [], 0),
     ("sample_free", "sample", dict(FREE, n_paths=500), [], 0),
     ("mgf_free", "mgf",
-     dict(FREE, n_paths=2000, alphas=[-0.5, 0.0, 0.5, 40.0],
-          grid={"h_fine": 0.05, "u": 3.0}), [], 0),
+     dict(FREE, n_paths=2000, alphas=[-0.5, 0.0, 0.5, 40.0]), [], 0),
     ("moments_free", "moments", dict(FREE, n_paths=4000, k_list=[1, 2]), [], 0),
     ("moments_two_sided_raw", "moments",
      dict(FREE, statistic_kind="two_sided", y=[0.5, 0.0, 0.0], n_paths=3000,
@@ -113,6 +112,11 @@ RUNS = [
      {"dimension": 3, "potential": SIGNED, "statistic_kind": "bridge",
       "x": ZERO, "y": ZERO, "t": 3.0, "alphas": [0.0, 0.5, 4.0],
       "n_paths": 1000, "grid": {"h_fine": 0.02}, "seed": 5}, [], 0),
+    # the grid rule is fixed, so its removed keys are config errors, and so
+    # is a fine step that is not positive and finite
+    ("grid_u_rejected", "mgf",
+     dict(FREE, n_paths=2000, alphas=[0.5], grid={"h_fine": 0.05, "u": 3.0}), [], 2),
+    ("h_fine_zero", "moments", dict(README_MOMENTS, grid={"h_fine": 0.0}), [], 2),
 ]
 
 

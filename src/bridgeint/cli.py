@@ -80,9 +80,8 @@ def _write_summary(path: Path, command: str, cfg: ExperimentConfig, payload: dic
 def _estimator_config(cfg: ExperimentConfig, channel: int = 0) -> EstimatorConfig:
     return EstimatorConfig(
         potential=cfg.potential, x=cfg.x, y=cfg.y, t=cfg.t,
-        free_horizon=cfg.free_horizon, h_fine=cfg.h_fine, h_coarse=cfg.h_coarse,
-        refine_window=cfg.refine_window, seed=cfg.seed, stream_channel=channel,
-        workers=cfg.workers, tail_correction=cfg.tail_correction,
+        free_horizon=cfg.free_horizon, h_fine=cfg.h_fine, seed=cfg.seed,
+        stream_channel=channel, workers=cfg.workers, tail_correction=cfg.tail_correction,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -36,8 +37,8 @@ _BASE_KEYS = {"dimension", "potential", "seed", "workers"}
 
 # keys are per command and accepted only where the command reads them;
 # grid keys are written "grid.<key>"
-_GRID = {"grid", "grid.h_fine", "grid.h_coarse"}
-_PATH = {"statistic_kind", "x", "y", "t", "free_horizon", "n_paths", "grid.u"} | _GRID
+_GRID = {"grid", "grid.h_fine"}
+_PATH = {"statistic_kind", "x", "y", "t", "free_horizon", "n_paths"} | _GRID
 _SWEEP = {"horizons", "alphas", "k_list", "n_paths", "n_paths_by_horizon",
           "target_n_paths", "target_free_horizon"} | _GRID
 
@@ -49,7 +50,7 @@ _COMMAND_KEYS = {
     "theorem1": _SWEEP | {"x", "y"},
     "theorem2": _SWEEP | {"x", "endpoint_rule"},
     "lemma4": _SWEEP | {"part", "x", "x_sequence"},
-    "bloch": {"bloch_points", "n_paths", "grid.u"} | _GRID,
+    "bloch": {"bloch_points", "n_paths"} | _GRID,
 }
 
 _ENDPOINT_KEYS = {"kind", "scale"}
@@ -69,6 +70,18 @@ def _positive(value: float, name: str):
     _require(math.isfinite(value) and value > 0, f"{name} must be positive and finite")
 
 
+def _integer(value, name: str) -> int:
+    """An integral number such as 20 or 20.0; a boolean or 20.9 is an error."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and float(value).is_integer(), f"{name} must be an integer")
+    return int(value)
+
+
+def _integers(values, name: str) -> list:
+    _require(isinstance(values, (list, tuple)), f"{name} must be a list of integers")
+    return [_integer(k, name) for k in values]
+
+
 def _point(p: np.ndarray, dim: int, name: str):
     _require(p.shape == (dim,), f"{name} dimension mismatch")
     _require(bool(np.all(np.isfinite(p))), f"{name} coordinates must be finite")
@@ -76,7 +89,7 @@ def _point(p: np.ndarray, dim: int, name: str):
 
 def parse_workers(value) -> int:
     """Worker count from a config value or the --workers override."""
-    workers = int(value)
+    workers = _integer(value, "workers")
     _require(workers >= 1, "workers must be at least 1")
     return workers
 
@@ -121,7 +134,7 @@ class ExperimentConfig:
         self.raw = dict(raw)
 
         _require("dimension" in raw, "dimension is required")
-        self.dimension = int(raw["dimension"])
+        self.dimension = _integer(raw["dimension"], "dimension")
         _require(self.dimension >= 3,
                  "bridgeint needs d >= 3 (transient dimension is assumed "
                  "throughout the limit statements)")
@@ -130,13 +143,14 @@ class ExperimentConfig:
         _require(self.potential.support_radius > 0 or self.potential.is_zero,
                  "potential support radius must be positive unless v is zero")
 
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _integer(raw.get("seed", 0), "seed")
         self.workers = parse_workers(raw.get("workers", 1))
-        self.tail_correction = bool(raw.get("tail_correction", True))
+        self.tail_correction = raw.get("tail_correction", True)
+        _require(isinstance(self.tail_correction, bool),
+                 "tail_correction must be true or false")
 
         self.h_fine = float(grid.get("h_fine", 0.01))
-        self.h_coarse = None if grid.get("h_coarse") is None else float(grid["h_coarse"])
-        self.refine_window = None if grid.get("u") is None else float(grid["u"])
+        _positive(self.h_fine, "grid.h_fine")
 
         self.statistic_kind = raw.get("statistic_kind", "bridge")
         _require(self.statistic_kind in ("bridge", "free", "two_sided"),
@@ -148,13 +162,14 @@ class ExperimentConfig:
             else float(raw["free_horizon"])
         self.target_free_horizon = None if raw.get("target_free_horizon") is None \
             else float(raw["target_free_horizon"])
-        self.n_paths = int(raw.get("n_paths", 10_000))
-        self.n_paths_by_horizon = raw.get("n_paths_by_horizon")
+        self.n_paths = _integer(raw.get("n_paths", 10_000), "n_paths")
+        self.n_paths_by_horizon = None if raw.get("n_paths_by_horizon") is None \
+            else _integers(raw["n_paths_by_horizon"], "n_paths_by_horizon")
         self.target_n_paths = None if raw.get("target_n_paths") is None \
-            else int(raw["target_n_paths"])
+            else _integer(raw["target_n_paths"], "target_n_paths")
         self.alphas = None if raw.get("alphas") is None \
             else [float(a) for a in raw["alphas"]]
-        self.k_list = [int(k) for k in raw.get("k_list", [1, 2])]
+        self.k_list = _integers(raw.get("k_list", [1, 2]), "k_list")
         self.horizons = None if raw.get("horizons") is None \
             else [float(t) for t in raw["horizons"]]
         self.part = raw.get("part", "a")
@@ -175,7 +190,7 @@ class ExperimentConfig:
             _positive(t, "every horizon")
         budgets = [self.n_paths, *(self.n_paths_by_horizon or ()),
                    *([self.target_n_paths] if self.target_n_paths is not None else [])]
-        _require(all(int(n) >= 2 for n in budgets),
+        _require(all(n >= 2 for n in budgets),
                  "n_paths, n_paths_by_horizon and target_n_paths must be at least 2")
 
         self.endpoint_rule = None
@@ -288,7 +303,7 @@ class ExperimentConfig:
             _require(self.horizons is not None and
                      len(self.n_paths_by_horizon) == len(self.horizons),
                      "n_paths_by_horizon must match the horizons grid")
-            return [int(n) for n in self.n_paths_by_horizon]
+            return self.n_paths_by_horizon
         return self.n_paths
 
     def sweep_plan(self) -> SweepPlan:
@@ -301,7 +316,7 @@ class ExperimentConfig:
             alphas=self.alphas, budgets=self.budgets(),
             target_budget=self.target_n_paths, k_list=tuple(self.k_list),
             seed=self.seed, workers=self.workers, h_fine=self.h_fine,
-            h_coarse=self.h_coarse, target_free_horizon=self.target_free_horizon,
+            target_free_horizon=self.target_free_horizon,
         )
         if self.command == "theorem2":
             kwargs["endpoint_rule"] = self.endpoint_rule

@@ -89,7 +89,6 @@ class SweepPlan:
     seed: int = 0
     workers: int = 1
     h_fine: float = 0.01
-    h_coarse: float | None = None
     target_free_horizon: float | None = None
 
     def __post_init__(self):
@@ -223,8 +222,7 @@ def _trend_verdict(rows: list) -> str:
 def _sampler(plan: SweepPlan, v: Potential, channel: int, **law) -> EstimatorConfig:
     """Sampler config on the plan's grid, seed and workers, on its own stream channel."""
     return EstimatorConfig(potential=v, seed=plan.seed, stream_channel=channel,
-                           workers=plan.workers, h_fine=plan.h_fine,
-                           h_coarse=plan.h_coarse, **law)
+                           workers=plan.workers, h_fine=plan.h_fine, **law)
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,6 @@ class EstimatorConfig:
     t: float = None
     free_horizon: float | None = None
     h_fine: float = 0.01
-    h_coarse: float | None = None
-    refine_window: float | None = None
     seed: int = 0
     stream_channel: int = 0
     workers: int = 1
@@ -166,9 +164,7 @@ class EstimatorConfig:
         return max(100.0 * r * r, 1.0)
 
     def grid_for(self, horizon: float, kind: str = "bridge") -> TimeGrid:
-        builder = TimeGrid.endpoint_refined if kind == "bridge" else TimeGrid.front_refined
-        return builder(horizon, u=self.refine_window,
-                       h_fine=self.h_fine, h_coarse=self.h_coarse)
+        return TimeGrid.refined(horizon, self.h_fine, both_ends=kind == "bridge")
 
 
 def _stream_id(channel: int, leg: int, batch: int) -> int:

@@ -2,10 +2,10 @@
 
 The whole path API is two batch calls, ``bridge_integral_batch`` and
 ``free_integral_batch``, over one engine (``_integrate``).  They step n
-paths on a ``TimeGrid`` and return the left-node integrals of a
-potential, plus the positions a caller asks for (``record_idx`` for
-bridges, the terminal points for free paths), in path order.  A single
-draw is a batch of one.
+paths on a ``TimeGrid`` and return the integrals of a potential (the
+quadrature below), plus the positions a caller asks for (``record_idx``
+for bridges, the terminal points for free paths), in path order.  A
+single draw is a batch of one.
 
 Every transition is exact in law: a free step adds a Gaussian of
 variance ds per coordinate, and a bridge step from s to s' (sequential
@@ -19,34 +19,34 @@ Far-field node skipping.  v vanishes outside the support ball
 nothing to integrate, so the engine runs in two phases.
 
 - Phase 1, the cohort: all paths walk every node with one draw block per
-  node.  Every ``_CHECK_EVERY`` = 8th node j with at least K nodes left,
-  a path whose distance to the center exceeds R + kappa sqrt(s_{j+K} -
-  s_j) (K = ``_LEAVE_NODES`` = 128, kappa = ``_KAPPA`` = 6) leaves the
-  cohort with its state.  Once fewer than ``_COHORT_SHARE`` = half of the batch remain,
-  the rest leave too, because a small cohort pays the per-node cost of
-  numpy calls for few paths.  A batch in which no path leaves gives the
-  node-by-node kernel's values and draws bit for bit.
+  node and sum v by the trapezoid rule, node j weighing
+  (s_{j+1} - s_{j-1}) / 2 and an end node half its step: a left-node sum
+  is biased by about (h' - h) E v / 2 where the step grows from h to h',
+  as at u = sqrt(t) (README).  Every ``_CHECK_EVERY`` = 8th node j with
+  at least K nodes left, a path whose distance to the center exceeds
+  R + kappa sqrt(s_{j+K} - s_j) (K = ``_LEAVE_NODES`` = 128, kappa =
+  ``_KAPPA`` = 6) leaves the cohort with its state and v(z_j) (s_j -
+  s_{j-1}) / 2.  Once fewer than ``_COHORT_SHARE`` = half of the batch
+  remain, the rest leave too, because a small cohort pays the per-node
+  cost of numpy calls for few paths.
 - Phase 2, per-path clocks: the leavers step together, each from its own
   time s.  A path at distance D from the support ball jumps to the last
   grid node within the span sigma with kappa sqrt(sigma) + a sigma = D,
   where a bounds the drift speed of a bridge mean, (|z - center| +
   |y - center|) / (t - s), and is 0 for a free path.  It moves at least
   one node, stops at every recorded node and at the horizon, and adds
-  v(z) (s' - s) at its left end.  A path that cannot reach the next node
-  of a long interval (the coarse bulk of a refined grid) instead steps
-  through it in equal parts no longer than max(sigma, the grid's finest
-  step, (R / kappa)^2); the last moves a path about R / 6.
+  v(z) (s' - s) at its left end (its steps near the support are short
+  and change gradually).  A path that cannot reach the next node of a
+  long interval (the coarse bulk) instead steps through it in equal parts
+  no longer than max(sigma, the grid's finest step, (R / kappa)^2); the
+  last moves a path about R / 6.
 - The occupation a jump can miss needs the path's component toward the
   ball to travel kappa sqrt(sigma) in the span, a chance of 2 Phi(-kappa)
   ~ 2e-9 per jump; the bridge mean's drift is reserved out of D.
 
-Against the node-by-node kernel, a batch in which some path leaves
-draws different numbers; so do all its outputs.  Steps per path on the
-default refined grids with h_fine 0.004 (unit ball, x = y = 0) fall from
-1,619 / 5,080 / 16,749 to about 1,600 / 2,650 / 3,050 for bridges at
-t = 10 / 100 / 1000, and from 11,560 to about 2,100 for a free leg to
-1600.  The sub-steps make phase-2 paths resolve the coarse bulk: its
-h_coarse = 1 had biased the t = 1000 bridge's E exp(-Z/2) by +0.0025.
+Steps per path on the default grids with h_fine 0.004 (unit ball,
+x = y = 0): about 1,600 / 2,650 / 3,050 for bridges at t = 10 / 100 /
+1000, and 2,100 for a free leg to 1600.
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, stream id), so results are reproducible regardless of how
@@ -125,44 +125,26 @@ class TimeGrid:
         return cls(np.linspace(0.0, t, n + 1))
 
     @classmethod
-    def front_refined(cls, t: float, u: float | None = None,
-                      h_fine: float = 0.01, h_coarse: float | None = None) -> "TimeGrid":
-        """Fine steps within u of the start only; for unconstrained paths.
+    def refined(cls, t: float, h_fine: float = 0.01, both_ends: bool = True) -> "TimeGrid":
+        """Fine steps near the start (and the end), a coarse bulk between.
 
-        A free path leaves the support once and for all (transience), so
-        only the early segment needs resolution; the far end carries no
-        pinning and no occupation worth refining.
+        Steps are at most h_fine within u = sqrt(t) of 0 and, when
+        ``both_ends`` (a bridge, pinned at t), of t; the bulk steps by at
+        most min(1, t/100).  A free path leaves the support for good
+        (transience), so only its start needs the window.
         """
-        return cls._refined(t, u, h_fine, h_coarse, both_ends=False)
-
-    @classmethod
-    def endpoint_refined(cls, t: float, u: float | None = None,
-                         h_fine: float = 0.01, h_coarse: float | None = None) -> "TimeGrid":
-        """Fine steps within u of both endpoints, coarse steps in the bulk.
-
-        Defaults follow the proof-motivated split: u = sqrt(t) and
-        h_coarse = min(1, t/100).  Coarse bulk steps are sound for
-        compactly supported potentials because far-from-support stretches
-        contribute nothing; occupation missed between coarse nodes is a
-        known, refinement-controlled bias.
-        """
-        return cls._refined(t, u, h_fine, h_coarse, both_ends=True)
-
-    @classmethod
-    def _refined(cls, t, u, h_fine, h_coarse, both_ends: bool) -> "TimeGrid":
-        """Fine window [0, u] (and [t - u, t] when ``both_ends``), coarse bulk."""
         if t <= 0:
             raise ValueError("horizon must be positive")
-        u = math.sqrt(t) if u is None else float(u)
-        h_coarse = min(1.0, t / 100.0) if h_coarse is None else float(h_coarse)
-        if h_fine <= 0 or h_coarse <= 0 or u <= 0:
-            raise ValueError("grid parameters must be positive")
+        if not (math.isfinite(h_fine) and h_fine > 0):
+            raise ValueError("h_fine must be positive and finite")
+        u = math.sqrt(t)
+        h_bulk = min(1.0, t / 100.0)
         fine_span = 2.0 * u if both_ends else u
         if fine_span >= t:
             n = max(1, math.ceil(t / h_fine))
             return cls(np.linspace(0.0, t, n + 1))
         nf = max(1, math.ceil(u / h_fine))
-        nc = max(1, math.ceil((t - fine_span) / h_coarse))
+        nc = max(1, math.ceil((t - fine_span) / h_bulk))
         parts = [np.linspace(0.0, u, nf + 1),
                  np.linspace(u, t - u if both_ends else t, nc + 1)[1:]]
         if both_ends:
@@ -286,7 +268,11 @@ def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
     slot[rec_nodes] = np.arange(rec_nodes.size)
     values, terminal = np.empty(n), np.empty((n, d))
 
-    # phase 1: the cohort steps node by node, one draw block per node
+    # phase 1: the cohort steps node by node, one draw block per node, and
+    # sums v by the trapezoid rule: node j weighs half of each adjacent step
+    half = 0.5 * np.diff(nodes)
+    weight = np.append(half, 0.0)
+    weight[1:] += half
     ids = np.arange(n)
     z = np.broadcast_to(x, (n, d)).copy()
     acc = np.zeros(n)
@@ -302,13 +288,15 @@ def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
             if far.any():
                 if ids.size - np.count_nonzero(far) < _COHORT_SHARE * n:
                     far[:] = True
-                left.append((ids[far], z[far], acc[far], np.full(np.count_nonzero(far), j)))
+                # a leaver closes its last cohort step with that step's right half
+                gone = acc[far] + v(z[far]) * half[j - 1] if j else acc[far]
+                left.append((ids[far], z[far], gone, np.full(np.count_nonzero(far), j)))
                 ids, z, acc = ids[~far], z[~far], acc[~far]
                 if ids.size == 0:
                     break
         s_j, s_next = nodes[j], nodes[j + 1]
         ds = s_next - s_j
-        acc += v(z) * ds
+        acc += v(z) * weight[j]
         if y is None:
             z = _advance(z, None, None, math.sqrt(ds), rng.standard_normal(z.shape))
         elif s_next >= t:
@@ -319,6 +307,7 @@ def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
         if slot[j + 1] >= 0:
             rec[slot[j + 1], ids] = z
     else:
+        acc += v(z) * half[-1]
         values[ids], terminal[ids] = acc, z
     # phase 2: per-path clocks, all leavers stepping together
     if left:

@@ -51,10 +51,9 @@ class TestCriterion01GreensFunctionFlagship:
         quad = moment_free([0, 0, 0], math.inf, BALL, 1, QCFG)
         quad_ok = abs(quad - 1.0) < 1e-3
 
-        # a front-refined grid: fine steps of 0.004 up to s = 20, then 0.2
+        # the default free-leg grid: fine steps of 0.004 up to s = 10, then 1
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=100.0,
-                              h_fine=0.004, h_coarse=0.2, refine_window=20.0,
-                              seed=303, workers=2)
+                              h_fine=0.004, seed=303, workers=2)
         est = mc_moment("free", 1, 100_000, cfg)
         mc_ok = abs(est.mean - quad) < 3.0 * est.std_error
         report("greens_function_flagship", quad_ok and mc_ok,
@@ -66,7 +65,7 @@ class TestCriterion02BridgeLaw:
         n = 100_000
         t = 10.0
         x, y = np.zeros(3), np.array([1.0, 0.0, 0.0])
-        grid = TimeGrid.endpoint_refined(t)
+        grid = TimeGrid.refined(t)
         idx = [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 3.0, 5.0, 7.0, 9.0)]
         _, rec = bridge_integral_batch(x, y, grid, ZERO, stream(2024, 0), n,
                                        record_idx=idx)

@@ -111,6 +111,7 @@ _SWEEP = {"dimension": 3, "potential": _BALL, "horizons": [4.0, 8.0], "k_list": 
           "target_free_horizon": 8.0, "grid": {"h_fine": 0.1}}
 _MINIMAL = {
     "sample": base_bridge_config(n_paths=20),
+    "mgf": base_bridge_config(n_paths=20, alphas=[0.5]),
     "moments": base_bridge_config(n_paths=20, k_list=[1]),
     "bounds": {"dimension": 3, "potential": _BALL},
     "theorem1": dict(_SWEEP, x=[0.0, 0.0, 0.0], y=[0.0, 0.0, 0.0]),
@@ -127,10 +128,12 @@ _PART_B = dict({k: v for k, v in _MINIMAL["lemma4"].items()
                part="b", x_sequence=[[6.0, 0.0, 0.0], [12.0, 0.0, 0.0]])
 
 
+# every command with a time grid: its rule is fixed, and h_fine is its one key
+_GRID_COMMANDS = ("sample", "mgf", "moments", "theorem1", "theorem2", "lemma4", "bloch")
 _IGNORED_KEYS = [
     ("moments", "grid.policy", "uniform"),
     ("moments", "grid.h", 0.02),
-    ("theorem1", "grid.u", 3.0),
+    *((c, k, 3.0) for c in _GRID_COMMANDS for k in ("grid.h_coarse", "grid.u")),
     ("theorem1", "u_rule", "sqrt"),
     ("theorem2", "u_rule", "cbrt"),
     ("theorem1", "free_horizon", 50.0),
@@ -162,6 +165,52 @@ class TestSchemaRejectsIgnoredKeys:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unknown config keys" in err and repr(key) in err
+
+
+_WRONG_TYPES = [
+    ("moments", "tail_correction", "false"),
+    ("moments", "tail_correction", 0),
+    ("moments", "n_paths", 20.9),
+    ("moments", "n_paths", True),
+    ("moments", "k_list", [1.5]),
+    ("moments", "k_list", [True]),
+    ("moments", "k_list", "1"),
+    ("moments", "dimension", True),
+    ("moments", "seed", 7.5),
+    ("moments", "workers", True),
+    ("theorem1", "target_n_paths", 20.5),
+    ("theorem1", "n_paths_by_horizon", [20, 20.5]),
+    ("theorem1", "k_list", [1.5]),
+]
+
+
+class TestValueTypes:
+    """A value of the wrong type or form exits 2; it is never read as another."""
+
+    @pytest.mark.parametrize("h_fine", ["0", "-0.1", "1e400"])
+    @pytest.mark.parametrize("command", ["moments", "theorem1"])
+    def test_fine_step_positive_and_finite(self, tmp_path, capsys, command, h_fine):
+        # 1e400 is written as it is and read as inf
+        text = json.dumps(dict(_MINIMAL[command], grid={"h_fine": 0.5}))
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"h_fine": 0.5', f'"h_fine": {h_fine}'))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "grid.h_fine must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, key, value", _WRONG_TYPES,
+                             ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in _WRONG_TYPES])
+    def test_wrong_type_rejected(self, tmp_path, capsys, command, key, value):
+        path = write_config(tmp_path, dict(_MINIMAL[command], **{key: value}))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_integral_floats_accepted(self):
+        cfg = load_config(dict(_MINIMAL["theorem1"], n_paths=20.0, seed=3.0,
+                               n_paths_by_horizon=[20.0, 40], k_list=[1.0]), "theorem1")
+        assert (cfg.n_paths, cfg.seed, cfg.budgets(), cfg.k_list) == (20, 3, [20, 40], [1])
+        assert all(type(n) is int for n in (cfg.n_paths, cfg.seed, *cfg.budgets(), *cfg.k_list))
 
 
 _FREE_MOMENTS = {k: v for k, v in base_bridge_config(n_paths=20).items()
@@ -627,6 +676,7 @@ _TINY = {
               "bloch_points": [{"x": _ORIGIN, "y": [0.5, 0.0, 0.0], "t": 1.0}]},
 }
 _FUZZ_KEYS = sorted({"dimension", "potential", "seed", "part", "x_sequence", "workers",
+                     "tail_correction", "n_paths_by_horizon",
                      *(k for cfg in _TINY.values() for k in cfg)})
 _DROP = object()
 # small or malformed values only, so a mutated budget or horizon stays cheap
@@ -635,6 +685,8 @@ _FUZZ_VALUES = st.sampled_from([
     [], [1.0], [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], [[]], {}, {"kind": "sqrt_t"},
     {"kind": "ball_indicator", "radius": 1.0}, [{"x": _ORIGIN, "y": _ORIGIN}],
 ])
+# values of a near-miss type: a boolean as a string, a fraction for a count
+_MALFORMED_VALUES = st.sampled_from(["false", "true", 2.5, 20.9, [1.5], [True], [2, 2.5]])
 
 
 class TestFuzzedConfigs:
@@ -647,7 +699,8 @@ class TestFuzzedConfigs:
     @example(name="lemma4/b", edits=[("x_sequence", [])])
     @given(name=st.sampled_from(sorted(_TINY)),
            edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
-                                    st.one_of(st.just(_DROP), _FUZZ_VALUES)),
+                                    st.one_of(st.just(_DROP), _FUZZ_VALUES,
+                                              _MALFORMED_VALUES)),
                           max_size=2))
     def test_exit_code_contract(self, name, edits):
         cfg = {"dimension": 3, "seed": 1,

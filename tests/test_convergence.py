@@ -172,7 +172,7 @@ class TestLemma4:
                          x=np.zeros(3),
                          x_sequence=(np.zeros(3), np.zeros(3), np.zeros(3)),
                          budgets=20_000, target_budget=20_000, k_list=(1,),
-                         alphas=(0.0,), seed=31, h_fine=0.02, h_coarse=1.0)
+                         alphas=(0.0,), seed=31, h_fine=0.02)
         rep = run_lemma4(plan, BALL)
         rows = [r for r in rep.rows if r.statistic == "free_moment"]
         assert rows[0].gap > rows[-1].gap
@@ -191,7 +191,7 @@ class TestLemma4:
                          x=np.array([4.0, 0, 0]),
                          x_sequence=([4.0, 0, 0], [8.0, 0, 0], [16.0, 0, 0]),
                          budgets=25_000, alphas=(0.5,), k_list=(1,),
-                         seed=41, h_fine=0.05, h_coarse=1.0)
+                         seed=41, h_fine=0.05)
         rep = run_lemma4(plan, BALL)
         rows = [r for r in rep.rows if r.statistic == "mgf_minus_one"]
         vals = [r.value for r in rows]

@@ -74,11 +74,24 @@ class TestMcMoment:
         q = moment_bridge(cfg.x, cfg.y, cfg.t, BALL, 1, QuadConfig())
         assert abs(est.mean - q) < 3.0 * est.std_error + 0.01
 
+    def test_escaping_endpoint_mean_on_the_default_grid(self):
+        # 0 -> 10 e1 at t = 100: the fine window ends at s = 10, where the
+        # step grows to 1, with the occupation density still high.  A
+        # left-node cohort read z = 4.1 here (1.00483 +- 0.00272), the
+        # trapezoid cohort z = 0.7
+        y = np.array([10.0, 0.0, 0.0])
+        cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), y=y, t=100.0, h_fine=0.01,
+                              seed=77, workers=2)
+        est = mc_moment("bridge", 1, 100_000, cfg)
+        qcfg = QuadConfig()
+        q = moment_bridge(cfg.x, y, 100.0, BALL, 1, qcfg)
+        assert abs(est.mean - q) < 3.0 * est.std_error + qcfg.tolerance(1, BALL) * abs(q)
+
     def test_two_sided_binomial_identity(self):
         # E (A + B)^2 = 2 E A^2 + 2 (E A)^2 for iid legs
         n = 30_000
         shared = dict(potential=BALL, x=np.zeros(3), y=np.zeros(3),
-                      free_horizon=60.0, h_fine=0.02, h_coarse=0.5,
+                      free_horizon=60.0, h_fine=0.02,
                       tail_correction=False, seed=101)
         two = mc_moment("two_sided", 2, n, EstimatorConfig(**shared))
         leg1 = mc_moment("free", 1, n, EstimatorConfig(stream_channel=7, **shared))
@@ -92,8 +105,7 @@ class TestMcMoment:
     def test_two_sided_mean_reaches_two(self):
         # both legs from the ball center: corrected mean must sit at 2 E Y0 = 2
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), y=np.zeros(3),
-                              free_horizon=100.0, h_fine=0.005, h_coarse=0.2,
-                              refine_window=20.0, seed=404, workers=2)
+                              free_horizon=100.0, h_fine=0.005, seed=404, workers=2)
         est = mc_moment("two_sided", 1, 100_000, cfg)
         assert abs(est.mean - 2.0) < 3.0 * est.std_error
 

@@ -33,30 +33,43 @@ class TestTimeGrid:
         assert np.all(np.diff(g.nodes) > 0)
 
     def test_endpoint_refined_structure(self):
+        # fine windows of u = sqrt(t) = 5 at both ends, bulk steps of t/100
         t = 25.0
-        g = TimeGrid.endpoint_refined(t, u=4.0, h_fine=0.05, h_coarse=1.0)
+        g = TimeGrid.refined(t, h_fine=0.05)
         nodes = g.nodes
         assert nodes[0] == 0.0 and nodes[-1] == t
-        fine_left = nodes[nodes <= 4.0]
+        fine_left = nodes[nodes <= 5.0]
         assert np.all(np.diff(fine_left) <= 0.05 + 1e-12)
-        fine_right = nodes[nodes >= t - 4.0]
+        fine_right = nodes[nodes >= t - 5.0]
         assert np.all(np.diff(fine_right) <= 0.05 + 1e-12)
-        assert np.all(g.steps <= 1.0 + 1e-12)
+        assert np.all(g.steps <= 0.25 + 1e-12)
 
     def test_endpoint_refined_defaults(self):
-        # u = sqrt(t), h_coarse = min(1, t/100): t/100 rules at t=9, 1 at t=400
+        # u = sqrt(t), bulk step min(1, t/100): t/100 rules at t=9, 1 at t=400
         for t, u, h_coarse in ((9.0, 3.0, 0.09), (400.0, 20.0, 1.0)):
-            g = TimeGrid.endpoint_refined(t)
-            explicit = TimeGrid.endpoint_refined(t, u=u, h_coarse=h_coarse)
-            assert np.array_equal(g.nodes, explicit.nodes)
+            g = TimeGrid.refined(t)
             assert u in g.nodes and t - u in g.nodes
             bulk = g.steps[(g.nodes[:-1] >= u) & (g.nodes[1:] <= t - u)]
             assert bulk.max() <= h_coarse + 1e-12
             assert bulk.max() > 0.5 * h_coarse
+            assert np.all(g.steps[g.nodes[1:] <= u] <= 0.01 + 1e-12)
+
+    def test_front_refined_has_one_window(self):
+        # a free path's grid refines [0, sqrt(t)] only and steps coarse to t
+        g = TimeGrid.refined(400.0, h_fine=0.05, both_ends=False)
+        assert 20.0 in g.nodes and g.nodes[-1] == 400.0
+        assert np.all(g.steps[g.nodes[1:] <= 20.0] <= 0.05 + 1e-12)
+        assert np.allclose(g.steps[g.nodes[:-1] >= 20.0], 1.0, rtol=1e-9)
 
     def test_small_horizon_collapses_to_fine(self):
-        g = TimeGrid.endpoint_refined(0.5, u=1.0, h_fine=0.1)
+        # 2 sqrt(t) >= t: the windows cover [0, t]
+        g = TimeGrid.refined(0.5, h_fine=0.1)
         assert np.all(g.steps <= 0.1 + 1e-12)
+
+    @pytest.mark.parametrize("h_fine", [0.0, -0.1, math.inf, math.nan])
+    def test_fine_step_must_be_positive_and_finite(self, h_fine):
+        with pytest.raises(ValueError, match="h_fine"):
+            TimeGrid.refined(10.0, h_fine=h_fine)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -176,20 +189,21 @@ class TestFreeSampler:
         assert abs(rho) < 4.0 / math.sqrt(n)
 
     def test_free_path_start_and_shape(self):
-        # one step: the left node is the start point x, the terminal point
-        # is x plus one scaled normal block of the same stream
+        # one step: the terminal point is x plus one scaled normal block of
+        # the same stream, and the trapezoid rule weighs v at x and at the
+        # terminal point by half the step each
         x = np.array([2.0, -1.0, 0.5])
         grid = TimeGrid(np.array([0.0, 0.25]))
         at_x = Potential.ball_indicator(3, 0.1, center=x)
         vals, term = free_integral_batch(x, grid, at_x, stream(11, 0), 16)
         assert vals.shape == (16,) and term.shape == (16, 3)
-        assert np.all(vals == 0.25)
         expected = x + math.sqrt(0.25) * stream(11, 0).standard_normal((16, 3))
         assert np.array_equal(term, expected)
+        assert np.array_equal(vals, 0.125 + 0.125 * at_x(expected))
 
 
 class TestIntegrateAlongPath:
-    """Left-node quadrature sum_j v(z_j) (s_{j+1} - s_j) of the batch engines."""
+    """Quadrature of v along the path: trapezoid in the cohort, left-node after."""
 
     def test_zero_potential(self):
         grid = TimeGrid.uniform(2.0, 0.1)
@@ -233,7 +247,7 @@ class TestIntegrateAlongPath:
 
 class TestIntegralDraws:
     def test_batch_of_one_draws(self):
-        grid = TimeGrid.endpoint_refined(5.0, h_fine=0.05)
+        grid = TimeGrid.refined(5.0, h_fine=0.05)
         z, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, BALL, stream(12, 0), 1)
         assert z.shape == (1,) and z[0] >= 0.0
         again, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, BALL,
@@ -255,7 +269,7 @@ class TestIntegralDraws:
     def test_two_sided_legs_exchangeable(self):
         # same start points: the two legs are identically distributed
         n = 20_000
-        grid = TimeGrid.endpoint_refined(50.0, h_fine=0.05, h_coarse=0.5)
+        grid = TimeGrid.refined(50.0, h_fine=0.05)
         vx, _ = free_integral_batch(np.zeros(3), grid, BALL, stream(41, 0), n)
         vy, _ = free_integral_batch(np.zeros(3), grid, BALL, stream(41, 1 << 32), n)
         se = math.sqrt(np.var(vx) / n + np.var(vy) / n)
@@ -266,7 +280,7 @@ class TestIntegralDraws:
         from bridgeint.estimators import EstimatorConfig, mc_moment
 
         n = 20_000
-        base = dict(potential=BALL, x=np.zeros(3), h_fine=0.02, h_coarse=0.5, seed=8)
+        base = dict(potential=BALL, x=np.zeros(3), h_fine=0.02, seed=8)
         m1 = mc_moment("free", 1, n, EstimatorConfig(free_horizon=100.0, **base))
         m2 = mc_moment("free", 1, n, EstimatorConfig(free_horizon=200.0,
                                                      stream_channel=1, **base))
@@ -278,9 +292,8 @@ class TestIntegralDraws:
 
         n = 20_000
         spec = dict(potential=BALL, x=np.zeros(3), y=np.zeros(3), t=8.0, seed=55)
-        m_h = mc_moment("bridge", 1, n, EstimatorConfig(h_fine=0.02, h_coarse=0.08, **spec))
-        m_h2 = mc_moment("bridge", 1, n, EstimatorConfig(h_fine=0.01, h_coarse=0.04,
-                                                         stream_channel=1, **spec))
+        m_h = mc_moment("bridge", 1, n, EstimatorConfig(h_fine=0.02, **spec))
+        m_h2 = mc_moment("bridge", 1, n, EstimatorConfig(h_fine=0.01, stream_channel=1, **spec))
         combined = math.hypot(m_h.std_error, m_h2.std_error)
         # 3 sigma plus a discretization allowance that shrinks with h
         assert abs(m_h.mean - m_h2.mean) < 3.0 * combined + 0.02
@@ -307,19 +320,20 @@ class TestNodeSkipping:
 
     def test_cohort_reproduces_the_node_by_node_kernel(self):
         # the cohort is checked (at 16 nodes of the bridge, 3 of the free
-        # leg), but no path comes near leaving it: values, recorded and
-        # terminal positions are those of the node-by-node kernel, bit for bit
+        # leg), but no path comes near leaving it: recorded and terminal
+        # positions are those of the node-by-node kernel bit for bit, and the
+        # values its trapezoid sums
         vals, rec = bridge_integral_batch([0.1, 0.0, 0.0], [-0.2, 0.1, 0.0],
                                           TimeGrid.uniform(0.5, 0.002), STEP,
                                           stream(11, 0), 3, record_idx=[125])
-        assert vals.tolist() == [0.603, 0.5890000000000001, 0.7099999999999999]
+        assert vals.tolist() == [0.6030000000000001, 0.5890000000000001, 0.7100000000000003]
         assert rec[0].tolist() == [
             [0.3549998827999907, -0.0776025981674049, 0.191804011787754],
             [-0.3966646470520551, -0.5329400882541173, 0.1324128839903751],
             [-0.5548021979394857, 0.028247829049624577, -0.3478498210743376]]
         vals, term = free_integral_batch([0.2, 0.0, 0.0], TimeGrid.uniform(0.3, 0.002), STEP,
                                          stream(12, 0), 3)
-        assert vals.tolist() == [0.326, 0.32800000000000007, 0.35300000000000004]
+        assert vals.tolist() == [0.3255000000000001, 0.32750000000000024, 0.35400000000000015]
         assert term.tolist() == [
             [-0.2338636348686059, -0.651350399439261, 0.1402309910785362],
             [0.8502207592031398, 0.2405233716963241, -0.3783821720927484],
@@ -333,7 +347,7 @@ class TestNodeSkipping:
         # a path at a recorded node below the horizon evaluates v there in
         # its next step, so every recorded position is among the evaluated
         # points; the horizon is pinned to y
-        grid = TimeGrid.endpoint_refined(10.0, h_fine=0.004)
+        grid = TimeGrid.refined(10.0, h_fine=0.004)
         idx = [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 5.0, 9.0)]
         spy = _Spy(ZERO)
         _, rec = bridge_integral_batch(x, y, grid, spy, stream(5, 0), 2000,
@@ -353,7 +367,7 @@ class TestNodeSkipping:
         # criterion 2's check on paths that skip nodes
         n, t = 20_000, 10.0
         x, y = np.asarray(x), np.asarray(y)
-        grid = TimeGrid.endpoint_refined(t, h_fine=0.004)
+        grid = TimeGrid.refined(t, h_fine=0.004)
         idx = [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 5.0, 9.0)]
         _, rec = bridge_integral_batch(x, y, grid, ZERO, stream(2024, 0), n, record_idx=idx)
         for j, i in enumerate(idx):
@@ -390,9 +404,9 @@ class TestNodeSkipping:
         qcfg = QuadConfig()
         n = 4096
         cases = [
-            ("bridge", TimeGrid.endpoint_refined(1000.0, h_fine=0.004),
+            ("bridge", TimeGrid.refined(1000.0, h_fine=0.004),
              moment_bridge(np.zeros(3), np.zeros(3), 1000.0, BALL, 1, qcfg)),
-            ("free", TimeGrid.front_refined(1600.0, h_fine=0.004),
+            ("free", TimeGrid.refined(1600.0, h_fine=0.004, both_ends=False),
              moment_free(np.zeros(3), 1600.0, BALL, 1, qcfg)),
         ]
         for kind, grid, target in cases:

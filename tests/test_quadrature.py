@@ -130,9 +130,9 @@ class TestFreeMoments:
         q = moment_free([0, 0, 0], T, BALL, 2, CFG)
         est = mc_moment("free", 2, 40_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=T,
-                                        h_fine=0.004, h_coarse=0.05, seed=14,
+                                        h_fine=0.004, seed=14,
                                         tail_correction=False))
-        # MC carries a left-node bias of order h; allow it on top of 3 SE
+        # MC carries a discretization bias of order h; allow it on top of 3 SE
         assert abs(est.mean - q) < 3.0 * est.std_error + 0.02
 
     def test_zero_potential(self):
@@ -154,7 +154,7 @@ class TestFreeMoments:
         q3 = moment_free([0, 0, 0], math.inf, BALL, 3, cfg3)
         est = mc_moment("free", 3, 60_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=2000.0,
-                                        h_fine=0.01, h_coarse=1.0, seed=15,
+                                        h_fine=0.01, seed=15,
                                         tail_correction=False, workers=2))
         assert abs(est.mean - q3) < 3.0 * est.std_error + 0.08
 

@@ -105,6 +105,10 @@ RUNS = [
     ("moments_on_axis_d4", "moments",
      dict(ORACLE_BRIDGES, dimension=4, x=[0.5, 0.0, 0.0, 0.0], y=[-1.0, 0.0, 0.0, 0.0],
           t=4.0, seed=41), [], 0),
+    # at t = 2560 the k = 2 bridge oracle takes ball probabilities of
+    # variance up to t / 4, so its d = 3 CDF reaches the small-a series
+    ("moments_long_horizon", "moments",
+     dict(README_MOMENTS, t=2560.0, n_paths=400, grid={"h_fine": 0.1}, seed=43), [], 0),
     ("moments_k3", "moments",
      dict(README_MOMENTS, t=4.0, k_list=[1, 2, 3], n_paths=4000,
           grid={"h_fine": 0.02}), [], 0),

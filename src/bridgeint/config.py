@@ -70,11 +70,33 @@ def _positive(value: float, name: str):
     _require(math.isfinite(value) and value > 0, f"{name} must be positive and finite")
 
 
+def _is_number(value) -> bool:
+    # JSON true and false arrive as Python booleans, which are integers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _integer(value, name: str) -> int:
     """An integral number such as 20 or 20.0; a boolean or 20.9 is an error."""
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
-             and float(value).is_integer(), f"{name} must be an integer")
+    _require(_is_number(value) and float(value).is_integer(), f"{name} must be an integer")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """A JSON number such as 2 or 0.5; a boolean or a string is an error."""
+    _require(_is_number(value), f"{name} must be a number")
+    return float(value)
+
+
+def _all_numbers(values) -> bool:
+    return all(_all_numbers(v) if isinstance(v, (list, tuple)) else _is_number(v)
+               for v in values)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """A list, or nested lists, of JSON numbers as a float array."""
+    _require(isinstance(values, (list, tuple)) and _all_numbers(values),
+             f"{name} must be a list of numbers")
+    return np.asarray(values, dtype=float)
 
 
 def _integers(values, name: str) -> list:
@@ -99,20 +121,25 @@ def _build_potential(raw: dict, dim: int) -> Potential:
     kind = raw.get("kind")
     _require(kind in _POTENTIAL_KEYS, f"potential kind must be one of {sorted(_POTENTIAL_KEYS)}")
     _check_keys(raw, _POTENTIAL_KEYS[kind], "potential")
+    center = None if raw.get("center") is None else _reals(raw["center"], "potential center")
     try:
         if kind == "ball_indicator":
             _require("radius" in raw, "ball_indicator needs a radius")
-            return Potential.ball_indicator(dim, float(raw["radius"]),
-                                            height=float(raw.get("height", 1.0)),
-                                            center=raw.get("center"))
+            return Potential.ball_indicator(dim, _real(raw["radius"], "potential radius"),
+                                            height=_real(raw.get("height", 1.0),
+                                                         "potential height"),
+                                            center=center)
         if kind == "radial_step":
             _require("breakpoints" in raw and "heights" in raw,
                      "radial_step needs breakpoints and heights")
-            return Potential.radial_step(dim, raw["breakpoints"], raw["heights"],
-                                         center=raw.get("center"))
+            return Potential.radial_step(dim, _reals(raw["breakpoints"], "potential breakpoints"),
+                                         _reals(raw["heights"], "potential heights"),
+                                         center=center)
         _require(all(k in raw for k in ("origin", "spacing", "values")),
                  "tabulated needs origin, spacing and values")
-        return Potential.tabulated(dim, raw["origin"], float(raw["spacing"]), raw["values"])
+        return Potential.tabulated(dim, _reals(raw["origin"], "potential origin"),
+                                   _real(raw["spacing"], "potential spacing"),
+                                   _reals(raw["values"], "potential values"))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -149,29 +176,29 @@ class ExperimentConfig:
         _require(isinstance(self.tail_correction, bool),
                  "tail_correction must be true or false")
 
-        self.h_fine = float(grid.get("h_fine", 0.01))
+        self.h_fine = _real(grid.get("h_fine", 0.01), "grid.h_fine")
         _positive(self.h_fine, "grid.h_fine")
 
         self.statistic_kind = raw.get("statistic_kind", "bridge")
         _require(self.statistic_kind in ("bridge", "free", "two_sided"),
                  "statistic_kind must be bridge, free or two_sided")
-        self.x = None if raw.get("x") is None else np.asarray(raw["x"], dtype=float)
-        self.y = None if raw.get("y") is None else np.asarray(raw["y"], dtype=float)
-        self.t = None if raw.get("t") is None else float(raw["t"])
+        self.x = None if raw.get("x") is None else _reals(raw["x"], "x")
+        self.y = None if raw.get("y") is None else _reals(raw["y"], "y")
+        self.t = None if raw.get("t") is None else _real(raw["t"], "t")
         self.free_horizon = None if raw.get("free_horizon") is None \
-            else float(raw["free_horizon"])
+            else _real(raw["free_horizon"], "free_horizon")
         self.target_free_horizon = None if raw.get("target_free_horizon") is None \
-            else float(raw["target_free_horizon"])
+            else _real(raw["target_free_horizon"], "target_free_horizon")
         self.n_paths = _integer(raw.get("n_paths", 10_000), "n_paths")
         self.n_paths_by_horizon = None if raw.get("n_paths_by_horizon") is None \
             else _integers(raw["n_paths_by_horizon"], "n_paths_by_horizon")
         self.target_n_paths = None if raw.get("target_n_paths") is None \
             else _integer(raw["target_n_paths"], "target_n_paths")
         self.alphas = None if raw.get("alphas") is None \
-            else [float(a) for a in raw["alphas"]]
+            else _reals(raw["alphas"], "alphas").tolist()
         self.k_list = _integers(raw.get("k_list", [1, 2]), "k_list")
         self.horizons = None if raw.get("horizons") is None \
-            else [float(t) for t in raw["horizons"]]
+            else _reals(raw["horizons"], "horizons").tolist()
         self.part = raw.get("part", "a")
         _require(self.part in ("a", "b"), "lemma4 part must be 'a' or 'b'")
         self.x_sequence = raw.get("x_sequence")
@@ -202,7 +229,8 @@ class ExperimentConfig:
             _require(kind in ("sqrt_t", "fourth_root"),
                      "endpoint_rule kind must be sqrt_t or fourth_root")
             try:
-                self.endpoint_rule = EndpointRule(kind, er.get("scale", 1.0))
+                self.endpoint_rule = EndpointRule(
+                    kind, _real(er.get("scale", 1.0), "endpoint_rule.scale"))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -258,7 +286,7 @@ class ExperimentConfig:
             _require(isinstance(self.x_sequence, list) and self.x_sequence,
                      "lemma4 needs a non-empty x_sequence list of start points")
             for p in self.x_sequence:
-                _point(np.asarray(p, dtype=float), self.dimension, "x_sequence point")
+                _point(_reals(p, "x_sequence point"), self.dimension, "x_sequence point")
             if self.part == "a":
                 _require(self.x is not None, "lemma4 part a needs the limit point x")
             else:
@@ -271,7 +299,7 @@ class ExperimentConfig:
                 _require(isinstance(self.probe_points, list) and self.probe_points,
                          "probe_points must be a non-empty list of points")
                 for p in self.probe_points:
-                    _point(np.asarray(p, dtype=float), self.dimension, "probe point")
+                    _point(_reals(p, "probe point"), self.dimension, "probe point")
             alphas = self.alphas or []
             _require(all(b > a for a, b in zip(alphas, alphas[1:])),
                      "bounds alphas (the divergence probe grid) must be strictly increasing")
@@ -292,9 +320,9 @@ class ExperimentConfig:
                 _require(isinstance(entry, dict) and
                          set(entry) == {"x", "y", "t"},
                          "each bloch point needs exactly x, y and t")
-                _point(np.asarray(entry["x"], dtype=float), self.dimension, "bloch x")
-                _point(np.asarray(entry["y"], dtype=float), self.dimension, "bloch y")
-                _positive(float(entry["t"]), "bloch t")
+                _point(_reals(entry["x"], "bloch x"), self.dimension, "bloch x")
+                _point(_reals(entry["y"], "bloch y"), self.dimension, "bloch y")
+                _positive(_real(entry["t"], "bloch t"), "bloch t")
 
     # -- derived objects -------------------------------------------------
 

@@ -6,8 +6,9 @@ potential's support.  This module removes every Gaussian integral that can
 be removed analytically:
 
 * one-point laws reduce to the expected potential mass of an offset
-  Gaussian, a noncentral chi-square ball probability for radial
-  potentials;
+  Gaussian, a ball probability for radial potentials: a closed form in
+  erf and erfcx in d = 3 (a power series where its terms cancel), the
+  noncentral chi-square CDF otherwise;
 * every finite-horizon first moment, free or bridge, is one time rule:
   the one-point law integrated over sigma = sqrt(s) on doubling
   Gauss-Legendre panels, a bridge taking its second half from the far
@@ -27,6 +28,7 @@ Gauss-Legendre rules with a correspondingly coarser declared tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -199,10 +201,11 @@ def ordered_simplex_nodes(k: int, t: float, m: int):
 def radial_ball_cdf(r, b, var, d: int):
     """P(|Z| <= r) for Z ~ N(b e1, var I_d), vectorized with guards.
 
-    Uses the noncentral chi-square CDF in the bulk, exact step limits when
-    the Gaussian is far from the shell, and a mean-corrected normal
-    approximation when the noncentrality would overflow the special
-    function.
+    Exact step limits hold when the Gaussian is frozen or far from the
+    shell.  Between them, d = 3 has a closed form (``_ball_cdf3``), exact
+    at every noncentrality including b = 0; other dimensions use the
+    noncentral chi-square CDF, with a mean-corrected normal approximation
+    when the noncentrality would overflow the special function.
     """
     r, b, var = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, b, var)))
     out = np.empty(r.shape)
@@ -215,7 +218,10 @@ def radial_ball_cdf(r, b, var, d: int):
     out[below] = 0.0
     out[above] = 1.0
     mid = ~(frozen | below | above)
-    if np.any(mid):
+    if d == 3:
+        idx = np.flatnonzero(mid)  # integer indices gather faster than the mask
+        np.put(out, idx, _ball_cdf3(*(np.take(z, idx) for z in (r, b, sigma))))
+    elif np.any(mid):
         rm, bm, vm = r[mid], b[mid], var[mid]
         nc = bm * bm / vm
         xx = rm * rm / vm
@@ -234,6 +240,99 @@ def radial_ball_cdf(r, b, var, d: int):
             vals[big] = special.ndtr((rm[big] - mu_r) / np.sqrt(vm[big]))
         out[mid] = vals
     return out
+
+
+# The d = 3 ball probability (``_ball_cdf3``) switches from its closed form
+# to a power series below a = r / sigma = _SMALL_A.  The closed form's two
+# terms cancel as a falls: against 50-digit mpmath its relative error is
+# below 1e-13 for a >= 0.2, up to 5e-13 on [0.1, 0.2), 2e-12 on
+# [0.05, 0.1) and 4e-7 near a = 0.001.
+_SMALL_A = 0.1
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _ball_cdf3(r, b, sigma):
+    """P(|Z| <= r) for Z ~ N(b e1, sigma^2 I_3), elementwise.
+
+    Needs sigma > 0 and r > b - (sqrt(3) + 12) sigma, as inside the
+    guards of ``radial_ball_cdf``.
+    """
+    small = np.flatnonzero(r < _SMALL_A * sigma)
+    if small.size == 0:
+        return _ball_cdf3_closed(r, b, sigma)
+    out = np.empty(r.shape)
+    sig = sigma[small]
+    out[small] = _ball_cdf3_series(r[small] / sig, b[small] / sig)
+    big = np.flatnonzero(r >= _SMALL_A * sigma)
+    out[big] = _ball_cdf3_closed(r[big], b[big], sigma[big])
+    return out
+
+
+def _ball_cdf3_closed(r, b, sigma):
+    """The closed form F = P(|N(mu, 1)| <= a) - 2 a phi(a - mu) g(2 a mu).
+
+    a = r / sigma, mu = b / sigma, phi is the standard normal density and
+    g(x) = -expm1(-x) / x.  The one-dimensional probability is a sum of erf
+    values near the centre; in the lower tail (a - mu <= -1) it is
+    phi(a - mu) times a difference of erfcx values, so both terms of F carry
+    the same Gaussian factor and only slowly varying factors cancel.
+    """
+    a = r / sigma
+    t1 = (r - b) / sigma * _SQRT_HALF  # (a - mu) / sqrt(2)
+    t2 = (r + b) / sigma * _SQRT_HALF  # (a + mu) / sqrt(2)
+    x = np.maximum(2.0 * a * (b / sigma), 1e-300)  # 2 a mu; g(x) = 1 at b = 0
+    gauss = np.exp(-t1 * t1)  # sqrt(2 pi) phi(a - mu)
+    out = _INV_SQRT_2PI * gauss * (2.0 * a) * (np.expm1(-x) / x)
+    core = np.flatnonzero(t1 > -_SQRT_HALF)
+    tail = np.flatnonzero(t1 <= -_SQRT_HALF)
+    out[core] += 0.5 * (special.erf(t2[core]) + special.erf(t1[core]))
+    tt = t1[tail]
+    out[tail] += 0.5 * gauss[tail] * (special.erfcx(-tt) -
+                                      np.exp(-x[tail]) * special.erfcx(t2[tail]))
+    return out
+
+
+def _ball_cdf3_series(a, mu):
+    """The power series of F in P = (a mu)^2 and Q = -a^2 / 2, for a < _SMALL_A.
+
+    F = 2 phi(mu) a^3 int_0^1 tau^2 exp(Q tau^2) sinh(a mu tau) / (a mu tau) dtau
+      = 2 phi(mu) a^3 sum_jk P^j Q^k / ((2j+1)! k! (2j+2k+3)).
+    """
+    p = (a * mu) ** 2
+    q = -0.5 * a * a
+    total = np.zeros(a.shape)
+    for coef in reversed(_series_coefficients()):
+        inner = np.full(a.shape, coef[-1])
+        for c in coef[-2::-1]:
+            inner *= p
+            inner += c
+        total *= q
+        total += inner
+    return 2.0 * _INV_SQRT_2PI * np.exp(-0.5 * mu * mu) * a**3 * total
+
+
+@functools.cache
+def _series_coefficients() -> tuple:
+    """Per power k of Q, the coefficients in P that _ball_cdf3_series keeps.
+
+    A term is kept while its largest value for a < _SMALL_A (where
+    mu < a + sqrt(3) + 12) exceeds 1e-18 of the leading term 1/3: 48 terms.
+    """
+    p_max = (_SMALL_A * (_SMALL_A + math.sqrt(3.0) + 12.0)) ** 2
+    q_max = 0.5 * _SMALL_A**2
+    out = []
+    for k in range(32):
+        coef = [_series_term(j, k) for j in range(32)
+                if _series_term(j, k) * p_max**j * q_max**k > 1e-18 / 3.0]
+        if not coef:
+            break
+        out.append(np.array(coef))
+    return tuple(out)
+
+
+def _series_term(j: int, k: int) -> float:
+    return 1.0 / (math.factorial(2 * j + 1) * math.factorial(k) * (2 * j + 2 * k + 3))
 
 
 def radial_expectation(v: Potential, b, var):

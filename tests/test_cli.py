@@ -1,7 +1,9 @@
 """Command-line interface: strict configs, outputs, exit codes, reproducibility."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import tempfile
@@ -181,6 +183,25 @@ _WRONG_TYPES = [
     ("theorem1", "target_n_paths", 20.5),
     ("theorem1", "n_paths_by_horizon", [20, 20.5]),
     ("theorem1", "k_list", [1.5]),
+    # a boolean or a string where a number is read
+    ("moments", "t", True),
+    ("moments", "t", "5"),
+    ("moments", "x", [True, 0, 0]),
+    ("moments", "y", [0, 0, False]),
+    ("mgf", "alphas", [True]),
+    ("theorem1", "horizons", [True, 8]),
+    ("theorem2", "target_free_horizon", True),
+    ("lemma4", "x_sequence", [[True, 0, 0]]),
+]
+# (command, config path to the value, value, the key the message names)
+_NESTED_WRONG_TYPES = [
+    ("moments", ("grid", "h_fine"), True, "grid.h_fine"),
+    ("moments", ("potential", "radius"), True, "potential radius"),
+    ("moments", ("potential", "height"), False, "potential height"),
+    ("moments", ("potential", "center"), [True, 0, 0], "potential center"),
+    ("theorem2", ("endpoint_rule", "scale"), True, "endpoint_rule.scale"),
+    ("bloch", ("bloch_points", 0, "t"), True, "bloch t"),
+    ("bloch", ("bloch_points", 0, "y"), [True, 0, 0], "bloch y"),
 ]
 
 
@@ -205,6 +226,24 @@ class TestValueTypes:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, where, value, name", _NESTED_WRONG_TYPES,
+                             ids=[n.replace(" ", "_") for *_, n in _NESTED_WRONG_TYPES])
+    def test_nested_wrong_type_rejected(self, tmp_path, capsys, command, where, value, name):
+        cfg = copy.deepcopy(_MINIMAL[command])
+        node = cfg
+        for key in where[:-1]:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        node[where[-1]] = value
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"{name} must be a" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_radial_step_boolean_rejected(self):
+        pot = {"kind": "radial_step", "breakpoints": [0.5, 1.0], "heights": [1.0, True]}
+        with pytest.raises(ConfigError, match="potential heights"):
+            load_config(dict(_MINIMAL["moments"], potential=pot), "moments")
 
     def test_integral_floats_accepted(self):
         cfg = load_config(dict(_MINIMAL["theorem1"], n_paths=20.0, seed=3.0,
@@ -717,3 +756,36 @@ class TestFuzzedConfigs:
             code = main([name.split("/")[0], "--config", str(path),
                          "--out", str(Path(tmp) / "out")])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FAIL)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_TINY)), flag=st.booleans(), data=st.data())
+    def test_boolean_number_rejected(self, name, flag, data):
+        # every number a valid config holds, float or count, at any depth;
+        # a JSON round trip unshares the lists x and y share
+        cfg = json.loads(json.dumps({
+            "dimension": 3, "seed": 1,
+            "potential": {"kind": "ball_indicator", "radius": 1.0, "height": 1.0},
+            **_TINY[name]}))
+        leaves = []
+
+        def walk(node, where):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    walk(value, where + (key,))
+                elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                    leaves.append(where + (key,))
+        walk(cfg, ())
+        where = data.draw(st.sampled_from(leaves))
+        node = cfg
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = flag
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            code = main([name.split("/")[0], "--config", str(path),
+                         "--out", str(Path(tmp) / "out")])
+        assert code == EXIT_CONFIG
+        assert [k for k in where if isinstance(k, str)][-1] in err.getvalue()

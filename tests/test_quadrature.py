@@ -64,6 +64,37 @@ class TestSimplexRule:
         assert np.all(nodes > 0) and np.all(nodes < 5.0)
 
 
+# (r, b, var, d, P(|Z| <= r) for Z ~ N(b e1, var I_d)), from 60-digit mpmath:
+# the d = 3 closed form, checked against quadrature of the radial density,
+# and for d = 5 quadrature of the Bessel form of the density.  The d = 3 rows
+# cover b = 0, a = r / sqrt(var) on both sides of the series threshold 0.1,
+# noncentralities b^2 / var above 1e7, and lower tails below 1e-30.
+_BALL_CDF_REFS = [
+    (1.0, 0.0, 0.5, 3, 0.42759329552912017),
+    (0.3, 0.0, 4.0, 3, 0.00089158546811836719),
+    (0.0995, 0.0, 1.0, 3, 0.00026121524931356831),
+    (0.098, 0.3, 1.0, 3, 0.00023863841393516592),
+    (0.09, 13.0, 1.0, 3, 4.435213104423596e-41),
+    (1.0, 0.7, 600.0, 3, 1.8079962130360694e-5),
+    (0.05, 0.1, 625.0, 3, 2.1276725874770355e-9),
+    (0.02, 3.0, 1.0, 3, 2.3642197710662961e-8),
+    (0.101, 0.3, 1.0, 3, 0.00026118656922626433),
+    (0.105, 9.0, 1.0, 3, 8.6357922636746117e-22),
+    (1.0, 1.000002, 1e-12, 3, 0.022750077954215589),
+    (5000.0, 4998.0, 1.0, 3, 0.97723906553751243),
+    (2.0, 15.0, 1.0, 3, 7.8461256154533868e-40),
+    (500.0, 511.5, 1.0, 3, 6.4463744683700347e-31),
+    (0.5, 13.5, 1.0, 3, 1.9210713124178819e-40),
+    (0.8, 0.8, 0.37, 3, 0.20194054641395071),
+    (1.0, 2.0, 0.3, 3, 0.013309014904178137),
+    (1.2, 0.5, 10.0, 3, 0.013753231163372952),
+    (0.6, 1.5, 2.0, 3, 0.011188841137662363),
+    (1.0, 0.8, 0.37, 5, 0.14370076759970104),
+    (2.0, 1.0, 1.5, 5, 0.19977525769380379),
+    (1.0, 0.0, 0.7, 5, 0.078837461800968219),
+]
+
+
 class TestRadialPrimitives:
     def test_ball_cdf_against_sampling(self):
         rng = np.random.default_rng(3)
@@ -79,9 +110,37 @@ class TestRadialPrimitives:
         assert radial_ball_cdf(1.0, 0.5, 1e-10, 3) == 1.0
         assert radial_ball_cdf(1.0, 1.5, 0.0, 3) == 0.0
         assert radial_ball_cdf(1.5, 1.5, 0.0, 3) == 1.0
-        # extreme noncentrality goes through the normal branch smoothly
-        val = radial_ball_cdf(1.0, 1.0 + 1e-5, 1e-12, 3)
-        assert 0.0 <= val <= 1.0
+        # noncentrality 1e12: d = 3 uses its closed form, d = 5 the normal
+        # approximation; both stay inside [0, 1]
+        for d in (3, 5):
+            assert 0.0 <= radial_ball_cdf(1.0, 1.0 + 1e-5, 1e-12, d) <= 1.0
+
+    @pytest.mark.parametrize("r, b, var, d, ref", _BALL_CDF_REFS,
+                             ids=[f"d{d}-a{r / math.sqrt(var):.3g}-mu{b / math.sqrt(var):.3g}"
+                                  for r, b, var, d, _ in _BALL_CDF_REFS])
+    def test_ball_cdf_reference_values(self, r, b, var, d, ref):
+        assert float(radial_ball_cdf(r, b, var, d)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_ball_cdf_normal_branch_d5(self):
+        # noncentrality 2.5e7 > 1e7: a mean-corrected normal approximation
+        ref = 0.84124792873644028  # mpmath, 60 digits
+        assert float(radial_ball_cdf(5000.0, 4999.0, 1.0, 5)) == pytest.approx(ref, rel=1e-7)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(b=st.floats(0.0, 20.0), log_var=st.floats(-3.0, 2.0),
+           r1=st.floats(0.0, 30.0), r2=st.floats(0.0, 30.0))
+    def test_ball_cdf_d3_properties(self, b, log_var, r1, r2):
+        # in [0, 1], nondecreasing in r (to rounding), and its increments
+        # are the integrals of the radial density
+        var = 10.0**log_var
+        r1, r2 = min(r1, r2), max(r1, r2)
+        f1, f2 = (float(radial_ball_cdf(r, b, var, 3)) for r in (r1, r2))
+        assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
+        assert f2 >= f1 - 1e-15
+        inner = [p for p in (b - 3.0 * math.sqrt(var), b, b + 3.0 * math.sqrt(var)) if r1 < p < r2]
+        mass, _ = integrate.quad(quadrature._radial_norm_pdf, r1, r2, args=(b, var, 3),
+                                 points=inner or None, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert f2 - f1 == pytest.approx(mass, abs=1e-10)
 
     def test_expectation_interpolates_profile(self):
         # vanishing variance recovers the raw profile

@@ -66,6 +66,16 @@ BLOCH = {
     "bloch_points": [{"x": ZERO, "y": [0.5, 0.0, 0.0], "t": 1.0},
                      {"x": [-0.5, 0.0, 0.0], "y": [0.5, 0.0, 0.0], "t": 2.0}],
 }
+# a 4 x 4 x 4 table around 0, read on cell faces too: the start 0 of the
+# first bridge lies on three of them
+TABLE = {"kind": "tabulated", "origin": [-0.8, -0.8, -0.8], "spacing": 0.4,
+         "values": [[[((i + 2 * j + 3 * k) % 5) / 4.0 for k in range(4)]
+                     for j in range(4)] for i in range(4)]}
+BLOCH_TAB = {
+    "dimension": 3, "potential": TABLE, "n_paths": 9000, "seed": 19,
+    "bloch_points": [{"x": ZERO, "y": [0.3, -0.2, 0.1], "t": 0.5},
+                     {"x": [-0.5, 0.4, 0.0], "y": [0.5, -0.4, 0.2], "t": 1.0}],
+}
 
 # (name, command, config, extra flags, expected exit code)
 RUNS = [
@@ -96,6 +106,8 @@ RUNS = [
       "n_paths": 1500, "free_horizon": 50.0, "seed": 3}, [], 0),
     ("bloch_w1", "bloch", BLOCH, ["--workers", "1"], 0),
     ("bloch_w2", "bloch", BLOCH, ["--workers", "2"], 0),
+    ("bloch_tab_w1", "bloch", BLOCH_TAB, ["--workers", "1"], 0),
+    ("bloch_tab_w2", "bloch", BLOCH_TAB, ["--workers", "2"], 0),
     ("free_w1", "sample", FREE_SKIPPING, ["--workers", "1"], 0),
     ("free_w2", "sample", FREE_SKIPPING, ["--workers", "2"], 0),
     ("moments_step_collinear", "moments",
@@ -121,11 +133,13 @@ RUNS = [
     ("grid_u_rejected", "mgf",
      dict(FREE, n_paths=2000, alphas=[0.5], grid={"h_fine": 0.05, "u": 3.0}), [], 2),
     ("h_fine_zero", "moments", dict(README_MOMENTS, grid={"h_fine": 0.0}), [], 2),
+    ("tabulated_empty_rejected", "moments",
+     dict(README_MOMENTS, potential=dict(TABLE, values=[[[]]])), [], 2),
 ]
 
 
 # runs whose outputs must hash the same, file by file
-TWINS = [("bloch_w1", "bloch_w2"), ("free_w1", "free_w2")]
+TWINS = [("bloch_w1", "bloch_w2"), ("bloch_tab_w1", "bloch_tab_w2"), ("free_w1", "free_w2")]
 
 
 def _sha256(path: Path) -> str:

@@ -112,9 +112,13 @@ class Potential:
 
     Radial kinds (ball_indicator, radial_step) are piecewise constant in
     the distance from the center: heights[i] on (breakpoints[i-1],
-    breakpoints[i]].  Tabulated potentials use nearest-neighbor lookup on a
-    regular grid; measurability is all that is assumed, so no smoothing is
-    applied.
+    breakpoints[i]].  Tabulated potentials are piecewise constant on the
+    half-open cells [origin + i h, origin + (i + 1) h) of a regular grid of
+    spacing h, so the table's upper faces lie outside it; measurability is
+    all that is assumed, so no smoothing is applied.  NaN and infinite
+    points evaluate to 0.  The table is padded with one zero cell on every
+    side and flattened once, when the potential is built, and each call
+    reads every point's value with one gather from it.
     """
 
     def __init__(self, dim, kind, center, sup_bound, support_radius, *,
@@ -136,6 +140,13 @@ class Potential:
         self.values = None if values is None else np.asarray(values, float)
         if self.sup_bound < 0 or self.support_radius < 0:
             raise ValueError("sup bound and support radius must be nonnegative")
+        if kind == "tabulated":
+            # one zero cell on every side, so every point reads one entry of
+            # the flat table: the cell it lies in, or a zero pad cell
+            padded = np.pad(self.values, 1)
+            self._flat = padded.ravel()
+            self._shape = np.asarray(self.values.shape, dtype=float)
+            self._strides = np.asarray(padded.strides, dtype=float) / padded.itemsize
 
     # -- constructors --------------------------------------------------
 
@@ -163,10 +174,20 @@ class Potential:
 
     @classmethod
     def tabulated(cls, dim, origin, spacing, values):
-        """Nearest-neighbor table on a regular grid anchored at ``origin``."""
+        """Piecewise-constant table on a regular grid anchored at ``origin``.
+
+        ``values[i_1, ..., i_d]`` is the value on the half-open cell
+        [origin + i h, origin + (i + 1) h) with h = ``spacing``; points on
+        or beyond the upper faces, and NaN or infinite points, read 0.
+        ``values`` needs at least one cell on every axis.  The zero-padded
+        flat table that evaluation reads is built here, once.
+        """
         values = np.asarray(values, dtype=float)
         if values.ndim != dim:
             raise ValueError(f"values must be a {dim}-dimensional array")
+        if values.size == 0:
+            raise ValueError(f"values must have at least one cell on every axis, "
+                             f"got shape {values.shape}")
         spacing = float(spacing)
         if spacing <= 0:
             raise ValueError("grid spacing must be positive")
@@ -174,7 +195,7 @@ class Potential:
         extent = spacing * np.asarray(values.shape, dtype=float)
         center = origin + extent / 2.0
         radius = 0.5 * float(np.linalg.norm(extent)) + spacing / 2.0
-        return cls(dim, "tabulated", center, float(np.max(np.abs(values))) if values.size else 0.0,
+        return cls(dim, "tabulated", center, float(np.max(np.abs(values))),
                    radius, origin=origin, spacing=spacing, values=values)
 
     # -- evaluation ----------------------------------------------------
@@ -214,11 +235,22 @@ class Potential:
         if self.is_radial:
             out = self.profile(_row_norms(pts, self.center))
         else:
-            rel = (pts - self.origin) / self.spacing
-            idx = np.floor(rel).astype(int)
-            inside = np.all((idx >= 0) & (idx < np.asarray(self.values.shape)), axis=-1)
-            idx = np.clip(idx, 0, np.asarray(self.values.shape) - 1)
-            out = np.where(inside, self.values[tuple(idx.T)], 0.0)
+            # cell index per axis, clamped to the pad cells -1 and n_i; fmin
+            # and fmax send NaN to the pad and never cast a non-finite value
+            flat = None
+            for i in range(self.dim):
+                c = pts[..., i] - self.origin[i]
+                c /= self.spacing
+                np.floor(c, out=c)
+                np.fmin(c, self._shape[i], out=c)
+                np.fmax(c, -1.0, out=c)
+                c += 1.0
+                c *= self._strides[i]
+                if flat is None:
+                    flat = c
+                else:
+                    flat += c
+            out = self._flat[flat.astype(np.intp)]
         out = np.asarray(out, dtype=float)
         return float(out[0]) if squeeze else out
 

@@ -252,6 +252,17 @@ class TestValueTypes:
         assert all(type(n) is int for n in (cfg.n_paths, cfg.seed, *cfg.budgets(), *cfg.k_list))
 
 
+class TestTabulatedInput:
+    @pytest.mark.parametrize("command", sorted(_MINIMAL))
+    def test_empty_table_rejected(self, tmp_path, capsys, command):
+        pot = {"kind": "tabulated", "origin": [0.0, 0.0, 0.0], "spacing": 0.5,
+               "values": [[[]]]}
+        path = write_config(tmp_path, dict(_MINIMAL[command], potential=pot))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "at least one cell on every axis" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*_summary.json"))
+
+
 _FREE_MOMENTS = {k: v for k, v in base_bridge_config(n_paths=20).items()
                  if k not in ("y", "t")}
 _OUT_OF_RANGE_ORDERS = [

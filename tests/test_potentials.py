@@ -6,9 +6,12 @@ implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeint.potentials import (
     BoundsReport,
@@ -101,6 +104,74 @@ class TestPotentialKinds:
             Potential.radial_step(3, [1.0, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
             Potential.tabulated(3, [0, 0, 0], 0.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 0), (0, 2, 2), (2, 0, 3)])
+    def test_empty_table_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one cell on every axis"):
+            Potential.tabulated(3, [0, 0, 0], 0.5, np.zeros(shape))
+
+
+def reference_lookup(v, z):
+    """The cell rule of the tabulated kind, index by index: floor, inside test, clip.
+
+    Valid for finite points whose cell index fits an int64.
+    """
+    pts = np.atleast_2d(np.asarray(z, dtype=float))
+    idx = np.floor((pts - v.origin) / v.spacing).astype(np.int64)
+    shape = np.asarray(v.values.shape)
+    inside = np.all((idx >= 0) & (idx < shape), axis=-1)
+    idx = np.clip(idx, 0, shape - 1)
+    return np.where(inside, v.values[tuple(idx.T)], 0.0)
+
+
+@st.composite
+def _tables(draw):
+    d = draw(st.integers(3, 5))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=d, max_size=d)))
+    origin = draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))
+    spacing = draw(st.floats(1e-3, 3.0))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = gen.uniform(-2.0, 2.0, shape)
+    v = Potential.tabulated(d, origin, spacing, values)
+    n = np.asarray(shape)
+    inside = v.origin + spacing * n * gen.uniform(0.0, 1.0, (300, d))
+    far = v.origin + spacing * gen.uniform(-1e6, 1e6, (100, d))
+    # exactly on cell faces, the lower and upper table faces and beyond included
+    faces = v.origin + spacing * gen.integers(-2, n + 3, (300, d))
+    mixed = np.where(gen.uniform(size=(300, d)) < 0.5, faces, inside)
+    return v, np.concatenate((inside, far, faces, mixed))
+
+
+class TestTabulatedLookup:
+    """The flat padded-table gather reads the same cell as the index-by-index rule."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=_tables(), factor=st.floats(-3.0, 3.0), lam=st.floats(0.1, 10.0),
+           shift=st.floats(-4.0, 4.0))
+    def test_matches_reference(self, case, factor, lam, shift):
+        v, pts = case
+        delta = np.full(v.dim, shift)
+        for w in (v, v.with_height_factor(factor), v.dilated(lam), v.shifted(delta)):
+            assert np.array_equal(w(pts), reference_lookup(w, pts))
+            one = w(pts[-1])
+            assert type(one) is float
+            assert one == reference_lookup(w, pts[-1])[0]
+
+    def test_non_finite_far_and_upper_face_read_zero(self):
+        vals = np.arange(1.0, 9.0).reshape(2, 2, 2)
+        v = Potential.tabulated(3, [0.0, 0.0, 0.0], 0.5, vals)
+        nan, inf = float("nan"), float("inf")
+        pts = np.array([[nan, 0.5, 0.5], [inf, 0.5, 0.5], [-inf, 0.5, 0.5],
+                        [0.5, 0.5, nan], [1e300, 0.5, 0.5], [-1e300, 0.5, 0.5],
+                        [1.0, 0.5, 0.5], [0.5, 0.5, 1.0], [nan, nan, nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = v(pts)
+            assert [v(p) for p in pts] == [0.0] * len(pts)
+        assert np.array_equal(out, np.zeros(len(pts)))
+        # the lower face is inside, the upper face of the last cell is not
+        assert v(np.array([0.0, 0.0, 0.0])) == 1.0
+        assert v(np.array([np.nextafter(1.0, 0.0)] * 3)) == 8.0
 
 
 class TestGreenPotential:

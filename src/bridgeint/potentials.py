@@ -118,7 +118,9 @@ class Potential:
     all that is assumed, so no smoothing is applied.  NaN and infinite
     points evaluate to 0.  The table is padded with one zero cell on every
     side and flattened once, when the potential is built, and each call
-    reads every point's value with one gather from it.
+    reads every point's value with one gather from it.  ``values`` is a
+    view of the padded table's interior, so the table is stored once, in C
+    order whatever the layout it was given in.
     """
 
     def __init__(self, dim, kind, center, sup_bound, support_radius, *,
@@ -142,9 +144,14 @@ class Potential:
             raise ValueError("sup bound and support radius must be nonnegative")
         if kind == "tabulated":
             # one zero cell on every side, so every point reads one entry of
-            # the flat table: the cell it lies in, or a zero pad cell
-            padded = np.pad(self.values, 1)
-            self._flat = padded.ravel()
+            # the flat table: the cell it lies in, or a zero pad cell.  The
+            # strides are those of this C-ordered array, whatever the layout
+            # of ``values``, which becomes a view of its interior.
+            padded = np.zeros(tuple(n + 2 for n in self.values.shape))
+            interior = (slice(1, -1),) * padded.ndim
+            padded[interior] = self.values
+            self.values = padded[interior]
+            self._flat = padded.reshape(-1)
             self._shape = np.asarray(self.values.shape, dtype=float)
             self._strides = np.asarray(padded.strides, dtype=float) / padded.itemsize
 

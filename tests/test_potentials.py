@@ -111,35 +111,38 @@ class TestPotentialKinds:
             Potential.tabulated(3, [0, 0, 0], 0.5, np.zeros(shape))
 
 
-def reference_lookup(v, z):
+def reference_lookup(origin, spacing, table, z):
     """The cell rule of the tabulated kind, index by index: floor, inside test, clip.
 
-    Valid for finite points whose cell index fits an int64.
+    Reads ``table`` itself, not the potential's copy of it.  Valid for
+    finite points whose cell index fits an int64.
     """
     pts = np.atleast_2d(np.asarray(z, dtype=float))
-    idx = np.floor((pts - v.origin) / v.spacing).astype(np.int64)
-    shape = np.asarray(v.values.shape)
+    idx = np.floor((pts - origin) / spacing).astype(np.int64)
+    shape = np.asarray(table.shape)
     inside = np.all((idx >= 0) & (idx < shape), axis=-1)
     idx = np.clip(idx, 0, shape - 1)
-    return np.where(inside, v.values[tuple(idx.T)], 0.0)
+    return np.where(inside, table[tuple(idx.T)], 0.0)
 
 
 @st.composite
 def _tables(draw):
     d = draw(st.integers(3, 5))
     shape = tuple(draw(st.lists(st.integers(1, 7), min_size=d, max_size=d)))
-    origin = draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))
+    origin = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
     spacing = draw(st.floats(1e-3, 3.0))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = gen.uniform(-2.0, 2.0, shape)
-    v = Potential.tabulated(d, origin, spacing, values)
+    # the same cells in three memory layouts: C order, Fortran order, and
+    # the transposed view of a table drawn with the axes reversed
+    tables = [values, np.asfortranarray(values), gen.uniform(-2.0, 2.0, shape[::-1]).T]
     n = np.asarray(shape)
-    inside = v.origin + spacing * n * gen.uniform(0.0, 1.0, (300, d))
-    far = v.origin + spacing * gen.uniform(-1e6, 1e6, (100, d))
+    inside = origin + spacing * n * gen.uniform(0.0, 1.0, (300, d))
+    far = origin + spacing * gen.uniform(-1e6, 1e6, (100, d))
     # exactly on cell faces, the lower and upper table faces and beyond included
-    faces = v.origin + spacing * gen.integers(-2, n + 3, (300, d))
+    faces = origin + spacing * gen.integers(-2, n + 3, (300, d))
     mixed = np.where(gen.uniform(size=(300, d)) < 0.5, faces, inside)
-    return v, np.concatenate((inside, far, faces, mixed))
+    return origin, spacing, tables, np.concatenate((inside, far, faces, mixed))
 
 
 class TestTabulatedLookup:
@@ -149,13 +152,29 @@ class TestTabulatedLookup:
     @given(case=_tables(), factor=st.floats(-3.0, 3.0), lam=st.floats(0.1, 10.0),
            shift=st.floats(-4.0, 4.0))
     def test_matches_reference(self, case, factor, lam, shift):
-        v, pts = case
-        delta = np.full(v.dim, shift)
-        for w in (v, v.with_height_factor(factor), v.dilated(lam), v.shifted(delta)):
-            assert np.array_equal(w(pts), reference_lookup(w, pts))
-            one = w(pts[-1])
-            assert type(one) is float
-            assert one == reference_lookup(w, pts[-1])[0]
+        origin, h, tables, pts = case
+        d = len(origin)
+        delta = np.full(d, shift)
+        for table in tables:
+            v = Potential.tabulated(d, origin, h, table)
+            assert np.array_equal(v.values, table)
+            copies = [(v, origin, h, table),
+                      (v.with_height_factor(factor), origin, h, factor * table),
+                      (v.dilated(lam), lam * origin, lam * h, table),
+                      (v.shifted(delta), origin + delta, h, table)]
+            for w, o, s, t in copies:
+                ref = reference_lookup(o, s, t, pts)
+                assert np.array_equal(w(pts), ref)
+                one = w(pts[-1])
+                assert type(one) is float
+                assert one == ref[-1]
+
+    def test_table_stored_once(self):
+        vals = np.asfortranarray(np.arange(1.0, 25.0).reshape(2, 3, 4))
+        v = Potential.tabulated(3, [0.0, 0.0, 0.0], 1.0, vals)
+        assert np.array_equal(v.values, vals)
+        assert np.shares_memory(v.values, v._flat)
+        assert v(np.array([1.5, 2.5, 3.5])) == vals[1, 2, 3]
 
     def test_non_finite_far_and_upper_face_read_zero(self):
         vals = np.arange(1.0, 9.0).reshape(2, 2, 2)

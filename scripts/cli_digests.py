@@ -135,6 +135,16 @@ RUNS = [
     ("h_fine_zero", "moments", dict(README_MOMENTS, grid={"h_fine": 0.0}), [], 2),
     ("tabulated_empty_rejected", "moments",
      dict(README_MOMENTS, potential=dict(TABLE, values=[[[]]])), [], 2),
+    # a key the run would not read is a config error: a bridge has no
+    # truncation horizon, n_paths_by_horizon sets every budget, and a
+    # sweep without alphas draws no mgf reference
+    ("bridge_free_horizon_rejected", "moments",
+     dict(README_MOMENTS, free_horizon=50.0), [], 2),
+    ("sweep_both_budgets_rejected", "theorem1",
+     dict(README_THEOREM1, n_paths=300), [], 2),
+    ("sweep_no_alphas_target_rejected", "theorem1",
+     dict({k: v for k, v in README_THEOREM1.items() if k != "target_free_horizon"},
+          alphas=[]), [], 2),
 ]
 
 

@@ -20,7 +20,7 @@ from .gaussian import (
     density_ratio,
     jensen_lower_bound,
 )
-from .potentials import Potential, BoundsReport, k1_bound, alpha1_divergence_probe
+from .potentials import Potential, BoundsReport, k1_bound
 from .path_sim import (
     TimeGrid,
     bridge_integral_batch,
@@ -32,7 +32,7 @@ from .estimators import (
     EstimatorConfig,
     mc_moment,
     mc_mgf,
-    reaction_probability,
+    alpha1_divergence_probe,
     bloch_green,
 )
 from .quadrature import (
@@ -74,7 +74,6 @@ __all__ = [
     "EstimatorConfig",
     "mc_moment",
     "mc_mgf",
-    "reaction_probability",
     "bloch_green",
     "QuadConfig",
     "moment_free",

@@ -29,9 +29,15 @@ from .convergence import (
 )
 # estimators._collect is looked up at call time, so a wrapper on it sees every pass
 from . import estimators
-from .estimators import EstimatorConfig, McEstimate, mc_mgf, tail_corrected
+from .estimators import (
+    EstimatorConfig,
+    McEstimate,
+    alpha1_divergence_probe,
+    mc_mgf,
+    tail_corrected,
+)
 from .gaussian import transition_density
-from .potentials import alpha1_divergence_probe, k1_bound
+from .potentials import k1_bound
 from .quadrature import QuadConfig, moment_bridge, moment_free, moment_two_sided
 
 EXIT_OK = 0

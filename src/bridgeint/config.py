@@ -53,6 +53,12 @@ _COMMAND_KEYS = {
     "bloch": {"bloch_points", "n_paths"} | _GRID,
 }
 
+_UNREAD_BY_KIND = {
+    "bridge": ("free_horizon", "tail_correction"),
+    "free": ("t", "y"),
+    "two_sided": ("t",),
+}
+
 _ENDPOINT_KEYS = {"kind", "scale"}
 
 
@@ -245,6 +251,12 @@ class ExperimentConfig:
                          "bridge statistics need endpoints x, y and horizon t")
             if self.statistic_kind == "two_sided":
                 _require(self.y is not None, "two_sided statistics need both endpoints")
+            # a bridge has an exact horizon t and no truncated tail; a free
+            # leg starts at x only and runs to free_horizon
+            for key in _UNREAD_BY_KIND[self.statistic_kind]:
+                _require(self.raw.get(key) is None,
+                         f"{c} with statistic_kind {self.statistic_kind} "
+                         f"does not read {key!r}")
         # every run reports a statistic; a sweep without alphas picks its own
         if c == "mgf":
             _require(self.alphas, "mgf needs a non-empty alphas grid")
@@ -254,6 +266,14 @@ class ExperimentConfig:
             moment_rows = self.k_list if c != "lemma4" or self.part == "a" else []
             _require(moment_rows or self.alphas != [],
                      f"{c} needs at least one statistic: a k_list order or an alpha")
+            _require(self.raw.get("n_paths") is None or self.n_paths_by_horizon is None,
+                     f"{c} does not read 'n_paths' beside n_paths_by_horizon, "
+                     "which sets every horizon's budget")
+            if self.alphas == []:
+                for key in ("target_n_paths", "target_free_horizon"):
+                    _require(self.raw.get(key) is None,
+                             f"{c} does not read {key!r} without alphas: it "
+                             "draws no mgf reference")
         if c in ("moments", "theorem1", "theorem2", "lemma4"):
             # the oracles stop at k = 2, except the k = 3 bridge tensor rule;
             # a free k = 3 sample would need the finite-horizon k = 3 moment

@@ -36,13 +36,6 @@ __all__ = [
     "scaling_restatement",
 ]
 
-_U_RULES = {
-    "sqrt": lambda t: math.sqrt(t),
-    "cbrt": lambda t: t ** (1.0 / 3.0),
-    "log": lambda t: math.log(1.0 + t),
-}
-
-
 @dataclass(frozen=True)
 class EndpointRule:
     """How an escaping terminal endpoint grows with the horizon.
@@ -291,6 +284,8 @@ def _one_sided_stats(prefix: str, x, alphas, plan: SweepPlan, v: Potential,
     qcfg = QuadConfig()
     stats = _moment_stats(f"{prefix}_moment", plan.k_list,
                           lambda k: moment_free(x, math.inf, v, k, qcfg), v, qcfg)
+    if not alphas:  # no mgf rows, so no reference leg to draw
+        return stats
     ref = _one_sided_mgf_reference(v, x, alphas, plan, channel=channel)
     return stats + [_Stat(f"{prefix}_mgf", _fmt(a), alpha=a, target=ref[a].mean,
                           target_error=ref[a].std_error) for a in alphas]
@@ -334,13 +329,14 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
 
     stats = _moment_stats("bridge_moment", plan.k_list,
                           lambda k: moment_two_sided(x, y, v, k, qcfg), v, qcfg)
-    mgf_x = _one_sided_mgf_reference(v, x, alphas, plan, channel=101)
-    mgf_y = _one_sided_mgf_reference(v, y, alphas, plan, channel=102)
-    for a in alphas:
-        ex, ey = mgf_x[a], mgf_y[a]
-        stats.append(_Stat("bridge_mgf", _fmt(a), alpha=a, target=ex.mean * ey.mean,
-                           target_error=abs(ex.mean) * ey.std_error
-                           + abs(ey.mean) * ex.std_error))
+    if alphas:  # no mgf rows, so no reference legs to draw
+        mgf_x = _one_sided_mgf_reference(v, x, alphas, plan, channel=101)
+        mgf_y = _one_sided_mgf_reference(v, y, alphas, plan, channel=102)
+        for a in alphas:
+            ex, ey = mgf_x[a], mgf_y[a]
+            stats.append(_Stat("bridge_mgf", _fmt(a), alpha=a, target=ex.mean * ey.mean,
+                               target_error=abs(ex.mean) * ey.std_error
+                               + abs(ey.mean) * ex.std_error))
     legs = [("bridge", _sampler(plan, v, 10 + i, x=x, y=y, t=t))
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
@@ -385,19 +381,17 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     return _sweep(plan, legs, stats, meta)
 
 
-def density_ratio_sweep(x, y, horizons, v: Potential, *, u_rule: str = "sqrt",
-                        probe_points=None, endpoint_rule: EndpointRule | None = None,
-                        ) -> ConvergenceReport:
+def density_ratio_sweep(x, y, horizons, v: Potential, *, probe_points=None,
+                        endpoint_rule: EndpointRule | None = None) -> ConvergenceReport:
     """Worst-case deviation of the bridge/free density ratio from 1 per horizon.
 
-    Probes use interior times straddling the bulk, s_j < u(t) < t - u(t) <
-    s_{j+1}, with space points inside the support.  With fixed endpoints the
-    deviation must shrink along the horizon grid; with a sqrt-growth
-    endpoint the ratio stays inside fixed positive bounds instead.
+    Probes use interior times straddling the bulk, s_j < u < t - u < s_{j+1}
+    with u = sqrt(t), and space points inside the support.  With fixed
+    endpoints the deviation must shrink along the horizon grid; with a
+    sqrt-growth endpoint the ratio stays inside fixed positive bounds instead.
     """
     d = v.dim
     x = np.asarray(x, dtype=float).reshape(d)
-    u_fn = _U_RULES[u_rule]
     if probe_points is None:
         probes = [v.center.copy()]
         if v.support_radius > 0:
@@ -409,13 +403,12 @@ def density_ratio_sweep(x, y, horizons, v: Potential, *, u_rule: str = "sqrt",
         probe_points = probes
     probe_points = [np.asarray(p, dtype=float).reshape(d) for p in probe_points]
 
-    report = ConvergenceReport(meta={"u_rule": u_rule,
-                                     "horizons": [float(t) for t in horizons]})
+    report = ConvergenceReport(meta={"horizons": [float(t) for t in horizons]})
     max_rows = []
     bound_lo, bound_hi = math.inf, 0.0
     for t in horizons:
         t = float(t)
-        u = u_fn(t)
+        u = math.sqrt(t)
         if 2.0 * u >= t:
             raise ValueError(f"u(t) must satisfy u < t/2; got u={u} at t={t}")
         y_t = np.asarray(y, dtype=float).reshape(d) if endpoint_rule is None \

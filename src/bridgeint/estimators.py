@@ -1,4 +1,4 @@
-"""Monte Carlo estimators for moments, mgfs and survival probabilities.
+"""Monte Carlo estimators for moments, mgfs and the Bloch kernel value.
 
 Samples are drawn in fixed-size batches, each batch on its own
 counter-based stream, so estimates are bitwise reproducible for a given
@@ -42,12 +42,11 @@ from .potentials import (
 __all__ = [
     "McEstimate",
     "MgfCurve",
-    "ReactionEstimate",
     "EstimatorConfig",
     "tail_corrected",
     "mc_moment",
     "mc_mgf",
-    "reaction_probability",
+    "alpha1_divergence_probe",
     "bloch_green",
 ]
 
@@ -103,13 +102,25 @@ class MgfCurve:
     estimates: list
     unstable: np.ndarray
 
+    @property
+    def bracket(self) -> tuple:
+        """(largest stable alpha, smallest unstable alpha), None for a side never reached.
 
-@dataclass(frozen=True)
-class ReactionEstimate:
-    """Survival probability E exp(-Z) and its complement."""
+        On an increasing grid this brackets the empirical blow-up; it is a
+        heavy-tail diagnostic, not the true divergence threshold.
+        """
+        stable = self.alphas[~self.unstable]
+        unstable = self.alphas[self.unstable]
+        return (float(stable.max()) if stable.size else None,
+                float(unstable.min()) if unstable.size else None)
 
-    survival: McEstimate
-    reaction: McEstimate
+    def as_dict(self):
+        return {
+            "alphas": [float(a) for a in self.alphas],
+            "estimates": [e.as_dict() for e in self.estimates],
+            "unstable": [bool(f) for f in self.unstable],
+            "bracket": list(self.bracket),
+        }
 
 
 @dataclass
@@ -310,22 +321,23 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     return MgfCurve(alphas, estimates, unstable)
 
 
-def reaction_probability(kind: str, n: int, cfg: EstimatorConfig) -> ReactionEstimate:
-    """Survival probability E exp(-Z) and the complementary probability.
+def alpha1_divergence_probe(v: Potential, alphas, budget: int, *,
+                            x=None, horizon=None, seed: int = 0,
+                            workers: int = 1) -> MgfCurve:
+    """Scan the one-sided mgf over an increasing alpha grid for heavy-tail instability.
 
-    Requires v >= 0 so that exp(-Z) is a probability pathwise.  Both
-    readings of the underlying display are reported; survival is the
-    mathematically consistent one for a killing rate v.
+    Requires v >= 0.  The free mgf curve from x (default: the support
+    centre) is flagged as in ``mc_mgf``; its ``bracket`` locates the
+    empirical blow-up.
     """
-    if not cfg.potential.is_nonnegative:
-        raise ValueError("reaction probabilities need a nonnegative rate potential")
-    if n < 2:
-        raise ValueError("at least 2 samples are required")
-    values = tail_corrected(*_collect(kind, n, cfg))
-    surv = McEstimate.from_samples(np.exp(-values))
-    react = McEstimate(mean=1.0 - surv.mean, std_error=surv.std_error,
-                       n=surv.n, max_sample_share=surv.max_sample_share)
-    return ReactionEstimate(survival=surv, reaction=react)
+    if not v.is_nonnegative:
+        raise ValueError("the divergence probe requires a nonnegative potential")
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size and np.any(np.diff(alphas) <= 0):
+        raise ValueError("alpha grid must be strictly increasing")
+    cfg = EstimatorConfig(potential=v, x=v.center if x is None else x,
+                          free_horizon=horizon, seed=seed, workers=workers)
+    return mc_mgf("free", alphas, budget, cfg)
 
 
 def bloch_green(x, y, t: float, n: int, cfg: EstimatorConfig) -> McEstimate:
@@ -337,6 +349,6 @@ def bloch_green(x, y, t: float, n: int, cfg: EstimatorConfig) -> McEstimate:
     cfg = replace(cfg, x=x, y=y, t=t)
     kernel = transition_density(t, cfg.y - cfg.x)
     values, _ = _collect("bridge", n, cfg)
-    est = McEstimate.from_samples(np.exp(-values))
+    est = _mgf_estimate(values, -1.0)
     return McEstimate(mean=kernel * est.mean, std_error=kernel * est.std_error,
                       n=est.n, max_sample_share=est.max_sample_share)

@@ -21,14 +21,12 @@ from scipy import special
 __all__ = [
     "Potential",
     "BoundsReport",
-    "DivergenceProbe",
     "green_constant",
     "sphere_area",
     "ball_green_integral",
     "green_potential",
     "green_potential_radial",
     "k1_bound",
-    "alpha1_divergence_probe",
 ]
 
 _RADIAL_KINDS = ("ball_indicator", "radial_step")
@@ -425,56 +423,3 @@ def k1_bound(v: Potential, probe_points=None) -> BoundsReport:
     if k1 == 0.0:
         return BoundsReport(k1=0.0, alpha0=None, degenerate=True, probe_count=len(probes))
     return BoundsReport(k1=k1, alpha0=1.0 / k1, degenerate=False, probe_count=len(probes))
-
-
-@dataclass
-class DivergenceProbe:
-    """Empirical mgf stability scan over an increasing alpha grid.
-
-    ``bracket`` holds (largest stable alpha, smallest unstable alpha); one
-    side may be None when the scan never transitions.  This is a heavy-tail
-    diagnostic, not a computation of the true blow-up threshold.
-    """
-
-    alphas: np.ndarray
-    estimates: list
-    unstable: np.ndarray
-    bracket: tuple
-
-    def as_dict(self):
-        return {
-            "alphas": [float(a) for a in self.alphas],
-            "estimates": [e.as_dict() for e in self.estimates],
-            "unstable": [bool(f) for f in self.unstable],
-            "bracket": [None if b is None else float(b) for b in self.bracket],
-        }
-
-
-def alpha1_divergence_probe(v: Potential, alphas, budget: int, *,
-                            x=None, horizon=None, seed: int = 0,
-                            workers: int = 1) -> DivergenceProbe:
-    """Scan the one-sided mgf over alphas and flag heavy-tail instability.
-
-    Requires v >= 0.  An estimate is flagged unstable when a single sample
-    contributes more than half of the total mass, the empirical signature
-    of an mgf that no longer concentrates.
-    """
-    if not v.is_nonnegative:
-        raise ValueError("the divergence probe requires a nonnegative potential")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size and np.any(np.diff(alphas) <= 0):
-        raise ValueError("alpha grid must be strictly increasing")
-    from .estimators import EstimatorConfig, mc_mgf
-
-    cfg = EstimatorConfig(potential=v, x=v.center if x is None else x,
-                          free_horizon=horizon, seed=seed, workers=workers)
-    curve = mc_mgf("free", alphas, budget, cfg)
-    unstable = np.asarray(curve.unstable, dtype=bool)
-    stable_alphas = alphas[~unstable]
-    unstable_alphas = alphas[unstable]
-    bracket = (
-        float(stable_alphas.max()) if stable_alphas.size else None,
-        float(unstable_alphas.min()) if unstable_alphas.size else None,
-    )
-    return DivergenceProbe(alphas=alphas, estimates=curve.estimates,
-                           unstable=unstable, bracket=bracket)

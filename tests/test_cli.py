@@ -246,10 +246,15 @@ class TestValueTypes:
             load_config(dict(_MINIMAL["moments"], potential=pot), "moments")
 
     def test_integral_floats_accepted(self):
+        # n_paths and n_paths_by_horizon are never read together, so one config each
         cfg = load_config(dict(_MINIMAL["theorem1"], n_paths=20.0, seed=3.0,
-                               n_paths_by_horizon=[20.0, 40], k_list=[1.0]), "theorem1")
-        assert (cfg.n_paths, cfg.seed, cfg.budgets(), cfg.k_list) == (20, 3, [20, 40], [1])
-        assert all(type(n) is int for n in (cfg.n_paths, cfg.seed, *cfg.budgets(), *cfg.k_list))
+                               k_list=[1.0]), "theorem1")
+        assert (cfg.n_paths, cfg.seed, cfg.budgets(), cfg.k_list) == (20, 3, 20, [1])
+        assert all(type(n) is int for n in (cfg.n_paths, cfg.seed, cfg.budgets(), *cfg.k_list))
+        by_horizon = {k: v for k, v in _MINIMAL["theorem1"].items() if k != "n_paths"}
+        cfg = load_config(dict(by_horizon, n_paths_by_horizon=[20.0, 40]), "theorem1")
+        assert cfg.budgets() == [20, 40]
+        assert all(type(n) is int for n in cfg.budgets())
 
 
 class TestTabulatedInput:
@@ -290,6 +295,28 @@ class TestMomentOrders:
         assert cfg.k_list == [1, 2, 3]
 
 
+# valid configs that do not read the key each case below adds to them
+_UNREAD_BASES = {
+    "bridge": _MINIMAL["moments"],
+    "free": dict(_FREE_MOMENTS, statistic_kind="free"),
+    "two_sided": dict(_FREE_MOMENTS, statistic_kind="two_sided", y=[0.5, 0.0, 0.0]),
+    "by_horizon": dict({k: v for k, v in _MINIMAL["theorem1"].items() if k != "n_paths"},
+                       n_paths_by_horizon=[20, 20]),
+    "no_alphas": dict({k: v for k, v in _MINIMAL["theorem1"].items()
+                       if k not in ("target_n_paths", "target_free_horizon")}, alphas=[]),
+}
+_UNREAD_KEYS = [
+    ("moments", "bridge", "free_horizon", 7.0),
+    ("moments", "bridge", "tail_correction", False),
+    ("moments", "free", "t", 99.0),
+    ("moments", "free", "y", [5.0, 0.0, 0.0]),
+    ("moments", "two_sided", "t", 99.0),
+    ("theorem1", "by_horizon", "n_paths", 999),
+    ("theorem1", "no_alphas", "target_n_paths", 20),
+    ("theorem1", "no_alphas", "target_free_horizon", 8.0),
+]
+
+
 class TestKeysReadOnlyInSomeModes:
     def test_lemma4_part_b_rejects_x(self, tmp_path, capsys):
         cfg = dict(_MINIMAL["lemma4"], part="b",
@@ -305,6 +332,15 @@ class TestKeysReadOnlyInSomeModes:
         path = write_config(tmp_path, dict(_PART_B, **{key: value}))
         assert main(["lemma4", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, base, key, value", _UNREAD_KEYS,
+                             ids=[f"{c}-{k}-{key}" for c, k, key, _ in _UNREAD_KEYS])
+    def test_unread_key_rejected(self, tmp_path, capsys, command, base, key, value):
+        load_config(_UNREAD_BASES[base], command)  # valid without the key
+        path = write_config(tmp_path, dict(_UNREAD_BASES[base], **{key: value}))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_theorem2_rejects_endpoint_y(self, tmp_path, capsys):
         cfg = dict(_MINIMAL["theorem2"],

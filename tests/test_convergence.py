@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bridgeint import estimators
 from bridgeint.convergence import (
     CSV_COLUMNS,
     ConvergenceReport,
@@ -197,6 +198,39 @@ class TestLemma4:
         vals = [r.value for r in rows]
         assert vals[0] > vals[1] > vals[2]
         assert rep.verdicts["mgf_minus_one/0.5"] == "PASS"
+
+
+_NO_ALPHA_SWEEPS = {
+    "theorem1": (run_theorem1, dict(theorem="T1", y=np.zeros(3))),
+    "theorem2": (run_theorem2, dict(theorem="T2b", endpoint_rule=EndpointRule("sqrt_t"))),
+    "lemma4": (run_lemma4, dict(theorem="L4a", x_sequence=(np.array([0.3, 0.0, 0.0]),
+                                                           np.array([0.1, 0.0, 0.0])))),
+}
+
+
+class TestSweepWithoutAlphas:
+    """With no alphas a sweep draws no mgf reference legs, and its rows do not move."""
+
+    @pytest.mark.parametrize("name", sorted(_NO_ALPHA_SWEEPS))
+    def test_only_sweep_legs_drawn(self, monkeypatch, name):
+        run, law = _NO_ALPHA_SWEEPS[name]
+        collect = estimators._collect
+        drawn = []
+
+        def spy(kind, n, cfg):
+            drawn.append((kind, cfg.stream_channel))
+            return collect(kind, n, cfg)
+
+        monkeypatch.setattr(estimators, "_collect", spy)
+        plan = dict(horizons=(4.0, 8.0), x=np.zeros(3), k_list=(1,), budgets=100,
+                    h_fine=0.1, seed=5, **law)
+        bare = run(SweepPlan(alphas=(), **plan), BALL)
+        leg = "free" if name == "lemma4" else "bridge"
+        assert drawn == [(leg, 10), (leg, 11)]
+        with_mgf = run(SweepPlan(alphas=(0.5,), **plan), BALL)
+        assert len(drawn) > 4  # the mgf rows draw their reference legs
+        moment_rows = [r for r in with_mgf.rows if "moment" in r.statistic]
+        assert [r.as_list() for r in bare.rows] == [r.as_list() for r in moment_rows]
 
 
 class TestDensityRatioSweep:

@@ -13,7 +13,6 @@ from bridgeint.estimators import (
     bloch_green,
     mc_mgf,
     mc_moment,
-    reaction_probability,
 )
 from bridgeint.gaussian import transition_density
 from bridgeint.potentials import Potential, k1_bound
@@ -22,6 +21,8 @@ from bridgeint.quadrature import QuadConfig, moment_bridge
 BALL = Potential.ball_indicator(3, 1.0)
 ZERO = Potential.ball_indicator(3, 1.0, height=0.0)
 SIGNED = Potential.radial_step(3, [0.5, 1.0], [1.0, -0.5])
+TABLE = Potential.tabulated(3, [-0.8, -0.8, -0.8], 0.4,
+                            (np.arange(64).reshape(4, 4, 4) % 5) / 4.0)
 
 
 def bridge_cfg(**kw):
@@ -191,19 +192,21 @@ class TestMcMgf:
         with pytest.warns(RuntimeWarning):
             mc_mgf("bridge", [1.5 * bounds.alpha0], 500, cfg)
 
+    def test_bracket_when_every_alpha_is_flagged(self):
+        cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), seed=3,
+                              free_horizon=50.0, h_fine=0.05)
+        curve = mc_mgf("free", [40.0, 60.0], 800, cfg)
+        assert curve.unstable.all()
+        assert curve.bracket == (None, 40.0)
+        assert curve.as_dict()["bracket"] == [None, 40.0]
+
     def test_zero_potential_curve(self):
         curve = mc_mgf("bridge", [-1.0, 0.0, 2.0], 100, bridge_cfg(potential=ZERO))
         assert all(e.mean == 1.0 and e.std_error == 0.0 for e in curve.estimates)
 
 
 class TestReactionProbability:
-    def test_zero_potential_survives(self):
-        est = reaction_probability("bridge", 200, bridge_cfg(potential=ZERO))
-        assert est.survival.mean == 1.0 and est.reaction.mean == 0.0
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            reaction_probability("bridge", 200, bridge_cfg(potential=SIGNED))
+    """Survival probability E exp(-Z) of a killing rate v: the mgf at alpha = -1."""
 
     def test_survival_in_unit_interval_pathwise(self):
         cfg = bridge_cfg(t=4.0)
@@ -217,28 +220,24 @@ class TestReactionProbability:
         wide = Potential.ball_indicator(3, 8.0, height=K)
         cfg = EstimatorConfig(potential=wide, x=np.zeros(3), y=np.zeros(3),
                               t=t, seed=6, h_fine=0.002)
-        est = reaction_probability("bridge", 4_000, cfg)
-        assert est.survival.mean == pytest.approx(math.exp(-K * t), abs=1e-3)
-        harder = reaction_probability(
-            "bridge", 2_000,
+        survival = mc_mgf("bridge", [-1.0], 4_000, cfg).estimates[0]
+        assert survival.mean == pytest.approx(math.exp(-K * t), abs=1e-3)
+        harder = mc_mgf(
+            "bridge", [-1.0], 2_000,
             EstimatorConfig(potential=wide.with_height_factor(10.0), x=np.zeros(3),
-                            y=np.zeros(3), t=t, seed=6, h_fine=0.002))
-        assert harder.survival.mean < 1e-6
-
-    def test_reaction_complement(self):
-        est = reaction_probability("bridge", 3_000, bridge_cfg())
-        assert est.reaction.mean == pytest.approx(1.0 - est.survival.mean, rel=1e-12)
-        assert est.reaction.std_error == est.survival.std_error
+                            y=np.zeros(3), t=t, seed=6, h_fine=0.002)).estimates[0]
+        assert harder.mean < 1e-6
 
     def test_self_oracle_at_finer_resolution(self):
         # unit-rate ball, t=10: a 4x-finer grid with 10x the samples is the oracle
         shared = dict(potential=BALL, x=np.zeros(3), y=np.zeros(3), t=10.0, seed=61)
-        coarse = reaction_probability(
-            "bridge", 4_000, EstimatorConfig(h_fine=0.02, **shared))
-        fine = reaction_probability(
-            "bridge", 40_000, EstimatorConfig(h_fine=0.005, stream_channel=2, **shared))
-        gap = abs(coarse.survival.mean - fine.survival.mean)
-        combined = math.hypot(coarse.survival.std_error, fine.survival.std_error)
+        coarse = mc_mgf(
+            "bridge", [-1.0], 4_000, EstimatorConfig(h_fine=0.02, **shared)).estimates[0]
+        fine = mc_mgf(
+            "bridge", [-1.0], 40_000,
+            EstimatorConfig(h_fine=0.005, stream_channel=2, **shared)).estimates[0]
+        gap = abs(coarse.mean - fine.mean)
+        combined = math.hypot(coarse.std_error, fine.std_error)
         assert gap < 3.0 * combined + 5e-3
 
 
@@ -257,6 +256,21 @@ class TestBlochGreen:
         t = 3.0
         est = bloch_green(x, y, t, 5_000, bridge_cfg())
         assert est.mean <= transition_density(t, y - x)
+
+    @pytest.mark.parametrize("potential", [BALL, TABLE], ids=["ball", "tabulated"])
+    def test_kernel_times_survival_sample(self, potential):
+        # the kernel times the plain survival sample of the same draws, bit for bit
+        x = np.array([-0.3, 0.2, 0.0])
+        y = np.array([0.4, 0.0, -0.1])
+        t = 1.0
+        cfg = EstimatorConfig(potential=potential, seed=12, h_fine=0.02)
+        est = bloch_green(x, y, t, 1_000, cfg)
+        values, _ = estimators._collect("bridge", 1_000, replace(cfg, x=x, y=y, t=t))
+        ref = McEstimate.from_samples(np.exp(-values))
+        kernel = transition_density(t, y - x)
+        assert est.mean == kernel * ref.mean
+        assert est.std_error == kernel * ref.std_error
+        assert est.max_sample_share == ref.max_sample_share
 
     def test_short_time_expansion_band(self):
         # 1 - z <= e^{-z} <= 1 - z + z^2/2 pathwise, hence in expectation

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgeint.estimators import alpha1_divergence_probe
 from bridgeint.potentials import (
     BoundsReport,
     Potential,
     _row_norms,
-    alpha1_divergence_probe,
     ball_green_integral,
     green_potential,
     k1_bound,

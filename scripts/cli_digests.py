@@ -76,6 +76,10 @@ BLOCH_TAB = {
     "bloch_points": [{"x": ZERO, "y": [0.3, -0.2, 0.1], "t": 0.5},
                      {"x": [-0.5, 0.4, 0.0], "y": [0.5, -0.4, 0.2], "t": 1.0}],
 }
+# two batches of bridges whose mgf rows take the exact mean E Z(t) as a
+# linear control, fitted on the whole sample
+MGF_BRIDGE = dict(BRIDGE, t=4.0, n_paths=9000, alphas=[-1.0, 0.0, 0.5],
+                  grid={"h_fine": 0.02}, seed=47)
 
 # (name, command, config, extra flags, expected exit code)
 RUNS = [
@@ -108,6 +112,8 @@ RUNS = [
     ("bloch_w2", "bloch", BLOCH, ["--workers", "2"], 0),
     ("bloch_tab_w1", "bloch", BLOCH_TAB, ["--workers", "1"], 0),
     ("bloch_tab_w2", "bloch", BLOCH_TAB, ["--workers", "2"], 0),
+    ("mgf_bridge_w1", "mgf", MGF_BRIDGE, ["--workers", "1"], 0),
+    ("mgf_bridge_w2", "mgf", MGF_BRIDGE, ["--workers", "2"], 0),
     ("free_w1", "sample", FREE_SKIPPING, ["--workers", "1"], 0),
     ("free_w2", "sample", FREE_SKIPPING, ["--workers", "2"], 0),
     ("moments_step_collinear", "moments",
@@ -149,7 +155,8 @@ RUNS = [
 
 
 # runs whose outputs must hash the same, file by file
-TWINS = [("bloch_w1", "bloch_w2"), ("bloch_tab_w1", "bloch_tab_w2"), ("free_w1", "free_w2")]
+TWINS = [("bloch_w1", "bloch_w2"), ("bloch_tab_w1", "bloch_tab_w2"),
+         ("mgf_bridge_w1", "mgf_bridge_w2"), ("free_w1", "free_w2")]
 
 
 def _sha256(path: Path) -> str:

@@ -91,6 +91,11 @@ def _estimator_config(cfg: ExperimentConfig, channel: int = 0) -> EstimatorConfi
     )
 
 
+def _control_entry(est: McEstimate):
+    """The summary entry of a row's linear control; None where the plain mean was kept."""
+    return est.control.as_dict() if est.control is not None else None
+
+
 # -- commands -----------------------------------------------------------------
 
 def cmd_sample(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
@@ -122,9 +127,12 @@ def cmd_mgf(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
                               "UNSTABLE" if bad else ""))
     if fmt == "csv":
         _write_rows(out / "mgf.csv", [r.as_list() for r in rows])
-    payload = {"curve": [
-        {"alpha": float(a), **est.as_dict(), "unstable": bool(bad)}
-        for a, est, bad in zip(curve.alphas, curve.estimates, curve.unstable)]}
+    entries = [{"alpha": float(a), **est.as_dict(), "unstable": bool(bad)}
+               for a, est, bad in zip(curve.alphas, curve.estimates, curve.unstable)]
+    if cfg.statistic_kind == "bridge":
+        for entry, est in zip(entries, curve.estimates):
+            entry["control"] = _control_entry(est)
+    payload = {"curve": entries}
     _write_summary(out / "mgf_summary.json", "mgf", cfg, payload)
     return EXIT_OK
 
@@ -222,7 +230,8 @@ def cmd_bloch(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
                               kernel, 0.0, kernel - est.mean))
         entries.append({"index": i, "x": [float(c) for c in x],
                         "y": [float(c) for c in y], "t": t,
-                        **est.as_dict(), "free_kernel": kernel})
+                        **est.as_dict(), "free_kernel": kernel,
+                        "control": _control_entry(est)})
     if fmt == "csv":
         _write_rows(out / "bloch.csv", [r.as_list() for r in rows])
     _write_summary(out / "bloch_summary.json", "bloch", cfg, {"points": entries})

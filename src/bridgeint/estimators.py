@@ -5,6 +5,16 @@ counter-based stream, so estimates are bitwise reproducible for a given
 (master seed, batch size) regardless of worker count.  Reduction happens
 on the concatenated sample array in batch order.
 
+On a bridge, E exp(alpha Z) uses the exact mean m1 = E Z(t) from
+``quadrature.moment_bridge`` as a linear control (Lavenberg & Welch 1981;
+Glasserman 2003, section 4.1): the estimate is mean(f) - beta (mean(Z) - m1)
+with f = exp(alpha Z) and beta the least-squares slope of f on Z, both
+fitted on the whole sample.  Its standard error is the residual one,
+combined with beta times the oracle's declared error on m1.  The plain
+mean is kept for alpha = 0, an overflowed f, a constant Z and fewer than
+3 paths.  Free and two-sided samples, and the sweeps' mgf rows, pass no
+control and keep the plain mean.
+
 Free and two-sided integrals are truncated at a finite horizon.  For
 first moments the estimator adds the closed-form Green potential of the
 terminal position, which removes the truncation bias of the mean entirely
@@ -38,9 +48,11 @@ from .potentials import (
     green_potential_radial,
     k1_bound,
 )
+from .quadrature import DEFAULT, moment_bridge
 
 __all__ = [
     "McEstimate",
+    "LinearControl",
     "MgfCurve",
     "EstimatorConfig",
     "tail_corrected",
@@ -51,6 +63,28 @@ __all__ = [
 ]
 
 _KINDS = ("bridge", "free", "two_sided")
+
+
+@dataclass(frozen=True)
+class LinearControl:
+    """How an estimate used the exact mean m1 of Z as a linear control.
+
+    ``gap`` is mean(Z) - m1 on the sample, with standard error
+    ``gap_error``; ``beta`` is in the units of the estimate, so
+    ``beta * gap`` is what the control subtracted from the plain mean, and
+    with it the bias that a discretization error in Z transfers.
+    ``m1_error`` is the oracle's declared absolute error on m1.
+    """
+
+    m1: float
+    m1_error: float
+    beta: float
+    gap: float
+    gap_error: float
+
+    def as_dict(self):
+        return {"m1": self.m1, "m1_error": self.m1_error, "beta": self.beta,
+                "gap": self.gap, "gap_error": self.gap_error}
 
 
 @dataclass(frozen=True)
@@ -66,6 +100,7 @@ class McEstimate:
     std_error: float
     n: int
     max_sample_share: float = 0.0
+    control: LinearControl | None = None
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -267,11 +302,35 @@ def tail_corrected(values: np.ndarray, tails, k: int = 1):
     return values
 
 
-def _mgf_estimate(values: np.ndarray, alpha: float) -> McEstimate:
-    """E exp(alpha Z) from a sample of Z; alpha = 0 is returned exactly."""
+def _mgf_estimate(values: np.ndarray, alpha: float, exact_mean=None) -> McEstimate:
+    """E exp(alpha Z) from a sample of Z; alpha = 0 is returned exactly.
+
+    ``exact_mean`` = (m1, m1_error) is the exact E Z of the sampled law and
+    its declared absolute error.  With it, Z is a linear control for
+    f = exp(alpha Z) (see the module docstring); ``max_sample_share`` stays
+    that of the raw f.  The plain mean is returned, bit for bit, when
+    alpha = 0, when any f is non-finite, when Z is constant or when there
+    are fewer than 3 samples.
+    """
     if alpha == 0.0:
         return McEstimate(1.0, 0.0, values.size, 1.0 / values.size)
-    return McEstimate.from_samples(np.exp(alpha * values))
+    f = np.exp(alpha * values)
+    plain = McEstimate.from_samples(f)
+    if (exact_mean is None or values.size < 3 or not np.all(np.isfinite(f))
+            or np.ptp(values) == 0.0):
+        return plain
+    m1, m1_error = exact_mean
+    z_mean = float(np.mean(values))
+    dz = values - z_mean
+    df = f - plain.mean
+    beta = float(np.dot(df, dz) / np.dot(dz, dz))
+    gap = z_mean - m1
+    residual = float(np.std(df - beta * dz, ddof=2)) / math.sqrt(values.size)
+    gap_error = float(np.std(values, ddof=1)) / math.sqrt(values.size)
+    control = LinearControl(m1=m1, m1_error=m1_error, beta=beta, gap=gap,
+                            gap_error=gap_error)
+    return replace(plain, mean=plain.mean - beta * gap,
+                   std_error=math.hypot(residual, beta * m1_error), control=control)
 
 
 def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
@@ -305,18 +364,26 @@ def _mgf_warnings(alphas: np.ndarray, v: Potential):
             RuntimeWarning, stacklevel=3)
 
 
+def _bridge_mean(cfg: EstimatorConfig) -> tuple:
+    """(E Z(t), its declared absolute error) for the bridge cfg describes."""
+    m1 = moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, 1)
+    return m1, DEFAULT.tolerance(1, cfg.potential) * abs(m1)
+
+
 def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     """Empirical mgf curve alpha -> E exp(alpha Z) with stability flags.
 
     alpha = 0 is returned exactly.  An estimate is flagged unstable when a
-    single sample carries more than half of the total mass.
+    single sample carries more than half of the total mass.  On a bridge
+    the exact mean E Z(t) is a linear control for every alpha.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if n < 2:
         raise ValueError("at least 2 samples are required")
     _mgf_warnings(alphas, cfg.potential)
     values = tail_corrected(*_collect(kind, n, cfg))
-    estimates = [_mgf_estimate(values, a) for a in alphas]
+    exact_mean = _bridge_mean(cfg) if kind == "bridge" else None
+    estimates = [_mgf_estimate(values, a, exact_mean) for a in alphas]
     unstable = np.array([e.max_sample_share > 0.5 for e in estimates], dtype=bool)
     return MgfCurve(alphas, estimates, unstable)
 
@@ -343,12 +410,14 @@ def alpha1_divergence_probe(v: Potential, alphas, budget: int, *,
 def bloch_green(x, y, t: float, n: int, cfg: EstimatorConfig) -> McEstimate:
     """Fundamental solution value q(t; y - x) E exp(-Z(t)) for the bridge.
 
-    Reduces to the free heat kernel when v vanishes; for v >= 0 the value
-    is dominated by the kernel pathwise.
+    E exp(-Z(t)) takes the exact bridge mean E Z(t) as a linear control, as
+    in ``mc_mgf``; the control is reported in the units of the returned
+    value.  Reduces to the free heat kernel when v vanishes.
     """
     cfg = replace(cfg, x=x, y=y, t=t)
     kernel = transition_density(t, cfg.y - cfg.x)
     values, _ = _collect("bridge", n, cfg)
-    est = _mgf_estimate(values, -1.0)
-    return McEstimate(mean=kernel * est.mean, std_error=kernel * est.std_error,
-                      n=est.n, max_sample_share=est.max_sample_share)
+    est = _mgf_estimate(values, -1.0, _bridge_mean(cfg))
+    control = replace(est.control, beta=kernel * est.control.beta) if est.control else None
+    return replace(est, mean=kernel * est.mean, std_error=kernel * est.std_error,
+                   control=control)

@@ -388,23 +388,28 @@ def _smear(v: Potential, mu, var):
     if v.is_radial:
         b = np.linalg.norm(mu - v.center, axis=1)
         return np.asarray(radial_expectation(v, b, var))
-    out = np.empty(mu.shape[0])
-    for i in range(mu.shape[0]):
-        out[i] = _tabulated_smear(v, mu[i], var[i])
-    return out
+    return _tabulated_smear(v, mu, var)
 
 
-def _tabulated_smear(v: Potential, mu, var: float) -> float:
-    """Exact Gaussian mass of every table cell against N(mu, var I)."""
-    if var <= 0.0:
-        return float(v(mu))
-    sd = math.sqrt(var)
-    acc = v.values
+def _tabulated_smear(v: Potential, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Exact Gaussian mass of every table cell against N(mu_i, var_i I), row by row.
+
+    One ndtr call per axis covers every row, and each axis of the table is
+    contracted with its cell masses for all rows at once.  A row with
+    var_i <= 0 is the point value v(mu_i).
+    """
+    out = np.asarray(v(mu), dtype=float)
+    live = var > 0.0
+    if not live.any():
+        return out
+    mu, sd = mu[live], np.sqrt(var[live])[:, None]
+    acc = np.broadcast_to(v.values, (mu.shape[0], *v.values.shape))
     for axis in range(v.dim):
         edges = v.origin[axis] + v.spacing * np.arange(v.values.shape[axis] + 1)
-        mass = np.diff(special.ndtr((edges - mu[axis]) / sd))
-        acc = np.tensordot(mass, acc, axes=(0, 0))
-    return float(acc)
+        mass = np.diff(special.ndtr((edges - mu[:, axis, None]) / sd), axis=1)
+        acc = np.einsum("mi,mi...->m...", mass, acc)
+    out[live] = acc
+    return out
 
 
 def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:

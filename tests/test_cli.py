@@ -564,6 +564,37 @@ class TestMomentsCommand:
         doc = json.loads((tmp_path / "bloch_summary.json").read_text())
         kernel = transition_density(2.0, np.array([1.0, 0, 0]))
         assert doc["points"][0]["mean"] == pytest.approx(kernel, rel=1e-12)
+        assert doc["points"][0]["control"] is None
+
+    def test_control_entries_in_summaries(self, tmp_path):
+        # bloch and bridge mgf rows report their control; alpha = 0 keeps the
+        # exact 1 and reports none; the CSV columns stay fixed
+        bloch = {"dimension": 3, "potential": {"kind": "ball_indicator", "radius": 1.0},
+                 "bloch_points": [{"x": [0, 0, 0], "y": [0.5, 0, 0], "t": 1.0}],
+                 "n_paths": 200, "grid": {"h_fine": 0.05}}
+        mgf = base_bridge_config(alphas=[-1.0, 0.0], n_paths=200)
+        for command, cfg, rows_key in (("bloch", bloch, "points"), ("mgf", mgf, "curve")):
+            out = tmp_path / command
+            path = write_config(tmp_path, cfg)
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+            rows = json.loads((out / f"{command}_summary.json").read_text())[rows_key]
+            control = rows[0]["control"]
+            assert set(control) == {"m1", "m1_error", "beta", "gap", "gap_error"}
+            assert control["beta"] < 0.0 and control["m1"] > 0.0
+            with open(out / f"{command}.csv") as fh:
+                assert next(csv.reader(fh)) == ["statistic", "k_or_alpha", "t", "value",
+                                                "std_error", "target", "target_error",
+                                                "gap", "verdict"]
+        assert rows[1]["control"] is None and rows[1]["mean"] == 1.0
+
+    def test_free_mgf_summary_has_no_control(self, tmp_path):
+        cfg = base_bridge_config(statistic_kind="free", alphas=[-1.0], n_paths=200,
+                                 free_horizon=10.0, grid={"h_fine": 0.05})
+        del cfg["y"], cfg["t"]
+        path = write_config(tmp_path, cfg)
+        assert main(["mgf", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "mgf_summary.json").read_text())
+        assert "control" not in doc["curve"][0]
 
 
 class TestReproducibility:

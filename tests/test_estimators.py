@@ -25,6 +25,17 @@ TABLE = Potential.tabulated(3, [-0.8, -0.8, -0.8], 0.4,
                             (np.arange(64).reshape(4, 4, 4) % 5) / 4.0)
 
 
+# a fixed random 6^3 table with both ends of every bridge inside it
+NEAR_TABLE = Potential.tabulated(3, [-1.2, -1.2, -1.2], 0.4,
+                                 np.random.default_rng(2004).uniform(0.0, 1.0, (6, 6, 6)))
+NEAR_POINTS = [(np.array(x), np.array(y), t) for x, y, t in (
+    ([0.3, -0.2, 0.1], [-0.4, 0.5, 0.0], 0.5),
+    ([0.0, 0.6, -0.3], [0.2, -0.5, 0.4], 1.0),
+    ([-0.7, 0.1, 0.2], [0.6, 0.0, -0.5], 2.0),
+    ([0.5, 0.5, 0.5], [-0.5, -0.5, -0.5], 4.0),
+)]
+
+
 def bridge_cfg(**kw):
     base = dict(potential=BALL, x=np.zeros(3), y=np.zeros(3), t=6.0, seed=100)
     base.update(kw)
@@ -205,6 +216,56 @@ class TestMcMgf:
         assert all(e.mean == 1.0 and e.std_error == 0.0 for e in curve.estimates)
 
 
+class TestMgfControl:
+    """The exact bridge mean as a linear control, and where the plain mean stays."""
+
+    @pytest.mark.parametrize("values", [np.full(50, 0.3), np.array([0.1, 0.4])],
+                             ids=["constant", "two_samples"])
+    def test_plain_estimate_kept(self, values):
+        est = estimators._mgf_estimate(values, -1.0, (0.3, 1e-6))
+        assert est == McEstimate.from_samples(np.exp(-values))
+        assert est.control is None
+
+    def test_overflow_stays_flagged(self):
+        # exp(100 Z) overflows on a height-10 ball; exp(-0.01 Z) is tame
+        hot = Potential.ball_indicator(3, 1.0, height=10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve = mc_mgf("bridge", [100.0, -0.01], 200, bridge_cfg(potential=hot, t=4.0))
+        overflowed, survival = curve.estimates
+        assert curve.unstable[0] and overflowed.mean == math.inf
+        assert overflowed.control is None and overflowed.max_sample_share == 1.0
+        assert not curve.unstable[1] and survival.control is not None
+
+    def test_share_is_the_raw_sample_share(self):
+        cfg = bridge_cfg(t=2.0, h_fine=0.02)
+        curve = mc_mgf("bridge", [-0.5, 0.5], 2_000, cfg)
+        values, _ = estimators._collect("bridge", 2_000, cfg)
+        for alpha, est in zip(curve.alphas, curve.estimates):
+            raw = McEstimate.from_samples(np.exp(alpha * values))
+            assert est.control is not None and est.mean != raw.mean
+            assert est.max_sample_share == raw.max_sample_share
+
+    def test_control_beats_plain_on_the_ball(self):
+        # 20,000 bridges 0 -> 0 at t = 6: the control must not move the
+        # estimate by more than 3 plain SEs, and must shrink the SE
+        cfg = bridge_cfg()
+        alphas = [-1.0, -0.3, 0.3]
+        curve = mc_mgf("bridge", alphas, 20_000, cfg)
+        values, _ = estimators._collect("bridge", 20_000, cfg)
+        for alpha, est in zip(alphas, curve.estimates):
+            raw = McEstimate.from_samples(np.exp(alpha * values))
+            assert abs(est.mean - raw.mean) <= 3.0 * raw.std_error
+            assert est.std_error < raw.std_error
+            assert est.control.m1 == moment_bridge(cfg.x, cfg.y, cfg.t, BALL, 1)
+
+    def test_free_legs_keep_plain_estimate(self):
+        cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=20.0,
+                              h_fine=0.05, seed=4)
+        curve = mc_mgf("free", [-1.0], 500, cfg)
+        values = estimators.tail_corrected(*estimators._collect("free", 500, cfg))
+        assert curve.estimates[0] == McEstimate.from_samples(np.exp(-values))
+
+
 class TestReactionProbability:
     """Survival probability E exp(-Z) of a killing rate v: the mgf at alpha = -1."""
 
@@ -249,6 +310,7 @@ class TestBlochGreen:
         est = bloch_green(x, y, t, 500, bridge_cfg(potential=ZERO))
         assert est.mean == transition_density(t, y - x)
         assert est.std_error == 0.0
+        assert est.control is None
 
     def test_dominated_by_kernel(self):
         x = np.zeros(3)
@@ -259,18 +321,48 @@ class TestBlochGreen:
 
     @pytest.mark.parametrize("potential", [BALL, TABLE], ids=["ball", "tabulated"])
     def test_kernel_times_survival_sample(self, potential):
-        # the kernel times the plain survival sample of the same draws, bit for bit
+        # the kernel times the controlled survival estimate of the same draws,
+        # bit for bit: f = e^{-Z} with the exact E Z as a linear control
         x = np.array([-0.3, 0.2, 0.0])
         y = np.array([0.4, 0.0, -0.1])
         t = 1.0
+        n = 1_000
         cfg = EstimatorConfig(potential=potential, seed=12, h_fine=0.02)
-        est = bloch_green(x, y, t, 1_000, cfg)
-        values, _ = estimators._collect("bridge", 1_000, replace(cfg, x=x, y=y, t=t))
-        ref = McEstimate.from_samples(np.exp(-values))
+        est = bloch_green(x, y, t, n, cfg)
+        values, _ = estimators._collect("bridge", n, replace(cfg, x=x, y=y, t=t))
+        f = np.exp(-values)
+        plain = McEstimate.from_samples(f)
+        m1 = moment_bridge(x, y, t, potential, 1)
+        m1_error = QuadConfig().tolerance(1, potential) * abs(m1)
+        z_mean = float(np.mean(values))
+        dz, df = values - z_mean, f - plain.mean
+        beta = float(np.dot(df, dz) / np.dot(dz, dz))
+        residual = float(np.std(df - beta * dz, ddof=2)) / math.sqrt(n)
         kernel = transition_density(t, y - x)
-        assert est.mean == kernel * ref.mean
-        assert est.std_error == kernel * ref.std_error
-        assert est.max_sample_share == ref.max_sample_share
+        assert est.mean == kernel * (plain.mean - beta * (z_mean - m1))
+        assert est.std_error == kernel * math.hypot(residual, beta * m1_error)
+        assert est.max_sample_share == plain.max_sample_share
+        assert est.control.beta == kernel * beta
+        assert est.control.gap == z_mean - m1
+        # the controlled mean is the least-squares line of f on Z, read at m1
+        slope, intercept = np.polyfit(values, f, 1)
+        assert kernel * (intercept + slope * m1) == pytest.approx(est.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_control_beats_plain_on_a_tabulated_table(self, index):
+        # both ends inside a fixed random 6^3 table: the controlled value
+        # agrees with the plain mean of the same draws within 3 plain
+        # standard errors, with the smaller standard error
+        x, y, t = NEAR_POINTS[index]
+        cfg = EstimatorConfig(potential=NEAR_TABLE, h_fine=0.0025, seed=7,
+                              stream_channel=20 + index)
+        est = bloch_green(x, y, t, 4_096, cfg)
+        values, _ = estimators._collect("bridge", 4_096, replace(cfg, x=x, y=y, t=t))
+        kernel = transition_density(t, y - x)
+        plain = McEstimate.from_samples(kernel * np.exp(-values))
+        assert est.control is not None
+        assert abs(est.mean - plain.mean) <= 3.0 * plain.std_error
+        assert est.std_error < plain.std_error
 
     def test_short_time_expansion_band(self):
         # 1 - z <= e^{-z} <= 1 - z + z^2/2 pathwise, hence in expectation

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from bridgeint import quadrature
 from bridgeint.estimators import EstimatorConfig, mc_moment
@@ -494,3 +494,46 @@ class TestTabulatedFallback:
         assert v1 == pytest.approx(1.0, rel=0.05)
         v2 = moment_free([0, 0, 0], math.inf, staircase, 2, CFG)
         assert v2 == pytest.approx(5.0 / 3.0, rel=0.10)
+
+
+def _per_row_smear(v, mu, var):
+    """The one-row rule: the table contracted with each axis's cell masses in turn."""
+    if var <= 0.0:
+        return float(v(mu))
+    acc = v.values
+    for axis in range(v.dim):
+        edges = v.origin[axis] + v.spacing * np.arange(v.values.shape[axis] + 1)
+        mass = np.diff(special.ndtr((edges - mu[axis]) / math.sqrt(var)))
+        acc = np.tensordot(mass, acc, axes=(0, 0))
+    return float(acc)
+
+
+@st.composite
+def _table_case(draw):
+    """A random nonnegative table in d = 3..5 and rows of means and variances, some zero."""
+    d = draw(st.integers(3, 5))
+    shape = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = Potential.tabulated(d, rng.uniform(-1.0, 0.0, d), draw(st.floats(0.1, 0.8)),
+                            rng.uniform(0.0, 1.0, shape))
+    rows = draw(st.integers(1, 12))
+    mu = rng.uniform(-1.5, 1.5, (rows, d))
+    var = rng.uniform(0.0, 2.0, rows) * (rng.uniform(size=rows) > 0.25)
+    return v, mu, var
+
+
+class TestTabulatedSmear:
+    @_PROPERTY
+    @given(_table_case())
+    def test_batch_matches_per_row_rule(self, case):
+        v, mu, var = case
+        batch = quadrature._smear(v, mu, var)
+        for i in range(mu.shape[0]):
+            ref = _per_row_smear(v, mu[i], var[i])
+            assert abs(batch[i] - ref) <= 1e-13 * abs(ref)
+
+    def test_zero_variance_is_the_point_value(self):
+        v = Potential.tabulated(3, [-0.8, -0.8, -0.8], 0.4,
+                                (np.arange(64).reshape(4, 4, 4) % 5) / 4.0)
+        mu = np.array([[0.1, -0.3, 0.5], [2.0, 0.0, 0.0]])
+        assert list(quadrature._smear(v, mu, np.zeros(2))) == list(v(mu))

@@ -76,6 +76,11 @@ BLOCH_TAB = {
     "bloch_points": [{"x": ZERO, "y": [0.3, -0.2, 0.1], "t": 0.5},
                      {"x": [-0.5, 0.4, 0.0], "y": [0.5, -0.4, 0.2], "t": 1.0}],
 }
+THEOREM1_TAB = {
+    "dimension": 3, "potential": TABLE, "x": ZERO, "y": ZERO,
+    "horizons": [4.0, 16.0], "k_list": [1], "n_paths": 400, "target_n_paths": 800,
+    "target_free_horizon": 25.0, "grid": {"h_fine": 0.02}, "seed": 53,
+}
 # two batches of bridges whose mgf rows take the exact mean E Z(t) as a
 # linear control, fitted on the whole sample
 MGF_BRIDGE = dict(BRIDGE, t=4.0, n_paths=9000, alphas=[-1.0, 0.0, 0.5],
@@ -84,9 +89,12 @@ MGF_BRIDGE = dict(BRIDGE, t=4.0, n_paths=9000, alphas=[-1.0, 0.0, 0.5],
 # (name, command, config, extra flags, expected exit code)
 RUNS = [
     ("moments_readme", "moments", README_MOMENTS, [], 0),
-    # 300 paths per horizon: the bridge_mgf -0.5 row needs its t = 1000 gap
-    # below its t = 10 gap, two gaps of about one combined SE (0.0160, 0.0157)
-    ("theorem1_readme_reduced", "theorem1", README_THEOREM1, [], 3),
+    # radial, so the mgf targets are exact and target_n_paths and
+    # target_free_horizon are not read; 300 paths per horizon pass
+    ("theorem1_readme_reduced", "theorem1", README_THEOREM1, [], 0),
+    # a tabulated potential keeps the Monte Carlo mgf references (free legs
+    # on channels 101 and 102) in the matrix
+    ("theorem1_tabulated", "theorem1", THEOREM1_TAB, [], 0),
     ("theorem2_sqrt", "theorem2",
      dict(THEOREM2, endpoint_rule={"kind": "sqrt_t", "scale": 1.0}), [], 0),
     ("theorem2_fourth", "theorem2",

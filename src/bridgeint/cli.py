@@ -38,7 +38,13 @@ from .estimators import (
 )
 from .gaussian import transition_density
 from .potentials import k1_bound
-from .quadrature import QuadConfig, moment_bridge, moment_free, moment_two_sided
+from .quadrature import (
+    QuadConfig,
+    alpha1_interval,
+    moment_bridge,
+    moment_free,
+    moment_two_sided,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,6 +190,10 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 def cmd_bounds(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     report = k1_bound(cfg.potential, cfg.probe_points)
     payload = {**report.as_dict(), "alpha1_bracket": None}
+    v = cfg.potential
+    if v.is_radial and v.is_nonnegative:
+        # the first zero of the gauge denominator; null (inf) for a zero potential
+        payload["alpha1_exact"] = alpha1_interval(v)[1]
     if cfg.alphas:  # the config accepts alphas only where the probe runs
         probe = alpha1_divergence_probe(
             cfg.potential, cfg.alphas, cfg.n_paths,

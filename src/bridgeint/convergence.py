@@ -2,11 +2,17 @@
 
 Each run produces a ConvergenceReport with one row per (statistic,
 horizon): the bridge-side Monte Carlo estimate with its standard error,
-the limit target (quadrature for moments, an independent Monte Carlo
-product for mgfs), the gap, and a verdict.  A statistic passes when the
-final-horizon gap is below threshold and the gap has shrunk since the
-first horizon; thresholds default to max(3 combined SE, 1% of target)
-because the limit theorems come with no rates.
+the limit target, the gap, and a verdict.  Moment targets come from
+quadrature.  An mgf target is the one-sided mgf E_x exp(alpha Y), or the
+product of two for a fixed endpoint: exact for a radial potential
+(``quadrature.mgf_one_sided``, the gauge), and for other potentials an
+independent tail-corrected Monte Carlo estimate from free legs on stream
+channels 101-104, whose budget and horizon ``target_budget`` and
+``target_free_horizon`` set.  A statistic passes when the final-horizon gap
+is finite and below threshold and the gap has shrunk since the first
+horizon; thresholds default to max(3 combined SE, 1% of target) because the
+limit theorems come with no rates.  An infinite target, an alpha past the
+mgf's blow-up point alpha1, fails.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from . import estimators
 from .estimators import EstimatorConfig, McEstimate, _mgf_estimate, tail_corrected
 from .gaussian import TimePoints, density_ratio
 from .potentials import Potential, k1_bound
-from .quadrature import QuadConfig, moment_free, moment_two_sided
+from .quadrature import MGF_TOLERANCE, QuadConfig, mgf_one_sided, moment_free, moment_two_sided
 
 __all__ = [
     "EndpointRule",
@@ -191,7 +197,8 @@ def _apply_verdict(rows: list, zero_floor: float = 1e-12) -> str:
     scale = abs(last.target) if last.target else 0.0
     threshold = max(3.0 * _combined_se(last), 1e-2 * scale)
     trend = last.gap < first.gap or last.gap <= zero_floor * max(1.0, scale)
-    verdict = "PASS" if (last.gap <= threshold and trend) else "FAIL"
+    ok = math.isfinite(last.gap) and last.gap <= threshold and trend
+    verdict = "PASS" if ok else "FAIL"
     last.verdict = verdict
     return verdict
 
@@ -241,14 +248,30 @@ class _Stat:
 
 
 def _one_sided_mgf_reference(v, x, alphas, plan: SweepPlan, channel: int):
-    """Independent long-horizon mgf estimate used as a limit target."""
+    """Per alpha, (target, absolute error) of the infinite-horizon mgf from x.
+
+    Exact for a radial v, up to the oracle's declared relative error.
+    Otherwise an independent Monte Carlo estimate from free legs on stream
+    ``channel``, with the mean Green tail inside the exponent.
+    """
+    if v.is_radial:
+        exact = {a: mgf_one_sided(x, v, a) for a in alphas}
+        return {a: (u, MGF_TOLERANCE * abs(u)) for a, u in exact.items()}
     n = plan.target_budget or 4 * max(plan.budget_for(i) for i in range(len(plan.horizons)))
     horizon = plan.target_free_horizon
     if horizon is None:
         horizon = 400.0 * max(v.support_radius**2, 1.0)
     cfg = _sampler(plan, v, channel, x=x, free_horizon=horizon)
     corrected = tail_corrected(*estimators._collect("free", n, cfg))
-    return {a: _mgf_estimate(corrected, a) for a in alphas}
+    estimates = {a: _mgf_estimate(corrected, a) for a in alphas}
+    return {a: (est.mean, est.std_error) for a, est in estimates.items()}
+
+
+def _reference_meta(v: Potential, alphas) -> dict:
+    """The summary's record of where the mgf targets came from; empty without mgf rows."""
+    if not alphas:
+        return {}
+    return {"mgf_reference": "exact" if v.is_radial else "monte_carlo"}
 
 
 def _resolve_alphas(plan: SweepPlan, v: Potential):
@@ -287,8 +310,8 @@ def _one_sided_stats(prefix: str, x, alphas, plan: SweepPlan, v: Potential,
     if not alphas:  # no mgf rows, so no reference leg to draw
         return stats
     ref = _one_sided_mgf_reference(v, x, alphas, plan, channel=channel)
-    return stats + [_Stat(f"{prefix}_mgf", _fmt(a), alpha=a, target=ref[a].mean,
-                          target_error=ref[a].std_error) for a in alphas]
+    return stats + [_Stat(f"{prefix}_mgf", _fmt(a), alpha=a, target=ref[a][0],
+                          target_error=ref[a][1]) for a in alphas]
 
 
 def _sweep(plan: SweepPlan, legs: list, stats: list, meta: dict,
@@ -319,8 +342,8 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     """Fixed endpoints: bridge statistics against two-sided limit targets.
 
     Moments are compared with the quadrature value of E (Y_x + Y'_y)^k;
-    the mgf is compared with the product of two independently estimated
-    one-sided mgfs, so a pass also certifies the factorized limit form.
+    the mgf is compared with the product of the two one-sided mgfs, so a
+    pass also certifies the factorized limit form.
     """
     _check_plan(plan, v, ("T1",))
     x, y = plan.x, plan.y
@@ -329,18 +352,18 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
 
     stats = _moment_stats("bridge_moment", plan.k_list,
                           lambda k: moment_two_sided(x, y, v, k, qcfg), v, qcfg)
-    if alphas:  # no mgf rows, so no reference legs to draw
+    if alphas:  # no mgf rows, so no references to compute
         mgf_x = _one_sided_mgf_reference(v, x, alphas, plan, channel=101)
         mgf_y = _one_sided_mgf_reference(v, y, alphas, plan, channel=102)
         for a in alphas:
-            ex, ey = mgf_x[a], mgf_y[a]
-            stats.append(_Stat("bridge_mgf", _fmt(a), alpha=a, target=ex.mean * ey.mean,
-                               target_error=abs(ex.mean) * ey.std_error
-                               + abs(ey.mean) * ex.std_error))
+            (ux, ex), (uy, ey) = mgf_x[a], mgf_y[a]
+            stats.append(_Stat("bridge_mgf", _fmt(a), alpha=a, target=ux * uy,
+                               target_error=abs(ux) * ey + abs(uy) * ex))
     legs = [("bridge", _sampler(plan, v, 10 + i, x=x, y=y, t=t))
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
-        "theorem": "T1", "alphas": list(alphas), "horizons": list(plan.horizons)})
+        "theorem": "T1", "alphas": list(alphas), "horizons": list(plan.horizons),
+        **_reference_meta(v, alphas)})
 
 
 def run_theorem2(plan: SweepPlan, v: Potential) -> ConvergenceReport:
@@ -353,7 +376,8 @@ def run_theorem2(plan: SweepPlan, v: Potential) -> ConvergenceReport:
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
         "theorem": plan.theorem, "alphas": list(alphas),
-        "endpoint_rule": plan.endpoint_rule.kind, "horizons": list(plan.horizons)})
+        "endpoint_rule": plan.endpoint_rule.kind, "horizons": list(plan.horizons),
+        **_reference_meta(v, alphas)})
 
 
 def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
@@ -378,7 +402,7 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
         stats = [_Stat("mgf_minus_one", _fmt(a), alpha=a, minus_one=True) for a in alphas]
         return _sweep(plan, legs, stats, meta, verdict=_trend_verdict)
     stats = _one_sided_stats("free", plan.x, alphas, plan, v, channel=104)
-    return _sweep(plan, legs, stats, meta)
+    return _sweep(plan, legs, stats, {**meta, **_reference_meta(v, alphas)})
 
 
 def density_ratio_sweep(x, y, horizons, v: Potential, *, probe_points=None,

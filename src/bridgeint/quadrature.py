@@ -1,4 +1,4 @@
-"""Deterministic moment oracles for bridge and free path integrals, k <= 2.
+"""Deterministic oracles for bridge and free path integrals: moments k <= 2, one-sided mgf.
 
 The k-th moment of the path integral is k! times an integral over the
 ordered time set {0 < s_1 < ... < s_k < horizon} and k copies of the
@@ -18,7 +18,10 @@ be removed analytically:
   potential m_1, each order a one-dimensional radial integral through the
   spherical mean-value property of the Green kernel;
 * finite-horizon second moments run over panel-refined pair grids that
-  resolve the endpoint boundary layers and the long polynomial tails.
+  resolve the endpoint boundary layers and the long polynomial tails;
+* the infinite-horizon mgf of a radial potential is its gauge, the
+  solution of a radial ODE in closed form band by band (Bessel functions),
+  with the interval of alpha on which it is finite.
 
 Radial potentials with endpoints collinear with the support center (the
 flagship configurations) follow the high-accuracy reductions; general
@@ -53,6 +56,9 @@ __all__ = [
     "ordered_simplex_nodes",
     "radial_ball_cdf",
     "radial_expectation",
+    "MGF_TOLERANCE",
+    "alpha1_interval",
+    "mgf_one_sided",
 ]
 
 
@@ -480,6 +486,195 @@ def _moment_free_inf_k2_general(x, v: Potential) -> float:
     a = vv * w * gstart
     bvec = vv * w
     return float(2.0 * cd * cd * a @ kern @ bvec)
+
+
+# -- infinite-horizon mgf -----------------------------------------------------
+#
+# u(r) = E_r exp(alpha Y) is the gauge of a radial v: it solves
+# u'' + (d-1)/r u' + 2 alpha v u = 0, is regular at 0 and tends to 1 at
+# infinity.  On a band of height h, with q = 2 alpha h and nu = d/2 - 1,
+# the solutions are r^-nu J_nu, r^-nu Y_nu (q > 0), r^-nu I_nu, r^-nu K_nu
+# (q < 0, exponentially scaled) and 1, r^(2-d) (q = 0).  The regular
+# solution w is carried band by band as (value, slope, log scale) and
+# u = w / D with D = w(R) + R w'(R) / (d - 2); outside the support
+# u = 1 + (w(R) / D - 1) (R / r)^(d-2).
+
+# Declared relative error of ``mgf_one_sided`` inside its interval of
+# finiteness; 1/D magnifies rounding toward its ends.  Measured: the d = 3
+# closed forms agree to 2e-15, and a 40-digit Taylor-series solve of the
+# ODE to 7e-14 on eight radial potentials in d = 3 to 6, at up to 0.99 of
+# either end, inside, on and outside the support; a margin of over 100.
+MGF_TOLERANCE = 1e-11
+# Steps per interior phase pi in the scan for the first zero of D.  By WKB
+# consecutive zeros of D lie about one phase pi apart, so a step of pi/8 does
+# not pass over a pair of them (a heuristic: near-degenerate zeros of wells
+# split by a barrier could be closer).
+_ALPHA1_SCAN = 8.0
+
+
+def _radial_key(v: Potential) -> tuple:
+    """(d, bands): everything the gauge reads from a radial v, hashable."""
+    if not v.is_radial:
+        raise ValueError("the exact one-sided mgf needs a radial potential")
+    if v.dim < 3:
+        raise ValueError("the infinite-horizon mgf requires d >= 3")
+    return v.dim, tuple(v.bands())
+
+
+def _band_basis(d: int, q: float, a: float, r: float):
+    """Two solutions on a band of constant q that starts at a > 0, at radius r.
+
+    Returns ((psi1, psi2), (dpsi1, dpsi2), growth): the scaled solutions and
+    their slopes, where the true solutions are psi1 e^(growth) and
+    psi2 e^(-growth); growth is k (r - a) for q < 0 and 0 otherwise.
+    """
+    nu = d / 2.0 - 1.0
+    if q == 0.0:
+        return (1.0, r ** (2.0 - d)), (0.0, (2.0 - d) * r ** (1.0 - d)), 0.0
+    k = math.sqrt(abs(q))
+    z = k * r
+    p = r**-nu
+    if q > 0.0:
+        return ((p * special.jv(nu, z), p * special.yv(nu, z)),
+                (-k * p * special.jv(nu + 1.0, z), -k * p * special.yv(nu + 1.0, z)), 0.0)
+    return ((p * special.ive(nu, z), p * special.kve(nu, z)),
+            (k * p * special.ive(nu + 1.0, z), -k * p * special.kve(nu + 1.0, z)),
+            k * (r - a))
+
+
+def _regular(d: int, q: float, r: float):
+    """(w, w', log scale) of the solution with w(0) = 1, w'(0) = 0 on a band from 0."""
+    nu = d / 2.0 - 1.0
+    if q == 0.0 or r == 0.0:
+        return 1.0, 0.0, 0.0
+    z = math.sqrt(abs(q)) * r
+    if q > 0.0 or z < 50.0:
+        c = -0.25 * q * r * r  # w = 0F1(; nu + 1; c), w' = 2 c / r / (nu + 1) 0F1(; nu + 2; c)
+        return (float(special.hyp0f1(nu + 1.0, c)),
+                2.0 * c / r / (nu + 1.0) * float(special.hyp0f1(nu + 2.0, c)), 0.0)
+    # Gamma(nu + 1) (2/z)^nu I_nu(z), with e^z in the log scale
+    pre = math.exp(special.gammaln(nu + 1.0) + nu * math.log(2.0 / z))
+    return pre * special.ive(nu, z), z / r * pre * special.ive(nu + 1.0, z), z
+
+
+def _continue(d: int, q: float, a: float, state, r: float):
+    """(w, w', log scale) at r of the solution with ``state`` = (w, w', L) at a > 0."""
+    f, g, log_scale = state
+    (p1, p2), (dp1, dp2), _ = _band_basis(d, q, a, a)
+    det = p1 * dp2 - p2 * dp1
+    c1 = (f * dp2 - g * p2) / det
+    c2 = (p1 * g - dp1 * f) / det
+    (p1, p2), (dp1, dp2), growth = _band_basis(d, q, a, r)
+    if growth == 0.0:
+        return c1 * p1 + c2 * p2, c1 * dp1 + c2 * dp2, log_scale
+    if c1 == 0.0:  # only the decaying solution: its own scale
+        return c2 * p2, c2 * dp2, log_scale - growth
+    decay = math.exp(-2.0 * growth)  # underflows to 0 without a warning
+    return (c1 * p1 + c2 * p2 * decay, c1 * dp1 + c2 * dp2 * decay, log_scale + growth)
+
+
+@functools.lru_cache(maxsize=1024)
+def _shoot(key: tuple, alpha: float) -> tuple:
+    """Per band, (lo, hi, q, state at lo), and the state at the support radius."""
+    d, bands = key
+    out = []
+    state = None
+    for lo, hi, h in bands:
+        q = 2.0 * alpha * h
+        out.append((lo, hi, q, state))
+        state = _regular(d, q, hi) if state is None else _continue(d, q, lo, state, hi)
+    return tuple(out), state
+
+
+def _denominator(key: tuple, alpha: float) -> float:
+    """D(alpha) = w(R) + R w'(R) / (d - 2), up to a positive factor."""
+    d, bands = key
+    f, g, _ = _shoot(key, alpha)[1]
+    return f + bands[-1][1] * g / (d - 2.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _alpha1(key: tuple, sign: float) -> float:
+    """The first zero of D(sign * beta), beta > 0; inf when sign * v has no positive part.
+
+    Khas'minskii's bound 1 / sup G(v+) = (d - 2) / sum h (hi^2 - lo^2), the
+    centre value of the Green potential of the positive part, is where the
+    scan starts: D > 0 below it.  The scan then steps sqrt(beta) by a
+    fraction of the phase pi over the interior phase int sqrt(2 h+) dr, and
+    bisection narrows the first bracket to adjacent floats.  The result is
+    its upper end, the smallest beta found with D <= 0.  (Bisection keeps
+    scipy.optimize, and its import time and memory, out of the package.)
+    """
+    d, bands = key
+    pos = [(lo, hi, max(sign * h, 0.0)) for lo, hi, h in bands]
+    mass = sum(h * (hi * hi - lo * lo) for lo, hi, h in pos)
+    if mass == 0.0:
+        return math.inf
+    phase = sum(math.sqrt(2.0 * h) * (hi - lo) for lo, hi, h in pos)
+    step = math.pi / (_ALPHA1_SCAN * phase)
+    kappa = math.sqrt((d - 2.0) / mass)
+
+    def dfun(beta):
+        return _denominator(key, sign * beta)
+
+    lo_beta = 0.0
+    if dfun(kappa * kappa) > 0.0:
+        lo_beta = kappa * kappa
+        for _ in range(100_000):
+            kappa += step
+            if dfun(kappa * kappa) <= 0.0:
+                break
+            lo_beta = kappa * kappa
+        else:
+            raise RuntimeError("no zero of the gauge denominator found")
+    hi_beta = kappa * kappa
+    while lo_beta < 0.5 * (lo_beta + hi_beta) < hi_beta:
+        mid = 0.5 * (lo_beta + hi_beta)
+        if dfun(mid) > 0.0:
+            lo_beta = mid
+        else:
+            hi_beta = mid
+    return hi_beta
+
+
+def alpha1_interval(v: Potential) -> tuple:
+    """(alpha1-, alpha1+): the open interval of alpha on which E_x exp(alpha Y) is finite.
+
+    Y is the infinite-horizon integral of a radial v, d >= 3.  The ends are
+    the first zeros of D on each side of 0 (the gauge theorem; Chung & Zhao
+    1995); a side on which alpha v has no positive part is unbounded.  The
+    interval does not depend on the start point.
+    """
+    key = _radial_key(v)
+    return -_alpha1(key, -1.0), _alpha1(key, 1.0)
+
+
+def mgf_one_sided(x, v: Potential, alpha: float) -> float:
+    """E_x exp(alpha int_0^inf v(W_s) ds) for a radial v in d >= 3; inf outside its interval.
+
+    The deterministic gauge (see above), exact up to ``MGF_TOLERANCE``
+    relative: 1 / cos(sqrt(2 alpha)) at the centre of the d = 3 unit ball.
+    Returns math.inf for alpha outside ``alpha1_interval(v)``.
+    """
+    key = _radial_key(v)
+    alpha = float(alpha)
+    if alpha == 0.0 or v.is_zero:
+        return 1.0
+    lo, hi = alpha1_interval(v)
+    if not lo < alpha < hi:
+        return math.inf
+    d, bands = key
+    per_band, (f_r, _, scale_r) = _shoot(key, alpha)
+    radius = bands[-1][1]
+    dn = _denominator(key, alpha)
+    rho = float(np.linalg.norm(np.asarray(x, dtype=float).reshape(d) - v.center))
+    if rho >= radius:
+        return 1.0 + (f_r / dn - 1.0) * (radius / rho) ** (d - 2.0)
+    for lo_b, hi_b, q, state in per_band:
+        if rho <= hi_b:
+            break
+    w, _, scale = _regular(d, q, rho) if state is None else _continue(d, q, lo_b, state, rho)
+    return w / dn * math.exp(scale - scale_r)
 
 
 # -- finite-horizon second moments -------------------------------------------

@@ -474,6 +474,31 @@ class TestBoundsCommand:
         assert doc["alpha1_probe"]["unstable"][0] is False
         assert doc["alpha1_bracket"] == doc["alpha1_probe"]["bracket"]
 
+    def test_exact_alpha1_inside_the_probe_bracket(self, tmp_path):
+        # the bounds_probe run of scripts/cli_digests.py: the Monte Carlo
+        # bracket (0.5, 20) holds the exact blow-up pi^2/8 of the unit ball
+        cfg = {"dimension": 3, "potential": {"kind": "ball_indicator", "radius": 1.0,
+                                             "height": 1.0},
+               "alphas": [0.0, 0.5, 20.0], "n_paths": 1500, "free_horizon": 50.0, "seed": 3}
+        path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "bounds_summary.json").read_text())
+        assert doc["alpha1_exact"] == pytest.approx(math.pi**2 / 8.0, rel=1e-14)
+        lo, hi = doc["alpha1_bracket"]
+        assert (lo, hi) == (0.5, 20.0)
+        assert lo < doc["alpha1_exact"] < hi
+
+    def test_exact_alpha1_only_for_nonnegative_radial_potentials(self, tmp_path):
+        signed = {"kind": "radial_step", "breakpoints": [0.5, 1.0], "heights": [1.0, -0.5]}
+        table = {"kind": "tabulated", "origin": [0.0, 0.0, 0.0], "spacing": 0.5,
+                 "values": [[[1.0]]]}
+        zero = {"kind": "ball_indicator", "radius": 1.0, "height": 0.0}
+        for potential, expected in ((signed, "absent"), (table, "absent"), (zero, None)):
+            path = write_config(tmp_path, {"dimension": 3, "potential": potential})
+            assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+            doc = json.loads((tmp_path / "bounds_summary.json").read_text())
+            assert doc.get("alpha1_exact", "absent") == expected
+
     def test_bracket_is_null_without_the_probe(self, tmp_path):
         path = write_config(tmp_path, _MINIMAL["bounds"])
         assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK

@@ -20,9 +20,14 @@ from bridgeint.convergence import (
     scaling_restatement,
 )
 from bridgeint.potentials import Potential
+from bridgeint.quadrature import MGF_TOLERANCE, mgf_one_sided
 
 BALL = Potential.ball_indicator(3, 1.0)
+STEP = Potential.radial_step(3, [0.6, 1.2], [1.2, 0.4])
 ZERO = Potential.ball_indicator(3, 1.0, height=0.0)
+# a 2 x 2 x 2 table: a non-radial potential, whose mgf targets are Monte Carlo
+TABLE = Potential.tabulated(3, [-0.5, -0.5, -0.5], 0.5,
+                            [[[1.0, 0.5], [0.25, 0.75]], [[0.5, 1.0], [0.0, 0.5]]])
 
 
 class TestEndpointRule:
@@ -127,6 +132,45 @@ class TestTheorem1:
         mgf_rows = [r for r in rep.rows if r.statistic == "bridge_mgf"]
         assert all(r.value == 1.0 and r.gap == 0.0 for r in mgf_rows)
 
+    def test_unit_ball_mgf_targets_are_exact(self):
+        # the default alphas are +-alpha0/2 = +-1/2, and E_0 e^{alpha Y} = 1/cos(sqrt(2 alpha))
+        plan = SweepPlan(theorem="T1", horizons=(2.0, 4.0), x=np.zeros(3),
+                         y=np.zeros(3), budgets=50, k_list=(1,), seed=4, h_fine=0.1)
+        rep = run_theorem1(plan, BALL)
+        targets = {r.k_or_alpha: (r.target, r.target_error) for r in rep.rows
+                   if r.statistic == "bridge_mgf"}
+        assert targets["0.5"][0] == pytest.approx(1.0 / math.cos(1.0) ** 2, rel=1e-12)
+        assert targets["-0.5"][0] == pytest.approx(1.0 / math.cosh(1.0) ** 2, rel=1e-12)
+        for target, error in targets.values():
+            assert error == pytest.approx(2.0 * MGF_TOLERANCE * target)
+        assert rep.meta["mgf_reference"] == "exact"
+
+    def test_off_centre_target_is_a_product(self):
+        x, y = np.array([0.5, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
+        plan = SweepPlan(theorem="T1", horizons=(2.0, 4.0), x=x, y=y, budgets=50,
+                         k_list=(1,), alphas=(0.4,), seed=4, h_fine=0.1)
+        row = next(r for r in run_theorem1(plan, STEP).rows if r.statistic == "bridge_mgf")
+        assert row.target == mgf_one_sided(x, STEP, 0.4) * mgf_one_sided(y, STEP, 0.4)
+
+    def test_infinite_target_fails(self):
+        # alpha = 2 lies past alpha1 = pi^2/8 of the unit ball: the limit is infinite
+        plan = SweepPlan(theorem="T1", horizons=(2.0, 4.0), x=np.zeros(3),
+                         y=np.zeros(3), budgets=50, k_list=(1,), alphas=(2.0,),
+                         seed=4, h_fine=0.1)
+        rep = run_theorem1(plan, BALL)
+        assert all(r.target == math.inf for r in rep.rows if r.statistic == "bridge_mgf")
+        assert rep.verdicts["bridge_mgf/2"] == "FAIL"
+
+    def test_tabulated_target_is_monte_carlo(self):
+        plan = SweepPlan(theorem="T1", horizons=(2.0, 4.0), x=np.zeros(3),
+                         y=np.zeros(3), budgets=50, target_budget=50,
+                         target_free_horizon=4.0, k_list=(1,), alphas=(0.5,),
+                         seed=4, h_fine=0.1)
+        rep = run_theorem1(plan, TABLE)
+        assert rep.meta["mgf_reference"] == "monte_carlo"
+        row = next(r for r in rep.rows if r.statistic == "bridge_mgf")
+        assert row.target > 1.0 and row.target_error > 0.0
+
     def test_small_flagship(self):
         plan = SweepPlan(theorem="T1", horizons=(10.0, 80.0), x=np.zeros(3),
                          y=np.zeros(3), budgets=4_000, target_budget=8_000,
@@ -157,6 +201,17 @@ class TestTheorem2:
         combined = math.hypot(rows[-1].std_error, rows[-1].target_error)
         assert rows[-1].gap <= 3.0 * combined + 0.01
 
+    def test_mgf_target_is_the_one_sided_mgf(self):
+        plan = SweepPlan(theorem="T2b", horizons=(2.0, 4.0), x=np.array([0.3, 0.0, 0.0]),
+                         endpoint_rule=EndpointRule("sqrt_t", 1.0), budgets=50,
+                         k_list=(1,), alphas=(-0.5,), seed=4, h_fine=0.1)
+        rep = run_theorem2(plan, BALL)
+        row = next(r for r in rep.rows if r.statistic == "bridge_mgf")
+        exact = math.sinh(0.3) / (0.3 * math.cosh(1.0))
+        assert row.target == pytest.approx(exact, rel=1e-12)
+        assert row.target_error == MGF_TOLERANCE * row.target
+        assert rep.meta["mgf_reference"] == "exact"
+
     def test_zero_potential(self):
         plan = SweepPlan(theorem="T2a", horizons=(50.0, 100.0), x=np.zeros(3),
                          endpoint_rule=EndpointRule("fourth_root", 1.0),
@@ -178,6 +233,15 @@ class TestLemma4:
         rows = [r for r in rep.rows if r.statistic == "free_moment"]
         assert rows[0].gap > rows[-1].gap
         assert rows[-1].target == pytest.approx(1.0, abs=1e-6)
+
+    def test_part_a_mgf_target_is_exact(self):
+        plan = SweepPlan(theorem="L4a", horizons=(2.0, 4.0), x=np.zeros(3),
+                         x_sequence=(np.zeros(3), np.zeros(3)), budgets=50,
+                         alphas=(0.5,), k_list=(1,), seed=5, h_fine=0.1)
+        rep = run_lemma4(plan, BALL)
+        row = next(r for r in rep.rows if r.statistic == "free_mgf")
+        assert row.target == pytest.approx(1.0 / math.cos(1.0), rel=1e-12)
+        assert rep.meta["mgf_reference"] == "exact"
 
     def test_zero_potential_mgf_identity(self):
         plan = SweepPlan(theorem="L4a", horizons=(10.0, 20.0), x=np.zeros(3),
@@ -209,7 +273,11 @@ _NO_ALPHA_SWEEPS = {
 
 
 class TestSweepWithoutAlphas:
-    """With no alphas a sweep draws no mgf reference legs, and its rows do not move."""
+    """With no alphas a sweep draws no mgf reference legs, and its rows do not move.
+
+    The table's mgf rows draw Monte Carlo reference legs; the ball's take
+    the exact one-sided mgf and draw none.
+    """
 
     @pytest.mark.parametrize("name", sorted(_NO_ALPHA_SWEEPS))
     def test_only_sweep_legs_drawn(self, monkeypatch, name):
@@ -224,13 +292,16 @@ class TestSweepWithoutAlphas:
         monkeypatch.setattr(estimators, "_collect", spy)
         plan = dict(horizons=(4.0, 8.0), x=np.zeros(3), k_list=(1,), budgets=100,
                     h_fine=0.1, seed=5, **law)
-        bare = run(SweepPlan(alphas=(), **plan), BALL)
+        bare = run(SweepPlan(alphas=(), **plan), TABLE)
         leg = "free" if name == "lemma4" else "bridge"
         assert drawn == [(leg, 10), (leg, 11)]
-        with_mgf = run(SweepPlan(alphas=(0.5,), **plan), BALL)
+        with_mgf = run(SweepPlan(alphas=(0.5,), **plan), TABLE)
         assert len(drawn) > 4  # the mgf rows draw their reference legs
         moment_rows = [r for r in with_mgf.rows if "moment" in r.statistic]
         assert [r.as_list() for r in bare.rows] == [r.as_list() for r in moment_rows]
+        del drawn[:]
+        run(SweepPlan(alphas=(0.5,), **plan), BALL)
+        assert drawn == [(leg, 10), (leg, 11)]
 
 
 class TestDensityRatioSweep:

@@ -35,7 +35,14 @@ def test_hook_resolves(module, attr):
     assert tracing._resolve(module, attr) is not None
 
 
-def test_sweep_calls_through_hooked_names(tmp_path, monkeypatch):
+# a 2 x 2 x 2 table: a non-radial potential, whose mgf targets are Monte Carlo
+_TABLE = {"kind": "tabulated", "origin": [-0.5, -0.5, -0.5], "spacing": 0.5,
+          "values": [[[1.0, 0.5], [0.25, 0.75]], [[0.5, 1.0], [0.0, 0.5]]]}
+_BALL = {"kind": "ball_indicator", "radius": 1.0, "height": 1.0}
+
+
+def _traced_sweep_calls(tmp_path, monkeypatch, potential):
+    """The hooked names a small theorem1 sweep calls, in call order."""
     calls = []
 
     def spy(owner, name):
@@ -50,8 +57,7 @@ def test_sweep_calls_through_hooked_names(tmp_path, monkeypatch):
     spy(convergence, "_one_sided_mgf_reference")
     spy(estimators, "_collect")
     cfg = {
-        "dimension": 3,
-        "potential": {"kind": "ball_indicator", "radius": 1.0, "height": 1.0},
+        "dimension": 3, "potential": potential,
         "x": [0.0, 0.0, 0.0], "y": [0.0, 0.0, 0.0],
         "horizons": [2.0, 4.0], "k_list": [1], "alphas": [0.0],
         "n_paths": 20, "target_n_paths": 20, "target_free_horizon": 4.0,
@@ -60,7 +66,20 @@ def test_sweep_calls_through_hooked_names(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     cli.main(["theorem1", "--config", str(path), "--out", str(tmp_path)])
+    return calls
+
+
+def test_sweep_calls_through_hooked_names(tmp_path, monkeypatch):
+    calls = _traced_sweep_calls(tmp_path, monkeypatch, _TABLE)
     assert calls.count("run_theorem1") == 1
     assert calls.count("_one_sided_mgf_reference") == 2
-    # two references plus one bridge leg per horizon
+    # two Monte Carlo references plus one bridge leg per horizon
     assert calls.count("_collect") == 4
+
+
+def test_radial_sweep_references_draw_no_legs(tmp_path, monkeypatch):
+    calls = _traced_sweep_calls(tmp_path, monkeypatch, _BALL)
+    assert calls.count("run_theorem1") == 1
+    # the exact references still go through the hooked name, and draw nothing
+    assert calls.count("_one_sided_mgf_reference") == 2
+    assert calls.count("_collect") == 2

@@ -6,6 +6,7 @@ the independent route.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from bridgeint import quadrature
 from bridgeint.estimators import EstimatorConfig, mc_moment
 from bridgeint.potentials import Potential
 from bridgeint.quadrature import (
+    MGF_TOLERANCE,
     QuadConfig,
+    alpha1_interval,
     horizon_moment_gap,
+    mgf_one_sided,
     moment_bridge,
     moment_free,
     moment_two_sided,
@@ -327,6 +331,149 @@ class TestOracleInvariants:
             assert moment_free(x, t, w, 0, CFG) == 1.0
             assert moment_free(x, math.inf, w, 0, CFG) == 1.0
             assert moment_two_sided(x, y, w, 0, CFG) == 1.0
+
+
+def _ball_gauge(alpha: float, r: float) -> float:
+    """The d = 3 unit-ball gauge in closed form: sin or sinh inside, 1 + B/r outside."""
+    k = math.sqrt(2.0 * abs(alpha))
+    if r >= 1.0:
+        ratio = math.tan(k) / k if alpha > 0 else math.tanh(k) / k
+        return 1.0 + (ratio - 1.0) / r
+    if alpha > 0:
+        return 1.0 / math.cos(k) if r == 0.0 else math.sin(k * r) / (k * r * math.cos(k))
+    # sinh(k r) / cosh(k), written so that k = 141 does not overflow
+    if r == 0.0:
+        return 2.0 * math.exp(-k) / (1.0 + math.exp(-2.0 * k))
+    return (math.exp(k * (r - 1.0)) - math.exp(-k * (r + 1.0))) / (
+        k * r * (1.0 + math.exp(-2.0 * k)))
+
+
+def _richardson(f, h):
+    """f'(0) and f''(0) from central differences at h and h/2, Richardson-extrapolated."""
+    def first(s):
+        return (f(s) - f(-s)) / (2.0 * s)
+
+    def second(s):
+        return (f(s) - 2.0 * f(0.0) + f(-s)) / (s * s)
+    return ((4.0 * first(h / 2) - first(h)) / 3.0,
+            (4.0 * second(h / 2) - second(h)) / 3.0)
+
+
+SIGNED4 = Potential.radial_step(4, [0.5, 1.0], [1.0, -0.5])
+BALL5 = Potential.ball_indicator(5, 1.3, height=0.7)
+
+
+class TestOneSidedMgf:
+    """The exact infinite-horizon mgf of a radial potential: the gauge."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, -0.5, -1.0, -1e4])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.999, 1.0, 1.5, 4.0])
+    def test_unit_ball_closed_form(self, alpha, r):
+        u = mgf_one_sided([r, 0.0, 0.0], BALL, alpha)
+        assert u == pytest.approx(_ball_gauge(alpha, r), rel=1e-12)
+
+    def test_trivial_and_rejected_cases(self):
+        assert mgf_one_sided([0, 0, 0], BALL, 0.0) == 1.0
+        assert mgf_one_sided([0, 0, 0], ZERO, 5.0) == 1.0
+        assert alpha1_interval(ZERO) == (-math.inf, math.inf)
+        table = Potential.tabulated(3, [0, 0, 0], 0.5, np.ones((2, 2, 2)))
+        for v in (table, Potential.ball_indicator(2, 1.0)):
+            with pytest.raises(ValueError):
+                mgf_one_sided(np.zeros(v.dim), v, 0.1)
+
+    @pytest.mark.parametrize("v", [BALL, STEP, SIGNED, SIGNED4, BALL4, BALL5],
+                             ids=["ball", "step", "signed", "signed_d4", "ball_d4", "ball_d5"])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 2.0])
+    def test_derivatives_are_the_green_chain_moments(self, v, rho):
+        # d/dalpha and d^2/dalpha^2 at 0 are E Y and E Y^2
+        x = np.zeros(v.dim)
+        x[0] = rho
+        d1, d2 = _richardson(lambda a: mgf_one_sided(x, v, a), 4e-3)
+        for k, fd in ((1, d1), (2, d2)):
+            m = moment_free(x, math.inf, v, k, CFG)
+            assert fd == pytest.approx(m, rel=CFG.tolerance(k, v, infinite_horizon=True))
+
+    def test_infinite_from_the_first_blow_up_on(self):
+        alpha1 = math.pi**2 / 8.0
+        assert alpha1_interval(BALL) == (-math.inf, pytest.approx(alpha1, rel=1e-14))
+        for r in (0.0, 0.5, 3.0):
+            x = [r, 0.0, 0.0]
+            assert math.isfinite(mgf_one_sided(x, BALL, alpha1 * (1.0 - 1e-9)))
+            assert mgf_one_sided(x, BALL, alpha1) == math.inf
+            assert mgf_one_sided(x, BALL, 1.5 * alpha1) == math.inf
+            # cos(sqrt(2 alpha)) = 1 > 0 again, past the second zero: still infinite
+            assert mgf_one_sided(x, BALL, 2.0 * math.pi**2) == math.inf
+
+    @pytest.mark.parametrize("v", [SIGNED, SIGNED4])
+    def test_sign_changing_potential_blows_up_on_both_sides(self, v):
+        lo, hi = alpha1_interval(v)
+        assert -math.inf < lo < 0.0 < hi < math.inf
+        x = np.zeros(v.dim)
+        assert math.isfinite(mgf_one_sided(x, v, 0.99 * lo))
+        assert mgf_one_sided(x, v, lo) == math.inf
+        assert mgf_one_sided(x, v, 1.01 * lo) == math.inf
+        # the negative side of v -v is the positive side of v
+        assert alpha1_interval(v.with_height_factor(-1.0)) == (-hi, -lo)
+
+    @pytest.mark.parametrize("d, j", [(3, math.pi / 2.0), (4, special.jn_zeros(0, 1)[0]),
+                                      (5, math.pi), (6, special.jn_zeros(1, 1)[0])])
+    def test_ball_alpha1_is_a_bessel_zero(self, d, j):
+        # D(alpha) is proportional to J_{nu - 1}(k R), nu = d/2 - 1, k = sqrt(2 alpha h)
+        radius, height = 1.3, 0.7
+        v = Potential.ball_indicator(d, radius, height=height)
+        assert alpha1_interval(v)[1] == pytest.approx(j * j / (2.0 * height * radius**2),
+                                                      rel=1e-12)
+        assert special.jv(d / 2.0 - 2.0, j) == pytest.approx(0.0, abs=1e-15)
+
+    def test_no_warning_at_huge_negative_alpha(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (BALL, STEP, SIGNED, BALL5):
+                for rho in (0.0, 0.5, 1.0, 3.0):
+                    x = np.zeros(v.dim)
+                    x[0] = rho
+                    u = mgf_one_sided(x, v, -1e6)
+                    assert u == math.inf or 0.0 <= u < 1.0
+
+    def test_independent_high_precision_solve(self):
+        # the band-to-band Wronskian continuation against a 30-digit Taylor
+        # solve of u'' + (d-1)/r u' + 2 alpha v u = 0 across the outer band
+        mp = pytest.importorskip("mpmath")
+        v, d = SIGNED4, 4
+        lo, hi = alpha1_interval(v)
+        with mp.workdps(30):
+            for alpha in (0.9 * hi, 0.9 * lo):
+                q0, q1 = 2 * mp.mpf(alpha), -mp.mpf(alpha)
+                w0 = mp.hyp0f1(2, -q0 / 16)  # w(1/2), w(0) = 1
+                dw0 = -q0 / 8 * mp.hyp0f1(3, -q0 / 16)
+                sol = mp.odefun(lambda r, y: [y[1], -(d - 1) / r * y[1] - q1 * y[0]],
+                                mp.mpf(0.5), [w0, dw0])
+                w1, dw1 = sol(mp.mpf(1))
+                denom = w1 + dw1 / (d - 2)
+                for rho in (0.75, 2.0):
+                    ref = sol(mp.mpf(rho))[0] / denom if rho < 1 else \
+                        1 + (w1 / denom - 1) / mp.mpf(rho) ** (d - 2)
+                    u = mgf_one_sided([rho, 0.0, 0.0, 0.0], v, alpha)
+                    assert u == pytest.approx(float(ref), rel=MGF_TOLERANCE)
+
+    @_PROPERTY
+    @given(_radial_case(), st.floats(0.25, 4.0), st.floats(-4.0, 4.0))
+    def test_brownian_scaling(self, case, lam, alpha):
+        # W from lam x is lam times W from x at time s / lam^2: one law
+        v, x, _, _ = case
+        zoom = v.dilated(lam).with_height_factor(lam**-2)
+        u = mgf_one_sided(x, v, alpha)
+        assert mgf_one_sided(lam * x, zoom, alpha) == pytest.approx(u, rel=MGF_TOLERANCE)
+
+    @_PROPERTY
+    @given(_radial_case(), st.floats(-4.0, 1.2), st.floats(0.0, 1.0))
+    def test_increasing_in_alpha_for_nonnegative_v(self, case, alpha, step):
+        v, x, _, _ = case
+        if not v.is_nonnegative:
+            v = Potential.radial_step(v.dim, v.breakpoints, np.abs(v.heights))
+        lo = mgf_one_sided(x, v, alpha)
+        hi = mgf_one_sided(x, v, alpha + step)
+        assert 0.0 < lo <= hi
 
 
 class TestBridgeMoments:

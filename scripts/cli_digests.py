@@ -37,7 +37,8 @@ BRIDGE = {
 }
 README_MOMENTS = dict(BRIDGE, k_list=[1, 2])
 # bridge k = 2 geometries beside x = y on the ball: collinear endpoints on
-# two bands, endpoints off the support axis in d = 3, and an on-axis pair in d = 4
+# two bands, endpoints off the support axis in d = 3 and 4, and an on-axis
+# pair in d = 4
 ORACLE_BRIDGES = dict(README_MOMENTS, n_paths=4000, grid={"h_fine": 0.01})
 README_THEOREM1 = {
     "dimension": 3, "potential": BALL, "x": ZERO, "y": ZERO,
@@ -135,9 +136,17 @@ RUNS = [
     # variance up to t / 4, so its d = 3 CDF reaches the small-a series
     ("moments_long_horizon", "moments",
      dict(README_MOMENTS, t=2560.0, n_paths=400, grid={"h_fine": 0.1}, seed=43), [], 0),
+    ("moments_off_axis_d4", "moments",
+     dict(ORACLE_BRIDGES, dimension=4, x=[0.5, 0.3, 0.0, 0.0], y=[-0.4, 0.2, 0.6, 0.0],
+          t=3.0, seed=59), [], 0),
     ("moments_k3", "moments",
      dict(README_MOMENTS, t=4.0, k_list=[1, 2, 3], n_paths=4000,
           grid={"h_fine": 0.02}), [], 0),
+    # bridge k = 3 at a long horizon, where the tensor rule read 12.91
+    # against the exact 16.09
+    ("moments_k3_long_horizon", "moments",
+     dict(README_MOMENTS, t=40.0, k_list=[1, 3], n_paths=4000,
+          grid={"h_fine": 0.02}, seed=5), [], 0),
     ("mgf_signed_beyond_alpha0", "mgf",
      {"dimension": 3, "potential": SIGNED, "statistic_kind": "bridge",
       "x": ZERO, "y": ZERO, "t": 3.0, "alphas": [0.0, 0.5, 4.0],

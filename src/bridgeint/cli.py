@@ -147,6 +147,12 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     est_cfg = _estimator_config(cfg)
     qcfg = QuadConfig(k_max=max([2, *cfg.k_list]))
     kind = cfg.statistic_kind
+    if kind == "bridge":  # before sampling: a geometry the oracle refuses is a config error
+        try:
+            targets = {k: moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, k, qcfg)
+                       for k in cfg.k_list}
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     values, tails = estimators._collect(kind, cfg.n_paths, est_cfg)
     t = cfg.t if kind == "bridge" else est_cfg.resolved_free_horizon()
     rows, entries = [], []
@@ -157,7 +163,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
         corrected = sample is not values
         est = McEstimate.from_samples(sample**k)
         if kind == "bridge":
-            target = moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, k, qcfg)
+            target = targets[k]
         elif kind == "free":
             horizon = math.inf if corrected else t
             target = moment_free(cfg.x, horizon, cfg.potential, k, qcfg)
@@ -169,7 +175,8 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
                                   est.std_error, None, None, None))
             entries.append({"k": k, **est.as_dict(), "target": None})
             continue
-        terr = qcfg.tolerance(k, cfg.potential, infinite_horizon=corrected) * abs(target)
+        terr = qcfg.tolerance(k, cfg.potential, infinite_horizon=corrected,
+                              bridge=kind == "bridge") * abs(target)
         gap = abs(est.mean - target)
         row = ReportRow(f"moment[{kind}]", str(k), t, est.mean, est.std_error,
                         target, terr, gap)

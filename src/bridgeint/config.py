@@ -18,7 +18,6 @@ import numpy as np
 
 from .convergence import EndpointRule, SweepPlan
 from .potentials import Potential
-from .quadrature import _bridge_axis_frame
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_workers"]
 
@@ -275,22 +274,14 @@ class ExperimentConfig:
                              f"{c} does not read {key!r} without alphas: it "
                              "draws no mgf reference")
         if c in ("moments", "theorem1", "theorem2", "lemma4"):
-            # the oracles stop at k = 2, except the k = 3 bridge tensor rule;
-            # a free k = 3 sample would need the finite-horizon k = 3 moment
+            # the oracles stop at k = 2, except bridge k = 3 and the
+            # infinite-horizon Green chain; a free k = 3 sample would need
+            # the finite-horizon k = 3 moment
             k_top = 3 if c == "moments" and self.statistic_kind != "free" else 2
             where = f"moments with statistic_kind {self.statistic_kind}" \
                 if c == "moments" else c
             _require(all(0 <= k <= k_top for k in self.k_list),
                      f"k_list orders must lie in 0..{k_top} for {where}")
-        if c == "moments" and self.statistic_kind == "bridge" and 2 in self.k_list:
-            # the radial k = 2 bridge oracle takes endpoints off the support
-            # axis in d = 3 only; "off the axis" is the oracle's own test
-            v = self.potential
-            if self.dimension != 3 and v.is_radial and not v.is_zero:
-                on_axis = all(_bridge_axis_frame(p, q, v)[-1]
-                              for p, q in ((self.x, self.y), (self.y, self.x)))
-                _require(on_axis, "moments k = 2 for a bridge with endpoints off the "
-                                  "support axis is computed for d = 3 only")
         if c == "theorem1":
             _require(self.x is not None and self.y is not None,
                      "theorem1 needs fixed endpoints x and y")

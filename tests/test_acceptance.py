@@ -97,7 +97,7 @@ class TestCriterion03OracleAgreement:
                         EstimatorConfig(potential=v, x=x, y=y, t=t, h_fine=0.004,
                                         seed=909, stream_channel=vi * 10 + si,
                                         workers=2))
-                    band = 3.0 * (est.std_error + QCFG.tolerance(k, v) * abs(q))
+                    band = 3.0 * (est.std_error + QCFG.tolerance(k, v, bridge=True) * abs(q))
                     ratio = abs(est.mean - q) / band
                     worst = max(worst, ratio)
                     ok = ok and (abs(est.mean - q) < band)

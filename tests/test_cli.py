@@ -404,11 +404,19 @@ class TestOracleCoverage:
     _D4 = {"dimension": 4, "potential": _BALL, "statistic_kind": "bridge", "t": 2.0,
            "n_paths": 20, "k_list": [2]}
 
-    def test_bridge_k2_off_axis_in_d4_rejected(self, tmp_path, capsys):
+    def test_bridge_k2_off_axis_in_d4_runs(self, tmp_path):
+        # the resolvent's channels take endpoints off the support axis in any d >= 3
         cfg = dict(self._D4, x=[0.5, 0.0, 0.0, 0.0], y=[0.0, 0.5, 0.0, 0.0])
         path = write_config(tmp_path, cfg)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "moments.csv").exists()
+
+    def test_bridge_beyond_the_declared_accuracy_rejected(self, tmp_path, capsys):
+        # antipodal endpoints far outside the ball at a short horizon
+        cfg = dict(self._D4, dimension=3, x=[3.0, 0.0, 0.0], y=[-3.0, 0.0, 0.0], t=0.2)
+        path = write_config(tmp_path, cfg)
         assert main(["moments", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "off the support axis" in capsys.readouterr().err
+        assert "declared accuracy" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
     def test_bridge_k2_on_axis_in_d4_accepted(self):

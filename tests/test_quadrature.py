@@ -6,11 +6,12 @@ the independent route.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -502,7 +503,7 @@ class TestBridgeMoments:
             assert abs(est.mean - q) < 3.0 * (est.std_error + tol) + 0.01
 
     def test_noncollinear_d3(self):
-        # endpoints off the support axis exercise the azimuthal grid
+        # endpoints off the support axis take channels l > 0
         x = np.array([0.8, 0.6, 0.0])
         y = np.array([-0.5, 1.0, 0.3])
         q = moment_bridge(x, y, 6.0, BALL, 2, CFG)
@@ -510,6 +511,14 @@ class TestBridgeMoments:
                         EstimatorConfig(potential=BALL, x=x, y=y, t=6.0,
                                         h_fine=0.004, seed=17))
         assert abs(est.mean - q) < 3.0 * (est.std_error + 5e-3 * abs(q)) + 0.01
+        # the polar pair rule read 0.6611 here, 4.3 % below 200,000 bridges
+        x = np.array([0.6, 0.45, 0.0])
+        q = moment_bridge(x, y, 2.0, BALL, 2, CFG)
+        est = mc_moment("bridge", 2, 30_000,
+                        EstimatorConfig(potential=BALL, x=x, y=y, t=2.0,
+                                        h_fine=0.004, seed=18))
+        tol = CFG.tolerance(2, BALL, bridge=True) * abs(q)
+        assert abs(est.mean - q) < 4.0 * est.std_error + tol
 
     def test_long_horizon_approaches_two_sided(self):
         target = moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 1, CFG)
@@ -521,15 +530,29 @@ class TestBridgeMoments:
         assert moment_bridge([0, 0, 0], [3, 0, 0], 5.0, BALL, 2, CFG) >= 0.0
 
 
-# moment_bridge(x, y, t=2, v, k=2), recorded from the node-by-node evaluation
-# of the same rule; evaluating time nodes in blocks must reproduce them
+# moment_bridge(x, y, t=2, v, k=2), recorded from Kac's resolvent
 _BRIDGE_K2 = [
-    ("x_equals_y", [0.0, 0, 0], [0.0, 0, 0], BALL, 1.7626208525665714),
-    ("collinear_ball", [0.0, 0, 0], [1.5, 0, 0], BALL, 0.733856905975178),
-    ("collinear_step", [0.0, 0, 0], [1.5, 0, 0], STEP, 0.5343483528470203),
-    ("noncollinear_d3", [0.8, 0.6, 0.0], [-0.5, 1.0, 0.3], BALL, 0.5595695618066381),
-    ("collinear_d4", [0.5, 0, 0, 0], [-1.0, 0, 0, 0], BALL4, 0.7465481356535588),
+    ("x_equals_y", [0.0, 0, 0], [0.0, 0, 0], BALL, 1.762621317245077),
+    ("collinear_ball", [0.0, 0, 0], [1.5, 0, 0], BALL, 0.7338686491749832),
+    ("collinear_step", [0.0, 0, 0], [1.5, 0, 0], STEP, 0.5343624081287537),
+    ("noncollinear_d3", [0.8, 0.6, 0.0], [-0.5, 1.0, 0.3], BALL, 0.5561273480855241),
+    ("collinear_d4", [0.5, 0, 0, 0], [-1.0, 0, 0, 0], BALL4, 0.7452785400605177),
 ]
+K3 = QuadConfig(k_max=3)
+
+
+@st.composite
+def _resolvent_case(draw):
+    """A radial case whose horizon keeps the resolvent inside its declared accuracy."""
+    v, x, y, _ = draw(_radial_case())
+    return v, x, y, draw(st.floats(1.0, 30.0))
+
+
+def _resolvent_or_skip(x, y, t, v, k):
+    try:
+        return moment_bridge(x, y, t, v, k, K3)
+    except ValueError:  # a geometry the resolvent refuses, such as x = y near a band edge
+        assume(False)
 
 
 class TestBridgeSecondMomentRule:
@@ -538,24 +561,100 @@ class TestBridgeSecondMomentRule:
     def test_recorded_value(self, x, y, v, recorded):
         assert moment_bridge(x, y, 2.0, v, 2, CFG) == pytest.approx(recorded, rel=1e-13)
 
-    @pytest.mark.parametrize("x, y, v", [c[1:4] for c in _BRIDGE_K2[2::2]],
-                             ids=[c[0] for c in _BRIDGE_K2[2::2]])
-    def test_node_blocks_do_not_change_the_value(self, monkeypatch, x, y, v):
-        blocked = moment_bridge(x, y, 2.0, v, 2, CFG)
-        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 1)
-        assert moment_bridge(x, y, 2.0, v, 2, CFG) == blocked
+    @_PROPERTY
+    @given(_resolvent_case(), st.sampled_from([2, 3]))
+    def test_time_reversal_is_exact(self, case, k):
+        v, x, y, t = case
+        forward = _resolvent_or_skip(x, y, t, v, k)
+        quadrature._resolvent_moments.cache_clear()
+        assert moment_bridge(y, x, t, v, k, K3) == forward
 
-    @pytest.mark.parametrize("y, calls", [([0.0, 0, 0], 1), ([1.5, 0, 0], 2)])
-    def test_one_orientation_when_endpoints_coincide(self, monkeypatch, y, calls):
-        seen = []
+    @_PROPERTY
+    @given(_resolvent_case(), st.floats(0.25, 4.0), st.sampled_from([2, 3]))
+    def test_brownian_scaling(self, case, lam, k):
+        # lam W at time s / lam^2 is a Brownian path: Z is the same integral
+        v, x, y, t = case
+        zoom = v.dilated(lam).with_height_factor(lam**-2)
+        base = _resolvent_or_skip(x, y, t, v, k)
+        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, k, K3) == \
+            pytest.approx(base, rel=K3.tolerance(k, v, bridge=True), abs=1e-14)
 
-        def spy(x, y, t, v):
-            seen.append((x, y))
-            return 1.25
 
-        monkeypatch.setattr(quadrature, "_moment_bridge_k2", spy)
-        assert moment_bridge([0.0, 0, 0], y, 3.0, BALL, 2, CFG) == 1.25
-        assert len(seen) == calls
+def _e(d, *coords):
+    out = np.zeros(d)
+    out[:len(coords)] = coords
+    return out
+
+
+def _potentials(d):
+    return {"ball": Potential.ball_indicator(d, 1.0),
+            "step": Potential.radial_step(d, [0.6, 1.2], [1.2, 0.4]),
+            "signed": Potential.radial_step(d, [0.5, 1.0], [1.0, -0.5])}
+
+
+# (d, potential, x, y, t): the centre, on the axis, off it, on a band edge
+# (-e1 on the ball), x = y off the centre, and a far pair at a short horizon
+_ACCURACY = [
+    (d, name, x, y, t)
+    for d in (3, 4, 5)
+    for name, x, y, t in [
+        ("ball", _e(d), _e(d), 0.2), ("ball", _e(d), _e(d), 2560.0),
+        ("step", _e(d), _e(d, 1.5), 8.0), ("signed", _e(d), _e(d, 1.5), 640.0),
+        ("ball", _e(d, -1.0), _e(d, 2.0), 12.0), ("step", _e(d, -1.0), _e(d, 2.0), 1.0),
+        ("signed", _e(d, 0.6, 0.45), _e(d, -0.5, 1.0, 0.3), 2.0),
+        ("step", _e(d, 0.3, 0.4), _e(d, 1.5, -0.2, 0.1), 40.0),
+        ("ball", _e(d, 0.4, 0.2), _e(d, 0.4, 0.2), 3.0),
+        ("ball", _e(d, 3.0), _e(d, 0.0, 3.0), 0.2),
+    ]
+]
+
+
+class TestResolventAccuracy:
+    @pytest.mark.parametrize("d, name, x, y, t", _ACCURACY,
+                             ids=[f"d{c[0]}-{c[1]}-{i}" for i, c in enumerate(_ACCURACY)])
+    def test_first_moment_is_the_time_rule(self, d, name, x, y, t):
+        # the contour's alpha^1 coefficient against the exact sqrt(s) rule; the
+        # far pair (|x| = |y| = 3, t = 0.2, E Z = 3.4e-9 in d = 3) is inside
+        # the resolvent's own rounding estimate
+        v = _potentials(d)[name]
+        r, s = sorted(float(np.linalg.norm(p)) for p in (x, y))
+        (m1, _, _), _, errors = quadrature._resolvent_moments(
+            quadrature._radial_key(v), r, s, float(np.linalg.norm(y - x)), t)
+        exact = quadrature._occupation_k1(v, x, t, y)
+        assert abs(m1 - exact) <= max(1e-12, errors[0]) * abs(exact) + 1e-15
+
+    @pytest.mark.parametrize("t, m2, m3", [(10.0, 4.1484866182, 11.449197),
+                                           (40.0, 5.0005001143, 16.091999),
+                                           (1000.0, 5.3194894988, 18.045820)])
+    def test_centre_of_the_ball(self, t, m2, m3):
+        # references from an independent Laplace inversion (10 digits for
+        # k = 2, 6 for k = 3); the tensor rule read 12.9126 and 2.7681 for
+        # k = 3 at t = 40 and 1000
+        z = [0.0, 0.0, 0.0]
+        assert moment_bridge(z, z, t, BALL, 2, K3) == pytest.approx(m2, rel=1e-8)
+        assert moment_bridge(z, z, t, BALL, 3, K3) == pytest.approx(m3, abs=1e-6)
+
+    def test_long_horizon_rate(self):
+        # t (m_k(t) - two-sided limit) settles at -13.866 (k = 2) and -87.77 (k = 3)
+        z = [0.0, 0.0, 0.0]
+        for k, rate in ((2, -13.8664), (3, -87.769)):
+            limit = moment_two_sided(z, z, BALL, k, K3)
+            t = 1e5
+            assert t * (moment_bridge(z, z, t, BALL, k, K3) - limit) == \
+                pytest.approx(rate, rel=1e-4)
+
+    @pytest.mark.parametrize("t", [40.0, 640.0])
+    def test_off_axis_step_takes_under_a_second(self, t):
+        # the polar pair rule took 20 s and 52 s here
+        quadrature._resolvent_moments.cache_clear()
+        start = time.perf_counter()
+        moment_bridge([0.3, 0.4, 0.0], [1.5, -0.2, 0.1], t, STEP, 2, CFG)
+        assert time.perf_counter() - start < 1.0
+
+    def test_antipodal_far_pair_is_refused(self):
+        # the channel terms are about e^50 times the bridge's kernel here
+        with pytest.raises(ValueError, match="declared accuracy"):
+            moment_bridge([3.0, 0, 0], [-3.0, 0, 0], 0.2, BALL, 2, CFG)
 
 
 class TestTwoSided:

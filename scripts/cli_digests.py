@@ -168,6 +168,9 @@ RUNS = [
     ("sweep_no_alphas_target_rejected", "theorem1",
      dict({k: v for k, v in README_THEOREM1.items() if k != "target_free_horizon"},
           alphas=[]), [], 2),
+    # every number is finite: json writes and reads NaN and Infinity
+    ("nonfinite_alpha_rejected", "mgf",
+     dict(FREE, n_paths=2000, alphas=[float("nan"), float("inf")]), [], 2),
 ]
 
 

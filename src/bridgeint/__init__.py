@@ -11,16 +11,14 @@ long-horizon limits.
 
 from .gaussian import (
     TimePoints,
-    SpacePoints,
     transition_density,
     log_transition_density,
-    free_joint_density,
-    bridge_joint_density,
     bridge_marginal,
     density_ratio,
     jensen_lower_bound,
 )
-from .potentials import Potential, BoundsReport, k1_bound
+from .potentials import Potential
+from .green import BoundsReport, k1_bound
 from .path_sim import (
     TimeGrid,
     bridge_integral_batch,
@@ -49,16 +47,12 @@ from .convergence import (
     run_theorem2,
     run_lemma4,
     density_ratio_sweep,
-    scaling_restatement,
 )
 
 __all__ = [
     "TimePoints",
-    "SpacePoints",
     "transition_density",
     "log_transition_density",
-    "free_joint_density",
-    "bridge_joint_density",
     "bridge_marginal",
     "density_ratio",
     "jensen_lower_bound",
@@ -86,7 +80,6 @@ __all__ = [
     "run_theorem2",
     "run_lemma4",
     "density_ratio_sweep",
-    "scaling_restatement",
 ]
 
 __version__ = "0.1.0"

@@ -37,14 +37,8 @@ from .estimators import (
     tail_corrected,
 )
 from .gaussian import transition_density
-from .potentials import k1_bound
-from .quadrature import (
-    QuadConfig,
-    alpha1_interval,
-    moment_bridge,
-    moment_free,
-    moment_two_sided,
-)
+from .green import alpha1_interval, k1_bound
+from .quadrature import DEFAULT, moment_bridge, moment_free, moment_two_sided
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,11 +139,10 @@ def cmd_mgf(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 
 def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     est_cfg = _estimator_config(cfg)
-    qcfg = QuadConfig(k_max=max([2, *cfg.k_list]))
     kind = cfg.statistic_kind
     if kind == "bridge":  # before sampling: a geometry the oracle refuses is a config error
         try:
-            targets = {k: moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, k, qcfg)
+            targets = {k: moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, k)
                        for k in cfg.k_list}
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -166,17 +159,17 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
             target = targets[k]
         elif kind == "free":
             horizon = math.inf if corrected else t
-            target = moment_free(cfg.x, horizon, cfg.potential, k, qcfg)
+            target = moment_free(cfg.x, horizon, cfg.potential, k)
         else:
-            target = moment_two_sided(cfg.x, cfg.y, cfg.potential, k, qcfg) \
+            target = moment_two_sided(cfg.x, cfg.y, cfg.potential, k) \
                 if corrected else None
         if target is None:
             rows.append(ReportRow(f"moment[{kind}]", str(k), t, est.mean,
                                   est.std_error, None, None, None))
             entries.append({"k": k, **est.as_dict(), "target": None})
             continue
-        terr = qcfg.tolerance(k, cfg.potential, infinite_horizon=corrected,
-                              bridge=kind == "bridge") * abs(target)
+        terr = DEFAULT.tolerance(k, cfg.potential, infinite_horizon=corrected,
+                                 bridge=kind == "bridge") * abs(target)
         gap = abs(est.mean - target)
         row = ReportRow(f"moment[{kind}]", str(k), t, est.mean, est.std_error,
                         target, terr, gap)

@@ -2,7 +2,9 @@
 
 Unknown keys are rejected so that typos fail loudly instead of silently
 running a default, and a key is accepted only by the commands that read
-it, so no setting is taken and then ignored.  Units: times are abstract
+it, so no setting is taken and then ignored.  Every number must be finite:
+NaN and the infinities, which Python's json reads, are errors that name
+their key.  Units: times are abstract
 Brownian time, lengths are space units.  A summary file produced by a
 previous run can be fed back as a config; its embedded ``resolved_config``
 is used, which makes every run reproducible from its own output.
@@ -71,10 +73,6 @@ def _check_keys(keys, allowed: set, where: str):
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _positive(value: float, name: str):
-    _require(math.isfinite(value) and value > 0, f"{name} must be positive and finite")
-
-
 def _is_number(value) -> bool:
     # JSON true and false arrive as Python booleans, which are integers
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -86,10 +84,18 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _real(value, name: str) -> float:
-    """A JSON number such as 2 or 0.5; a boolean or a string is an error."""
+def _real(value, name: str, positive: bool = False) -> float:
+    """A finite JSON number such as 2 or 0.5, and > 0 if ``positive``.
+
+    A boolean, a string, NaN and an infinity (which Python's json reads)
+    are errors.
+    """
     _require(_is_number(value), f"{name} must be a number")
-    return float(value)
+    value = float(value)
+    if positive:
+        _require(math.isfinite(value) and value > 0, f"{name} must be positive and finite")
+    _require(math.isfinite(value), f"{name} must be finite")
+    return value
 
 
 def _all_numbers(values) -> bool:
@@ -98,10 +104,12 @@ def _all_numbers(values) -> bool:
 
 
 def _reals(values, name: str) -> np.ndarray:
-    """A list, or nested lists, of JSON numbers as a float array."""
+    """A list, or nested lists, of finite JSON numbers as a float array."""
     _require(isinstance(values, (list, tuple)) and _all_numbers(values),
              f"{name} must be a list of numbers")
-    return np.asarray(values, dtype=float)
+    out = np.asarray(values, dtype=float)
+    _require(bool(np.all(np.isfinite(out))), f"{name} must hold finite numbers only")
+    return out
 
 
 def _integers(values, name: str) -> list:
@@ -111,7 +119,6 @@ def _integers(values, name: str) -> list:
 
 def _point(p: np.ndarray, dim: int, name: str):
     _require(p.shape == (dim,), f"{name} dimension mismatch")
-    _require(bool(np.all(np.isfinite(p))), f"{name} coordinates must be finite")
 
 
 def parse_workers(value) -> int:
@@ -181,19 +188,18 @@ class ExperimentConfig:
         _require(isinstance(self.tail_correction, bool),
                  "tail_correction must be true or false")
 
-        self.h_fine = _real(grid.get("h_fine", 0.01), "grid.h_fine")
-        _positive(self.h_fine, "grid.h_fine")
+        self.h_fine = _real(grid.get("h_fine", 0.01), "grid.h_fine", positive=True)
 
         self.statistic_kind = raw.get("statistic_kind", "bridge")
         _require(self.statistic_kind in ("bridge", "free", "two_sided"),
                  "statistic_kind must be bridge, free or two_sided")
         self.x = None if raw.get("x") is None else _reals(raw["x"], "x")
         self.y = None if raw.get("y") is None else _reals(raw["y"], "y")
-        self.t = None if raw.get("t") is None else _real(raw["t"], "t")
+        self.t = None if raw.get("t") is None else _real(raw["t"], "t", positive=True)
         self.free_horizon = None if raw.get("free_horizon") is None \
-            else _real(raw["free_horizon"], "free_horizon")
+            else _real(raw["free_horizon"], "free_horizon", positive=True)
         self.target_free_horizon = None if raw.get("target_free_horizon") is None \
-            else _real(raw["target_free_horizon"], "target_free_horizon")
+            else _real(raw["target_free_horizon"], "target_free_horizon", positive=True)
         self.n_paths = _integer(raw.get("n_paths", 10_000), "n_paths")
         self.n_paths_by_horizon = None if raw.get("n_paths_by_horizon") is None \
             else _integers(raw["n_paths_by_horizon"], "n_paths_by_horizon")
@@ -213,13 +219,8 @@ class ExperimentConfig:
         for p in (self.x, self.y):
             if p is not None:
                 _point(p, self.dimension, "endpoint")
-        times = {"t": self.t, "free_horizon": self.free_horizon,
-                 "target_free_horizon": self.target_free_horizon}
-        for name, value in times.items():
-            if value is not None:
-                _positive(value, name)
-        for t in self.horizons or ():
-            _positive(t, "every horizon")
+        _require(all(t > 0 for t in self.horizons or ()),
+                 "every horizon must be positive and finite")
         budgets = [self.n_paths, *(self.n_paths_by_horizon or ()),
                    *([self.target_n_paths] if self.target_n_paths is not None else [])]
         _require(all(n >= 2 for n in budgets),
@@ -333,7 +334,7 @@ class ExperimentConfig:
                          "each bloch point needs exactly x, y and t")
                 _point(_reals(entry["x"], "bloch x"), self.dimension, "bloch x")
                 _point(_reals(entry["y"], "bloch y"), self.dimension, "bloch y")
-                _positive(_real(entry["t"], "bloch t"), "bloch t")
+                _real(entry["t"], "bloch t", positive=True)
 
     # -- derived objects -------------------------------------------------
 

@@ -5,7 +5,7 @@ horizon): the bridge-side Monte Carlo estimate with its standard error,
 the limit target, the gap, and a verdict.  Moment targets come from
 quadrature.  An mgf target is the one-sided mgf E_x exp(alpha Y), or the
 product of two for a fixed endpoint: exact for a radial potential
-(``quadrature.mgf_one_sided``, the gauge), and for other potentials an
+(``green.mgf_one_sided``, the gauge), and for other potentials an
 independent tail-corrected Monte Carlo estimate from free legs on stream
 channels 101-104, whose budget and horizon ``target_budget`` and
 ``target_free_horizon`` set.  A statistic passes when the final-horizon gap
@@ -27,8 +27,9 @@ import numpy as np
 from . import estimators
 from .estimators import EstimatorConfig, McEstimate, _mgf_estimate, tail_corrected
 from .gaussian import TimePoints, density_ratio
-from .potentials import Potential, k1_bound
-from .quadrature import MGF_TOLERANCE, QuadConfig, mgf_one_sided, moment_free, moment_two_sided
+from .green import MGF_TOLERANCE, k1_bound, mgf_one_sided
+from .potentials import Potential
+from .quadrature import DEFAULT, moment_free, moment_two_sided
 
 __all__ = [
     "EndpointRule",
@@ -39,7 +40,6 @@ __all__ = [
     "run_theorem2",
     "run_lemma4",
     "density_ratio_sweep",
-    "scaling_restatement",
 ]
 
 @dataclass(frozen=True)
@@ -292,21 +292,20 @@ def _check_plan(plan: SweepPlan, v: Potential, tags: tuple):
         raise ValueError("limit-theorem sweeps assume transience, d >= 3")
 
 
-def _moment_stats(name: str, k_list, target_of, v: Potential, qcfg: QuadConfig) -> list:
+def _moment_stats(name: str, k_list, target_of, v: Potential) -> list:
     stats = []
     for k in k_list:
         tgt = target_of(k)
-        stats.append(_Stat(name, str(k), order=k, target=tgt,
-                           target_error=qcfg.tolerance(k, v, infinite_horizon=True) * abs(tgt)))
+        terr = DEFAULT.tolerance(k, v, infinite_horizon=True) * abs(tgt)
+        stats.append(_Stat(name, str(k), order=k, target=tgt, target_error=terr))
     return stats
 
 
 def _one_sided_stats(prefix: str, x, alphas, plan: SweepPlan, v: Potential,
                      channel: int) -> list:
     """Moments and mgfs against the infinite-horizon one-sided law started at x."""
-    qcfg = QuadConfig()
     stats = _moment_stats(f"{prefix}_moment", plan.k_list,
-                          lambda k: moment_free(x, math.inf, v, k, qcfg), v, qcfg)
+                          lambda k: moment_free(x, math.inf, v, k), v)
     if not alphas:  # no mgf rows, so no reference leg to draw
         return stats
     ref = _one_sided_mgf_reference(v, x, alphas, plan, channel=channel)
@@ -348,10 +347,9 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     _check_plan(plan, v, ("T1",))
     x, y = plan.x, plan.y
     alphas = _resolve_alphas(plan, v)
-    qcfg = QuadConfig()
 
     stats = _moment_stats("bridge_moment", plan.k_list,
-                          lambda k: moment_two_sided(x, y, v, k, qcfg), v, qcfg)
+                          lambda k: moment_two_sided(x, y, v, k), v)
     if alphas:  # no mgf rows, so no references to compute
         mgf_x = _one_sided_mgf_reference(v, x, alphas, plan, channel=101)
         mgf_y = _one_sided_mgf_reference(v, y, alphas, plan, channel=102)
@@ -473,39 +471,3 @@ def density_ratio_sweep(x, y, horizons, v: Potential, *, probe_points=None,
     k0_ok = all(r.value == 1.0 for r in report.rows if r.statistic == "density_ratio_k0")
     report.verdicts["density_ratio_k0"] = "PASS" if k0_ok else "FAIL"
     return report
-
-
-def scaling_restatement(x, y, t: float, v: Potential, lam: float, n: int,
-                        *, k: int = 1, seed: int = 0, workers: int = 1,
-                        h_fine: float = 0.01) -> ConvergenceReport:
-    """Check Brownian scaling: statistics are invariant under the space-time zoom.
-
-    The configuration (t, v, x, y) and its rescaling (t / lam^2,
-    lam^2 v(lam .), x / lam, y / lam) define the same path-integral law;
-    lam = sqrt(t) is the fixed-horizon restatement in which the support
-    shrinks instead of the horizon growing.  Both sides are estimated by
-    independent Monte Carlo runs (identical runs when lam = 1) and compared
-    at 3 combined standard errors.
-    """
-    if lam <= 0:
-        raise ValueError("the zoom factor must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cfg_a = EstimatorConfig(potential=v, x=x, y=y, t=t, seed=seed,
-                            stream_channel=105, workers=workers, h_fine=h_fine)
-    va, _ = estimators._collect("bridge", n, cfg_a)
-    v_scaled = v.dilated(1.0 / lam).with_height_factor(lam * lam)
-    channel_b = 105 if lam == 1.0 else 106
-    cfg_b = EstimatorConfig(potential=v_scaled, x=x / lam, y=y / lam,
-                            t=t / lam**2, seed=seed, stream_channel=channel_b,
-                            workers=workers, h_fine=h_fine / lam**2)
-    vb, _ = estimators._collect("bridge", n, cfg_b)
-    ea = McEstimate.from_samples(va**k)
-    eb = McEstimate.from_samples(vb**k)
-    gap = abs(ea.mean - eb.mean)
-    combined = math.hypot(ea.std_error, eb.std_error)
-    verdict = "PASS" if gap <= max(3.0 * combined, 1e-12) else "FAIL"
-    row = ReportRow("scaling_equivalence", str(k), t, ea.mean, ea.std_error,
-                    eb.mean, eb.std_error, gap, verdict)
-    return ConvergenceReport(rows=[row], verdicts={"scaling_equivalence": verdict},
-                             meta={"lam": lam, "k": k, "n": n})

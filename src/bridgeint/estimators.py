@@ -27,6 +27,7 @@ documented second-order one.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,12 +43,8 @@ from .path_sim import (
     free_integral_batch,
     stream,
 )
-from .potentials import (
-    Potential,
-    green_potential,
-    green_potential_radial,
-    k1_bound,
-)
+from .green import green_potential, green_potential_radial, k1_bound
+from .potentials import Potential
 from .quadrature import DEFAULT, moment_bridge
 
 __all__ = [
@@ -265,6 +262,13 @@ def _batch_plan(n: int, batch_size: int):
     return batches
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _collect(kind: str, n: int, cfg: EstimatorConfig):
     """Raw path-integral samples plus terminal tail potentials, in batch order.
 
@@ -272,12 +276,16 @@ def _collect(kind: str, n: int, cfg: EstimatorConfig):
     the horizon is exact and no truncation correction exists, and when
     ``cfg.tail_correction`` is off.  Every estimator and harness samples
     through this call, so one sampling pass can feed several statistics.
+    The pool has min(workers, batches, usable CPUs) processes: a fork pool
+    starts all of them at its first task, and the samples do not depend on
+    their number.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; expected one of {_KINDS}")
     plan = _batch_plan(n, cfg.batch_size)
-    if cfg.workers > 1 and len(plan) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    pool_size = min(cfg.workers, len(plan), _usable_cpus())
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             columns = [[kind] * len(plan), [cfg] * len(plan), *zip(*plan)]
             parts = list(pool.map(_run_batch, *columns))
     else:
@@ -304,7 +312,7 @@ def tail_corrected(values: np.ndarray, tails, k: int = 1):
     is about 1 - 0.0067 where E exp(-Y_rest / 2) is about 1 - 0.0048), and
     -0.37% on a two-sided product: 0.4184 against the exact 0.41997.  The
     sweeps' mgf references take this sample only for non-radial
-    potentials; radial ones are exact (``quadrature.mgf_one_sided``).
+    potentials; radial ones are exact (``green.mgf_one_sided``).
     """
     if k == 1 and tails is not None:
         return values + tails

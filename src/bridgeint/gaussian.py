@@ -16,11 +16,8 @@ import numpy as np
 
 __all__ = [
     "TimePoints",
-    "SpacePoints",
     "log_transition_density",
     "transition_density",
-    "free_joint_density",
-    "bridge_joint_density",
     "bridge_marginal",
     "density_ratio",
     "jensen_lower_bound",
@@ -38,12 +35,11 @@ def _as_point(x) -> np.ndarray:
     return x
 
 
-def _as_points(z, k: int | None = None) -> np.ndarray:
-    z = np.asarray(getattr(z, "z", z), dtype=float)
-    z = np.atleast_2d(z)
+def _as_points(z, k: int) -> np.ndarray:
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.ndim != 2:
         raise ValueError("space points must form a (k, d) array")
-    if k is not None and z.shape[0] != k:
+    if z.shape[0] != k:
         raise ValueError(f"expected {k} space points, got {z.shape[0]}")
     return z
 
@@ -85,29 +81,6 @@ class TimePoints:
         return np.diff(ext)
 
 
-@dataclass(frozen=True)
-class SpacePoints:
-    """A sequence of k points in R^d, all sharing the same dimension."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.atleast_2d(np.asarray(self.z, dtype=float))
-        if z.ndim != 2:
-            raise ValueError("space points must form a (k, d) array")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("space points must be finite")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def k(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[1]
-
-
 def log_transition_density(t: float, x) -> float:
     """log of the Brownian transition density (2 pi t)^(-d/2) exp(-|x|^2 / 2t)."""
     if not (t > 0):
@@ -122,51 +95,15 @@ def transition_density(t: float, x) -> float:
     return math.exp(log_transition_density(t, x))
 
 
-def _chain(x, times: TimePoints, points, terminal=None):
-    """Extended sequences (s_j, z_j) with s_0 = 0, z_0 = x and optional terminal."""
+def _chain(x, times: TimePoints, points, terminal):
+    """Extended sequences (s_j, z_j) with s_0 = 0, z_0 = x, s_(k+1) = t and z_(k+1) = terminal."""
     x = _as_point(x)
     pts = _as_points(points, times.k) if times.k else np.empty((0, x.size))
     if pts.shape[0] and pts.shape[1] != x.size:
         raise ValueError("space points and start point disagree in dimension")
-    s = [0.0, *times.s]
-    z = [x, *pts]
-    if terminal is not None:
-        s.append(times.t)
-        z.append(_as_point(terminal))
+    s = [0.0, *times.s, times.t]
+    z = [x, *pts, _as_point(terminal)]
     return np.asarray(s), np.vstack(z)
-
-
-def free_joint_density(x, times: TimePoints, points) -> float:
-    """Joint density of Brownian motion from x at the ordered times.
-
-    Product of transition factors q(s_{j+1} - s_j; z_{j+1} - z_j) with
-    s_0 = 0 and z_0 = x.
-    """
-    if times.k < 1:
-        raise ValueError("free joint density needs at least one interior time")
-    s, z = _chain(x, times, points)
-    total = 0.0
-    for j in range(len(s) - 1):
-        total += log_transition_density(s[j + 1] - s[j], z[j + 1] - z[j])
-    return math.exp(total)
-
-
-def bridge_joint_density(x, y, times: TimePoints, points) -> float:
-    """Joint density of a Brownian bridge from x to y over horizon times.t.
-
-    Equals the product of k + 1 transition factors along the extended chain
-    (with s_{k+1} = t and terminal point y) divided by q(t; y - x).
-    """
-    if not math.isfinite(times.t):
-        raise ValueError("bridge laws require a finite horizon")
-    x = _as_point(x)
-    y = _as_point(y)
-    s, z = _chain(x, times, points, terminal=y)
-    total = 0.0
-    for j in range(len(s) - 1):
-        total += log_transition_density(s[j + 1] - s[j], z[j + 1] - z[j])
-    total -= log_transition_density(times.t, y - x)
-    return math.exp(total)
 
 
 def bridge_marginal(x, y, t: float, s: float):
@@ -197,7 +134,7 @@ def density_ratio(x, y, times: TimePoints, points, j: int) -> float:
         raise ValueError(f"segment index must satisfy 0 <= j <= k={times.k}")
     x = _as_point(x)
     y = _as_point(y)
-    s, z = _chain(x, times, points, terminal=y)
+    s, z = _chain(x, times, points, y)
     ds = s[j + 1] - s[j]
     if ds <= 0.0:
         raise ValueError("nonpositive time gap in the extended chain")

@@ -1,33 +1,15 @@
-"""Bounded, compactly supported potentials and their occupation-integral bounds.
+"""Bounded, compactly supported potentials.
 
-A potential carries its sup bound K and support radius R explicitly.  The
-time-integrated transition density of transient Brownian motion reduces the
-expected total occupation integral to a spatial Green-potential integral,
-
-    int_0^inf q(s; w) ds = Gamma(d/2 - 1) / (2 pi^(d/2)) |w|^(2-d),
-
-which this module evaluates in closed form for radial potentials and by
-cell quadrature for tabulated ones.
+A potential carries its sup bound K and support radius R explicitly.  It is
+radial (a ball indicator or a radial step) or tabulated on a regular grid;
+its Green potential and occupation bound are in ``green``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import special
 
-__all__ = [
-    "Potential",
-    "BoundsReport",
-    "green_constant",
-    "sphere_area",
-    "ball_green_integral",
-    "green_potential",
-    "green_potential_radial",
-    "k1_bound",
-]
+__all__ = ["Potential"]
 
 _RADIAL_KINDS = ("ball_indicator", "radial_step")
 KINDS = _RADIAL_KINDS + ("tabulated",)
@@ -52,57 +34,6 @@ def _row_norms(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
         else:
             total += col
     return np.sqrt(total, out=total)
-
-
-def green_constant(d: int) -> float:
-    """Constant c_d in the Green kernel c_d |w|^(2-d); requires d >= 3."""
-    if d < 3:
-        raise ValueError(
-            f"the unbounded-time occupation integral diverges for d={d}; "
-            "transient dimension d >= 3 is required"
-        )
-    return float(special.gamma(d / 2.0 - 1.0)) / (2.0 * math.pi ** (d / 2.0))
-
-
-def sphere_area(d: int) -> float:
-    """Surface area of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / float(special.gamma(d / 2.0))
-
-
-def ball_green_integral(radius: float, b, d: int):
-    """Integral of |z - y|^(2-d) over the ball |z| <= radius, at offsets b = |y|.
-
-    The kernel is harmonic away from y, so spherical shells average to
-    max(shell radius, b)^(2-d) and the integral has the closed form used
-    here.  Vectorized over b; valid for d >= 3.
-    """
-    b = np.asarray(b, dtype=float)
-    if radius < 0 or np.any(b < 0):
-        raise ValueError("radius and offset must be nonnegative")
-    if radius == 0.0:
-        out = np.zeros(b.shape)
-        return out if out.ndim else float(out)
-    area = sphere_area(d)
-    inside = b < radius
-    out = np.empty(b.shape)
-    bo = np.maximum(b, radius)
-    out[~inside] = area * radius**d * bo[~inside] ** (2.0 - d) / d
-    out[inside] = area * (b[inside] ** 2 / d + (radius**2 - b[inside] ** 2) / 2.0)
-    return out if out.ndim else float(out)
-
-
-def cell_green_kernel(dist, cell_vol: float, d: int):
-    """|w|^(2-d) at distances ``dist`` from the nodes of cells of volume ``cell_vol``.
-
-    Within the radius of the equal-volume ball the singular kernel is
-    replaced by its average over that ball.
-    """
-    dist = np.asarray(dist, dtype=float)
-    r_eq = (cell_vol * d / sphere_area(d)) ** (1.0 / d)
-    kern = np.full(dist.shape, ball_green_integral(r_eq, 0.0, d) / cell_vol)
-    far = dist > r_eq
-    kern[far] = dist[far] ** (2.0 - d)
-    return kern
 
 
 class Potential:
@@ -310,116 +241,3 @@ class Potential:
     def __repr__(self):
         return (f"Potential(kind={self.kind!r}, dim={self.dim}, "
                 f"sup_bound={self.sup_bound:g}, support_radius={self.support_radius:g})")
-
-
-def green_potential_radial(v: Potential, dist, *, absolute: bool = False):
-    """Green potential of a radial v at distances ``dist`` from its center.
-
-    Vectorized band-by-band closed form; the workhorse behind k1 bounds,
-    infinite-horizon moments and truncation-tail corrections.
-    """
-    if not v.is_radial:
-        raise ValueError("the radial Green potential needs a radial potential")
-    dist = np.asarray(dist, dtype=float)
-    d = v.dim
-    cd = green_constant(d)
-    total = np.zeros(dist.shape)
-    for lo, hi, h in v.bands():
-        if absolute:
-            h = abs(h)
-        if h == 0.0:
-            continue
-        hi_int = ball_green_integral(hi, dist, d)
-        lo_int = ball_green_integral(lo, dist, d) if lo > 0 else 0.0
-        total = total + h * (hi_int - lo_int)
-    out = cd * total
-    return out if out.ndim else float(out)
-
-
-def green_potential(v: Potential, y, *, absolute: bool = False) -> float:
-    """Green-potential integral int v(z) c_d |z - y|^(2-d) dz at the point y.
-
-    Exact band-by-band for radial potentials; cell midpoint quadrature with
-    an exact equal-volume-ball rule on the singular cell for tabulated ones.
-    """
-    d = v.dim
-    cd = green_constant(d)
-    y = np.asarray(y, dtype=float).reshape(d)
-    if v.is_radial:
-        b = float(np.linalg.norm(y - v.center))
-        return float(green_potential_radial(v, b, absolute=absolute))
-    vals = np.abs(v.values) if absolute else v.values
-    shape = vals.shape
-    h = v.spacing
-    centers = [v.origin[i] + h * (np.arange(shape[i]) + 0.5) for i in range(d)]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = vals.ravel()
-    cell_vol = h**d
-    kern = cell_green_kernel(np.linalg.norm(pts - y, axis=-1), cell_vol, d)
-    return cd * cell_vol * float(np.sum(w * kern))
-
-
-@dataclass
-class BoundsReport:
-    """Occupation-integral bound K1 and the implied mgf radius alpha0 = 1/K1."""
-
-    k1: float
-    alpha0: float | None
-    degenerate: bool = False
-    probe_count: int = 0
-
-    def as_dict(self):
-        return {
-            "k1": self.k1,
-            "alpha0": self.alpha0,
-            "degenerate": self.degenerate,
-            "probe_count": self.probe_count,
-        }
-
-
-def default_probes(v: Potential) -> np.ndarray:
-    """Probe points: support center, direction shells at R and 2R.
-
-    The Green-potential integral decays like |y|^(2-d) away from the
-    support, so its sup over R^d is attained on or near the support; a
-    finite probe set with boundary and exterior shells suffices.
-    """
-    d = v.dim
-    center = v.center
-    R = v.support_radius
-    if R == 0.0:
-        return center.reshape(1, d)
-    if d <= 4:
-        dirs = np.array([p for p in np.ndindex(*(3,) * d)], dtype=float) - 1.0
-        dirs = dirs[np.any(dirs != 0, axis=1)]
-    else:
-        eye = np.eye(d)
-        dirs = np.vstack([eye, -eye])
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    probes = [center.reshape(1, d), center + R * dirs, center + 2.0 * R * dirs]
-    return np.vstack(probes)
-
-
-def k1_bound(v: Potential, probe_points=None) -> BoundsReport:
-    """Upper envelope of the expected total occupation integral of |v|.
-
-    Evaluates int |v(z)| c_d |z - y|^(2-d) dz over a probe set of start
-    points y and reports the maximum as K1, together with alpha0 = 1/K1.
-    A potential that vanishes a.e. is reported as degenerate with
-    unbounded alpha0.
-    """
-    if v.dim < 3:
-        raise ValueError(
-            "K1 requires d >= 3: in lower dimension Brownian motion is "
-            "recurrent and the time-integrated occupation bound diverges"
-        )
-    probes = default_probes(v) if probe_points is None else np.atleast_2d(
-        np.asarray(probe_points, dtype=float))
-    if probes.size == 0:
-        raise ValueError("the probe set must be nonempty")
-    vals = [green_potential(v, y, absolute=True) for y in probes]
-    k1 = float(np.max(vals))
-    if k1 == 0.0:
-        return BoundsReport(k1=0.0, alpha0=None, degenerate=True, probe_count=len(probes))
-    return BoundsReport(k1=k1, alpha0=1.0 / k1, degenerate=False, probe_count=len(probes))

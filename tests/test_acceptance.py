@@ -48,7 +48,7 @@ def report(name: str, ok: bool, detail: str = ""):
 class TestCriterion01GreensFunctionFlagship:
     def test_expected_occupation_of_unit_ball(self):
         # oracle: radial quadrature of the Green kernel over the ball
-        quad = moment_free([0, 0, 0], math.inf, BALL, 1, QCFG)
+        quad = moment_free([0, 0, 0], math.inf, BALL, 1)
         quad_ok = abs(quad - 1.0) < 1e-3
 
         # the default free-leg grid: fine steps of 0.004 up to s = 10, then 1
@@ -91,7 +91,7 @@ class TestCriterion03OracleAgreement:
         for vi, v in enumerate((BALL, STEP)):
             for si, (x, y, t) in enumerate(settings):
                 for k in (1, 2):
-                    q = moment_bridge(x, y, t, v, k, QCFG)
+                    q = moment_bridge(x, y, t, v, k)
                     est = mc_moment(
                         "bridge", k, 25_000,
                         EstimatorConfig(potential=v, x=x, y=y, t=t, h_fine=0.004,
@@ -190,8 +190,8 @@ class TestCriterion07DensityRatioMechanism:
 class TestCriterion08HorizonSplitDiagnostic:
     def test_sqrt_window_dominates(self):
         t = 1e4
-        d_early = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, 1.0, BALL, 1, QCFG)
-        d_split = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, math.sqrt(t), BALL, 1, QCFG)
+        d_early = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, 1.0, BALL, 1)
+        d_split = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, math.sqrt(t), BALL, 1)
         ratio = d_split / d_early
         report("horizon_split_diagnostic", ratio < 0.1,
                f"D(sqrt t)/D(1) = {ratio:.4f} (< 0.1)")

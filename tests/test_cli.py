@@ -871,32 +871,53 @@ class TestFuzzedConfigs:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(name=st.sampled_from(sorted(_TINY)), flag=st.booleans(), data=st.data())
     def test_boolean_number_rejected(self, name, flag, data):
-        # every number a valid config holds, float or count, at any depth;
-        # a JSON round trip unshares the lists x and y share
-        cfg = json.loads(json.dumps({
-            "dimension": 3, "seed": 1,
-            "potential": {"kind": "ball_indicator", "radius": 1.0, "height": 1.0},
-            **_TINY[name]}))
-        leaves = []
+        cfg = _tiny_config(name)
+        where = data.draw(st.sampled_from(_number_leaves(cfg)))
+        _assert_leaf_rejected(name, cfg, where, flag)
 
-        def walk(node, where):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for key, value in items:
-                if isinstance(value, (dict, list)):
-                    walk(value, where + (key,))
-                elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                    leaves.append(where + (key,))
-        walk(cfg, ())
-        where = data.draw(st.sampled_from(leaves))
-        node = cfg
-        for key in where[:-1]:
-            node = node[key]
-        node[where[-1]] = flag
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(cfg))
-            code = main([name.split("/")[0], "--config", str(path),
-                         "--out", str(Path(tmp) / "out")])
-        assert code == EXIT_CONFIG
-        assert [k for k in where if isinstance(k, str)][-1] in err.getvalue()
+    @pytest.mark.parametrize("name", sorted(_TINY))
+    def test_nonfinite_number_rejected(self, name):
+        # Python's json reads NaN, Infinity and -Infinity; every number of
+        # every command is checked, one at a time
+        for where in _number_leaves(_tiny_config(name)):
+            for value in (math.nan, math.inf, -math.inf):
+                _assert_leaf_rejected(name, _tiny_config(name), where, value)
+
+
+def _tiny_config(name):
+    # a JSON round trip unshares the lists x and y share
+    return json.loads(json.dumps({
+        "dimension": 3, "seed": 1,
+        "potential": {"kind": "ball_indicator", "radius": 1.0, "height": 1.0},
+        **_TINY[name]}))
+
+
+def _number_leaves(cfg):
+    """Paths to every number a config holds, float or count, at any depth."""
+    leaves = []
+
+    def walk(node, where):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if isinstance(value, (dict, list)):
+                walk(value, where + (key,))
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                leaves.append(where + (key,))
+    walk(cfg, ())
+    return leaves
+
+
+def _assert_leaf_rejected(name, cfg, where, value):
+    """Setting the leaf at ``where`` to ``value`` exits 2 with an error naming its key."""
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main([name.split("/")[0], "--config", str(path),
+                     "--out", str(Path(tmp) / "out")])
+    assert code == EXIT_CONFIG, (name, where, value)
+    assert [k for k in where if isinstance(k, str)][-1] in err.getvalue(), (where, value)

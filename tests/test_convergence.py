@@ -17,10 +17,9 @@ from bridgeint.convergence import (
     run_lemma4,
     run_theorem1,
     run_theorem2,
-    scaling_restatement,
 )
+from bridgeint.green import MGF_TOLERANCE, mgf_one_sided
 from bridgeint.potentials import Potential
-from bridgeint.quadrature import MGF_TOLERANCE, mgf_one_sided
 
 BALL = Potential.ball_indicator(3, 1.0)
 STEP = Potential.radial_step(3, [0.6, 1.2], [1.2, 0.4])
@@ -323,28 +322,3 @@ class TestDensityRatioSweep:
     def test_u_rule_guard(self):
         with pytest.raises(ValueError):
             density_ratio_sweep(np.zeros(3), np.zeros(3), [2.0], BALL)
-
-
-class TestScalingRestatement:
-    def test_identity_zoom_is_exact(self):
-        rep = scaling_restatement(np.zeros(3), np.zeros(3), 10.0, BALL, 1.0,
-                                  2_000, seed=51)
-        assert rep.rows[0].gap == 0.0
-        assert rep.passed
-
-    def test_zero_potential(self):
-        rep = scaling_restatement(np.zeros(3), np.zeros(3), 10.0, ZERO, 3.0,
-                                  500, seed=52)
-        assert rep.rows[0].value == 0.0 and rep.rows[0].target == 0.0
-        assert rep.passed
-
-    def test_fixed_horizon_restatement(self):
-        # lam = sqrt(t): horizon 1 with the shrunk-support potential
-        t = 100.0
-        rep = scaling_restatement(np.zeros(3), np.zeros(3), t, BALL,
-                                  math.sqrt(t), 4_000, seed=53, h_fine=0.02)
-        assert rep.passed
-
-    def test_invalid_zoom(self):
-        with pytest.raises(ValueError):
-            scaling_restatement(np.zeros(3), np.zeros(3), 1.0, BALL, -1.0, 100)

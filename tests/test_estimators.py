@@ -15,7 +15,8 @@ from bridgeint.estimators import (
     mc_moment,
 )
 from bridgeint.gaussian import transition_density
-from bridgeint.potentials import Potential, k1_bound
+from bridgeint.green import k1_bound
+from bridgeint.potentials import Potential
 from bridgeint.quadrature import QuadConfig, moment_bridge
 
 BALL = Potential.ball_indicator(3, 1.0)
@@ -83,7 +84,7 @@ class TestMcMoment:
     def test_bridge_against_quadrature(self):
         cfg = bridge_cfg(h_fine=0.004)
         est = mc_moment("bridge", 1, 20_000, cfg)
-        q = moment_bridge(cfg.x, cfg.y, cfg.t, BALL, 1, QuadConfig())
+        q = moment_bridge(cfg.x, cfg.y, cfg.t, BALL, 1)
         assert abs(est.mean - q) < 3.0 * est.std_error + 0.01
 
     def test_escaping_endpoint_mean_on_the_default_grid(self):
@@ -96,7 +97,7 @@ class TestMcMoment:
                               seed=77, workers=2)
         est = mc_moment("bridge", 1, 100_000, cfg)
         qcfg = QuadConfig()
-        q = moment_bridge(cfg.x, y, 100.0, BALL, 1, qcfg)
+        q = moment_bridge(cfg.x, y, 100.0, BALL, 1)
         assert abs(est.mean - q) < 3.0 * est.std_error + qcfg.tolerance(1, BALL) * abs(q)
 
     def test_two_sided_binomial_identity(self):
@@ -138,6 +139,35 @@ class TestMcMoment:
         a = mc_moment("bridge", 1, 20_000, bridge_cfg(workers=1))
         b = mc_moment("bridge", 1, 20_000, bridge_cfg(workers=2))
         assert a.mean == b.mean and a.std_error == b.std_error
+
+    @pytest.mark.parametrize("cpus, expected", [(64, [3]), (2, [2]), (1, [])])
+    def test_pool_capped_at_batches_and_cpus(self, monkeypatch, cpus, expected):
+        # a fork pool starts all max_workers processes at its first task, so
+        # 5000 workers must ask for no more than the batches and the CPUs;
+        # the fake pool records its size and starts no process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(EstimatorConfig, "batch_size", 4)
+        cfg = bridge_cfg(t=1.0, h_fine=0.1, workers=5000)
+        values, _ = estimators._collect("bridge", 12, cfg)
+        assert sizes == expected
+        serial, _ = estimators._collect("bridge", 12, replace(cfg, workers=1))
+        assert np.array_equal(values, serial)
 
     def test_green_tails_skipped_without_tail_correction(self, monkeypatch):
         calls = []
@@ -369,9 +399,8 @@ class TestBlochGreen:
         x = np.zeros(3)
         y = np.array([0.2, 0.0, 0.0])
         t = 0.4
-        qcfg = QuadConfig()
-        m1 = moment_bridge(x, y, t, BALL, 1, qcfg)
-        m2 = moment_bridge(x, y, t, BALL, 2, qcfg)
+        m1 = moment_bridge(x, y, t, BALL, 1)
+        m2 = moment_bridge(x, y, t, BALL, 2)
         kernel = transition_density(t, y - x)
         est = bloch_green(x, y, t, 20_000,
                           EstimatorConfig(potential=BALL, x=x, y=y, t=t,

@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from bridgeint.gaussian import (
-    SpacePoints,
     TimePoints,
-    bridge_joint_density,
     bridge_marginal,
     density_ratio,
-    free_joint_density,
     jensen_lower_bound,
     log_transition_density,
     transition_density,
@@ -25,7 +22,6 @@ from bridgeint.gaussian import (
 # frozen via mpmath (30 digits)
 Q_T1_X0_D3 = 0.06349363593424097
 Q_T05_E1_D3 = 0.06606641012899384
-BRIDGE_MID_T2_D3 = 0.17958712212516656
 
 rng = np.random.default_rng(1234)
 
@@ -72,80 +68,15 @@ class TestTransitionDensity:
 
 
 class TestFreeJointDensity:
-    def test_single_factor_reduces_to_transition(self):
-        x = np.array([0.2, -0.1, 0.4])
-        z = np.array([[1.0, 0.3, -0.2]])
-        tp = TimePoints((0.8,))
-        assert free_joint_density(x, tp, z) == pytest.approx(
-            transition_density(0.8, z[0] - x), rel=1e-14)
-
-    def test_two_factor_product(self):
-        x = np.zeros(3)
-        z = np.array([[0.4, 0.0, 0.1], [0.1, -0.3, 0.5]])
-        tp = TimePoints((0.5, 1.7))
-        expected = transition_density(0.5, z[0] - x) * transition_density(1.2, z[1] - z[0])
-        assert free_joint_density(x, tp, z) == pytest.approx(expected, rel=1e-13)
-
-    def test_normalization_two_points(self):
-        # chained Gauss-Hermite over (z1, z2) must integrate to 1
-        x = np.array([0.3, -0.2, 0.1])
-        s1, s2 = 0.6, 1.4
-        pts, wts = gauss_hermite_nodes(8, 3)
-        total = 0.0
-        for p1, w1 in zip(pts, wts):
-            z1 = x + math.sqrt(s1) * p1
-            vals = np.array([
-                free_joint_density(x, TimePoints((s1, s2)),
-                                   np.vstack([z1, z1 + math.sqrt(s2 - s1) * p2]))
-                for p2 in pts])
-            total += w1 * float(np.sum(wts * vals)) * (s2 - s1) ** 1.5
-        total *= s1**1.5
-        assert total == pytest.approx(1.0, abs=1e-6)
-
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
             TimePoints((1.0, 0.5))
 
 
 class TestBridgeJointDensity:
-    def test_midpoint_exact_value(self):
-        # one interior point at t/2 with x = y = 0: per-coordinate variance t/4
-        tp = TimePoints((1.0,), 2.0)
-        val = bridge_joint_density(np.zeros(3), np.zeros(3), tp, [[0.0, 0.0, 0.0]])
-        assert val == pytest.approx(BRIDGE_MID_T2_D3, rel=1e-13)
-
-    def test_time_reversal(self):
-        t = 6.0
-        for _ in range(25):
-            k = rng.integers(1, 4)
-            s = np.sort(rng.uniform(0.05, t - 0.05, size=k))
-            while np.any(np.diff(s) <= 1e-6):
-                s = np.sort(rng.uniform(0.05, t - 0.05, size=k))
-            pts = rng.normal(size=(k, 3))
-            x = rng.normal(size=3)
-            y = rng.normal(size=3)
-            a = bridge_joint_density(x, y, TimePoints(tuple(s), t), pts)
-            b = bridge_joint_density(y, x, TimePoints(tuple(t - s[::-1]), t), pts[::-1])
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_normalization_single_point(self):
-        x = np.array([0.5, 0.0, -0.5])
-        y = np.array([-1.0, 0.5, 0.0])
-        t, s = 3.0, 1.1
-        mean, var = bridge_marginal(x, y, t, s)
-        pts, wts = gauss_hermite_nodes(10, 3)
-        vals = np.array([
-            bridge_joint_density(x, y, TimePoints((s,), t), [mean + math.sqrt(var) * p])
-            for p in pts])
-        assert float(np.sum(wts * vals)) * var ** 1.5 == pytest.approx(1.0, abs=1e-6)
-
     def test_interior_times_validated(self):
         with pytest.raises(ValueError):
             TimePoints((2.5,), 2.0)
-
-    def test_finite_horizon_required(self):
-        with pytest.raises(ValueError):
-            bridge_joint_density(np.zeros(3), np.zeros(3), TimePoints((1.0,)), [[0.0, 0, 0]])
 
 
 class TestBridgeMarginal:
@@ -234,12 +165,6 @@ class TestContainerValidation:
     def test_timepoints_require_positive_horizon(self):
         with pytest.raises(ValueError):
             TimePoints((0.5,), -1.0)
-
-    def test_spacepoints_shape_and_dim(self):
-        sp = SpacePoints(np.zeros((4, 3)))
-        assert sp.k == 4 and sp.dim == 3
-        with pytest.raises(ValueError):
-            SpacePoints(np.array([[np.inf, 0.0, 0.0]]))
 
     def test_empty_time_points_allowed(self):
         assert TimePoints((), 2.0).k == 0

@@ -405,9 +405,9 @@ class TestNodeSkipping:
         n = 4096
         cases = [
             ("bridge", TimeGrid.refined(1000.0, h_fine=0.004),
-             moment_bridge(np.zeros(3), np.zeros(3), 1000.0, BALL, 1, qcfg)),
+             moment_bridge(np.zeros(3), np.zeros(3), 1000.0, BALL, 1)),
             ("free", TimeGrid.refined(1600.0, h_fine=0.004, both_ends=False),
-             moment_free(np.zeros(3), 1600.0, BALL, 1, qcfg)),
+             moment_free(np.zeros(3), 1600.0, BALL, 1)),
         ]
         for kind, grid, target in cases:
             if kind == "bridge":

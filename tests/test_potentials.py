@@ -14,14 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgeint.estimators import alpha1_divergence_probe
-from bridgeint.potentials import (
-    BoundsReport,
-    Potential,
-    _row_norms,
-    ball_green_integral,
-    green_potential,
-    k1_bound,
-)
+from bridgeint.green import BoundsReport, ball_green_integral, green_potential, k1_bound
+from bridgeint.potentials import Potential, _row_norms
 
 rng = np.random.default_rng(77)
 

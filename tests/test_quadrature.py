@@ -15,15 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from bridgeint import quadrature
+from bridgeint import green, quadrature
 from bridgeint.estimators import EstimatorConfig, mc_moment
+from bridgeint.green import MGF_TOLERANCE, alpha1_interval, mgf_one_sided
 from bridgeint.potentials import Potential
 from bridgeint.quadrature import (
-    MGF_TOLERANCE,
     QuadConfig,
-    alpha1_interval,
     horizon_moment_gap,
-    mgf_one_sided,
     moment_bridge,
     moment_free,
     moment_two_sided,
@@ -47,13 +45,16 @@ EZ_BRIDGE_T10 = 1.812692469220181
 
 
 class TestQuadConfig:
-    def test_expert_flag_gates_k3(self):
-        # the default config rejects k = 3, k_max=3 opts in, and nothing goes past 3
-        with pytest.raises(ValueError):
-            CFG.check_order(3)
-        QuadConfig(k_max=3).check_order(3)
-        with pytest.raises(ValueError):
-            QuadConfig(k_max=4)
+    def test_orders_zero_to_three(self):
+        # every oracle takes k = 0..3 and nothing past it
+        assert moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 3) > 0.0
+        for k in (-1, 4):
+            for call in (lambda: moment_free([0, 0, 0], math.inf, BALL, k),
+                         lambda: moment_bridge([0, 0, 0], [0, 0, 0], 1.0, BALL, k),
+                         lambda: moment_two_sided([0, 0, 0], [0, 0, 0], BALL, k),
+                         lambda: horizon_moment_gap([0, 0, 0], [0, 0, 0], 2.0, 1.0, BALL, k)):
+                with pytest.raises(ValueError, match="must lie in 0..3"):
+                    call()
 
 
 class TestSimplexRule:
@@ -166,24 +167,24 @@ class TestRadialPrimitives:
 
 class TestFreeMoments:
     def test_flagship_first_moment(self):
-        assert moment_free([0, 0, 0], math.inf, BALL, 1, CFG) == pytest.approx(1.0, abs=1e-9)
+        assert moment_free([0, 0, 0], math.inf, BALL, 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_finite_horizon_frozen_values(self):
-        assert moment_free([0, 0, 0], 1.0, BALL, 1, CFG) == pytest.approx(EY0_T1, rel=1e-10)
-        assert moment_free([0, 0, 0], 10.0, BALL, 1, CFG) == pytest.approx(EY0_T10, rel=1e-10)
-        assert moment_free([0, 0, 0], 100.0, BALL, 1, CFG) == pytest.approx(EY0_T100, rel=1e-10)
+        assert moment_free([0, 0, 0], 1.0, BALL, 1) == pytest.approx(EY0_T1, rel=1e-10)
+        assert moment_free([0, 0, 0], 10.0, BALL, 1) == pytest.approx(EY0_T10, rel=1e-10)
+        assert moment_free([0, 0, 0], 100.0, BALL, 1) == pytest.approx(EY0_T100, rel=1e-10)
 
     def test_far_field_decay(self):
-        near = moment_free([10.0, 0, 0], math.inf, BALL, 1, CFG)
-        far = moment_free([20.0, 0, 0], math.inf, BALL, 1, CFG)
+        near = moment_free([10.0, 0, 0], math.inf, BALL, 1)
+        far = moment_free([20.0, 0, 0], math.inf, BALL, 1)
         assert far / near == pytest.approx(0.5, rel=1e-12)
         assert near == pytest.approx((4.0 / 3.0) / (2.0 * 10.0), rel=1e-12)
 
     def test_second_moment_infinite_horizon(self):
-        assert moment_free([0, 0, 0], math.inf, BALL, 2, CFG) == pytest.approx(5.0 / 3.0, rel=1e-9)
+        assert moment_free([0, 0, 0], math.inf, BALL, 2) == pytest.approx(5.0 / 3.0, rel=1e-9)
 
     def test_second_moment_converges_to_infinite_horizon(self):
-        vals = [moment_free([0, 0, 0], T, BALL, 2, CFG) for T in (100.0, 400.0, 1600.0)]
+        vals = [moment_free([0, 0, 0], T, BALL, 2) for T in (100.0, 400.0, 1600.0)]
         lim = 5.0 / 3.0
         gaps = [abs(v - lim) for v in vals]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -191,7 +192,7 @@ class TestFreeMoments:
 
     def test_second_moment_against_mc(self):
         T = 50.0
-        q = moment_free([0, 0, 0], T, BALL, 2, CFG)
+        q = moment_free([0, 0, 0], T, BALL, 2)
         est = mc_moment("free", 2, 40_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=T,
                                         h_fine=0.004, seed=14,
@@ -200,22 +201,18 @@ class TestFreeMoments:
         assert abs(est.mean - q) < 3.0 * est.std_error + 0.02
 
     def test_zero_potential(self):
-        assert moment_free([0, 0, 0], math.inf, ZERO, 1, CFG) == 0.0
-        assert moment_free([0, 0, 0], 5.0, ZERO, 2, CFG) == 0.0
+        assert moment_free([0, 0, 0], math.inf, ZERO, 1) == 0.0
+        assert moment_free([0, 0, 0], 5.0, ZERO, 2) == 0.0
 
     def test_k0_is_one(self):
-        assert moment_free([0, 0, 0], 2.0, BALL, 0, CFG) == 1.0
+        assert moment_free([0, 0, 0], 2.0, BALL, 0) == 1.0
 
     def test_order_gating(self):
         with pytest.raises(ValueError):
-            moment_free([0, 0, 0], 1.0, BALL, 3, CFG)
-        cfg3 = QuadConfig(k_max=3)
-        with pytest.raises(ValueError):
-            moment_free([0, 0, 0], 1.0, BALL, 3, cfg3)  # finite horizon unsupported
+            moment_free([0, 0, 0], 1.0, BALL, 3)  # finite horizon unsupported
 
     def test_third_moment_green_chain_vs_mc(self):
-        cfg3 = QuadConfig(k_max=3)
-        q3 = moment_free([0, 0, 0], math.inf, BALL, 3, cfg3)
+        q3 = moment_free([0, 0, 0], math.inf, BALL, 3)
         est = mc_moment("free", 3, 60_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=2000.0,
                                         h_fine=0.01, seed=15,
@@ -226,9 +223,8 @@ class TestFreeMoments:
     def test_third_moment_green_chain_closed_form(self, b, exact):
         # the Kac hierarchy for the d = 3 unit ball, solved exactly:
         # m_1 = 1 - r^2/3 inside, and m_3 at r = 0 and r = 1/2
-        cfg3 = QuadConfig(k_max=3)
-        q3 = moment_free([b, 0, 0], math.inf, BALL, 3, cfg3)
-        tol = cfg3.tolerance(3, BALL, infinite_horizon=True)
+        q3 = moment_free([b, 0, 0], math.inf, BALL, 3)
+        tol = CFG.tolerance(3, BALL, infinite_horizon=True)
         assert q3 == pytest.approx(exact, rel=tol)
 
 
@@ -254,7 +250,7 @@ class TestFirstMomentTimeRule:
     def test_small_horizon_inside_a_large_ball(self):
         # the path cannot leave a radius-3 ball in time 0.01: the integral is h
         big = Potential.ball_indicator(3, 3.0)
-        assert moment_free([0, 0, 0], 0.01, big, 1, CFG) == pytest.approx(
+        assert moment_free([0, 0, 0], 0.01, big, 1) == pytest.approx(
             0.01, rel=CFG.tolerance(1, big))
 
     @pytest.mark.parametrize("v, x, y, t", [
@@ -265,7 +261,7 @@ class TestFirstMomentTimeRule:
     ], ids=["edge_signed_step", "edge_ball_loop", "edge_ball_d4", "fast_crossing"])
     def test_bridge_against_adaptive_quadrature(self, v, x, y, t):
         # endpoints on a band edge, and a bridge that crosses the ball at speed 200
-        assert moment_bridge(x, y, t, v, 1, CFG) == pytest.approx(
+        assert moment_bridge(x, y, t, v, 1) == pytest.approx(
             _adaptive_k1(v, x, t, y), rel=CFG.tolerance(1, v))
 
     def test_free_start_next_to_a_band_edge(self):
@@ -273,12 +269,12 @@ class TestFirstMomentTimeRule:
         # first sigma panels
         v = Potential.radial_step(5, [0.6, 1.2], [1.2, 0.4])
         x = [1.2003, 0, 0, 0, 0]
-        assert moment_free(x, 0.01, v, 1, CFG) == pytest.approx(
+        assert moment_free(x, 0.01, v, 1) == pytest.approx(
             _adaptive_k1(v, x, 0.01), rel=CFG.tolerance(1, v))
 
     def test_green_chain_fourth_moment(self):
         # the Kac hierarchy for the d = 3 unit ball gives E Y^4 = 277/21 at the center
-        assert quadrature._green_chain(BALL, 0.0, 4) == pytest.approx(277.0 / 21.0, rel=1e-13)
+        assert green.green_chain(BALL, 0.0, 4) == pytest.approx(277.0 / 21.0, rel=1e-13)
 
 
 @st.composite
@@ -297,7 +293,7 @@ class TestOracleInvariants:
     @given(_radial_case())
     def test_bridge_time_reversal(self, case):
         v, x, y, t = case
-        assert moment_bridge(x, y, t, v, 1, CFG) == moment_bridge(y, x, t, v, 1, CFG)
+        assert moment_bridge(x, y, t, v, 1) == moment_bridge(y, x, t, v, 1)
 
     @_PROPERTY
     @given(_radial_case(), st.floats(0.25, 4.0))
@@ -306,11 +302,11 @@ class TestOracleInvariants:
         v, x, y, t = case
         zoom = v.dilated(lam)
         tol = CFG.tolerance(1, v)
-        bridge = moment_bridge(x, y, t, v, 1, CFG)
-        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, 1, CFG) == \
+        bridge = moment_bridge(x, y, t, v, 1)
+        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, 1) == \
             pytest.approx(lam * lam * bridge, rel=tol, abs=1e-12)
-        free = moment_free(x, t, v, 1, CFG)
-        assert moment_free(lam * x, lam * lam * t, zoom, 1, CFG) == \
+        free = moment_free(x, t, v, 1)
+        assert moment_free(lam * x, lam * lam * t, zoom, 1) == \
             pytest.approx(lam * lam * free, rel=tol, abs=1e-12)
 
     @_PROPERTY
@@ -318,9 +314,9 @@ class TestOracleInvariants:
     def test_height_linearity(self, case, c):
         v, x, y, t = case
         scaled = v.with_height_factor(c)
-        for k, q in ((1, lambda w: moment_bridge(x, y, t, w, 1, CFG)),
-                     (1, lambda w: moment_free(x, t, w, 1, CFG)),
-                     (2, lambda w: moment_free(x, math.inf, w, 2, CFG))):
+        for k, q in ((1, lambda w: moment_bridge(x, y, t, w, 1)),
+                     (1, lambda w: moment_free(x, t, w, 1)),
+                     (2, lambda w: moment_free(x, math.inf, w, 2))):
             assert q(scaled) == pytest.approx(c**k * q(v), rel=1e-12, abs=1e-15)
 
     @_PROPERTY
@@ -328,10 +324,10 @@ class TestOracleInvariants:
     def test_order_zero_is_one(self, case):
         v, x, y, t = case
         for w in (v, v.with_height_factor(0.0)):
-            assert moment_bridge(x, y, t, w, 0, CFG) == 1.0
-            assert moment_free(x, t, w, 0, CFG) == 1.0
-            assert moment_free(x, math.inf, w, 0, CFG) == 1.0
-            assert moment_two_sided(x, y, w, 0, CFG) == 1.0
+            assert moment_bridge(x, y, t, w, 0) == 1.0
+            assert moment_free(x, t, w, 0) == 1.0
+            assert moment_free(x, math.inf, w, 0) == 1.0
+            assert moment_two_sided(x, y, w, 0) == 1.0
 
 
 def _ball_gauge(alpha: float, r: float) -> float:
@@ -391,7 +387,7 @@ class TestOneSidedMgf:
         x[0] = rho
         d1, d2 = _richardson(lambda a: mgf_one_sided(x, v, a), 4e-3)
         for k, fd in ((1, d1), (2, d2)):
-            m = moment_free(x, math.inf, v, k, CFG)
+            m = moment_free(x, math.inf, v, k)
             assert fd == pytest.approx(m, rel=CFG.tolerance(k, v, infinite_horizon=True))
 
     def test_infinite_from_the_first_blow_up_on(self):
@@ -479,25 +475,25 @@ class TestOneSidedMgf:
 
 class TestBridgeMoments:
     def test_frozen_first_moment(self):
-        val = moment_bridge([0, 0, 0], [0, 0, 0], 10.0, BALL, 1, CFG)
+        val = moment_bridge([0, 0, 0], [0, 0, 0], 10.0, BALL, 1)
         assert val == pytest.approx(EZ_BRIDGE_T10, rel=1e-10)
 
     def test_time_reversal_exact(self):
-        a = moment_bridge([0.5, 0, 0], [1.5, 0, 0], 8.0, STEP, 1, CFG)
-        b = moment_bridge([1.5, 0, 0], [0.5, 0, 0], 8.0, STEP, 1, CFG)
+        a = moment_bridge([0.5, 0, 0], [1.5, 0, 0], 8.0, STEP, 1)
+        b = moment_bridge([1.5, 0, 0], [0.5, 0, 0], 8.0, STEP, 1)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
-        a2 = moment_bridge([0.0, 0, 0], [2.0, 0, 0], 6.0, BALL, 2, CFG)
-        b2 = moment_bridge([2.0, 0, 0], [0.0, 0, 0], 6.0, BALL, 2, CFG)
+        a2 = moment_bridge([0.0, 0, 0], [2.0, 0, 0], 6.0, BALL, 2)
+        b2 = moment_bridge([2.0, 0, 0], [0.0, 0, 0], 6.0, BALL, 2)
         assert abs(a2 - b2) <= 1e-9 * max(1.0, abs(a2))
 
     def test_zero_potential(self):
-        assert moment_bridge([0, 0, 0], [1, 0, 0], 4.0, ZERO, 1, CFG) == 0.0
+        assert moment_bridge([0, 0, 0], [1, 0, 0], 4.0, ZERO, 1) == 0.0
 
     def test_against_mc_first_and_second(self):
         x, y, t = np.zeros(3), np.array([1.0, 0, 0]), 8.0
         base = EstimatorConfig(potential=BALL, x=x, y=y, t=t, h_fine=0.004, seed=16)
         for k in (1, 2):
-            q = moment_bridge(x, y, t, BALL, k, CFG)
+            q = moment_bridge(x, y, t, BALL, k)
             est = mc_moment("bridge", k, 30_000, base)
             tol = CFG.tolerance(k, BALL) * abs(q)
             assert abs(est.mean - q) < 3.0 * (est.std_error + tol) + 0.01
@@ -506,14 +502,14 @@ class TestBridgeMoments:
         # endpoints off the support axis take channels l > 0
         x = np.array([0.8, 0.6, 0.0])
         y = np.array([-0.5, 1.0, 0.3])
-        q = moment_bridge(x, y, 6.0, BALL, 2, CFG)
+        q = moment_bridge(x, y, 6.0, BALL, 2)
         est = mc_moment("bridge", 2, 30_000,
                         EstimatorConfig(potential=BALL, x=x, y=y, t=6.0,
                                         h_fine=0.004, seed=17))
         assert abs(est.mean - q) < 3.0 * (est.std_error + 5e-3 * abs(q)) + 0.01
         # the polar pair rule read 0.6611 here, 4.3 % below 200,000 bridges
         x = np.array([0.6, 0.45, 0.0])
-        q = moment_bridge(x, y, 2.0, BALL, 2, CFG)
+        q = moment_bridge(x, y, 2.0, BALL, 2)
         est = mc_moment("bridge", 2, 30_000,
                         EstimatorConfig(potential=BALL, x=x, y=y, t=2.0,
                                         h_fine=0.004, seed=18))
@@ -521,13 +517,13 @@ class TestBridgeMoments:
         assert abs(est.mean - q) < 4.0 * est.std_error + tol
 
     def test_long_horizon_approaches_two_sided(self):
-        target = moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 1, CFG)
-        gaps = [abs(moment_bridge([0, 0, 0], [0, 0, 0], t, BALL, 1, CFG) - target)
+        target = moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 1)
+        gaps = [abs(moment_bridge([0, 0, 0], [0, 0, 0], t, BALL, 1) - target)
                 for t in (10.0, 100.0, 1000.0)]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_nonnegative_moments(self):
-        assert moment_bridge([0, 0, 0], [3, 0, 0], 5.0, BALL, 2, CFG) >= 0.0
+        assert moment_bridge([0, 0, 0], [3, 0, 0], 5.0, BALL, 2) >= 0.0
 
 
 # moment_bridge(x, y, t=2, v, k=2), recorded from Kac's resolvent
@@ -538,7 +534,6 @@ _BRIDGE_K2 = [
     ("noncollinear_d3", [0.8, 0.6, 0.0], [-0.5, 1.0, 0.3], BALL, 0.5561273480855241),
     ("collinear_d4", [0.5, 0, 0, 0], [-1.0, 0, 0, 0], BALL4, 0.7452785400605177),
 ]
-K3 = QuadConfig(k_max=3)
 
 
 @st.composite
@@ -550,7 +545,7 @@ def _resolvent_case(draw):
 
 def _resolvent_or_skip(x, y, t, v, k):
     try:
-        return moment_bridge(x, y, t, v, k, K3)
+        return moment_bridge(x, y, t, v, k)
     except ValueError:  # a geometry the resolvent refuses, such as x = y near a band edge
         assume(False)
 
@@ -559,15 +554,15 @@ class TestBridgeSecondMomentRule:
     @pytest.mark.parametrize("x, y, v, recorded", [c[1:] for c in _BRIDGE_K2],
                              ids=[c[0] for c in _BRIDGE_K2])
     def test_recorded_value(self, x, y, v, recorded):
-        assert moment_bridge(x, y, 2.0, v, 2, CFG) == pytest.approx(recorded, rel=1e-13)
+        assert moment_bridge(x, y, 2.0, v, 2) == pytest.approx(recorded, rel=1e-13)
 
     @_PROPERTY
     @given(_resolvent_case(), st.sampled_from([2, 3]))
     def test_time_reversal_is_exact(self, case, k):
         v, x, y, t = case
         forward = _resolvent_or_skip(x, y, t, v, k)
-        quadrature._resolvent_moments.cache_clear()
-        assert moment_bridge(y, x, t, v, k, K3) == forward
+        green._resolvent_moments.cache_clear()
+        assert moment_bridge(y, x, t, v, k) == forward
 
     @_PROPERTY
     @given(_resolvent_case(), st.floats(0.25, 4.0), st.sampled_from([2, 3]))
@@ -576,8 +571,8 @@ class TestBridgeSecondMomentRule:
         v, x, y, t = case
         zoom = v.dilated(lam).with_height_factor(lam**-2)
         base = _resolvent_or_skip(x, y, t, v, k)
-        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, k, K3) == \
-            pytest.approx(base, rel=K3.tolerance(k, v, bridge=True), abs=1e-14)
+        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, k) == \
+            pytest.approx(base, rel=CFG.tolerance(k, v, bridge=True), abs=1e-14)
 
 
 def _e(d, *coords):
@@ -618,8 +613,8 @@ class TestResolventAccuracy:
         # the resolvent's own rounding estimate
         v = _potentials(d)[name]
         r, s = sorted(float(np.linalg.norm(p)) for p in (x, y))
-        (m1, _, _), _, errors = quadrature._resolvent_moments(
-            quadrature._radial_key(v), r, s, float(np.linalg.norm(y - x)), t)
+        (m1, _, _), _, errors = green._resolvent_moments(
+            green._radial_key(v), r, s, float(np.linalg.norm(y - x)), t)
         exact = quadrature._occupation_k1(v, x, t, y)
         assert abs(m1 - exact) <= max(1e-12, errors[0]) * abs(exact) + 1e-15
 
@@ -631,80 +626,80 @@ class TestResolventAccuracy:
         # k = 2, 6 for k = 3); the tensor rule read 12.9126 and 2.7681 for
         # k = 3 at t = 40 and 1000
         z = [0.0, 0.0, 0.0]
-        assert moment_bridge(z, z, t, BALL, 2, K3) == pytest.approx(m2, rel=1e-8)
-        assert moment_bridge(z, z, t, BALL, 3, K3) == pytest.approx(m3, abs=1e-6)
+        assert moment_bridge(z, z, t, BALL, 2) == pytest.approx(m2, rel=1e-8)
+        assert moment_bridge(z, z, t, BALL, 3) == pytest.approx(m3, abs=1e-6)
 
     def test_long_horizon_rate(self):
         # t (m_k(t) - two-sided limit) settles at -13.866 (k = 2) and -87.77 (k = 3)
         z = [0.0, 0.0, 0.0]
         for k, rate in ((2, -13.8664), (3, -87.769)):
-            limit = moment_two_sided(z, z, BALL, k, K3)
+            limit = moment_two_sided(z, z, BALL, k)
             t = 1e5
-            assert t * (moment_bridge(z, z, t, BALL, k, K3) - limit) == \
+            assert t * (moment_bridge(z, z, t, BALL, k) - limit) == \
                 pytest.approx(rate, rel=1e-4)
 
     @pytest.mark.parametrize("t", [40.0, 640.0])
     def test_off_axis_step_takes_under_a_second(self, t):
         # the polar pair rule took 20 s and 52 s here
-        quadrature._resolvent_moments.cache_clear()
+        green._resolvent_moments.cache_clear()
         start = time.perf_counter()
-        moment_bridge([0.3, 0.4, 0.0], [1.5, -0.2, 0.1], t, STEP, 2, CFG)
+        moment_bridge([0.3, 0.4, 0.0], [1.5, -0.2, 0.1], t, STEP, 2)
         assert time.perf_counter() - start < 1.0
 
     def test_antipodal_far_pair_is_refused(self):
         # the channel terms are about e^50 times the bridge's kernel here
         with pytest.raises(ValueError, match="declared accuracy"):
-            moment_bridge([3.0, 0, 0], [-3.0, 0, 0], 0.2, BALL, 2, CFG)
+            moment_bridge([3.0, 0, 0], [-3.0, 0, 0], 0.2, BALL, 2)
 
 
 class TestTwoSided:
     def test_first_moment_linearity(self):
         x = np.array([0.0, 0, 0])
         y = np.array([1.5, 0, 0])
-        val = moment_two_sided(x, y, BALL, 1, CFG)
-        expected = moment_free(x, math.inf, BALL, 1, CFG) + \
-            moment_free(y, math.inf, BALL, 1, CFG)
+        val = moment_two_sided(x, y, BALL, 1)
+        expected = moment_free(x, math.inf, BALL, 1) + \
+            moment_free(y, math.inf, BALL, 1)
         assert val == pytest.approx(expected, rel=1e-13)
 
     def test_flagship_value(self):
-        assert moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 1, CFG) == pytest.approx(
+        assert moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 1) == pytest.approx(
             2.0, abs=2e-3)
 
     def test_zero_second_moment(self):
-        assert moment_two_sided([0, 0, 0], [0, 0, 0], ZERO, 2, CFG) == 0.0
+        assert moment_two_sided([0, 0, 0], [0, 0, 0], ZERO, 2) == 0.0
 
     def test_second_moment_binomial(self):
-        m1 = moment_free([0, 0, 0], math.inf, BALL, 1, CFG)
-        m2 = moment_free([0, 0, 0], math.inf, BALL, 2, CFG)
-        val = moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 2, CFG)
+        m1 = moment_free([0, 0, 0], math.inf, BALL, 1)
+        m2 = moment_free([0, 0, 0], math.inf, BALL, 2)
+        val = moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 2)
         assert val == pytest.approx(2.0 * m2 + 2.0 * m1 * m1, rel=1e-12)
 
 
 class TestHorizonGap:
     def test_equal_horizons_zero(self):
-        assert horizon_moment_gap([0, 0, 0], [0, 0, 0], 5.0, 5.0, BALL, 1, CFG) == 0.0
+        assert horizon_moment_gap([0, 0, 0], [0, 0, 0], 5.0, 5.0, BALL, 1) == 0.0
 
     def test_monotone_in_comparison_horizon(self):
-        d1 = horizon_moment_gap([0, 0, 0], [0, 0, 0], 100.0, 1.0, BALL, 1, CFG)
-        d2 = horizon_moment_gap([0, 0, 0], [0, 0, 0], 100.0, 10.0, BALL, 1, CFG)
+        d1 = horizon_moment_gap([0, 0, 0], [0, 0, 0], 100.0, 1.0, BALL, 1)
+        d2 = horizon_moment_gap([0, 0, 0], [0, 0, 0], 100.0, 10.0, BALL, 1)
         assert 0.0 <= d2 <= d1
 
     def test_flagship_ratio(self):
         t = 1e4
-        d_early = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, 1.0, BALL, 1, CFG)
-        d_split = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, math.sqrt(t), BALL, 1, CFG)
+        d_early = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, 1.0, BALL, 1)
+        d_split = horizon_moment_gap([0, 0, 0], [0, 0, 0], t, math.sqrt(t), BALL, 1)
         assert d_split < 0.1 * d_early
 
     def test_decreasing_along_horizon_grid_with_sqrt_window(self):
-        vals = [horizon_moment_gap([0, 0, 0], [0, 0, 0], t, math.sqrt(t), BALL, 1, CFG)
+        vals = [horizon_moment_gap([0, 0, 0], [0, 0, 0], t, math.sqrt(t), BALL, 1)
                 for t in (1e2, 1e3, 1e4)]
         assert vals[0] > vals[1] > vals[2] > 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            horizon_moment_gap([0, 0, 0], [0, 0, 0], 5.0, 6.0, BALL, 1, CFG)
+            horizon_moment_gap([0, 0, 0], [0, 0, 0], 5.0, 6.0, BALL, 1)
         with pytest.raises(ValueError):
-            horizon_moment_gap([0, 0, 0], [0, 0, 0], 5.0, 0.0, BALL, 1, CFG)
+            horizon_moment_gap([0, 0, 0], [0, 0, 0], 5.0, 0.0, BALL, 1)
 
 
 @pytest.fixture(scope="module")
@@ -720,7 +715,7 @@ def staircase():
 class TestTabulatedFallback:
     def test_first_moment_matches_mc(self, staircase):
         t = 6.0
-        q = moment_bridge([0, 0, 0], [0, 0, 0], t, staircase, 1, CFG)
+        q = moment_bridge([0, 0, 0], [0, 0, 0], t, staircase, 1)
         est = mc_moment("bridge", 1, 25_000,
                         EstimatorConfig(potential=staircase, x=np.zeros(3),
                                         y=np.zeros(3), t=t, h_fine=0.004, seed=19))
@@ -728,7 +723,7 @@ class TestTabulatedFallback:
 
     def test_second_moment_within_declared_band(self, staircase):
         t = 6.0
-        q = moment_bridge([0, 0, 0], [0, 0, 0], t, staircase, 2, CFG)
+        q = moment_bridge([0, 0, 0], [0, 0, 0], t, staircase, 2)
         est = mc_moment("bridge", 2, 25_000,
                         EstimatorConfig(potential=staircase, x=np.zeros(3),
                                         y=np.zeros(3), t=t, h_fine=0.004, seed=20))
@@ -736,9 +731,9 @@ class TestTabulatedFallback:
         assert abs(est.mean - q) < 3.0 * (est.std_error + tol)
 
     def test_free_infinite_horizon(self, staircase):
-        v1 = moment_free([0, 0, 0], math.inf, staircase, 1, CFG)
+        v1 = moment_free([0, 0, 0], math.inf, staircase, 1)
         assert v1 == pytest.approx(1.0, rel=0.05)
-        v2 = moment_free([0, 0, 0], math.inf, staircase, 2, CFG)
+        v2 = moment_free([0, 0, 0], math.inf, staircase, 2)
         assert v2 == pytest.approx(5.0 / 3.0, rel=0.10)
 
 

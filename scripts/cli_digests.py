@@ -82,10 +82,15 @@ THEOREM1_TAB = {
     "horizons": [4.0, 16.0], "k_list": [1], "n_paths": 400, "target_n_paths": 800,
     "target_free_horizon": 25.0, "grid": {"h_fine": 0.02}, "seed": 53,
 }
-# two batches of bridges whose mgf rows take the exact mean E Z(t) as a
-# linear control, fitted on the whole sample
+# two batches of bridges whose mgf rows take the exact E Z(t) and E Z(t)^2
+# as a quadratic control, fitted on the whole sample
 MGF_BRIDGE = dict(BRIDGE, t=4.0, n_paths=9000, alphas=[-1.0, 0.0, 0.5],
                   grid={"h_fine": 0.02}, seed=47)
+# ends 3 apart over t = 0.1: Kac's resolvent refuses E Z^2 here, so the mgf
+# rows keep E Z(t) alone as a linear control
+MGF_BRIDGE_LINEAR = dict(BRIDGE, x=[1.5, 0.0, 0.0], y=[-1.5, 0.0, 0.0], t=0.1,
+                         n_paths=2000, alphas=[-1.0, 0.5], grid={"h_fine": 0.002},
+                         seed=67)
 
 # (name, command, config, extra flags, expected exit code)
 RUNS = [
@@ -123,6 +128,7 @@ RUNS = [
     ("bloch_tab_w2", "bloch", BLOCH_TAB, ["--workers", "2"], 0),
     ("mgf_bridge_w1", "mgf", MGF_BRIDGE, ["--workers", "1"], 0),
     ("mgf_bridge_w2", "mgf", MGF_BRIDGE, ["--workers", "2"], 0),
+    ("mgf_bridge_linear_fallback", "mgf", MGF_BRIDGE_LINEAR, [], 0),
     ("free_w1", "sample", FREE_SKIPPING, ["--workers", "1"], 0),
     ("free_w2", "sample", FREE_SKIPPING, ["--workers", "2"], 0),
     ("moments_step_collinear", "moments",
@@ -139,6 +145,11 @@ RUNS = [
     ("moments_off_axis_d4", "moments",
      dict(ORACLE_BRIDGES, dimension=4, x=[0.5, 0.3, 0.0, 0.0], y=[-0.4, 0.2, 0.6, 0.0],
           t=3.0, seed=59), [], 0),
+    # the tabulated bridge k = 2 target is the pair rule; the start 0 lies
+    # on three cell faces
+    ("moments_tabulated", "moments",
+     dict(README_MOMENTS, potential=TABLE, t=4.0, n_paths=4000,
+          grid={"h_fine": 0.02}, seed=61), [], 0),
     ("moments_k3", "moments",
      dict(README_MOMENTS, t=4.0, k_list=[1, 2, 3], n_paths=4000,
           grid={"h_fine": 0.02}), [], 0),

@@ -92,7 +92,7 @@ def _estimator_config(cfg: ExperimentConfig, channel: int = 0) -> EstimatorConfi
 
 
 def _control_entry(est: McEstimate):
-    """The summary entry of a row's linear control; None where the plain mean was kept."""
+    """The summary entry of a row's moment control; None where the plain mean was kept."""
     return est.control.as_dict() if est.control is not None else None
 
 

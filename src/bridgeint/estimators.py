@@ -5,15 +5,21 @@ counter-based stream, so estimates are bitwise reproducible for a given
 (master seed, batch size) regardless of worker count.  Reduction happens
 on the concatenated sample array in batch order.
 
-On a bridge, E exp(alpha Z) uses the exact mean m1 = E Z(t) from
-``quadrature.moment_bridge`` as a linear control (Lavenberg & Welch 1981;
-Glasserman 2003, section 4.1): the estimate is mean(f) - beta (mean(Z) - m1)
-with f = exp(alpha Z) and beta the least-squares slope of f on Z, both
-fitted on the whole sample.  Its standard error is the residual one,
-combined with beta times the oracle's declared error on m1.  The plain
-mean is kept for alpha = 0, an overflowed f, a constant Z and fewer than
-3 paths.  Free and two-sided samples, and the sweeps' mgf rows, pass no
-control and keep the plain mean.
+On a bridge, E exp(alpha Z) uses the exact moments m1 = E Z(t) and
+m2 = E Z(t)^2 from ``quadrature.moment_bridge`` as a quadratic control
+(Lavenberg & Welch 1981; Glasserman 2003, section 4.1): with f =
+exp(alpha Z), the estimate is mean(f) - beta . (mean(Z, Z^2) - (m1, m2)),
+where beta holds the least-squares slopes of f on (Z, Z^2), fitted on the
+whole sample in batch order.  Its standard error is the residual one
+(ddof 3), combined in quadrature with |beta_k| times each oracle's
+declared error.  Where the k = 2 oracle refuses the geometry (Kac's
+resolvent for a radial v, the pair rule for a tabulated one), Z alone is a
+linear control, with the residual on ddof 2.  The plain mean is kept for
+alpha = 0, an overflowed f, a constant Z and fewer than 4 paths.  Free and
+two-sided samples, and the sweeps' mgf rows, pass no control and keep the
+plain mean: the sweeps judge a finite-t estimate against its t = infinity
+limit, and a smaller standard error would turn the finite-t gap into a
+verdict.
 
 Free and two-sided integrals are truncated at a finite horizon.  For
 first moments the estimator adds the closed-form Green potential of the
@@ -49,7 +55,7 @@ from .quadrature import DEFAULT, moment_bridge
 
 __all__ = [
     "McEstimate",
-    "LinearControl",
+    "MomentControl",
     "MgfCurve",
     "EstimatorConfig",
     "tail_corrected",
@@ -63,14 +69,17 @@ _KINDS = ("bridge", "free", "two_sided")
 
 
 @dataclass(frozen=True)
-class LinearControl:
-    """How an estimate used the exact mean m1 of Z as a linear control.
+class MomentControl:
+    """How an estimate used the exact moments of Z as controls.
 
     ``gap`` is mean(Z) - m1 on the sample, with standard error
-    ``gap_error``; ``beta`` is in the units of the estimate, so
-    ``beta * gap`` is what the control subtracted from the plain mean, and
-    with it the bias that a discretization error in Z transfers.
-    ``m1_error`` is the oracle's declared absolute error on m1.
+    ``gap_error``, and ``gap2`` is mean(Z^2) - m2.  The slopes ``beta`` (on
+    Z) and ``beta2`` (on Z^2) are in the units of the estimate, so
+    beta * gap + beta2 * gap2 is what the control subtracted from the plain
+    mean, and with it the bias that a discretization error in Z transfers.
+    ``m1_error`` and ``m2_error`` are the oracles' declared absolute errors.
+    A linear control, where the k = 2 oracle refused the geometry, has
+    None for m2, m2_error, beta2 and gap2.
     """
 
     m1: float
@@ -78,10 +87,15 @@ class LinearControl:
     beta: float
     gap: float
     gap_error: float
+    m2: float | None = None
+    m2_error: float | None = None
+    beta2: float | None = None
+    gap2: float | None = None
 
     def as_dict(self):
         return {"m1": self.m1, "m1_error": self.m1_error, "beta": self.beta,
-                "gap": self.gap, "gap_error": self.gap_error}
+                "gap": self.gap, "gap_error": self.gap_error, "m2": self.m2,
+                "m2_error": self.m2_error, "beta2": self.beta2, "gap2": self.gap2}
 
 
 @dataclass(frozen=True)
@@ -97,7 +111,7 @@ class McEstimate:
     std_error: float
     n: int
     max_sample_share: float = 0.0
-    control: LinearControl | None = None
+    control: MomentControl | None = None
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -269,7 +283,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _collect(kind: str, n: int, cfg: EstimatorConfig):
+def _collect(kind: str, n: int, cfg: EstimatorConfig, meanwhile=None):
     """Raw path-integral samples plus terminal tail potentials, in batch order.
 
     Returns (values, tails); ``tails`` is None for the bridge kind, where
@@ -278,7 +292,9 @@ def _collect(kind: str, n: int, cfg: EstimatorConfig):
     through this call, so one sampling pass can feed several statistics.
     The pool has min(workers, batches, usable CPUs) processes: a fork pool
     starts all of them at its first task, and the samples do not depend on
-    their number.
+    their number.  ``meanwhile``, if given, is called in this process once
+    every batch is handed to the pool, so work that does not need the
+    samples runs while they are drawn.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; expected one of {_KINDS}")
@@ -287,9 +303,14 @@ def _collect(kind: str, n: int, cfg: EstimatorConfig):
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             columns = [[kind] * len(plan), [cfg] * len(plan), *zip(*plan)]
-            parts = list(pool.map(_run_batch, *columns))
+            pending = pool.map(_run_batch, *columns)  # submits every batch
+            if meanwhile is not None:
+                meanwhile()
+            parts = list(pending)
     else:
         parts = [_run_batch(kind, cfg, b, c) for b, c in plan]
+        if meanwhile is not None:
+            meanwhile()
     values = np.concatenate([p[0] for p in parts])
     tails = None
     if parts[0][1] is not None:
@@ -319,32 +340,49 @@ def tail_corrected(values: np.ndarray, tails, k: int = 1):
     return values
 
 
-def _mgf_estimate(values: np.ndarray, alpha: float, exact_mean=None) -> McEstimate:
+def _mgf_estimate(values: np.ndarray, alpha: float, exact=None) -> McEstimate:
     """E exp(alpha Z) from a sample of Z; alpha = 0 is returned exactly.
 
-    ``exact_mean`` = (m1, m1_error) is the exact E Z of the sampled law and
-    its declared absolute error.  With it, Z is a linear control for
-    f = exp(alpha Z) (see the module docstring); ``max_sample_share`` stays
-    that of the raw f.  The plain mean is returned, bit for bit, when
-    alpha = 0, when any f is non-finite, when Z is constant or when there
-    are fewer than 3 samples.
+    ``exact`` = (m1, m1_error, m2, m2_error) holds the exact E Z and E Z^2
+    of the sampled law and their declared absolute errors; m2 and m2_error
+    are None where no exact E Z^2 exists.  With it, (Z, Z^2), or Z alone,
+    is a control for f = exp(alpha Z) (see the module docstring);
+    ``max_sample_share`` stays that of the raw f.  The plain mean is
+    returned, bit for bit, when alpha = 0, when any f is non-finite, when Z
+    is constant or when there are fewer than 4 samples.
     """
     if alpha == 0.0:
         return McEstimate(1.0, 0.0, values.size, 1.0 / values.size)
     f = np.exp(alpha * values)
     plain = McEstimate.from_samples(f)
-    if (exact_mean is None or values.size < 3 or not np.all(np.isfinite(f))
+    if (exact is None or values.size < 4 or not np.all(np.isfinite(f))
             or np.ptp(values) == 0.0):
         return plain
-    m1, m1_error = exact_mean
+    m1, m1_error, m2, m2_error = exact
+    n = values.size
     z_mean = float(np.mean(values))
     dz = values - z_mean
     df = f - plain.mean
-    beta = float(np.dot(df, dz) / np.dot(dz, dz))
     gap = z_mean - m1
-    residual = float(np.std(df - beta * dz, ddof=2)) / math.sqrt(values.size)
-    gap_error = float(np.std(values, ddof=1)) / math.sqrt(values.size)
-    control = LinearControl(m1=m1, m1_error=m1_error, beta=beta, gap=gap,
+    gap_error = float(np.std(values, ddof=1)) / math.sqrt(n)
+    if m2 is not None:
+        squares = values * values
+        q_mean = float(np.mean(squares))
+        design = np.column_stack([dz, squares - q_mean])
+        slopes, _, rank, _ = np.linalg.lstsq(design, df, rcond=None)
+        if rank == 2:
+            beta, beta2 = float(slopes[0]), float(slopes[1])
+            gap2 = q_mean - m2
+            residual = float(np.std(df - design @ slopes, ddof=3)) / math.sqrt(n)
+            control = MomentControl(m1=m1, m1_error=m1_error, beta=beta, gap=gap,
+                                    gap_error=gap_error, m2=m2, m2_error=m2_error,
+                                    beta2=beta2, gap2=gap2)
+            return replace(plain, mean=plain.mean - beta * gap - beta2 * gap2,
+                           std_error=math.hypot(residual, beta * m1_error, beta2 * m2_error),
+                           control=control)
+    beta = float(np.dot(df, dz) / np.dot(dz, dz))
+    residual = float(np.std(df - beta * dz, ddof=2)) / math.sqrt(n)
+    control = MomentControl(m1=m1, m1_error=m1_error, beta=beta, gap=gap,
                             gap_error=gap_error)
     return replace(plain, mean=plain.mean - beta * gap,
                    std_error=math.hypot(residual, beta * m1_error), control=control)
@@ -381,10 +419,34 @@ def _mgf_warnings(alphas: np.ndarray, v: Potential):
             RuntimeWarning, stacklevel=3)
 
 
-def _bridge_mean(cfg: EstimatorConfig) -> tuple:
-    """(E Z(t), its declared absolute error) for the bridge cfg describes."""
-    m1 = moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, 1)
-    return m1, DEFAULT.tolerance(1, cfg.potential) * abs(m1)
+def _bridge_moments(cfg: EstimatorConfig):
+    """(m1, m1_error, m2, m2_error) of the bridge cfg describes, or None.
+
+    The errors are the oracles' declared absolute errors.  m2 and m2_error
+    are None where the k = 2 oracle refuses the geometry, and the whole is
+    None where the k = 1 rule does (endpoints too far apart for the horizon).
+    """
+    v = cfg.potential
+    try:
+        m1 = moment_bridge(cfg.x, cfg.y, cfg.t, v, 1)
+    except ValueError:
+        return None
+    m1_error = DEFAULT.tolerance(1, v) * abs(m1)
+    try:
+        m2 = moment_bridge(cfg.x, cfg.y, cfg.t, v, 2)
+    except ValueError:
+        return m1, m1_error, None, None
+    return m1, m1_error, m2, DEFAULT.tolerance(2, v, bridge=True) * abs(m2)
+
+
+def _bridge_sample(n: int, cfg: EstimatorConfig) -> tuple:
+    """(Z sample, ``_bridge_moments``) for the bridge cfg describes.
+
+    The exact moments are computed while the pool draws the sample.
+    """
+    exact = []
+    values, _ = _collect("bridge", n, cfg, meanwhile=lambda: exact.append(_bridge_moments(cfg)))
+    return values, exact[0]
 
 
 def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
@@ -392,15 +454,17 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
 
     alpha = 0 is returned exactly.  An estimate is flagged unstable when a
     single sample carries more than half of the total mass.  On a bridge
-    the exact mean E Z(t) is a linear control for every alpha.
+    the exact E Z(t) and E Z(t)^2 are a quadratic control for every alpha.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if n < 2:
         raise ValueError("at least 2 samples are required")
     _mgf_warnings(alphas, cfg.potential)
-    values = tail_corrected(*_collect(kind, n, cfg))
-    exact_mean = _bridge_mean(cfg) if kind == "bridge" else None
-    estimates = [_mgf_estimate(values, a, exact_mean) for a in alphas]
+    if kind == "bridge":
+        values, exact = _bridge_sample(n, cfg)
+    else:
+        values, exact = tail_corrected(*_collect(kind, n, cfg)), None
+    estimates = [_mgf_estimate(values, a, exact) for a in alphas]
     unstable = np.array([e.max_sample_share > 0.5 for e in estimates], dtype=bool)
     return MgfCurve(alphas, estimates, unstable)
 
@@ -427,14 +491,18 @@ def alpha1_divergence_probe(v: Potential, alphas, budget: int, *,
 def bloch_green(x, y, t: float, n: int, cfg: EstimatorConfig) -> McEstimate:
     """Fundamental solution value q(t; y - x) E exp(-Z(t)) for the bridge.
 
-    E exp(-Z(t)) takes the exact bridge mean E Z(t) as a linear control, as
-    in ``mc_mgf``; the control is reported in the units of the returned
-    value.  Reduces to the free heat kernel when v vanishes.
+    E exp(-Z(t)) takes the exact bridge moments E Z(t) and E Z(t)^2 as a
+    quadratic control, as in ``mc_mgf``; the control's slopes are reported
+    in the units of the returned value.  Reduces to the free heat kernel
+    when v vanishes.
     """
     cfg = replace(cfg, x=x, y=y, t=t)
     kernel = transition_density(t, cfg.y - cfg.x)
-    values, _ = _collect("bridge", n, cfg)
-    est = _mgf_estimate(values, -1.0, _bridge_mean(cfg))
-    control = replace(est.control, beta=kernel * est.control.beta) if est.control else None
+    values, exact = _bridge_sample(n, cfg)
+    est = _mgf_estimate(values, -1.0, exact)
+    control = est.control
+    if control is not None:
+        control = replace(control, beta=kernel * control.beta,
+                          beta2=None if control.beta2 is None else kernel * control.beta2)
     return replace(est, mean=kernel * est.mean, std_error=kernel * est.std_error,
                    control=control)

@@ -16,8 +16,20 @@ potential's support.  This module holds the rules in time, and the public
 * free second moments at a finite horizon run over panel-refined pair
   grids that resolve the boundary layer at the start and the long
   polynomial tail;
-* tabulated potentials take tensor-product Gauss-Legendre rules for
-  k >= 2, with a correspondingly coarser declared tolerance.
+* the bridge second moment of a tabulated potential is the pair law
+  E Z^2 = 2 int int_{s1 < s2} E v(X_s1) v(X_s2): the bridge's coordinates
+  are independent, so each axis gives a matrix of bivariate normal cell
+  masses (Owen's T), contracted with the table axis by axis; the time rule
+  integrates the covariance of the two values, in sqrt substitutions at
+  s1 -> 0, at s2 - s1 -> 0 and at s2 -> t, and adds (E Z)^2;
+* the other tabulated moments, k = 3 on a bridge and k = 2 free, take
+  tensor-product Gauss-Legendre rules, with a correspondingly coarser
+  declared tolerance.
+
+A bridge rule integrates only the times at which the bridge's mean path
+comes within reach of the support, so endpoints far from it and from each
+other give 0 or a bounded number of panels; a rule that would need more
+raises ValueError.
 
 Infinite-horizon moments of a radial potential come from the Green chain,
 and its bridge moments k = 2 and 3 from Kac's resolvent (``green``).
@@ -66,6 +78,14 @@ _BOX_NODES = 7
 _SQRT_NODES = 16
 _SQRT_BASE = 2.0**-7
 _SQRT_CAP = 2.0
+# A bridge's one-point law puts less than 1e-300 of its mass beyond _REACH
+# standard deviations of its widest point, sqrt(t) / 2, so its mean path
+# reaches the support only where it comes within the support radius plus
+# that distance.  Inside that window, one half of a time rule takes at most
+# _MAX_PANELS panels, and the pair rule at most _PAIR_MAX_PANELS per time axis.
+_REACH = 40.0
+_MAX_PANELS = 4096
+_PAIR_MAX_PANELS = 64
 
 
 class QuadConfig:
@@ -85,7 +105,12 @@ class QuadConfig:
         1.3e-8 under 24 -> 32 Talbot nodes, an alpha radius of 0.25 -> 0.125
         or 0.375 of alpha1 and a channel tolerance of 1e-13 -> 1e-15,
         wherever its own error estimate is at most 1e-6: the bound it
-        enforces.  The free k = 2 pair rule keeps 5e-3.
+        enforces.  The free k = 2 pair rule keeps 5e-3.  A tabulated
+        bridge k = 2 takes the pair rule: on 15 cases (the bloch_near
+        bridges, a table read from a corner of its cells, ends off and
+        outside the table, x = y, t = 0.05 to 32, and the 21^3 staircase
+        ball) it was within 6.1e-6 of the same rule refined to a sixteenth
+        of its base with 12 nodes a panel, so it declares 1e-5.
         """
         if v.is_radial:
             if infinite_horizon:
@@ -95,6 +120,8 @@ class QuadConfig:
             return {0: 0.0, 1: 1e-6, 2: 5e-3, 3: 5e-2}.get(k, 1e-1)
         if infinite_horizon:
             return {0: 0.0, 1: 1e-4, 2: 5e-2, 3: 1e-1}.get(k, 2e-1)
+        if bridge and k == 2:
+            return 1e-5
         return {0: 0.0, 1: 1e-5, 2: 1e-1, 3: 2e-1}.get(k, 2e-1)
 
 
@@ -362,35 +389,102 @@ def _tabulated_smear(v: Potential, mu: np.ndarray, var: np.ndarray) -> np.ndarra
     return out
 
 
+def _reach_window(v: Potential, x, y, t: float):
+    """The times (lo, hi) at which the mean path of the bridge x -> y is in reach.
+
+    Reach is the support radius plus _REACH times the bridge's widest
+    standard deviation; at any other time the one-point law misses the
+    support to below 1e-300.  Returns None when the mean path is never in
+    reach, and (0, t) whenever it is in reach all along.  Raises ValueError
+    when y - x overflows.
+    """
+    with np.errstate(over="ignore"):
+        a = np.asarray(x, dtype=float) - v.center
+        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    reach = v.support_radius + _REACH * 0.5 * math.sqrt(t)
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(d))), reach)
+    if not math.isfinite(scale):
+        raise ValueError("the bridge endpoints are too far apart to represent their distance")
+    a, d, reach = a / scale, d / scale, reach / scale
+    # |a + u d| <= reach for u = s / t in [0, 1]
+    aa, ad, dd = float(a @ a), float(a @ d), float(d @ d)
+    if dd == 0.0:
+        return (0.0, t) if aa <= reach * reach else None
+    disc = ad * ad - dd * (aa - reach * reach)
+    if disc < 0.0:
+        return None
+    lo = max(0.0, (-ad - math.sqrt(disc)) / dd)
+    hi = min(1.0, (-ad + math.sqrt(disc)) / dd)
+    return (lo * t, hi * t) if lo <= hi else None
+
+
+def _bridge_cap(x, y, t: float) -> float:
+    """The longest sigma panel of a bridge time rule, _SQRT_CAP t / |y - x|."""
+    with np.errstate(over="ignore"):
+        gap = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
+    return _SQRT_CAP * t / gap if gap > 0 else math.inf
+
+
+def _half_edges(lo: float, hi: float, base: float, cap: float):
+    """Sigma edges over s = sigma^2 in [lo, hi], panels at most cap long.
+
+    From lo = 0 the panels double from base; from lo > 0, where the start
+    is out of reach, they are even.  More than _MAX_PANELS raises ValueError.
+    """
+    if hi <= lo:
+        return []
+    a, b = math.sqrt(lo), math.sqrt(hi)
+    if not b - a <= _MAX_PANELS * cap:
+        raise ValueError("the bridge endpoints are too far apart for so short a horizon: "
+                         f"its time rule would need more than {_MAX_PANELS} panels")
+    if lo == 0.0:
+        return _log_edges(b, base, cap)
+    return list(np.linspace(a, b, max(1, math.ceil((b - a) / cap)) + 1))
+
+
 def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
     """E int_0^horizon v(X_s) ds for free motion from x, or the bridge x -> y.
 
     The substitution s = sigma^2 turns the sqrt(s) layer of a start on a
     band edge into a smooth integrand, and doubling Gauss-Legendre panels
     in sigma follow the s^(-d/2) tail.  A bridge integrates its first half
-    from x and its second half at s = horizon - sigma^2 from y on the same
-    nodes, so the rule is symmetric under time reversal.  Where the
-    bridge's mean crosses a band edge, its one-point law changes over a
-    sigma interval of about horizon / (2 |y - x|) at any s, which caps the
-    bridge panels.
+    from x and its second half at s = horizon - sigma^2 from y, so the rule
+    is symmetric under time reversal; both halves share their nodes unless
+    the reach window cuts one of them.  Where the bridge's mean crosses a
+    band edge, its one-point law changes over a sigma interval of about
+    horizon / (2 |y - x|) at any s, which caps the bridge panels.
     """
     x = np.asarray(x, dtype=float)
     base = _SQRT_BASE * min(1.0, v.support_radius)
     if y is None:
-        half, cap = horizon, math.inf
-    else:
-        y = np.asarray(y, dtype=float)
-        gap = float(np.linalg.norm(y - x))
-        half, cap = horizon / 2.0, _SQRT_CAP * horizon / gap if gap > 0 else math.inf
-    sigma, w = panel_rule(_log_edges(math.sqrt(half), base, cap), _SQRT_NODES)
-    s = sigma * sigma
-    w = 2.0 * sigma * w
-    if y is None:
+        sigma, w = panel_rule(_log_edges(math.sqrt(horizon), base), _SQRT_NODES)
+        s = sigma * sigma
+        w = 2.0 * sigma * w
         return float(np.sum(w * _smear(v, np.broadcast_to(x, (s.size, v.dim)), s)))
-    frac = (s / horizon)[:, None]
-    var = s * (horizon - s) / horizon
-    vals = _smear(v, x + frac * (y - x), var) + _smear(v, y + frac * (x - y), var)
-    return float(np.sum(w * vals))
+    y = np.asarray(y, dtype=float)
+    window = _reach_window(v, x, y, horizon)
+    if window is None:
+        return 0.0
+    lo, hi = window
+    half = horizon / 2.0
+    cap = _bridge_cap(x, y, horizon)
+    # s in [lo, hi] from x, and horizon - s in [horizon - hi, horizon - lo] from y
+    edges = [_half_edges(lo, min(hi, half), base, cap),
+             _half_edges(max(0.0, horizon - hi), min(half, horizon - lo), base, cap)]
+    nodes = []
+    for e in edges:
+        sigma, w = panel_rule(e, _SQRT_NODES)
+        s = sigma * sigma
+        nodes.append((s, 2.0 * sigma * w, (s / horizon)[:, None], s * (horizon - s) / horizon))
+    if edges[0] == edges[1]:
+        s, w, frac, var = nodes[0]
+        vals = _smear(v, x + frac * (y - x), var) + _smear(v, y + frac * (x - y), var)
+        return float(np.sum(w * vals))
+    total = 0.0
+    for (s, w, frac, var), (start, end) in zip(nodes, ((x, y), (y, x))):
+        if s.size:
+            total += float(np.sum(w * _smear(v, start + frac * (end - start), var)))
+    return total
 
 
 # -- infinite-horizon moments -----------------------------------------------
@@ -575,6 +669,139 @@ def _moment_bridge_tensor(x, y, t: float, v: Potential, k: int) -> float:
     return math.factorial(k) * total / math.exp(log_norm)
 
 
+# -- the tabulated bridge pair rule -------------------------------------------
+
+# The pair rule's time grid: doubling sigma panels from _PAIR_BASE times
+# min(spacing, sqrt(t)), with Gauss-Legendre orders per panel from the
+# innermost (the last repeats), in the lag up to t/2 and in s1 at each such
+# lag.  Lags past t/2 leave s1 + (t - s2) < t/2, where both times are near
+# their endpoints and the covariance is small: one panel in sqrt(t - lag)
+# and fewer nodes in s1 hold the same accuracy there.
+_PAIR_BASE = 0.75
+_PAIR_LAG_ORDERS = (4, 4, 3)
+_PAIR_TIME_ORDERS = (6, 5, 4)
+_PAIR_FAR_LAG_ORDERS = (6,)
+_PAIR_FAR_TIME_ORDERS = (4,)
+# Phi(-8.3) < 6e-17: a cell edge this many standard deviations out is saturated
+_SATURATED = 8.3
+# floats of the pair rule's running contraction per chunk of time pairs
+_PAIR_CHUNK = 2**14
+
+
+def _graded_nodes(length: float, base: float, cap: float, orders) -> tuple:
+    """s in (0, length / 2] on doubling sigma = sqrt(s) panels, and weights in s."""
+    edges = _log_edges(math.sqrt(length / 2.0), base, cap)
+    parts = [panel_rule(edges[j:j + 2], orders[min(j, len(orders) - 1)])
+             for j in range(len(edges) - 1)]
+    sigma = np.concatenate([p[0] for p in parts])
+    w = np.concatenate([p[1] for p in parts])
+    return sigma * sigma, 2.0 * sigma * w
+
+
+def _bridge_pair_nodes(t: float, base: float, cap: float) -> tuple:
+    """(s1, lag, rest, weight) over the simplex s1 + lag + rest = t.
+
+    The lag is graded in sqrt from 0 over [0, t/2] and taken on one panel
+    in sqrt(t - lag) over [t/2, t] (panels no longer than cap); at each
+    lag, s1 is graded in sqrt from both ends of its span t - lag.  The node
+    set maps to itself under s1 <-> rest, which is time reversal.
+    """
+    near, w_near = _graded_nodes(t, base, cap, _PAIR_LAG_ORDERS)
+    far, w_far = _graded_nodes(t, min(math.sqrt(t / 2.0), cap), cap, _PAIR_FAR_LAG_ORDERS)
+    parts = []
+    for lags, spans, weights, orders in ((near, t - near, w_near, _PAIR_TIME_ORDERS),
+                                         (t - far, far, w_far, _PAIR_FAR_TIME_ORDERS)):
+        for lag, span, wl in zip(lags, spans, weights):
+            b, wb = _graded_nodes(span, base, cap, orders)
+            parts.append((np.concatenate([b, span - b]), np.full(2 * b.size, lag),
+                          np.concatenate([span - b, b]), np.concatenate([wl * wb, wl * wb])))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _cell_pair_masses(edges, mu1, mu2, sd1, sd2, rho, r) -> np.ndarray:
+    """P(X1 in cell a, X2 in cell b) on one axis, per time pair: shape (P, n, n).
+
+    (X1, X2) is bivariate normal with correlation rho >= 0 and
+    r = sqrt(1 - rho^2).  Phi2 at the edge pairs is Owen's formula,
+    Phi2(h, k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - [hk < 0] / 2
+    (Owen 1956), except where it is min(Phi(h), Phi(k)) to 6e-17: an edge
+    saturated on either axis, or one whose conditional law given the other
+    lies _SATURATED standard deviations away.  The cell masses are the
+    second differences.
+    """
+    h = (edges - mu1[:, None]) / sd1[:, None]
+    k = (edges - mu2[:, None]) / sd2[:, None]
+    hh, kk = h[:, :, None], k[:, None, :]
+    rr, qq = rho[:, None, None], _SATURATED * r[:, None, None]
+    cdf = np.minimum(special.ndtr(hh), special.ndtr(kk))
+    live = np.nonzero((np.abs(hh) <= _SATURATED) & (np.abs(kk) <= _SATURATED)
+                      & (kk - rr * hh <= qq) & (hh - rr * kk <= qq))
+    p, i, j = live
+    if p.size:
+        # Phi2 is continuous, so an edge exactly at the mean reads just above it
+        hl = np.where(h[p, i] == 0.0, 1e-100, h[p, i])
+        kl = np.where(k[p, j] == 0.0, 1e-100, k[p, j])
+        rl, ql = rho[p], r[p]
+        val = 0.5 * (special.ndtr(hl) + special.ndtr(kl)) - 0.5 * (hl * kl < 0.0)
+        val -= special.owens_t(hl, (kl - rl * hl) / (hl * ql))
+        val -= special.owens_t(kl, (hl - rl * kl) / (kl * ql))
+        cdf[live] = val
+    return np.diff(np.diff(cdf, axis=1), axis=2)
+
+
+def _pair_covariance(v: Potential, x, y, t: float, s1, lag, rest) -> np.ndarray:
+    """Cov(v(X_s1), v(X_s2)) along the bridge x -> y, s2 = s1 + lag = t - rest.
+
+    E v(X_s1) v(X_s2) contracts the table with each axis's cell-pair masses
+    in turn, as ``_tabulated_smear`` does with cell masses for k = 1.
+    """
+    s2 = s1 + lag
+    u1 = lag + rest  # t - s1
+    sd1 = np.sqrt(s1 * u1 / t)
+    sd2 = np.sqrt(s2 * rest / t)
+    rho = np.sqrt(s1 * rest / (s2 * u1))
+    r = np.sqrt(t * lag / (s2 * u1))  # sqrt(1 - rho^2), without its cancellation
+    mu1 = x + (s1 / t)[:, None] * (y - x)
+    mu2 = y + (rest / t)[:, None] * (x - y)
+    shape = v.values.shape
+    acc = np.broadcast_to(v.values, (s1.size, *shape))
+    for axis in range(v.dim):
+        edges = v.origin[axis] + v.spacing * np.arange(shape[axis] + 1)
+        mass = _cell_pair_masses(edges, mu1[:, axis], mu2[:, axis], sd1, sd2, rho, r)
+        # contract the leading table axis; its cell-pair index goes last
+        acc = mass @ acc.reshape(s1.size, shape[axis], -1)
+        acc = np.moveaxis(acc.reshape(s1.size, shape[axis], *shape[axis + 1:],
+                                      *shape[:axis]), 1, -1)
+    joint = acc.reshape(s1.size, -1) @ v.values.ravel()
+    return joint - _tabulated_smear(v, mu1, sd1 * sd1) * _tabulated_smear(v, mu2, sd2 * sd2)
+
+
+def _moment_bridge_pair(x, y, t: float, v: Potential) -> float:
+    """E Z(t)^2 of a tabulated v along the bridge x -> y: the pair rule.
+
+    E Z^2 = (E Z)^2 + 2 int int_{s1 < s2} Cov(v(X_s1), v(X_s2)); the
+    covariance vanishes as either time reaches its endpoint, which leaves
+    the time rule only the endpoint layers' remainders to resolve.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if _reach_window(v, x, y, t) is None:
+        return 0.0
+    cap = _bridge_cap(x, y, t)
+    if not math.sqrt(t / 2.0) <= _PAIR_MAX_PANELS * cap:
+        raise ValueError("the bridge endpoints are too far apart for so short a horizon: "
+                         f"the k = 2 pair rule would need more than {_PAIR_MAX_PANELS} "
+                         "panels per time axis")
+    m1 = _occupation_k1(v, x, t, y)
+    base = min(_PAIR_BASE * min(v.spacing, math.sqrt(t)), cap)
+    s1, lag, rest, w = _bridge_pair_nodes(t, base, cap)
+    chunk = max(1, _PAIR_CHUNK // v.values.size)
+    cov = sum(float(w[i:i + chunk] @ _pair_covariance(
+        v, x, y, t, s1[i:i + chunk], lag[i:i + chunk], rest[i:i + chunk]))
+        for i in range(0, s1.size, chunk))
+    return 2.0 * cov + m1 * m1
+
+
 # -- public operations --------------------------------------------------------
 
 def moment_free(x, horizon: float, v: Potential, k: int) -> float:
@@ -618,7 +845,9 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
     come from Kac's resolvent, which reads the endpoints only through their
     distances to the centre and the angle between them; a geometry whose
     rounding estimate exceeds the declared tolerance raises ValueError.
-    Tabulated v average the tensor rule over both orientations.
+    k = 2 of a tabulated v is the pair rule, whose node set is symmetric
+    under time reversal; k = 3 averages the tensor rule over both
+    orientations.  Endpoints too far apart for the horizon raise ValueError.
     """
     _check_order(k)
     if not (t > 0) or not math.isfinite(t):
@@ -631,6 +860,8 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
         return _occupation_k1(v, x, t, y)
     if v.is_radial:
         return _radial_bridge_moment(x, y, t, v, k)
+    if k == 2:
+        return _moment_bridge_pair(x, y, t, v)
     forward = _moment_bridge_tensor(x, y, t, v, k)
     if np.array_equal(np.asarray(x, float), np.asarray(y, float)):
         return forward  # both orientations are the same call

@@ -423,6 +423,33 @@ class TestOracleCoverage:
         cfg = dict(self._D4, x=[0.5, 0.0, 0.0, 0.0], y=[-0.3, 0.0, 0.0, 0.0])
         assert load_config(cfg, "moments").k_list == [2]
 
+    _CUBE = {"kind": "tabulated", "origin": [-0.4] * 3, "spacing": 0.4,
+             "values": [[[1.0] * 2] * 2] * 2}
+
+    @pytest.mark.parametrize("potential", [_BALL, _CUBE], ids=["ball", "tabulated"])
+    # the sampler squares coordinates of 1e300 on its way to the far end
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_far_endpoint_ends(self, tmp_path, potential):
+        # |y - x| overflowed the k = 1 rule's panel cap, which then appended
+        # empty panels for ever; now the mean path is in reach only in the
+        # last 1e-300 of the horizon, and the k = 1 target is 0
+        cfg = base_bridge_config(potential=potential, x=[1e300, 0.0, 0.0], t=1.0,
+                                 n_paths=20, k_list=[1])
+        path = write_config(tmp_path, cfg)
+        code = main(["moments", "--config", path, "--out", str(tmp_path)])
+        assert code in (EXIT_OK, EXIT_FAIL)
+        with open(tmp_path / "moments.csv") as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert float(row["target"]) == 0.0
+
+    def test_far_endpoint_k2_is_a_config_error(self, tmp_path, capsys):
+        # the tabulated k = 2 pair rule would need 1e8 panels a side here
+        cfg = base_bridge_config(potential=self._CUBE, x=[1e9, 0.0, 0.0], y=[-1e9, 0.0, 0.0],
+                                 t=1.0, n_paths=20, k_list=[1, 2])
+        path = write_config(tmp_path, cfg)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "too far apart" in capsys.readouterr().err
+
 
 _NO_STATISTIC = [
     ("theorem1", dict(_MINIMAL["theorem1"], k_list=[], alphas=[]), "at least one statistic"),
@@ -612,8 +639,10 @@ class TestMomentsCommand:
             assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
             rows = json.loads((out / f"{command}_summary.json").read_text())[rows_key]
             control = rows[0]["control"]
-            assert set(control) == {"m1", "m1_error", "beta", "gap", "gap_error"}
+            assert set(control) == {"m1", "m1_error", "beta", "gap", "gap_error",
+                                    "m2", "m2_error", "beta2", "gap2"}
             assert control["beta"] < 0.0 and control["m1"] > 0.0
+            assert control["beta2"] > 0.0 and control["m2"] > control["m1"] ** 2
             with open(out / f"{command}.csv") as fh:
                 assert next(csv.reader(fh)) == ["statistic", "k_or_alpha", "t", "value",
                                                 "std_error", "target", "target_error",

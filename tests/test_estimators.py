@@ -247,14 +247,59 @@ class TestMcMgf:
 
 
 class TestMgfControl:
-    """The exact bridge mean as a linear control, and where the plain mean stays."""
+    """The exact bridge moments as controls, and where the plain mean stays."""
 
-    @pytest.mark.parametrize("values", [np.full(50, 0.3), np.array([0.1, 0.4])],
-                             ids=["constant", "two_samples"])
+    @pytest.mark.parametrize("values", [np.full(50, 0.3), np.array([0.1, 0.4]),
+                                        np.array([0.1, 0.4, 0.2])],
+                             ids=["constant", "two_samples", "three_samples"])
     def test_plain_estimate_kept(self, values):
-        est = estimators._mgf_estimate(values, -1.0, (0.3, 1e-6))
+        est = estimators._mgf_estimate(values, -1.0, (0.3, 1e-6, 0.1, 1e-6))
         assert est == McEstimate.from_samples(np.exp(-values))
         assert est.control is None
+
+    def test_quadratic_fit_read_at_the_exact_moments(self):
+        # the controlled mean is the least-squares parabola of f on Z,
+        # read at (m1, m2): c0 + c1 m1 + c2 m2
+        values = np.random.default_rng(3).gamma(2.0, 0.4, 500)
+        m1, m2 = 0.8, 0.96
+        for alpha in (-1.0, 0.4):
+            f = np.exp(alpha * values)
+            est = estimators._mgf_estimate(values, alpha, (m1, 1e-7, m2, 2e-7))
+            c2, c1, c0 = np.polyfit(values, f, 2)
+            assert est.mean == pytest.approx(c0 + c1 * m1 + c2 * m2, rel=1e-12)
+            assert est.control.beta == pytest.approx(c1, rel=1e-9)
+            assert est.control.beta2 == pytest.approx(c2, rel=1e-9)
+            residual = f - np.polyval([c2, c1, c0], values)
+            se = math.hypot(float(np.std(residual, ddof=3)) / math.sqrt(values.size),
+                            c1 * 1e-7, c2 * 2e-7)
+            assert est.std_error == pytest.approx(se, rel=1e-9)
+
+    def test_refused_geometry_keeps_the_linear_control(self):
+        # Kac's resolvent refuses ends 3 apart over t = 0.1 (its rounding
+        # estimate is far above 1e-6), so Z alone is the control
+        cfg = bridge_cfg(x=np.array([1.5, 0.0, 0.0]), y=np.array([-1.5, 0.0, 0.0]),
+                         t=0.1, h_fine=0.002)
+        with pytest.raises(ValueError):
+            moment_bridge(cfg.x, cfg.y, cfg.t, BALL, 2)
+        m1, m1_error, m2, m2_error = estimators._bridge_moments(cfg)
+        assert m2 is None and m2_error is None
+        est = mc_mgf("bridge", [-1.0], 2_000, cfg).estimates[0]
+        values, _ = estimators._collect("bridge", 2_000, cfg)
+        assert est == estimators._mgf_estimate(values, -1.0, (m1, m1_error, None, None))
+        control = est.control
+        assert control.m2 is None and control.beta2 is None and control.gap2 is None
+        dz, df = values - np.mean(values), np.exp(-values) - np.mean(np.exp(-values))
+        assert control.beta == float(np.dot(df, dz) / np.dot(dz, dz))
+
+    def test_byte_identical_across_workers(self):
+        # the fit runs on the whole sample in batch order in the parent
+        # process, so the pool size cannot change a bit of it
+        cfg = bridge_cfg(t=2.0, h_fine=0.02)
+        one, two = (mc_mgf("bridge", [-1.0, 0.5], 10_000, replace(cfg, workers=w))
+                    for w in (1, 2))
+        assert one.as_dict() == two.as_dict()
+        assert [e.control for e in one.estimates] == [e.control for e in two.estimates]
+        assert one.estimates[0].control.m2 is not None
 
     def test_overflow_stays_flagged(self):
         # exp(100 Z) overflows on a height-10 ball; exp(-0.01 Z) is tame
@@ -352,7 +397,8 @@ class TestBlochGreen:
     @pytest.mark.parametrize("potential", [BALL, TABLE], ids=["ball", "tabulated"])
     def test_kernel_times_survival_sample(self, potential):
         # the kernel times the controlled survival estimate of the same draws,
-        # bit for bit: f = e^{-Z} with the exact E Z as a linear control
+        # bit for bit: f = e^{-Z} with the exact E Z and E Z^2 as a
+        # quadratic control
         x = np.array([-0.3, 0.2, 0.0])
         y = np.array([0.4, 0.0, -0.1])
         t = 1.0
@@ -363,20 +409,27 @@ class TestBlochGreen:
         f = np.exp(-values)
         plain = McEstimate.from_samples(f)
         m1 = moment_bridge(x, y, t, potential, 1)
+        m2 = moment_bridge(x, y, t, potential, 2)
         m1_error = QuadConfig().tolerance(1, potential) * abs(m1)
-        z_mean = float(np.mean(values))
-        dz, df = values - z_mean, f - plain.mean
-        beta = float(np.dot(df, dz) / np.dot(dz, dz))
-        residual = float(np.std(df - beta * dz, ddof=2)) / math.sqrt(n)
+        m2_error = QuadConfig().tolerance(2, potential, bridge=True) * abs(m2)
+        z_mean, q_mean = float(np.mean(values)), float(np.mean(values * values))
+        design = np.column_stack([values - z_mean, values * values - q_mean])
+        df = f - plain.mean
+        (beta, beta2), *_ = np.linalg.lstsq(design, df, rcond=None)
+        residual = float(np.std(df - design @ [beta, beta2], ddof=3)) / math.sqrt(n)
         kernel = transition_density(t, y - x)
-        assert est.mean == kernel * (plain.mean - beta * (z_mean - m1))
-        assert est.std_error == kernel * math.hypot(residual, beta * m1_error)
+        assert est.mean == kernel * (plain.mean - beta * (z_mean - m1) - beta2 * (q_mean - m2))
+        assert est.std_error == kernel * math.hypot(residual, beta * m1_error,
+                                                    beta2 * m2_error)
         assert est.max_sample_share == plain.max_sample_share
         assert est.control.beta == kernel * beta
+        assert est.control.beta2 == kernel * beta2
         assert est.control.gap == z_mean - m1
-        # the controlled mean is the least-squares line of f on Z, read at m1
-        slope, intercept = np.polyfit(values, f, 1)
-        assert kernel * (intercept + slope * m1) == pytest.approx(est.mean, rel=1e-12)
+        assert est.control.gap2 == q_mean - m2
+        assert (est.control.m2, est.control.m2_error) == (m2, m2_error)
+        # the controlled mean is the least-squares parabola of f on Z, read at (m1, m2)
+        c2, c1, c0 = np.polyfit(values, f, 2)
+        assert kernel * (c0 + c1 * m1 + c2 * m2) == pytest.approx(est.mean, rel=1e-12)
 
     @pytest.mark.parametrize("index", range(4))
     def test_control_beats_plain_on_a_tabulated_table(self, index):

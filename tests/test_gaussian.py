@@ -23,9 +23,6 @@ from bridgeint.gaussian import (
 Q_T1_X0_D3 = 0.06349363593424097
 Q_T05_E1_D3 = 0.06606641012899384
 
-rng = np.random.default_rng(1234)
-
-
 def gauss_hermite_nodes(m, dim):
     """Hermite rule recast as a plain quadrature: sum w_i g(x_i) ~ int g dx.
 
@@ -48,6 +45,7 @@ class TestTransitionDensity:
         assert transition_density(0.5, [1.0, 0.0, 0.0]) == pytest.approx(Q_T05_E1_D3, rel=1e-14)
 
     def test_symmetry(self):
+        rng = np.random.default_rng(1234)
         for _ in range(20):
             x = rng.normal(size=3)
             assert transition_density(2.0, x) == transition_density(2.0, -x)
@@ -145,6 +143,7 @@ class TestJensenLowerBound:
         assert total == pytest.approx(bound, abs=1e-12)
 
     def test_random_configurations_dominate_bound(self):
+        rng = np.random.default_rng(1235)
         for _ in range(500):
             d = int(rng.integers(3, 6))
             k = int(rng.integers(1, 7))

@@ -727,7 +727,7 @@ class TestTabulatedFallback:
         est = mc_moment("bridge", 2, 25_000,
                         EstimatorConfig(potential=staircase, x=np.zeros(3),
                                         y=np.zeros(3), t=t, h_fine=0.004, seed=20))
-        tol = CFG.tolerance(2, staircase) * abs(q)
+        tol = CFG.tolerance(2, staircase, bridge=True) * abs(q)
         assert abs(est.mean - q) < 3.0 * (est.std_error + tol)
 
     def test_free_infinite_horizon(self, staircase):
@@ -735,6 +735,162 @@ class TestTabulatedFallback:
         assert v1 == pytest.approx(1.0, rel=0.05)
         v2 = moment_free([0, 0, 0], math.inf, staircase, 2)
         assert v2 == pytest.approx(5.0 / 3.0, rel=0.10)
+
+
+# a fixed random 6^3 table, and the four bridges of the bloch_near benchmark
+NEAR_TABLE = Potential.tabulated(3, [-1.2, -1.2, -1.2], 0.4,
+                                 np.random.default_rng(2004).uniform(0.0, 1.0, (6, 6, 6)))
+NEAR_POINTS = [([0.3, -0.2, 0.1], [-0.4, 0.5, 0.0], 0.5),
+               ([0.0, 0.6, -0.3], [0.2, -0.5, 0.4], 1.0),
+               ([-0.7, 0.1, 0.2], [0.6, 0.0, -0.5], 2.0),
+               ([0.5, 0.5, 0.5], [-0.5, -0.5, -0.5], 4.0)]
+# the digest matrix's 4^3 table, whose faces pass through 0
+FACE_TABLE = Potential.tabulated(3, [-0.8, -0.8, -0.8], 0.4,
+                                 [[[((i + 2 * j + 3 * k) % 5) / 4.0 for k in range(4)]
+                                   for j in range(4)] for i in range(4)])
+# (potential, x, y, t): the bloch_near bridges, the digest table from a
+# corner of four cells, ends off the table and outside it, and x = y
+_PAIR_ACCURACY = [
+    *(("near", x, y, t) for x, y, t in NEAR_POINTS),
+    ("face", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 4.0),
+    ("face", [-0.5, 0.4, 0.0], [0.5, -0.4, 0.2], 1.0),
+    ("near", [1.5, 0.3, -0.2], [-1.6, 0.0, 0.5], 2.0),
+    ("near", [2.0, 0.0, 0.0], [2.0, 0.0, 0.0], 3.0),
+    ("near", [0.1, 0.2, -0.3], [0.1, 0.2, -0.3], 8.0),
+]
+
+
+def _refine_pair_rule(monkeypatch):
+    """Switch the pair rule to a finer grid: a third of the base, 8 nodes on every panel."""
+    monkeypatch.setattr(quadrature, "_PAIR_BASE", 0.25)
+    monkeypatch.setattr(quadrature, "_PAIR_LAG_ORDERS", (8,))
+    monkeypatch.setattr(quadrature, "_PAIR_TIME_ORDERS", (8,))
+
+
+@st.composite
+def _bridge_table_case(draw):
+    """A random d = 3 table, two points near it and a horizon."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = Potential.tabulated(3, rng.uniform(-1.0, 0.0, 3), draw(st.floats(0.1, 0.8)),
+                            rng.uniform(-0.5, 1.0, shape))
+    x, y = rng.uniform(-1.5, 1.5, (2, 3))
+    return v, x, y, draw(st.floats(0.05, 8.0))
+
+
+class TestBridgePairRule:
+    @pytest.mark.parametrize("name, x, y, t", _PAIR_ACCURACY,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(_PAIR_ACCURACY)])
+    def test_refined_rule_agreement(self, name, x, y, t, monkeypatch):
+        v = {"near": NEAR_TABLE, "face": FACE_TABLE}[name]
+        value = moment_bridge(x, y, t, v, 2)
+        _refine_pair_rule(monkeypatch)
+        refined = moment_bridge(x, y, t, v, 2)
+        assert value == pytest.approx(refined, rel=CFG.tolerance(2, v, bridge=True))
+
+    def test_staircase_refined_rule_agreement(self, staircase, monkeypatch):
+        x, y, t = [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], 1.0
+        value = moment_bridge(x, y, t, staircase, 2)
+        _refine_pair_rule(monkeypatch)
+        refined = moment_bridge(x, y, t, staircase, 2)
+        assert value == pytest.approx(refined, rel=CFG.tolerance(2, staircase, bridge=True))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_matches_monte_carlo(self, index):
+        # the tensor rule read 0.053274 / 0.223583 / 0.682193 / 1.540433 here
+        x, y, t = (np.array(p) if i < 2 else p for i, p in enumerate(NEAR_POINTS[index]))
+        q = moment_bridge(x, y, t, NEAR_TABLE, 2)
+        est = mc_moment("bridge", 2, 8_192,
+                        EstimatorConfig(potential=NEAR_TABLE, x=x, y=y, t=t,
+                                        h_fine=0.0025, seed=31, stream_channel=index))
+        assert abs(est.mean - q) <= 3.0 * est.std_error
+
+    def test_recorded_values(self):
+        # the pair law at the bloch_near bridges, from the refined rule
+        for (x, y, t), ref in zip(NEAR_POINTS, (0.0707183491, 0.2123227540,
+                                                0.6321312505, 1.3786805936)):
+            assert moment_bridge(x, y, t, NEAR_TABLE, 2) == pytest.approx(ref, rel=1e-5)
+
+    @_PROPERTY
+    @given(_bridge_table_case())
+    def test_time_reversal(self, case):
+        v, x, y, t = case
+        assert moment_bridge(y, x, t, v, 2) == pytest.approx(
+            moment_bridge(x, y, t, v, 2), rel=1e-12, abs=1e-300)
+
+    @_PROPERTY
+    @given(_bridge_table_case(), st.floats(0.25, 4.0))
+    def test_brownian_scaling(self, case, lam):
+        # lam W at time s / lam^2 is a Brownian path: Z is the same integral
+        v, x, y, t = case
+        zoom = v.dilated(lam).with_height_factor(lam**-2)
+        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, 2) == pytest.approx(
+            moment_bridge(x, y, t, v, 2), rel=CFG.tolerance(2, v, bridge=True), abs=1e-14)
+
+    def test_cell_pair_masses_against_scipy(self):
+        # Owen's T against scipy's bivariate normal CDF, edges on and off the means
+        from scipy import stats
+        edges = np.array([-1.0, -0.3, 0.0, 0.4, 1.5])
+        mu1, mu2 = np.array([0.0, 0.2]), np.array([0.4, -0.1])
+        sd1, sd2 = np.array([0.5, 1.1]), np.array([0.3, 0.7])
+        rho = np.array([0.6, 0.95])
+        mass = quadrature._cell_pair_masses(edges, mu1, mu2, sd1, sd2, rho,
+                                            np.sqrt(1.0 - rho * rho))
+        for p in range(2):
+            cov = [[sd1[p] ** 2, rho[p] * sd1[p] * sd2[p]],
+                   [rho[p] * sd1[p] * sd2[p], sd2[p] ** 2]]
+            law = stats.multivariate_normal([mu1[p], mu2[p]], cov)
+            for a in range(edges.size - 1):
+                for b in range(edges.size - 1):
+                    ref = law.cdf([edges[a + 1], edges[b + 1]],
+                                  lower_limit=[edges[a], edges[b]])
+                    assert mass[p, a, b] == pytest.approx(ref, abs=1e-7)
+
+    def test_tensor_rule_kept_for_k3(self, monkeypatch):
+        # k = 3 averages the tensor rule over both orientations; k = 2 never calls it
+        calls = []
+        monkeypatch.setattr(quadrature, "_moment_bridge_tensor",
+                            lambda x, y, t, v, k: calls.append((x, k)) or float(k))
+        x, y = [0.1, 0.0, 0.2], [-0.3, 0.2, 0.0]
+        assert moment_bridge(x, y, 1.0, FACE_TABLE, 3) == 3.0
+        assert calls == [(x, 3), (y, 3)]
+        assert moment_bridge(x, y, 1.0, FACE_TABLE, 2) > 0.0 and len(calls) == 2
+
+
+class TestFarEndpoints:
+    """Endpoints far from the support and from each other end in a value or ValueError."""
+
+    @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["ball", "tabulated"])
+    def test_out_of_reach_is_zero(self, v):
+        # the mean path passes 50 away at t = 1: the one-point laws miss the
+        # support by more than 40 standard deviations
+        for k in (1, 2) if not v.is_radial else (1,):
+            assert moment_bridge([50.0, 0, 0], [60.0, 0, 0], 1.0, v, k) == 0.0
+
+    @pytest.mark.parametrize("x", [[1e300, 0.0, 0.0], [1e9, 0.0, 0.0], [1.7e308, 0.0, 0.0]],
+                             ids=["overflowing_gap", "far", "unrepresentable"])
+    def test_value_or_value_error(self, x):
+        y = [-x[0] if x[0] > 1e308 else 0.0, 0.0, 0.0]
+        for v, k in ((BALL, 1), (NEAR_TABLE, 1), (NEAR_TABLE, 2)):
+            start = time.perf_counter()
+            try:
+                value = moment_bridge(x, y, 1.0, v, k)
+            except ValueError as exc:
+                assert "too far apart" in str(exc)
+            else:
+                assert math.isfinite(value) and value >= 0.0
+            assert time.perf_counter() - start < 1.0
+
+    def test_crossing_at_high_speed(self):
+        # the bridge crosses the ball at speed 2e9: E Z is about the crossing
+        # time, a few 1e-10, with a bounded number of panels
+        value = moment_bridge([1e9, 0, 0], [-1e9, 0, 0], 1.0, BALL, 1)
+        assert 1e-10 < value < 1e-9
+
+    def test_window_keeps_the_near_rule(self):
+        # in reach all along, the window is the whole bridge
+        assert quadrature._reach_window(BALL, np.zeros(3), np.array([3.0, 0, 0]), 2.0) == \
+            (0.0, 2.0)
 
 
 def _per_row_smear(v, mu, var):

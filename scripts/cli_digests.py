@@ -95,12 +95,13 @@ MGF_BRIDGE_LINEAR = dict(BRIDGE, x=[1.5, 0.0, 0.0], y=[-1.5, 0.0, 0.0], t=0.1,
 # (name, command, config, extra flags, expected exit code)
 RUNS = [
     ("moments_readme", "moments", README_MOMENTS, [], 0),
-    # radial, so the mgf targets are exact and target_n_paths and
-    # target_free_horizon are not read; 300 paths per horizon pass
+    # no sweep reads target_n_paths and target_free_horizon, since every
+    # mgf target is exact; 300 paths per horizon pass
     ("theorem1_readme_reduced", "theorem1", README_THEOREM1, [], 0),
-    # a tabulated potential keeps the Monte Carlo mgf references (free legs
-    # on channels 101 and 102) in the matrix
-    ("theorem1_tabulated", "theorem1", THEOREM1_TAB, [], 0),
+    # a tabulated potential: exact targets from the cell operators.  At
+    # alpha = +1.04 the bridge mgf at t = 16 is still 0.47 (3.7 combined
+    # standard errors) below its limit, so that row fails
+    ("theorem1_tabulated", "theorem1", THEOREM1_TAB, [], 3),
     ("theorem2_sqrt", "theorem2",
      dict(THEOREM2, endpoint_rule={"kind": "sqrt_t", "scale": 1.0}), [], 0),
     ("theorem2_fourth", "theorem2",
@@ -119,9 +120,12 @@ RUNS = [
     ("moments_two_sided_raw", "moments",
      dict(FREE, statistic_kind="two_sided", y=[0.5, 0.0, 0.0], n_paths=3000,
           k_list=[1, 2], tail_correction=False), [], 0),
-    ("bounds_probe", "bounds",
+    # K1 and the exact alpha1 of a table, from its cell operators; the keys
+    # of the Monte Carlo alpha1 probe that exact alpha1 replaced are errors
+    ("bounds_tabulated", "bounds", {"dimension": 3, "potential": TABLE}, [], 0),
+    ("bounds_probe_keys_rejected", "bounds",
      {"dimension": 3, "potential": BALL, "alphas": [0.0, 0.5, 20.0],
-      "n_paths": 1500, "free_horizon": 50.0, "seed": 3}, [], 0),
+      "n_paths": 1500, "free_horizon": 50.0, "seed": 3}, [], 2),
     ("bloch_w1", "bloch", BLOCH, ["--workers", "1"], 0),
     ("bloch_w2", "bloch", BLOCH, ["--workers", "2"], 0),
     ("bloch_tab_w1", "bloch", BLOCH_TAB, ["--workers", "1"], 0),
@@ -171,7 +175,7 @@ RUNS = [
      dict(README_MOMENTS, potential=dict(TABLE, values=[[[]]])), [], 2),
     # a key the run would not read is a config error: a bridge has no
     # truncation horizon, n_paths_by_horizon sets every budget, and a
-    # sweep without alphas draws no mgf reference
+    # sweep without alphas has no mgf target to size
     ("bridge_free_horizon_rejected", "moments",
      dict(README_MOMENTS, free_horizon=50.0), [], 2),
     ("sweep_both_budgets_rejected", "theorem1",

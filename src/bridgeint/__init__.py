@@ -30,7 +30,6 @@ from .estimators import (
     EstimatorConfig,
     mc_moment,
     mc_mgf,
-    alpha1_divergence_probe,
     bloch_green,
 )
 from .quadrature import (
@@ -59,7 +58,6 @@ __all__ = [
     "Potential",
     "BoundsReport",
     "k1_bound",
-    "alpha1_divergence_probe",
     "TimeGrid",
     "bridge_integral_batch",
     "free_integral_batch",

@@ -29,13 +29,7 @@ from .convergence import (
 )
 # estimators._collect is looked up at call time, so a wrapper on it sees every pass
 from . import estimators
-from .estimators import (
-    EstimatorConfig,
-    McEstimate,
-    alpha1_divergence_probe,
-    mc_mgf,
-    tail_corrected,
-)
+from .estimators import EstimatorConfig, McEstimate, mc_mgf, tail_corrected
 from .gaussian import transition_density
 from .green import alpha1_interval, k1_bound
 from .quadrature import DEFAULT, moment_bridge, moment_free, moment_two_sided
@@ -189,17 +183,11 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 
 def cmd_bounds(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     report = k1_bound(cfg.potential, cfg.probe_points)
-    payload = {**report.as_dict(), "alpha1_bracket": None}
+    payload = report.as_dict()
     v = cfg.potential
-    if v.is_radial and v.is_nonnegative:
-        # the first zero of the gauge denominator; null (inf) for a zero potential
+    if v.is_nonnegative:
+        # where the gauge blows up; null (inf) for a zero potential
         payload["alpha1_exact"] = alpha1_interval(v)[1]
-    if cfg.alphas:  # the config accepts alphas only where the probe runs
-        probe = alpha1_divergence_probe(
-            cfg.potential, cfg.alphas, cfg.n_paths,
-            x=cfg.x, horizon=cfg.free_horizon, seed=cfg.seed, workers=cfg.workers)
-        payload["alpha1_probe"] = probe.as_dict()
-        payload["alpha1_bracket"] = payload["alpha1_probe"]["bracket"]
     _write_summary(out / "bounds_summary.json", "bounds", cfg, payload)
     return EXIT_OK
 
@@ -212,19 +200,23 @@ def _report_outputs(report: ConvergenceReport, name: str, cfg: ExperimentConfig,
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _sweep(run, cfg: ExperimentConfig) -> ConvergenceReport:
+    try:
+        return run(cfg.sweep_plan(), cfg.potential)
+    except ValueError as exc:  # such as an alpha the cell gauge cannot resolve
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_theorem1(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    report = run_theorem1(cfg.sweep_plan(), cfg.potential)
-    return _report_outputs(report, "theorem1", cfg, out, fmt)
+    return _report_outputs(_sweep(run_theorem1, cfg), "theorem1", cfg, out, fmt)
 
 
 def cmd_theorem2(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    report = run_theorem2(cfg.sweep_plan(), cfg.potential)
-    return _report_outputs(report, "theorem2", cfg, out, fmt)
+    return _report_outputs(_sweep(run_theorem2, cfg), "theorem2", cfg, out, fmt)
 
 
 def cmd_lemma4(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    report = run_lemma4(cfg.sweep_plan(), cfg.potential)
-    return _report_outputs(report, "lemma4", cfg, out, fmt)
+    return _report_outputs(_sweep(run_lemma4, cfg), "lemma4", cfg, out, fmt)
 
 
 def cmd_bloch(cfg: ExperimentConfig, out: Path, fmt: str) -> int:

@@ -4,11 +4,10 @@ Each run produces a ConvergenceReport with one row per (statistic,
 horizon): the bridge-side Monte Carlo estimate with its standard error,
 the limit target, the gap, and a verdict.  Moment targets come from
 quadrature.  An mgf target is the one-sided mgf E_x exp(alpha Y), or the
-product of two for a fixed endpoint: exact for a radial potential
-(``green.mgf_one_sided``, the gauge), and for other potentials an
-independent tail-corrected Monte Carlo estimate from free legs on stream
-channels 101-104, whose budget and horizon ``target_budget`` and
-``target_free_horizon`` set.  A statistic passes when the final-horizon gap
+product of two for a fixed endpoint, from the gauge
+(``green.mgf_one_sided``): in closed form for a radial potential and by
+the cell solve for a tabulated one, so no sweep draws a reference leg.
+A statistic passes when the final-horizon gap
 is finite and below threshold and the gap has shrunk since the first
 horizon; thresholds default to max(3 combined SE, 1% of target) because the
 limit theorems come with no rates.  An infinite target, an alpha past the
@@ -25,9 +24,9 @@ import numpy as np
 
 # estimators._collect is looked up at call time, so a wrapper on it sees every leg
 from . import estimators
-from .estimators import EstimatorConfig, McEstimate, _mgf_estimate, tail_corrected
+from .estimators import EstimatorConfig, McEstimate, _mgf_estimate
 from .gaussian import TimePoints, density_ratio
-from .green import MGF_TOLERANCE, k1_bound, mgf_one_sided
+from .green import k1_bound, mgf_one_sided, mgf_tolerance
 from .potentials import Potential
 from .quadrature import DEFAULT, moment_free, moment_two_sided
 
@@ -83,12 +82,10 @@ class SweepPlan:
     x_sequence: tuple | None = None
     alphas: tuple | None = None
     budgets: int | tuple = 10_000
-    target_budget: int | None = None
     k_list: tuple = (1, 2)
     seed: int = 0
     workers: int = 1
     h_fine: float = 0.01
-    target_free_horizon: float | None = None
 
     def __post_init__(self):
         if self.theorem not in ("T1", "T2a", "T2b", "L4a", "L4b"):
@@ -247,31 +244,18 @@ class _Stat:
         return _mgf_estimate(values, self.alpha)
 
 
-def _one_sided_mgf_reference(v, x, alphas, plan: SweepPlan, channel: int):
+def _one_sided_mgf_reference(v, x, alphas):
     """Per alpha, (target, absolute error) of the infinite-horizon mgf from x.
 
-    Exact for a radial v, up to the oracle's declared relative error.
-    Otherwise an independent Monte Carlo estimate from free legs on stream
-    ``channel``, with the mean Green tail inside the exponent.
+    The gauge, up to its declared relative error (``green.mgf_tolerance``).
     """
-    if v.is_radial:
-        exact = {a: mgf_one_sided(x, v, a) for a in alphas}
-        return {a: (u, MGF_TOLERANCE * abs(u)) for a, u in exact.items()}
-    n = plan.target_budget or 4 * max(plan.budget_for(i) for i in range(len(plan.horizons)))
-    horizon = plan.target_free_horizon
-    if horizon is None:
-        horizon = 400.0 * max(v.support_radius**2, 1.0)
-    cfg = _sampler(plan, v, channel, x=x, free_horizon=horizon)
-    corrected = tail_corrected(*estimators._collect("free", n, cfg))
-    estimates = {a: _mgf_estimate(corrected, a) for a in alphas}
-    return {a: (est.mean, est.std_error) for a, est in estimates.items()}
+    exact = {a: mgf_one_sided(x, v, a) for a in alphas}
+    return {a: (u, mgf_tolerance(v) * abs(u)) for a, u in exact.items()}
 
 
-def _reference_meta(v: Potential, alphas) -> dict:
+def _reference_meta(alphas) -> dict:
     """The summary's record of where the mgf targets came from; empty without mgf rows."""
-    if not alphas:
-        return {}
-    return {"mgf_reference": "exact" if v.is_radial else "monte_carlo"}
+    return {"mgf_reference": "exact"} if alphas else {}
 
 
 def _resolve_alphas(plan: SweepPlan, v: Potential):
@@ -301,14 +285,13 @@ def _moment_stats(name: str, k_list, target_of, v: Potential) -> list:
     return stats
 
 
-def _one_sided_stats(prefix: str, x, alphas, plan: SweepPlan, v: Potential,
-                     channel: int) -> list:
+def _one_sided_stats(prefix: str, x, alphas, plan: SweepPlan, v: Potential) -> list:
     """Moments and mgfs against the infinite-horizon one-sided law started at x."""
     stats = _moment_stats(f"{prefix}_moment", plan.k_list,
                           lambda k: moment_free(x, math.inf, v, k), v)
-    if not alphas:  # no mgf rows, so no reference leg to draw
+    if not alphas:  # no mgf rows, so no references to compute
         return stats
-    ref = _one_sided_mgf_reference(v, x, alphas, plan, channel=channel)
+    ref = _one_sided_mgf_reference(v, x, alphas)
     return stats + [_Stat(f"{prefix}_mgf", _fmt(a), alpha=a, target=ref[a][0],
                           target_error=ref[a][1]) for a in alphas]
 
@@ -351,8 +334,8 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     stats = _moment_stats("bridge_moment", plan.k_list,
                           lambda k: moment_two_sided(x, y, v, k), v)
     if alphas:  # no mgf rows, so no references to compute
-        mgf_x = _one_sided_mgf_reference(v, x, alphas, plan, channel=101)
-        mgf_y = _one_sided_mgf_reference(v, y, alphas, plan, channel=102)
+        mgf_x = _one_sided_mgf_reference(v, x, alphas)
+        mgf_y = _one_sided_mgf_reference(v, y, alphas)
         for a in alphas:
             (ux, ex), (uy, ey) = mgf_x[a], mgf_y[a]
             stats.append(_Stat("bridge_mgf", _fmt(a), alpha=a, target=ux * uy,
@@ -361,21 +344,21 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
         "theorem": "T1", "alphas": list(alphas), "horizons": list(plan.horizons),
-        **_reference_meta(v, alphas)})
+        **_reference_meta(alphas)})
 
 
 def run_theorem2(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     """Escaping endpoint: bridge statistics against one-sided targets."""
     _check_plan(plan, v, ("T2a", "T2b"))
     alphas = _resolve_alphas(plan, v)
-    stats = _one_sided_stats("bridge", plan.x, alphas, plan, v, channel=103)
+    stats = _one_sided_stats("bridge", plan.x, alphas, plan, v)
     legs = [("bridge", _sampler(plan, v, 10 + i, x=plan.x, t=t,
                                 y=plan.endpoint_rule.y_at(t, v.dim)))
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
         "theorem": plan.theorem, "alphas": list(alphas),
         "endpoint_rule": plan.endpoint_rule.kind, "horizons": list(plan.horizons),
-        **_reference_meta(v, alphas)})
+        **_reference_meta(alphas)})
 
 
 def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
@@ -399,8 +382,8 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     if plan.theorem == "L4b":
         stats = [_Stat("mgf_minus_one", _fmt(a), alpha=a, minus_one=True) for a in alphas]
         return _sweep(plan, legs, stats, meta, verdict=_trend_verdict)
-    stats = _one_sided_stats("free", plan.x, alphas, plan, v, channel=104)
-    return _sweep(plan, legs, stats, {**meta, **_reference_meta(v, alphas)})
+    stats = _one_sided_stats("free", plan.x, alphas, plan, v)
+    return _sweep(plan, legs, stats, {**meta, **_reference_meta(alphas)})
 
 
 def density_ratio_sweep(x, y, horizons, v: Potential, *, probe_points=None,

@@ -49,7 +49,7 @@ from .path_sim import (
     free_integral_batch,
     stream,
 )
-from .green import green_potential, green_potential_radial, k1_bound
+from .green import cell_mass_potential, green_potential, green_potential_radial, k1_bound
 from .potentials import Potential
 from .quadrature import DEFAULT, moment_bridge
 
@@ -61,7 +61,6 @@ __all__ = [
     "tail_corrected",
     "mc_moment",
     "mc_mgf",
-    "alpha1_divergence_probe",
     "bloch_green",
 ]
 
@@ -147,26 +146,6 @@ class MgfCurve:
     alphas: np.ndarray
     estimates: list
     unstable: np.ndarray
-
-    @property
-    def bracket(self) -> tuple:
-        """(largest stable alpha, smallest unstable alpha), None for a side never reached.
-
-        On an increasing grid this brackets the empirical blow-up; it is a
-        heavy-tail diagnostic, not the true divergence threshold.
-        """
-        stable = self.alphas[~self.unstable]
-        unstable = self.alphas[self.unstable]
-        return (float(stable.max()) if stable.size else None,
-                float(unstable.min()) if unstable.size else None)
-
-    def as_dict(self):
-        return {
-            "alphas": [float(a) for a in self.alphas],
-            "estimates": [e.as_dict() for e in self.estimates],
-            "unstable": [bool(f) for f in self.unstable],
-            "bracket": list(self.bracket),
-        }
 
 
 @dataclass
@@ -257,11 +236,19 @@ def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int):
 
 
 def _green_potential_vec(v: Potential, points: np.ndarray) -> np.ndarray:
-    """Green potential of v at many points (the exact mean of the lost tail)."""
+    """Green potential of v at many points (the exact mean of the lost tail).
+
+    A tabulated v takes the exact cell integrals at points inside its
+    support ball; outside it, where every cell centre lies over half a cell
+    side away, each cell's mass sits at its centre (``cell_mass_potential``).
+    """
     if v.is_radial:
         b = np.linalg.norm(points - v.center, axis=1)
         return np.asarray(green_potential_radial(v, b))
-    return np.array([green_potential(v, p) for p in points])
+    inside = np.linalg.norm(points - v.center, axis=1) <= v.support_radius
+    return np.array([green_potential(v, p) if near else
+                     cell_mass_potential(p, v.origin, v.spacing, v.values)
+                     for p, near in zip(points, inside)])
 
 
 def _batch_plan(n: int, batch_size: int):
@@ -331,9 +318,7 @@ def tail_corrected(values: np.ndarray, tails, k: int = 1):
     The bias is second order in alpha Y_rest.  For the unit ball at horizon
     1600 and alpha = -0.5 it is about -0.19% per leg (exp(-E Y_rest / 2)
     is about 1 - 0.0067 where E exp(-Y_rest / 2) is about 1 - 0.0048), and
-    -0.37% on a two-sided product: 0.4184 against the exact 0.41997.  The
-    sweeps' mgf references take this sample only for non-radial
-    potentials; radial ones are exact (``green.mgf_one_sided``).
+    -0.37% on a two-sided product: 0.4184 against the exact 0.41997.
     """
     if k == 1 and tails is not None:
         return values + tails
@@ -467,25 +452,6 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     estimates = [_mgf_estimate(values, a, exact) for a in alphas]
     unstable = np.array([e.max_sample_share > 0.5 for e in estimates], dtype=bool)
     return MgfCurve(alphas, estimates, unstable)
-
-
-def alpha1_divergence_probe(v: Potential, alphas, budget: int, *,
-                            x=None, horizon=None, seed: int = 0,
-                            workers: int = 1) -> MgfCurve:
-    """Scan the one-sided mgf over an increasing alpha grid for heavy-tail instability.
-
-    Requires v >= 0.  The free mgf curve from x (default: the support
-    centre) is flagged as in ``mc_mgf``; its ``bracket`` locates the
-    empirical blow-up.
-    """
-    if not v.is_nonnegative:
-        raise ValueError("the divergence probe requires a nonnegative potential")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size and np.any(np.diff(alphas) <= 0):
-        raise ValueError("alpha grid must be strictly increasing")
-    cfg = EstimatorConfig(potential=v, x=v.center if x is None else x,
-                          free_horizon=horizon, seed=seed, workers=workers)
-    return mc_mgf("free", alphas, budget, cfg)
 
 
 def bloch_green(x, y, t: float, n: int, cfg: EstimatorConfig) -> McEstimate:

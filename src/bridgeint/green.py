@@ -8,13 +8,16 @@ The time-integrated transition density of transient Brownian motion
 and every operator here is an equation in space built on it:
 
 * the Green potential G v, the expected total occupation integral, in
-  closed form band by band for radial potentials and by cell quadrature
-  for tabulated ones, with the occupation bound K1 = sup G|v|;
+  closed form band by band for radial potentials and by exact cell
+  integrals for tabulated ones, with the occupation bound K1 = sup G|v|;
 * the Green chain, Kac's moment formula m_k = k G(v m_(k-1)) for the
-  infinite-horizon moments of a radial potential;
-* the gauge u(x) = E_x exp(alpha Y) of a radial potential (Chung & Zhao
-  1995), the solution of a radial ODE in closed form band by band in
-  Bessel functions, with the interval of alpha on which it is finite;
+  infinite-horizon moments: band by band for a radial potential, on
+  sub-cells for a tabulated one;
+* the gauge u(x) = E_x exp(alpha Y) (Chung & Zhao 1995), with the interval
+  of alpha on which it is finite: for a radial potential the solution of a
+  radial ODE in closed form band by band in Bessel functions, for a
+  tabulated one a linear solve on sub-cells, whose interval ends are the
+  extreme eigenvalues of G v (Birman 1961; Schwinger 1961);
 * Kac's resolvent (Kac 1949), which carries the gauge's Bessel basis to
   complex kappa channel by channel and gives radial bridge moments
   k = 1, 2 and 3 once inverted in time.
@@ -35,16 +38,21 @@ __all__ = [
     "green_constant",
     "sphere_area",
     "ball_green_integral",
-    "cell_green_kernel",
     "green_potential_radial",
     "green_potential",
+    "cell_mass_potential",
     "BoundsReport",
     "default_probes",
     "k1_bound",
     "panel_rule",
     "radial_rule",
     "green_chain",
+    "cell_chain",
     "MGF_TOLERANCE",
+    "CELL_TOLERANCE",
+    "CELL_MGF_TOLERANCE",
+    "CELL_ALPHA1_TOLERANCE",
+    "mgf_tolerance",
     "alpha1_interval",
     "mgf_one_sided",
     "resolvent_moments",
@@ -90,20 +98,6 @@ def ball_green_integral(radius: float, b, d: int):
     return out if out.ndim else float(out)
 
 
-def cell_green_kernel(dist, cell_vol: float, d: int):
-    """|w|^(2-d) at distances ``dist`` from the nodes of cells of volume ``cell_vol``.
-
-    Within the radius of the equal-volume ball the singular kernel is
-    replaced by its average over that ball.
-    """
-    dist = np.asarray(dist, dtype=float)
-    r_eq = (cell_vol * d / sphere_area(d)) ** (1.0 / d)
-    kern = np.full(dist.shape, ball_green_integral(r_eq, 0.0, d) / cell_vol)
-    far = dist > r_eq
-    kern[far] = dist[far] ** (2.0 - d)
-    return kern
-
-
 def green_potential_radial(v: Potential, dist, *, absolute: bool = False):
     """Green potential of a radial v at distances ``dist`` from its center.
 
@@ -131,25 +125,17 @@ def green_potential_radial(v: Potential, dist, *, absolute: bool = False):
 def green_potential(v: Potential, y, *, absolute: bool = False) -> float:
     """Green-potential integral int v(z) c_d |z - y|^(2-d) dz at the point y.
 
-    Exact band-by-band for radial potentials; cell midpoint quadrature with
-    an exact equal-volume-ball rule on the singular cell for tabulated ones.
+    Exact band-by-band for radial potentials, and cell by cell for
+    tabulated ones (``_cell_potential``).
     """
     d = v.dim
-    cd = green_constant(d)
+    green_constant(d)  # raises below d = 3
     y = np.asarray(y, dtype=float).reshape(d)
     if v.is_radial:
         b = float(np.linalg.norm(y - v.center))
         return float(green_potential_radial(v, b, absolute=absolute))
     vals = np.abs(v.values) if absolute else v.values
-    shape = vals.shape
-    h = v.spacing
-    centers = [v.origin[i] + h * (np.arange(shape[i]) + 0.5) for i in range(d)]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = vals.ravel()
-    cell_vol = h**d
-    kern = cell_green_kernel(np.linalg.norm(pts - y, axis=-1), cell_vol, d)
-    return cd * cell_vol * float(np.sum(w * kern))
+    return _cell_potential(y, v.origin, v.spacing, vals)
 
 
 # -- the occupation bound K1 --------------------------------------------------
@@ -280,6 +266,373 @@ def green_chain(v: Potential, b: float, k: int) -> float:
     kernel = green_constant(d) * np.maximum(u, b) ** (2.0 - d)
     integ = u ** (d - 1) * v.profile(u) * kernel * prev
     return float(k * sphere_area(d) * np.sum(w * integ))
+
+
+# -- cell operators for tabulated potentials -----------------------------------
+#
+# The Green potential of a box is the time integral of its Gaussian mass,
+#   int_box G(x - z) dz
+#     = int_0^inf prod_i [Phi((b_i - x_i) / sigma) - Phi((a_i - x_i) / sigma)] ds,
+# sigma = sqrt(s): one ndtr per axis and cell, the same in every d >= 3, and
+# a table's Green potential contracts the table with each axis's masses in
+# turn.  Doubling Gauss-Legendre panels in sigma run out to _CELL_REACH times
+# the farthest cell corner; past that each factor is expanded in 1/s,
+# (2 pi s)^(-1/2) (b - a - int_a^b u^2 du / (2 s)), and the tail is closed
+# form.  The first term it drops is (corner / sigma)^4 of the tail.
+#
+# For the operators on a function u, the cells are split into m^d sub-cells
+# on which u is constant, and each sub-cell's exact Green integral, seen from
+# the centre of another, depends only on their offset: one FFT convolution
+# applies G to every sub-cell at once.  From it come Kac's chain
+# m_k = k G(v m_(k-1)) at the sub-cell centres (m_1 there is exact), the
+# gauge u = 1 + alpha G(v u) by GMRES, and alpha1+- = 1 / lambda+- for the
+# extreme eigenvalues lambda of G v (Birman 1961; Schwinger 1961), both from
+# Arnoldi's Krylov basis; each is then read at a point by the exact cell
+# integrals against v u.  The error of piecewise-constant u falls like m^-2,
+# so every value is extrapolated (Romberg) from solves on m = 1, 2, 4.
+#
+# _CELL_NODES Gauss-Legendre nodes a sigma panel; the first panel is
+# _CELL_BASE cell sides long; from _FAR_CELLS cell sides away the cells read
+# as point masses (``_cell_potential``).  _SUBCELLS is the largest m, halved
+# (down to 2) while its grid would hold more than _CELL_UNKNOWNS sub-cells.
+# An Arnoldi run takes _KRYLOV vectors and restarts at most _RESTARTS times;
+# GMRES stops at the relative residual _SOLVE_RTOL, and an eigenvalue at the
+# relative residual _EIGEN_RTOL.  Both are numpy: importing
+# scipy.sparse.linalg would add about 90 ms to every run that reads a
+# table's gauge or alpha1.
+#
+# Declared relative errors of the cell values: E Y^k by k, the gauge and
+# alpha1.  k = 1 is exact up to rounding: 1e-15 from the d = 3 cuboid closed
+# form at five points of a 6^3 table.  For the others, the Richardson
+# differences (the last Romberg step) read at most 8.4e-4 (k = 2), 1.5e-3
+# (k = 3) and 1.1e-3 (alpha1) on seven tables in d = 3 to 5, at points in,
+# on and off them, and 6e-4 for the gauge where |alpha| is at most half of
+# alpha1 of |v|; they grow toward alpha1 and with |alpha| sup |v|.  Each
+# tolerance is five times the difference a call may show (``_checked``).
+CELL_TOLERANCE = {1: 1e-12, 2: 5e-3, 3: 1e-2}
+CELL_MGF_TOLERANCE = 1e-2
+CELL_ALPHA1_TOLERANCE = 1e-2
+_CELL_NODES = 16
+_CELL_BASE = 1.0 / 16.0
+_CELL_REACH = 1024.0
+_FAR_CELLS = 1000.0
+_SUBCELLS = 4
+_CELL_UNKNOWNS = 2**16
+_KRYLOV = 40
+_RESTARTS = 25
+_SOLVE_RTOL = 1e-13
+_EIGEN_RTOL = 1e-12
+
+
+@functools.lru_cache(maxsize=64)
+def _doubling_rule(n: int):
+    """Nodes and weights in s = sigma^2 on the sigma panels 0, 1, 2, 4, ..., 2^n."""
+    sigma, w = panel_rule(np.concatenate(([0.0], 2.0 ** np.arange(n + 1))), _CELL_NODES)
+    return sigma, 2.0 * sigma * w
+
+
+def _sigma_rule(step: float, far: float):
+    """Nodes sigma, their weights in s = sigma^2 and the last edge, for cells of side ``step``."""
+    base = _CELL_BASE * step
+    n = max(1, math.ceil(math.log2(_CELL_REACH * far / base)))
+    sigma, w = _doubling_rule(n)
+    return base * sigma, base * base * w, base * 2.0**n
+
+
+def _axis_terms(edges: np.ndarray, sigma: np.ndarray):
+    """Per interval between ``edges`` (offsets from the point): its Gaussian mass
+    at each sigma, shape (P, n); its width; and int u^2 du over it.
+
+    An interval right of the point takes the difference of upper tails, so
+    no mass is a difference of two values near 1.
+    """
+    h = edges / sigma[:, None]
+    right = edges[:-1] + edges[1:] > 0.0
+    lo = np.where(right, -h[:, 1:], h[:, :-1])
+    hi = np.where(right, -h[:, :-1], h[:, 1:])
+    return special.ndtr(hi) - special.ndtr(lo), np.diff(edges), np.diff(edges**3) / 3.0
+
+
+def _tail(d: int, top: float) -> np.ndarray:
+    """Weights of (sum prod widths, sum prod widths sum_i M2_i / width_i) in the s > top^2 tail."""
+    scale = (2.0 * math.pi) ** (-d / 2.0)
+    return scale * np.array([2.0 * top ** (2.0 - d) / (d - 2.0), -top ** (-d) / d])
+
+
+def _contract(values: np.ndarray, factors) -> np.ndarray:
+    """sum_c values[c] prod_i factors[i][:, c_i] for each row of the factors."""
+    acc = factors[0] @ values.reshape(values.shape[0], -1)
+    for f in factors[1:]:
+        acc = np.einsum("pi,pir->pr", f, acc.reshape(acc.shape[0], f.shape[1], -1))
+    return acc[:, 0]
+
+
+def cell_mass_potential(x, origin, step: float, values: np.ndarray) -> float:
+    """c_d step^d sum_c values_c |x - c|^(2-d): each cell's mass at its centre c."""
+    d = values.ndim
+    axes = [origin[i] + step * (np.arange(values.shape[i]) + 0.5) for i in range(d)]
+    centres = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return green_constant(d) * step**d * float(
+        np.sum(values.ravel() * np.linalg.norm(centres - x, axis=-1) ** (2.0 - d)))
+
+
+def _cell_potential(x, origin, step: float, values: np.ndarray) -> float:
+    """int G(x - z) f(z) dz for f = ``values`` on the cells of side ``step`` from ``origin``.
+
+    From _FAR_CELLS cell sides away the cells read as point masses: a
+    cube's Green potential outside it differs from its centre's by
+    (side / distance)^4 of it (its second moments are isotropic, the kernel
+    harmonic), 1e-14 there, while the sigma rule loses about 1e-16
+    distance / side to the cancellation of its Gaussian masses.
+    """
+    d = values.ndim
+    x = np.asarray(x, dtype=float)
+    lo = np.asarray(origin, dtype=float)
+    outside = np.maximum(np.maximum(lo - x, x - lo - step * np.asarray(values.shape)), 0.0)
+    if math.hypot(*outside) >= _FAR_CELLS * step:
+        return cell_mass_potential(x, origin, step, values)
+    edges = [origin[i] - x[i] + step * np.arange(values.shape[i] + 1) for i in range(d)]
+    far = math.hypot(*(float(np.max(np.abs(e))) for e in edges))
+    sigma, w, top = _sigma_rule(step, far)
+    terms = [_axis_terms(e, sigma) for e in edges]
+    widths = [t[1][None, :] for t in terms]
+    moments = [_contract(values, widths)[0]]
+    moments.append(sum(_contract(values, widths[:j] + [terms[j][2][None, :]] + widths[j + 1:])[0]
+                       for j in range(d)))
+    return float(w @ _contract(values, [t[0] for t in terms]) + _tail(d, top) @ moments)
+
+
+def _kernel_table(shape: tuple, step: float) -> np.ndarray:
+    """The Green integral over the sub-cell at offset j from a sub-cell centre, 0 <= j < shape."""
+    d = len(shape)
+    edges = [step * (np.arange(n + 1) - 0.5) for n in shape]
+    sigma, w, top = _sigma_rule(step, step * math.sqrt(sum(n * n for n in shape)))
+    terms = [_axis_terms(e, sigma) for e in edges]
+    acc = w[:, None] * terms[0][0]
+    for mass, _, _ in terms[1:-1]:
+        acc = acc[..., None] * mass.reshape(mass.shape[0], *([1] * (acc.ndim - 1)), -1)
+    table = (acc.reshape(acc.shape[0], -1).T @ terms[-1][0]).reshape(shape)
+    # every width is step, so the tail's second moment sum is step^d sum_i M2_i / step
+    spread = sum(np.reshape(t[2] / step, [-1 if i == j else 1 for i in range(d)])
+                 for j, t in enumerate(terms))
+    c0, c2 = _tail(d, top) * step**d
+    return table + c0 + c2 * spread
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """A table refined to sub-cells, and the spectrum of its Green convolution."""
+
+    origin: np.ndarray
+    step: float
+    values: np.ndarray
+    spectrum: np.ndarray
+
+    def green(self, f: np.ndarray) -> np.ndarray:
+        """G f at every sub-cell centre, for f constant on each sub-cell."""
+        size, axes = tuple(2 * n for n in f.shape), tuple(range(f.ndim))
+        out = np.fft.irfftn(np.fft.rfftn(f, s=size, axes=axes) * self.spectrum, s=size, axes=axes)
+        return out[tuple(slice(0, n) for n in f.shape)]
+
+    def at(self, x, f: np.ndarray) -> float:
+        """G f at the point x, exactly, for f constant on each sub-cell."""
+        return _cell_potential(x, self.origin, self.step, f)
+
+    def gv(self, u: np.ndarray) -> np.ndarray:
+        """G v u for a flat u, flat."""
+        return self.green(self.values * u.reshape(self.values.shape)).ravel()
+
+
+def _arnoldi(apply, start: np.ndarray, done):
+    """Arnoldi's basis q (rows) and Hessenberg h, apply(q[:k].T) = q[:k + 1].T h.
+
+    Runs until ``done(h)`` holds, k reaches _KRYLOV, or the Krylov space is
+    invariant (h's last row then vanishes).
+    """
+    q = np.empty((_KRYLOV + 1, start.size))
+    h = np.zeros((_KRYLOV + 1, _KRYLOV))
+    q[0] = start / np.linalg.norm(start)
+    for j in range(_KRYLOV):
+        w = apply(q[j])
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
+            c = q[:j + 1] @ w
+            w -= c @ q[:j + 1]
+            h[:j + 1, j] += c
+        h[j + 1, j] = np.linalg.norm(w)
+        if h[j + 1, j] <= 1e-14 * np.abs(h[:j + 1, j]).sum() or done(h[:j + 2, :j + 1]):
+            return q[:j + 2], h[:j + 2, :j + 1]
+        q[j + 1] = w / h[j + 1, j]
+    return q, h
+
+
+def _solve(apply, b: np.ndarray) -> np.ndarray:
+    """x with apply(x) = b, by restarted GMRES; ValueError if it does not converge."""
+    x = np.zeros(b.size)
+    r = b
+    goal = _SOLVE_RTOL * np.linalg.norm(b)
+    for _ in range(_RESTARTS):
+        beta = np.linalg.norm(r)
+        if beta <= goal:
+            return x
+        rhs = np.zeros(_KRYLOV + 1)
+        rhs[0] = beta
+
+        def least(h):
+            return np.linalg.lstsq(h, rhs[:h.shape[0]], rcond=None)
+
+        q, h = _arnoldi(apply, r, lambda h: np.sqrt(max(least(h)[1].sum(), 0.0)) <= goal)
+        x = x + least(h)[0] @ q[:h.shape[1]]
+        r = b - apply(x)
+    raise ValueError("GMRES did not converge")
+
+
+def _ritz(h, sign: float):
+    """The Ritz value farthest out on the side ``sign``, its vector, and its residual."""
+    k = h.shape[1]
+    values, vectors = np.linalg.eig(h[:k])
+    i = int(np.argmax(sign * values.real))
+    y = vectors[:, i].real
+    return float(values[i].real), y, abs(h[k, k - 1] * y[-1]) if h.shape[0] > k else 0.0
+
+
+def _extreme_eigenvalue(apply, n: int, sign: float) -> float:
+    """The real eigenvalue of ``apply`` farthest out on the side ``sign``, by restarted Arnoldi."""
+    def converged(h):
+        lam, _, residual = _ritz(h, sign)
+        return residual <= _EIGEN_RTOL * abs(lam)
+
+    start = np.ones(n)
+    for _ in range(_RESTARTS):
+        q, h = _arnoldi(apply, start, converged)
+        lam, y, residual = _ritz(h, sign)
+        if residual <= _EIGEN_RTOL * abs(lam):
+            return lam
+        start = y @ q[:h.shape[1]]
+    raise ValueError("Arnoldi's eigenvalue did not converge")
+
+
+def _cell_key(v: Potential) -> tuple:
+    """Everything the cell operators read from a tabulated v, hashable."""
+    if v.dim < 3:
+        raise ValueError("the cell operators need d >= 3")
+    return tuple(v.origin.tolist()), v.spacing, v.values.shape, v.values.tobytes()
+
+
+def _subcells(key: tuple) -> tuple:
+    """The sub-cell counts 1, 2, 4, ..., m of the solves that are extrapolated."""
+    shape = key[2]
+    m = _SUBCELLS
+    while m > 2 and math.prod(shape) * m ** len(shape) > _CELL_UNKNOWNS:
+        m //= 2
+    return tuple(2**i for i in range(m.bit_length()))
+
+
+def _extrapolate(values) -> tuple:
+    """(value, error estimate) from solves on 1, 2, 4, ... sub-cells.
+
+    Romberg's table for an error in even powers of 1/m; the estimate is
+    the change from the value that one solve fewer gives.
+    """
+    rows = [list(values)]
+    while len(rows[-1]) > 1:
+        j = len(rows)
+        rows.append([b + (b - a) / (4.0**j - 1.0) for a, b in zip(rows[-1], rows[-1][1:])])
+    best = rows[-1][0]
+    return best, abs(best - rows[-2][-1])
+
+
+@functools.lru_cache(maxsize=8)
+def _cells(key: tuple, m: int) -> _Cells:
+    origin, spacing, shape, raw = key
+    values = np.frombuffer(raw).reshape(shape)
+    for axis in range(len(shape)):
+        values = np.repeat(values, m, axis=axis)
+    step = spacing / m
+    table = _kernel_table(values.shape, step)
+    # offsets j mod 2n: |j| below n, and a zero at n, which no product reads
+    index = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)) for n in values.shape]
+    full = np.pad(table, [(0, 1)] * table.ndim)[np.ix_(*index)]
+    return _Cells(np.asarray(origin), step, values, np.fft.rfftn(full))
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_density(key: tuple, m: int, k: int) -> np.ndarray:
+    """v m_(k-1) on the sub-cells of ``_cells(key, m)``, with m_0 = 1."""
+    cells = _cells(key, m)
+    if k == 1:
+        return cells.values
+    return cells.values * ((k - 1) * cells.green(_chain_density(key, m, k - 1)))
+
+
+def _checked(value_error: tuple, tolerance: float, what: str) -> float:
+    """The value, once its error estimate is within a fifth of ``tolerance``; else ValueError.
+
+    The fifth is a margin: against solves on twice as many sub-cells per
+    axis, the estimate has read up to four times below the error.
+    """
+    value, error = value_error
+    if not 5.0 * error <= tolerance * abs(value):
+        raise ValueError(f"the cell solve of {what} misses its declared relative error "
+                         f"{tolerance:.0e} (Richardson difference {error / abs(value):.1e})")
+    return value
+
+
+def cell_chain(v: Potential, x, k: int) -> float:
+    """E_x Y^k of the infinite-horizon integral of a tabulated v, k >= 1.
+
+    Kac's moment formula m_k = k G(v m_(k-1)) on the sub-cells, read at x
+    by exact cell integrals; k = 1 is the exact cell sum itself.  Declared
+    relative error ``CELL_TOLERANCE[k]``; a call whose Richardson
+    difference exceeds it raises ValueError.
+    """
+    x = np.asarray(x, dtype=float).reshape(v.dim)
+    if k == 1:
+        return green_potential(v, x)
+    key = _cell_key(v)
+    return _checked(_extrapolate([k * _cells(key, m).at(x, _chain_density(key, m, k))
+                                  for m in _subcells(key)]), CELL_TOLERANCE[k], f"E Y^{k}")
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_eigenvalue(key: tuple, m: int, sign: float) -> float:
+    """sign lambda for lambda, the eigenvalue of G v on the sub-cells farthest out on the side
+    ``sign``; 0 when sign * v has no positive part.
+    """
+    if not np.any(sign * np.frombuffer(key[3]) > 0.0):
+        return 0.0
+    cells = _cells(key, m)
+    return sign * _extreme_eigenvalue(cells.gv, cells.values.size, sign)
+
+
+def _cell_alpha1(key: tuple, sign: float) -> float:
+    """|alpha1| on the side ``sign``: 1 / |lambda|, extrapolated; inf where sign * v <= 0."""
+    lam = _extrapolate([_cell_eigenvalue(key, m, sign) for m in _subcells(key)])
+    if lam[0] <= 0.0:
+        return math.inf
+    return 1.0 / _checked(lam, CELL_ALPHA1_TOLERANCE, "alpha1")
+
+
+@functools.lru_cache(maxsize=64)
+def _gauge_density(key: tuple, m: int, alpha: float) -> np.ndarray:
+    """v u on the sub-cells, where u = 1 + alpha G(v u) at their centres."""
+    cells = _cells(key, m)
+    if abs(alpha) * _cell_eigenvalue(key, m, math.copysign(1.0, alpha)) >= 1.0:
+        raise ValueError(f"alpha = {alpha} lies within the cell solver's resolution of alpha1: "
+                         f"its {m}^d sub-cell gauge is already infinite")
+    try:
+        u = _solve(lambda w: w - alpha * cells.gv(w), np.ones(cells.values.size))
+    except ValueError as exc:
+        raise ValueError(f"the cell gauge at alpha = {alpha}: {exc}") from exc
+    return cells.values * u.reshape(cells.values.shape)
+
+
+def _cell_gauge(x, v: Potential, alpha: float) -> float:
+    """u(x) = 1 + alpha G(v u)(x) for a tabulated v, extrapolated in the sub-cells."""
+    key = _cell_key(v)
+    x = np.asarray(x, dtype=float).reshape(v.dim)
+    values = [1.0 + alpha * _cells(key, m).at(x, _gauge_density(key, m, alpha))
+              for m in _subcells(key)]
+    return _checked(_extrapolate(values), CELL_MGF_TOLERANCE, f"the mgf at {alpha}")
 
 
 # -- infinite-horizon mgf -----------------------------------------------------
@@ -472,29 +825,45 @@ def _alpha1(key: tuple, sign: float) -> float:
 def alpha1_interval(v: Potential) -> tuple:
     """(alpha1-, alpha1+): the open interval of alpha on which E_x exp(alpha Y) is finite.
 
-    Y is the infinite-horizon integral of a radial v, d >= 3.  The ends are
-    the first zeros of D on each side of 0 (the gauge theorem; Chung & Zhao
-    1995); a side on which alpha v has no positive part is unbounded.  The
-    interval does not depend on the start point.
+    Y is the infinite-horizon integral of v, d >= 3.  For a radial v the
+    ends are the first zeros of D on each side of 0 (the gauge theorem;
+    Chung & Zhao 1995), and for a tabulated v the reciprocals of the extreme
+    eigenvalues of G v on its cells; a side on which alpha v has no positive
+    part is unbounded.  The interval does not depend on the start point.
     """
+    if not v.is_radial:
+        key = _cell_key(v)
+        return -_cell_alpha1(key, -1.0), _cell_alpha1(key, 1.0)
     key = _radial_key(v)
     return -_alpha1(key, -1.0), _alpha1(key, 1.0)
 
 
-def mgf_one_sided(x, v: Potential, alpha: float) -> float:
-    """E_x exp(alpha int_0^inf v(W_s) ds) for a radial v in d >= 3; inf outside its interval.
+def mgf_tolerance(v: Potential) -> float:
+    """Declared relative error of ``mgf_one_sided`` for v inside its interval."""
+    return MGF_TOLERANCE if v.is_radial else CELL_MGF_TOLERANCE
 
-    The deterministic gauge (see above), exact up to ``MGF_TOLERANCE``
-    relative: 1 / cos(sqrt(2 alpha)) at the centre of the d = 3 unit ball.
-    Returns math.inf for alpha outside ``alpha1_interval(v)``.
+
+def mgf_one_sided(x, v: Potential, alpha: float) -> float:
+    """E_x exp(alpha int_0^inf v(W_s) ds) for v in d >= 3; inf outside its interval.
+
+    The deterministic gauge: for a radial v the Bessel solution above, exact
+    up to ``MGF_TOLERANCE`` relative (1 / cos(sqrt(2 alpha)) at the centre
+    of the d = 3 unit ball); for a tabulated v the cell solve, within
+    ``CELL_MGF_TOLERANCE``.  Returns math.inf for alpha outside
+    ``alpha1_interval(v)``.  A tabulated v raises ValueError for an alpha
+    inside the interval at which a sub-cell gauge is already infinite.
     """
-    key = _radial_key(v)
+    if v.dim < 3:
+        raise ValueError("the infinite-horizon mgf requires d >= 3")
     alpha = float(alpha)
     if alpha == 0.0 or v.is_zero:
         return 1.0
     lo, hi = alpha1_interval(v)
     if not lo < alpha < hi:
         return math.inf
+    if not v.is_radial:
+        return _cell_gauge(x, v, alpha)
+    key = _radial_key(v)
     d, bands = key
     per_band, (f_r, _, scale_r) = _shoot(key, alpha)
     radius = bands[-1][1]

@@ -203,31 +203,31 @@ def _advance(z, y, w, sd, eps):
     return step
 
 
-def _plan_steps(nodes, node, s, z, v: Potential, y_off, least: float, stops):
+def _plan_steps(nodes, node, s, dist, radius: float, y_off, least: float, stops, long_step):
     """Where each phase-2 path steps next: the grid index and time it reaches.
 
-    A path at distance ``gap`` from the support ball may cover a span with
-    kappa sqrt(span) + a span <= gap.  a bounds the drift speed of a bridge
-    mean toward y, (|z - center| + y_off) / (t - s) with y_off = |y - center|;
-    ``y_off`` is None for a free path, whose a is 0.  The path goes to the
-    last grid node within the span, at least the next one, and never past
-    the next of ``stops``.  When it cannot reach the next node and that
-    node is more than ``least`` away, it takes instead an equal part, no
-    longer than max(span, least), of the rest of the interval, and keeps
-    its grid index.
+    A path at distance ``dist`` from the support's centre, so ``gap`` from
+    its ball of radius ``radius``, may cover a span with kappa sqrt(span) +
+    a span <= gap.  a bounds the drift speed of a bridge mean toward y,
+    (dist + y_off) / (t - s) with y_off = |y - center|; ``y_off`` is None
+    for a free path, whose a is 0.  The path goes to the last grid node
+    within the span, at least the next one, and never past the next of
+    ``stops``.  When it cannot reach the next node and that node is more
+    than ``least`` away (``long_step`` flags those grid intervals), it takes
+    instead an equal part, no longer than max(span, least), of the rest of
+    the interval, and keeps its grid index.
     """
     t = nodes[-1]
-    dist = _row_norms(z, v.center)
-    gap = np.maximum(dist - v.support_radius, 0.0)
+    gap = np.maximum(dist - radius, 0.0)
     if y_off is None:
         root = gap / _KAPPA
     else:
         # root = sqrt(span) solves kappa r + a r^2 = gap
-        dist += y_off
-        dist *= 4.0 * gap
-        dist /= t - s
-        dist += _KAPPA * _KAPPA
-        root = 2.0 * gap / (_KAPPA + np.sqrt(dist))
+        disc = dist + y_off
+        disc *= 4.0 * gap
+        disc /= t - s
+        disc += _KAPPA * _KAPPA
+        root = 2.0 * gap / (_KAPPA + np.sqrt(disc))
     span = root * root
     reach = s + span
     to = node + 1
@@ -237,8 +237,11 @@ def _plan_steps(nodes, node, s, z, v: Potential, y_off, least: float, stops):
     if stops.size > 1:
         np.minimum(to, stops[np.searchsorted(stops, node, side="right")], out=to)
     s_to = nodes[to]
-    short = np.flatnonzero(reach < s_to)
-    if short.size:
+    # only a path that stops short of the next node steps inside an interval,
+    # and only an interval longer than least is worth splitting
+    long = np.flatnonzero(long_step[node])
+    if long.size:
+        short = long[reach[long] < s_to[long]]
         rest = s_to[short] - s[short]
         parts = np.ceil(rest / np.maximum(span[short], least) - 1e-9)
         many = parts > 1
@@ -316,12 +319,16 @@ def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
         # in a long interval a path near the support steps by at most the
         # finest grid step or (R / kappa)^2, a sixth of R in spread
         least = max(float(np.diff(nodes).min()), (radius / _KAPPA) ** 2)
+        long_step = np.diff(nodes) > least
         stops = np.append(rec_nodes[rec_nodes > 0], last)
         y_off = None if y is None else float(np.linalg.norm(y - center))
         while ids.size:
-            to, s_to = _plan_steps(nodes, node, s, z, v, y_off, least, stops)
+            # one distance per path and step: it plans the step and, for a
+            # radial v, gives v(z) too
+            dist = _row_norms(z, center)
+            to, s_to = _plan_steps(nodes, node, s, dist, radius, y_off, least, stops, long_step)
             ds = s_to - s
-            acc += v(z) * ds
+            acc += (v.profile(dist) if v.is_radial else v(z)) * ds
             eps = rng.standard_normal(z.shape)
             if y is None:
                 z = _advance(z, None, None, np.sqrt(ds)[:, None], eps)

@@ -145,13 +145,12 @@ class Potential:
         if not self.is_radial:
             raise ValueError("profile is defined for radial potentials only")
         u = np.asarray(u, dtype=float)
-        if self.breakpoints.size == 1:
-            # a ball: one compare; NaN falls outside, as with searchsorted
-            out = np.where(u <= self.breakpoints[0], self.heights[0], 0.0)
-        else:
-            idx = np.searchsorted(self.breakpoints, u, side="left")
-            padded = np.concatenate((self.heights, [0.0]))
-            out = padded[np.minimum(idx, len(self.heights))]
+        # band i holds (breakpoints[i-1], breakpoints[i]]: from the outermost
+        # band in, each inner edge overwrites what lies within it.  NaN and
+        # points past the last edge pass no compare and read 0.
+        out = np.where(u <= self.breakpoints[-1], self.heights[-1], 0.0)
+        for edge, h in zip(self.breakpoints[-2::-1], self.heights[-2::-1]):
+            np.copyto(out, h, where=u <= edge)
         return out if out.ndim else float(out)
 
     def bands(self):

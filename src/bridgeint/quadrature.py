@@ -31,8 +31,9 @@ comes within reach of the support, so endpoints far from it and from each
 other give 0 or a bounded number of panels; a rule that would need more
 raises ValueError.
 
-Infinite-horizon moments of a radial potential come from the Green chain,
-and its bridge moments k = 2 and 3 from Kac's resolvent (``green``).
+Infinite-horizon moments come from the Green chain of ``green``: band by
+band for a radial potential, on sub-cells for a tabulated one; radial
+bridge moments k = 2 and 3 come from Kac's resolvent (``green``).
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ import numpy as np
 from scipy import special
 
 from .green import (
-    cell_green_kernel,
+    CELL_TOLERANCE,
+    cell_chain,
     green_chain,
-    green_constant,
-    green_potential,
     panel_rule,
     radial_rule,
     resolvent_moments,
@@ -110,7 +110,9 @@ class QuadConfig:
         bridges, a table read from a corner of its cells, ends off and
         outside the table, x = y, t = 0.05 to 32, and the 21^3 staircase
         ball) it was within 6.1e-6 of the same rule refined to a sixteenth
-        of its base with 12 nodes a panel, so it declares 1e-5.
+        of its base with 12 nodes a panel, so it declares 1e-5.  A tabulated
+        v at infinite horizon takes the cell operators of ``green``, which
+        declare ``green.CELL_TOLERANCE``.
         """
         if v.is_radial:
             if infinite_horizon:
@@ -119,7 +121,7 @@ class QuadConfig:
                 return 1e-6
             return {0: 0.0, 1: 1e-6, 2: 5e-3, 3: 5e-2}.get(k, 1e-1)
         if infinite_horizon:
-            return {0: 0.0, 1: 1e-4, 2: 5e-2, 3: 1e-1}.get(k, 2e-1)
+            return {0: 0.0, **CELL_TOLERANCE}.get(k, 2e-1)
         if bridge and k == 2:
             return 1e-5
         return {0: 0.0, 1: 1e-5, 2: 1e-1, 3: 2e-1}.get(k, 2e-1)
@@ -349,9 +351,10 @@ def _radial_norm_pdf(u, b: float, var: float, d: int):
         z = (u - mu_r) / sigma
         return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
     if d == 3:
+        # exp(-(u - b)^2 / 2v) - exp(-(u + b)^2 / 2v) without its cancellation
+        # at small u b / v
         pref = u / (b * sigma * math.sqrt(2.0 * math.pi))
-        return pref * (np.exp(-((u - b) ** 2) / (2.0 * var)) -
-                       np.exp(-((u + b) ** 2) / (2.0 * var)))
+        return pref * np.exp(-((u - b) ** 2) / (2.0 * var)) * -np.expm1(-2.0 * u * b / var)
     from scipy import stats
     return (2.0 * u / var) * stats.ncx2.pdf(u * u / var, d, b * b / var)
 
@@ -485,22 +488,6 @@ def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
         if s.size:
             total += float(np.sum(w * _smear(v, start + frac * (end - start), var)))
     return total
-
-
-# -- infinite-horizon moments -----------------------------------------------
-
-def _moment_free_inf_k2_general(x, v: Potential) -> float:
-    pts, w, vv = _box_nodes(v)
-    d = v.dim
-    cd = green_constant(d)
-    x = np.asarray(x, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    cell_vol = float(np.mean(w))
-    kern = cell_green_kernel(np.linalg.norm(diff, axis=-1), cell_vol, d)
-    gstart = cell_green_kernel(np.linalg.norm(pts - x, axis=-1), cell_vol, d)
-    a = vv * w * gstart
-    bvec = vv * w
-    return float(2.0 * cd * cd * a @ kern @ bvec)
 
 
 # -- finite-horizon second moments -------------------------------------------
@@ -808,7 +795,8 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     """E[(int_0^horizon v(W_s) ds)^k] for Brownian motion started at x.
 
     horizon may be inf (d >= 3 required there).  Infinite-horizon moments
-    of a radial v come from the Green chain; a finite-horizon first moment
+    come from the Green chain (``green.green_chain`` for a radial v,
+    ``green.cell_chain`` for a tabulated one); a finite-horizon first moment
     from the sqrt(s) time rule, and a second from the pair-correlation form.
     """
     _check_order(k)
@@ -823,11 +811,7 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
             raise ValueError("infinite-horizon moments require d >= 3")
         if v.is_radial:
             return green_chain(v, float(np.linalg.norm(np.asarray(x, float) - v.center)), k)
-        if k == 1:
-            return float(green_potential(v, x))
-        if k == 2:
-            return float(_moment_free_inf_k2_general(x, v))
-        raise ValueError("k = 3 infinite-horizon moments need a radial potential")
+        return cell_chain(v, x, k)
     if k == 1:
         return _occupation_k1(v, x, horizon)
     if k == 2:

@@ -108,9 +108,8 @@ class TestCriterion04TwoSidedLimit:
     def test_flagship_sweep(self):
         plan = SweepPlan(theorem="T1", horizons=(10.0, 100.0, 1000.0),
                          x=np.zeros(3), y=np.zeros(3),
-                         budgets=(6_000, 30_000, 30_000), target_budget=60_000,
-                         k_list=(1, 2), seed=2025, h_fine=0.004,
-                         target_free_horizon=1600.0, workers=2)
+                         budgets=(6_000, 30_000, 30_000),
+                         k_list=(1, 2), seed=2025, h_fine=0.004, workers=2)
         rep = run_theorem1(plan, BALL)
         k1_rows = sorted((r for r in rep.rows if r.statistic == "bridge_moment"
                           and r.k_or_alpha == "1"), key=lambda r: r.t)
@@ -137,7 +136,7 @@ class TestCriterion05EscapingEndpoint:
         theorem = "T2b" if rule.kind == "sqrt_t" else "T2a"
         plan = SweepPlan(theorem=theorem, horizons=(100.0, 1000.0, 10000.0),
                          x=np.zeros(3), endpoint_rule=rule, budgets=budget,
-                         target_budget=8_000, k_list=(1,), alphas=(0.5,),
+                         k_list=(1,), alphas=(0.5,),
                          seed=77, h_fine=0.02)
         rep = run_theorem2(plan, BALL)
         rows = sorted((r for r in rep.rows if r.statistic == "bridge_moment"),

@@ -355,12 +355,13 @@ _BAD_BOUNDS = [
     ({"probe_points": [[0.0, 0.0]]}, "dimension mismatch"),
     ({"probe_points": []}, "non-empty list"),
     ({"probe_points": [[float("nan"), 0.0, 0.0]]}, "finite"),
-    ({"alphas": [0.5, 0.2], "n_paths": 20}, "strictly increasing"),
+    # the alpha1 probe's grid is gone with the probe: an unknown key
+    ({"alphas": [0.5, 0.2], "n_paths": 20}, "unknown config keys"),
 ]
 
 
 class TestBoundsInput:
-    """Bad probe points or a probe grid out of order are config errors."""
+    """Bad probe points, and the removed alpha1 probe's keys, are config errors."""
 
     @pytest.mark.parametrize("overrides, message", _BAD_BOUNDS,
                              ids=["probe_point_2d", "no_probe_points", "nan_probe_point",
@@ -371,9 +372,9 @@ class TestBoundsInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bounds_summary.json").exists()
 
-    def test_empty_alphas_turn_the_probe_off(self):
-        cfg = load_config(dict(_MINIMAL["bounds"], alphas=[]), "bounds")
-        assert cfg.alphas == []
+    def test_empty_alphas_are_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            load_config(dict(_MINIMAL["bounds"], alphas=[]), "bounds")
 
     def test_probe_keys_rejected_on_a_signed_potential(self, tmp_path, capsys):
         cfg = {"dimension": 3,
@@ -494,7 +495,8 @@ class TestBoundsCommand:
         doc = json.loads((tmp_path / "bounds_summary.json").read_text())
         assert doc["k1"] == 0.0 and doc["alpha0"] is None and doc["degenerate"]
 
-    def test_alpha1_probe_attached(self, tmp_path):
+    def test_probe_keys_exit_2(self, tmp_path, capsys):
+        # the alpha1 probe's config: exact alpha1 replaced the Monte Carlo probe
         cfg = {
             "dimension": 3,
             "potential": {"kind": "ball_indicator", "radius": 1.0, "height": 1.0},
@@ -503,42 +505,52 @@ class TestBoundsCommand:
             "free_horizon": 50.0,
         }
         path = write_config(tmp_path, cfg)
-        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
-        doc = json.loads((tmp_path / "bounds_summary.json").read_text())
-        assert "alpha1_probe" in doc
-        assert doc["alpha1_probe"]["unstable"][0] is False
-        assert doc["alpha1_bracket"] == doc["alpha1_probe"]["bracket"]
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_summary.json").exists()
+
+    # the brackets the Monte Carlo probe reported before exact alpha1
+    # replaced it: alphas [0, 0.5, 2, 8, 20] (the digest table) and
+    # [0, 0.5, 20] (the ball), 1,500 free legs to horizon 50, seed 3
+    _PROBE_BRACKETS = [
+        ({"kind": "ball_indicator", "radius": 1.0, "height": 1.0}, (0.5, 20.0)),
+        ({"kind": "tabulated", "origin": [-0.8, -0.8, -0.8], "spacing": 0.4,
+          "values": [[[((i + 2 * j + 3 * k) % 5) / 4.0 for k in range(4)]
+                      for j in range(4)] for i in range(4)]}, (2.0, 8.0)),
+    ]
 
     def test_exact_alpha1_inside_the_probe_bracket(self, tmp_path):
-        # the bounds_probe run of scripts/cli_digests.py: the Monte Carlo
-        # bracket (0.5, 20) holds the exact blow-up pi^2/8 of the unit ball
-        cfg = {"dimension": 3, "potential": {"kind": "ball_indicator", "radius": 1.0,
-                                             "height": 1.0},
-               "alphas": [0.0, 0.5, 20.0], "n_paths": 1500, "free_horizon": 50.0, "seed": 3}
-        path = write_config(tmp_path, cfg)
-        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
-        doc = json.loads((tmp_path / "bounds_summary.json").read_text())
-        assert doc["alpha1_exact"] == pytest.approx(math.pi**2 / 8.0, rel=1e-14)
-        lo, hi = doc["alpha1_bracket"]
-        assert (lo, hi) == (0.5, 20.0)
-        assert lo < doc["alpha1_exact"] < hi
+        # the exact blow-up lies inside the bracket the Monte Carlo probe
+        # found; pi^2/8 for the unit ball
+        exact = []
+        for potential, (lo, hi) in self._PROBE_BRACKETS:
+            path = write_config(tmp_path, {"dimension": 3, "potential": potential})
+            assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+            doc = json.loads((tmp_path / "bounds_summary.json").read_text())
+            assert lo < doc["alpha1_exact"] < hi
+            exact.append(doc["alpha1_exact"])
+        assert exact[0] == pytest.approx(math.pi**2 / 8.0, rel=1e-14)
 
-    def test_exact_alpha1_only_for_nonnegative_radial_potentials(self, tmp_path):
+    def test_exact_alpha1_only_for_nonnegative_potentials(self, tmp_path):
         signed = {"kind": "radial_step", "breakpoints": [0.5, 1.0], "heights": [1.0, -0.5]}
         table = {"kind": "tabulated", "origin": [0.0, 0.0, 0.0], "spacing": 0.5,
                  "values": [[[1.0]]]}
         zero = {"kind": "ball_indicator", "radius": 1.0, "height": 0.0}
-        for potential, expected in ((signed, "absent"), (table, "absent"), (zero, None)):
+        for potential, expected in ((signed, "absent"), (zero, None)):
             path = write_config(tmp_path, {"dimension": 3, "potential": potential})
             assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
             doc = json.loads((tmp_path / "bounds_summary.json").read_text())
             assert doc.get("alpha1_exact", "absent") == expected
+        path = write_config(tmp_path, {"dimension": 3, "potential": table})
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "bounds_summary.json").read_text())
+        assert 0.0 < doc["alpha1_exact"] < math.inf
 
-    def test_bracket_is_null_without_the_probe(self, tmp_path):
+    def test_no_probe_entries(self, tmp_path):
         path = write_config(tmp_path, _MINIMAL["bounds"])
         assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
         doc = json.loads((tmp_path / "bounds_summary.json").read_text())
-        assert doc["alpha1_bracket"] is None and "alpha1_probe" not in doc
+        assert "alpha1_bracket" not in doc and "alpha1_probe" not in doc
 
 
 class TestMomentsCommand:
@@ -844,7 +856,7 @@ _TINY = {
     "sample": _TINY_PATH,
     "mgf": dict(_TINY_PATH, alphas=[0.5]),
     "moments": dict(_TINY_PATH, k_list=[1]),
-    "bounds": {"alphas": [0.5], "n_paths": 4, "free_horizon": 2.0},
+    "bounds": {},
     "theorem1": dict(_TINY_SWEEP, x=_ORIGIN, y=_ORIGIN, k_list=[1], alphas=[0.5]),
     "theorem2": dict(_TINY_SWEEP, x=_ORIGIN, k_list=[1], endpoint_rule={"kind": "sqrt_t"}),
     "lemma4/a": dict(_TINY_SWEEP, part="a", x=_ORIGIN, k_list=[1], alphas=[0.5],

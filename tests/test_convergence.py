@@ -18,7 +18,7 @@ from bridgeint.convergence import (
     run_theorem1,
     run_theorem2,
 )
-from bridgeint.green import MGF_TOLERANCE, mgf_one_sided
+from bridgeint.green import CELL_MGF_TOLERANCE, MGF_TOLERANCE, mgf_one_sided
 from bridgeint.potentials import Potential
 
 BALL = Potential.ball_indicator(3, 1.0)
@@ -160,19 +160,21 @@ class TestTheorem1:
         assert all(r.target == math.inf for r in rep.rows if r.statistic == "bridge_mgf")
         assert rep.verdicts["bridge_mgf/2"] == "FAIL"
 
-    def test_tabulated_target_is_monte_carlo(self):
-        plan = SweepPlan(theorem="T1", horizons=(2.0, 4.0), x=np.zeros(3),
-                         y=np.zeros(3), budgets=50, target_budget=50,
-                         target_free_horizon=4.0, k_list=(1,), alphas=(0.5,),
-                         seed=4, h_fine=0.1)
+    def test_tabulated_target_is_exact(self):
+        # the cell gauge, as for a radial v: no reference leg is drawn
+        x, y = np.zeros(3), np.array([0.3, -0.2, 0.1])
+        plan = SweepPlan(theorem="T1", horizons=(2.0, 4.0), x=x, y=y, budgets=50,
+                         k_list=(1,), alphas=(0.5,), seed=4, h_fine=0.1)
         rep = run_theorem1(plan, TABLE)
-        assert rep.meta["mgf_reference"] == "monte_carlo"
+        assert rep.meta["mgf_reference"] == "exact"
         row = next(r for r in rep.rows if r.statistic == "bridge_mgf")
-        assert row.target > 1.0 and row.target_error > 0.0
+        ux, uy = mgf_one_sided(x, TABLE, 0.5), mgf_one_sided(y, TABLE, 0.5)
+        assert row.target == ux * uy > 1.0
+        assert row.target_error == pytest.approx(2.0 * CELL_MGF_TOLERANCE * row.target)
 
     def test_small_flagship(self):
         plan = SweepPlan(theorem="T1", horizons=(10.0, 80.0), x=np.zeros(3),
-                         y=np.zeros(3), budgets=4_000, target_budget=8_000,
+                         y=np.zeros(3), budgets=4_000,
                          k_list=(1,), seed=11, h_fine=0.02)
         rep = run_theorem1(plan, BALL)
         assert rep.verdicts["bridge_moment/1"] == "PASS"
@@ -191,7 +193,7 @@ class TestTheorem2:
         # the first horizon is short enough to be visibly unconverged
         plan = SweepPlan(theorem="T2b", horizons=(10.0, 400.0), x=np.zeros(3),
                          endpoint_rule=EndpointRule("sqrt_t", 1.0),
-                         budgets=4_000, target_budget=8_000, k_list=(1,),
+                         budgets=4_000, k_list=(1,),
                          seed=21, h_fine=0.02)
         rep = run_theorem2(plan, BALL)
         rows = [r for r in rep.rows if r.statistic == "bridge_moment"]
@@ -226,7 +228,7 @@ class TestLemma4:
         plan = SweepPlan(theorem="L4a", horizons=(20.0, 200.0, 2000.0),
                          x=np.zeros(3),
                          x_sequence=(np.zeros(3), np.zeros(3), np.zeros(3)),
-                         budgets=20_000, target_budget=20_000, k_list=(1,),
+                         budgets=20_000, k_list=(1,),
                          alphas=(0.0,), seed=31, h_fine=0.02)
         rep = run_lemma4(plan, BALL)
         rows = [r for r in rep.rows if r.statistic == "free_moment"]
@@ -272,10 +274,10 @@ _NO_ALPHA_SWEEPS = {
 
 
 class TestSweepWithoutAlphas:
-    """With no alphas a sweep draws no mgf reference legs, and its rows do not move.
+    """A sweep draws its own legs only, and its moment rows do not move with alphas.
 
-    The table's mgf rows draw Monte Carlo reference legs; the ball's take
-    the exact one-sided mgf and draw none.
+    The mgf rows of the table and of the ball take the exact one-sided mgf
+    (the cell gauge and the Bessel gauge) and draw no reference legs.
     """
 
     @pytest.mark.parametrize("name", sorted(_NO_ALPHA_SWEEPS))
@@ -295,7 +297,7 @@ class TestSweepWithoutAlphas:
         leg = "free" if name == "lemma4" else "bridge"
         assert drawn == [(leg, 10), (leg, 11)]
         with_mgf = run(SweepPlan(alphas=(0.5,), **plan), TABLE)
-        assert len(drawn) > 4  # the mgf rows draw their reference legs
+        assert drawn == [(leg, 10), (leg, 11)] * 2
         moment_rows = [r for r in with_mgf.rows if "moment" in r.statistic]
         assert [r.as_list() for r in bare.rows] == [r.as_list() for r in moment_rows]
         del drawn[:]

@@ -233,13 +233,12 @@ class TestMcMgf:
         with pytest.warns(RuntimeWarning):
             mc_mgf("bridge", [1.5 * bounds.alpha0], 500, cfg)
 
-    def test_bracket_when_every_alpha_is_flagged(self):
+    def test_every_alpha_flagged(self):
+        # far past alpha1 = pi^2/8 a single path carries each estimate
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), seed=3,
                               free_horizon=50.0, h_fine=0.05)
         curve = mc_mgf("free", [40.0, 60.0], 800, cfg)
         assert curve.unstable.all()
-        assert curve.bracket == (None, 40.0)
-        assert curve.as_dict()["bracket"] == [None, 40.0]
 
     def test_zero_potential_curve(self):
         curve = mc_mgf("bridge", [-1.0, 0.0, 2.0], 100, bridge_cfg(potential=ZERO))
@@ -297,7 +296,8 @@ class TestMgfControl:
         cfg = bridge_cfg(t=2.0, h_fine=0.02)
         one, two = (mc_mgf("bridge", [-1.0, 0.5], 10_000, replace(cfg, workers=w))
                     for w in (1, 2))
-        assert one.as_dict() == two.as_dict()
+        assert [e.as_dict() for e in one.estimates] == [e.as_dict() for e in two.estimates]
+        assert one.unstable.tolist() == two.unstable.tolist()
         assert [e.control for e in one.estimates] == [e.control for e in two.estimates]
         assert one.estimates[0].control.m2 is not None
 

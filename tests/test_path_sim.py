@@ -300,7 +300,13 @@ class TestIntegralDraws:
 
 
 class _Spy:
-    """A potential that keeps every point the engine evaluates it at."""
+    """A potential that keeps every point the engine evaluates it at.
+
+    It is not radial to the engine, which would otherwise read a radial
+    potential's phase-2 values from its distances, past ``__call__``.
+    """
+
+    is_radial = False
 
     def __init__(self, v):
         self.v, self.dim = v, v.dim
@@ -338,6 +344,34 @@ class TestNodeSkipping:
             [-0.2338636348686059, -0.651350399439261, 0.1402309910785362],
             [0.8502207592031398, 0.2405233716963241, -0.3783821720927484],
             [0.041936032658584664, 0.40942216533089754, 0.009424150287354549]]
+
+    def test_phase_two_recorded_values(self):
+        # bridges over t = 200 that finish in phase 2 (the per-path clocks),
+        # on a ball, a two-band step and a table, and a free leg to 400: the
+        # values recorded before phase 2 read each distance once per step
+        grid = TimeGrid.refined(200.0, 0.02)
+        table = Potential.tabulated(3, [-0.8] * 3, 0.4,
+                                    (np.arange(64).reshape(4, 4, 4) % 5) / 4.0)
+        step = Potential.radial_step(3, [0.6, 1.2], [1.2, 0.4])
+        recorded = {
+            "ball": ([1.8976029438621864, 1.5979814264103003, 0.5193439635833302],
+                     129.90982743173822),
+            "step": ([0.623212756300008, 0.6951219204884721, 1.5820016121461904],
+                     109.24475401045348),
+            "table": ([0.22471613808895352, 0.4694070440080188, 0.913845628228377],
+                      59.44432574931775),
+        }
+        for name, v in (("ball", BALL), ("step", step), ("table", table)):
+            vals, _ = bridge_integral_batch(np.zeros(3), np.zeros(3), grid, v,
+                                            stream(5, 0), 64)
+            head, total = recorded[name]
+            assert vals[:3].tolist() == pytest.approx(head, rel=1e-13)
+            assert float(vals.sum()) == pytest.approx(total, rel=1e-13)
+        free_grid = TimeGrid.refined(400.0, 0.02, both_ends=False)
+        vals, term = free_integral_batch(np.zeros(3), free_grid, step, stream(6, 1), 64)
+        assert vals[:3].tolist() == pytest.approx([0.444, 0.788, 0.836], rel=1e-13)
+        assert float(vals.sum()) == pytest.approx(57.328, rel=1e-13)
+        assert float(term.sum()) == pytest.approx(-170.17536743391307, rel=1e-13)
 
     @pytest.mark.parametrize("x, y", [
         ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),      # paths leave the cohort as they go
@@ -447,7 +481,9 @@ class TestStepPlan:
         stops = np.array(recs + [last])
         fine = float(np.diff(nodes).min())
 
-        to, s_to = _plan_steps(nodes, node, s, z, v, y_off, fine, stops)
+        dist = np.linalg.norm(z - center, axis=1)
+        to, s_to = _plan_steps(nodes, node, s, dist, radius, y_off, fine, stops,
+                               np.diff(nodes) > fine)
 
         t = nodes[-1]
         gap = np.maximum(np.linalg.norm(z - center, axis=1) - radius, 0.0)

@@ -35,7 +35,7 @@ def test_hook_resolves(module, attr):
     assert tracing._resolve(module, attr) is not None
 
 
-# a 2 x 2 x 2 table: a non-radial potential, whose mgf targets are Monte Carlo
+# a 2 x 2 x 2 table: a non-radial potential, whose mgf targets come from the cell gauge
 _TABLE = {"kind": "tabulated", "origin": [-0.5, -0.5, -0.5], "spacing": 0.5,
           "values": [[[1.0, 0.5], [0.25, 0.75]], [[0.5, 1.0], [0.0, 0.5]]]}
 _BALL = {"kind": "ball_indicator", "radius": 1.0, "height": 1.0}
@@ -72,9 +72,10 @@ def _traced_sweep_calls(tmp_path, monkeypatch, potential):
 def test_sweep_calls_through_hooked_names(tmp_path, monkeypatch):
     calls = _traced_sweep_calls(tmp_path, monkeypatch, _TABLE)
     assert calls.count("run_theorem1") == 1
+    # the exact references go through the hooked name and draw nothing: one
+    # bridge leg per horizon
     assert calls.count("_one_sided_mgf_reference") == 2
-    # two Monte Carlo references plus one bridge leg per horizon
-    assert calls.count("_collect") == 4
+    assert calls.count("_collect") == 2
 
 
 def test_radial_sweep_references_draw_no_legs(tmp_path, monkeypatch):

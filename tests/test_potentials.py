@@ -13,8 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgeint.estimators import alpha1_divergence_probe
-from bridgeint.green import BoundsReport, ball_green_integral, green_potential, k1_bound
+from bridgeint.green import (
+    BoundsReport,
+    alpha1_interval,
+    ball_green_integral,
+    green_potential,
+    k1_bound,
+    mgf_one_sided,
+)
 from bridgeint.potentials import Potential, _row_norms
 
 rng = np.random.default_rng(77)
@@ -65,6 +71,24 @@ class TestPotentialKinds:
         idx = np.searchsorted(v.breakpoints, u, side="left")
         expected = np.concatenate((v.heights, [0.0]))[np.minimum(idx, v.heights.size)]
         assert np.array_equal(v(pts), expected)
+
+    @pytest.mark.parametrize("v", [
+        Potential.ball_indicator(3, 1.0, height=2.5),
+        Potential.radial_step(3, [0.6, 1.2], [1.2, 0.4]),
+        Potential.radial_step(3, [0.3, 0.6, 1.2], [1.0, -2.0, 0.5]),
+    ], ids=["ball", "two_bands", "three_bands"])
+    def test_profile_matches_searchsorted_rule(self, v):
+        # on the band edges, beside them, NaN, +-inf, 0 and far out
+        edges = v.breakpoints
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 3.0),
+                            [0.0, 0.05, 5.0, 1e300, np.nan, np.inf, -np.inf],
+                            np.linspace(0.0, 2.0, 41)])
+        idx = np.searchsorted(edges, u, side="left")
+        expected = np.concatenate((v.heights, [0.0]))[np.minimum(idx, len(v.heights))]
+        assert np.array_equal(v.profile(u), expected)
+        for ui, ei in zip(u, expected):
+            one = v.profile(ui)
+            assert type(one) is float and one == ei
 
     def test_sup_and_support_spot_checks(self):
         v = Potential.radial_step(3, [0.4, 1.1], [1.5, 0.25], center=[1.0, 0.0, 0.0])
@@ -285,38 +309,37 @@ class TestK1Bound:
 
 
 class TestDivergenceProbe:
+    """Where the one-sided mgf diverges: the gauge's alpha1, radial and tabulated."""
+
+    POTENTIALS = (Potential.ball_indicator(3, 1.0),
+                  Potential.tabulated(3, [-0.5] * 3, 0.5, [[[1.0, 0.5], [0.25, 0.75]],
+                                                           [[0.5, 1.0], [0.0, 0.5]]]))
+
     def test_alpha_zero_exact(self):
-        v = Potential.ball_indicator(3, 1.0)
-        probe = alpha1_divergence_probe(v, [0.0, 0.25], budget=600, seed=4)
-        est = probe.estimates[0]
-        assert est.mean == 1.0 and est.std_error == 0.0
-        assert not probe.unstable[0]
+        for v in self.POTENTIALS:
+            assert mgf_one_sided(v.center, v, 0.0) == 1.0
 
     def test_small_alpha_stable(self):
-        # alpha0 / 2 for the unit ball; guaranteed-finite region
-        v = Potential.ball_indicator(3, 1.0)
-        probe = alpha1_divergence_probe(v, [0.5], budget=3000, seed=5)
-        assert not probe.unstable[0]
-        assert probe.bracket[0] == 0.5
+        # alpha0 / 2, where Khas'minskii's lemma guarantees a finite mgf
+        for v in self.POTENTIALS:
+            alpha = 0.5 * k1_bound(v).alpha0
+            assert 1.0 < mgf_one_sided(v.center, v, alpha) < math.inf
+            assert alpha1_interval(v)[1] > 2.0 * alpha
 
     def test_transition_on_wide_grid(self):
-        v = Potential.ball_indicator(3, 1.0)
         grid = [0.5, 2.0, 8.0, 20.0, 40.0]
-        probe = alpha1_divergence_probe(v, grid, budget=4000, seed=6)
-        assert not probe.unstable[0]
-        assert probe.unstable[-1]
-        lo, hi = probe.bracket
-        assert lo is not None and hi is not None and lo < hi
-
-    def test_negative_potential_rejected(self):
-        v = Potential.radial_step(3, [1.0], [-1.0])
-        with pytest.raises(ValueError):
-            alpha1_divergence_probe(v, [0.5], budget=100)
+        for v in self.POTENTIALS:
+            finite = [math.isfinite(mgf_one_sided(v.center, v, a)) for a in grid]
+            assert finite[0] and not finite[-1]
+            # one blow-up: finite below alpha1, infinite from it on
+            alpha1 = alpha1_interval(v)[1]
+            assert finite == [a < alpha1 for a in grid]
 
     def test_all_stable_bracket_is_open_above(self):
+        # no alpha of a grid below alpha1 diverges
         v = Potential.ball_indicator(3, 1.0)
-        probe = alpha1_divergence_probe(v, [0.1, 0.3], budget=1500, seed=9)
-        assert probe.bracket == (0.3, None)
+        assert all(math.isfinite(mgf_one_sided(v.center, v, a)) for a in (0.1, 0.3))
+        assert alpha1_interval(v)[1] > 0.3
 
     def test_report_dict_roundtrip(self):
         rep = BoundsReport(k1=2.0, alpha0=0.5, probe_count=3)

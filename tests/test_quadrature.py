@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from bridgeint import green, quadrature
-from bridgeint.estimators import EstimatorConfig, mc_moment
+from bridgeint import estimators, green, quadrature
+from bridgeint.estimators import EstimatorConfig, mc_moment, tail_corrected
 from bridgeint.green import MGF_TOLERANCE, alpha1_interval, mgf_one_sided
 from bridgeint.potentials import Potential
 from bridgeint.quadrature import (
@@ -373,10 +373,11 @@ class TestOneSidedMgf:
         assert mgf_one_sided([0, 0, 0], BALL, 0.0) == 1.0
         assert mgf_one_sided([0, 0, 0], ZERO, 5.0) == 1.0
         assert alpha1_interval(ZERO) == (-math.inf, math.inf)
+        with pytest.raises(ValueError):
+            mgf_one_sided(np.zeros(2), Potential.ball_indicator(2, 1.0), 0.1)
+        # a table takes the cell gauge
         table = Potential.tabulated(3, [0, 0, 0], 0.5, np.ones((2, 2, 2)))
-        for v in (table, Potential.ball_indicator(2, 1.0)):
-            with pytest.raises(ValueError):
-                mgf_one_sided(np.zeros(v.dim), v, 0.1)
+        assert 1.0 < mgf_one_sided(np.zeros(3), table, 0.1) < math.inf
 
     @pytest.mark.parametrize("v", [BALL, STEP, SIGNED, SIGNED4, BALL4, BALL5],
                              ids=["ball", "step", "signed", "signed_d4", "ball_d4", "ball_d5"])
@@ -934,3 +935,178 @@ class TestTabulatedSmear:
                                 (np.arange(64).reshape(4, 4, 4) % 5) / 4.0)
         mu = np.array([[0.1, -0.3, 0.5], [2.0, 0.0, 0.0]])
         assert list(quadrature._smear(v, mu, np.zeros(2))) == list(v(mu))
+
+
+def _cuboid_green(x, lo, hi) -> float:
+    """int over the box [lo, hi] of 1 / (2 pi |x - z|) dz, the d = 3 Green potential.
+
+    The closed form: a signed sum over the box's corners of
+    F = ab ln(c + r) + bc ln(a + r) + ca ln(b + r)
+        - a^2/2 atan(bc / (ar)) - b^2/2 atan(ca / (br)) - c^2/2 atan(ab / (cr)),
+    with (a, b, c) the corner less x and r its length.
+    """
+    def corner(a, b, c):
+        r = math.sqrt(a * a + b * b + c * c)
+        out = 0.0
+        for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
+            if p != 0.0 and q != 0.0 and s + r > 0.0:
+                out += p * q * math.log(s + r)
+            if p != 0.0:
+                out -= 0.5 * p * p * math.atan(q * s / (p * r))
+        return out
+
+    total = 0.0
+    for idx in np.ndindex(2, 2, 2):
+        total += (-1) ** (3 - sum(idx)) * corner(*((lo, hi)[idx[i]][i] - x[i] for i in range(3)))
+    return total / (2.0 * math.pi)
+
+
+def _table_cuboid_green(v: Potential, x) -> float:
+    total = 0.0
+    for idx in np.ndindex(*v.values.shape):
+        lo = v.origin + v.spacing * np.array(idx)
+        total += v.values[idx] * _cuboid_green(x, lo, lo + v.spacing)
+    return total
+
+
+def _cell_moment(v: Potential, x, k: int) -> float:
+    """Kac's chain of the cell operators at any order, extrapolated."""
+    key = green._cell_key(v)
+    return green._extrapolate([k * green._cells(key, m).at(np.asarray(x, float),
+                                                            green._chain_density(key, m, k))
+                               for m in green._subcells(key)])[0]
+
+
+SMALL_TABLE = Potential.tabulated(3, [-0.5, -0.5, -0.5], 0.5,
+                                  [[[1.0, 0.5], [0.25, 0.75]], [[0.5, 1.0], [0.0, 0.5]]])
+
+
+class TestCellOperators:
+    """The Green potential, Kac's chain, the gauge and alpha1 of a tabulated v."""
+
+    # a cell vertex, points inside cells, a face of the table and points off it
+    POINTS = [[0.0, 0.0, 0.0], [0.2, 0.2, 0.2], [0.1, -0.3, 0.05], [1.0, 0.0, 0.0],
+              [2.0, 0.0, 0.0]]
+
+    def test_cuboid_closed_form(self):
+        # the unit cube seen from its corner: -pi/4 + 3 ln((1 + sqrt 3) / sqrt 2)
+        cube = -math.pi / 4.0 + 3.0 * math.log((1.0 + math.sqrt(3.0)) / math.sqrt(2.0))
+        assert _cuboid_green([0, 0, 0], [0, 0, 0], [1, 1, 1]) == \
+            pytest.approx(cube / (2.0 * math.pi), rel=1e-15)
+        v = Potential.tabulated(3, [0, 0, 0], 1.0, np.ones((1, 1, 1)))
+        assert green.green_potential(v, [0, 0, 0]) == pytest.approx(cube / (2.0 * math.pi),
+                                                                    rel=1e-13)
+
+    @pytest.mark.parametrize("v", [NEAR_TABLE, FACE_TABLE], ids=["near", "face"])
+    def test_first_moment_is_the_cuboid_sum(self, v):
+        for x in self.POINTS:
+            exact = _table_cuboid_green(v, np.asarray(x, float))
+            assert moment_free(x, math.inf, v, 1) == pytest.approx(exact, rel=1e-12)
+        assert green.CELL_TOLERANCE[1] == CFG.tolerance(1, v, infinite_horizon=True) == 1e-12
+
+    def test_first_moment_in_higher_dimensions(self):
+        # off the table the Green kernel is smooth: a tensor Gauss-Legendre
+        # rule on every cell is an independent reference
+        rng = np.random.default_rng(45)
+        for d, x_far, nodes in ((4, 1.5, 10), (5, 1.4, 6)):
+            v = Potential.tabulated(d, [-0.5] * d, 0.5, rng.uniform(0.0, 1.0, (2,) * d))
+            t, w = np.polynomial.legendre.leggauss(nodes)
+            x = np.zeros(d)
+            x[0] = x_far
+            total = 0.0
+            for idx in np.ndindex(*v.values.shape):
+                lo = v.origin + v.spacing * np.array(idx)
+                axes = [lo[i] + 0.25 * (t + 1.0) for i in range(d)]
+                pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+                wts = np.prod(np.stack(np.meshgrid(*([0.25 * w] * d), indexing="ij")),
+                              axis=0).ravel()
+                r = np.linalg.norm(pts - x, axis=1)
+                total += v.values[idx] * float(wts @ r ** (2.0 - d))
+            assert moment_free(x, math.inf, v, 1) == \
+                pytest.approx(green.green_constant(d) * total, rel=1e-9)
+
+    def test_second_moment_matches_independent_monte_carlo(self):
+        # 2 int G(0, z) v(z) m1(z) dz over 10^6 points z with the exact m1:
+        # 1.7685 +- 0.0020 on the bloch_near table
+        m2 = moment_free([0, 0, 0], math.inf, NEAR_TABLE, 2)
+        assert abs(m2 - 1.7685) <= 2.0 * 0.0020
+        assert m2 == pytest.approx(1.765604, rel=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.01, -0.01])
+    def test_gauge_series(self, alpha):
+        # u = 1 + alpha m1 + alpha^2 m2 / 2 + alpha^3 m3 / 6 + alpha^4 m4 / 24 + ...
+        x = np.zeros(3)
+        m = [_cell_moment(NEAR_TABLE, x, k) for k in (1, 2, 3, 4)]
+        series = 1.0 + sum(alpha ** k * m[k - 1] / math.factorial(k) for k in (1, 2, 3))
+        fourth = alpha**4 * m[3] / 24.0
+        u = mgf_one_sided(x, NEAR_TABLE, alpha)
+        assert abs(u - series - fourth) <= 0.1 * fourth
+        assert m[:3] == [moment_free(x, math.inf, NEAR_TABLE, k) for k in (1, 2, 3)]
+
+    def test_gauge_against_free_legs(self):
+        # tail-corrected free legs to horizon 8,316 (4 x 400 R^2), where the
+        # convexity bias of the tail correction is below 0.1 %: with 131,072
+        # legs it read -0.14 % and -0.74 % at alpha = -0.5 and 0.5 at a
+        # quarter of that horizon, and 0.000 % and +0.13 % at it
+        cfg = EstimatorConfig(potential=NEAR_TABLE, x=np.zeros(3), free_horizon=8316.0,
+                              h_fine=0.01, seed=2024, stream_channel=5, workers=2)
+        sample = tail_corrected(*estimators._collect("free", 16_384, cfg))
+        for alpha in (-0.5, 0.5):
+            est = estimators._mgf_estimate(sample, alpha)
+            exact = mgf_one_sided(np.zeros(3), NEAR_TABLE, alpha)
+            assert abs(est.mean - exact) <= 3.0 * est.std_error + 1e-3 * exact
+
+    def test_alpha1_and_the_blow_up(self):
+        lo, hi = alpha1_interval(NEAR_TABLE)
+        assert lo == -math.inf and hi == pytest.approx(1.200954, rel=1e-5)
+        x = np.zeros(3)
+        assert math.isfinite(mgf_one_sided(x, NEAR_TABLE, 0.75 * hi))
+        assert mgf_one_sided(x, NEAR_TABLE, hi) == math.inf
+        assert mgf_one_sided(x, NEAR_TABLE, 2.0 * hi) == math.inf
+        # just below alpha1 the one-cell solve is already past its own pole
+        with pytest.raises(ValueError, match="resolution of alpha1"):
+            mgf_one_sided(x, NEAR_TABLE, 0.999 * hi)
+        assert alpha1_interval(NEAR_TABLE.with_height_factor(-1.0)) == (-hi, math.inf)
+
+    def test_signed_table_has_two_ends(self):
+        v = Potential.tabulated(3, [-0.6] * 3, 0.3,
+                                np.random.default_rng(7).uniform(-0.5, 1.0, (4, 4, 4)))
+        lo, hi = alpha1_interval(v)
+        assert -math.inf < lo < 0.0 < hi < math.inf
+        assert alpha1_interval(v.with_height_factor(-1.0)) == (-hi, -lo)
+        # the negative side is far out: there alpha v damps the positive cells
+        # so hard that a call at lo / 2 is refused, but not at alpha = -2
+        assert 0.0 < mgf_one_sided(np.zeros(3), v, -2.0) < 1.0
+        assert 1.0 < mgf_one_sided(np.zeros(3), v, 0.5 * hi) < math.inf
+        assert mgf_one_sided(np.zeros(3), v, 1.01 * lo) == math.inf
+
+    def test_staircase_ball(self):
+        # a 15^3 staircase of the unit ball: alpha1 near pi^2 / 8, E Y^2 near 5/3
+        n = 15
+        h = 2.2 / n
+        ax = -1.1 + h * (np.arange(n) + 0.5)
+        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+        v = Potential.tabulated(3, [-1.1] * 3, h, ((X**2 + Y**2 + Z**2) <= 1.0).astype(float))
+        assert alpha1_interval(v)[1] == pytest.approx(math.pi**2 / 8.0, rel=0.05)
+        assert moment_free([0, 0, 0], math.inf, v, 2) == pytest.approx(5.0 / 3.0, rel=0.05)
+        assert moment_free([0, 0, 0], math.inf, v, 3) == pytest.approx(61.0 / 15.0, rel=0.08)
+
+    @pytest.mark.parametrize("lam, c", [(0.5, 1.0), (2.0, -0.7)])
+    def test_scaling(self, lam, c):
+        # z -> lam z scales E Y^k by lam^(2k) and the gauge's alpha by lam^-2;
+        # v -> c v scales E Y^k by c^k: the sub-cell grids scale along
+        x = np.array([0.2, -0.1, 0.3])
+        zoom = SMALL_TABLE.dilated(lam).with_height_factor(c)
+        for k in (1, 2, 3):
+            assert moment_free(lam * x, math.inf, zoom, k) == \
+                pytest.approx((c * lam * lam) ** k * moment_free(x, math.inf, SMALL_TABLE, k),
+                              rel=1e-11)
+        assert mgf_one_sided(lam * x, zoom, 0.3 / (c * lam * lam)) == \
+            pytest.approx(mgf_one_sided(x, SMALL_TABLE, 0.3), rel=1e-11)
+
+    def test_refused_beyond_the_declared_error(self):
+        # near alpha1 on a coarse table the Romberg step moves u by more
+        # than the declared error allows
+        hi = alpha1_interval(SMALL_TABLE)[1]
+        with pytest.raises(ValueError, match="declared relative error"):
+            mgf_one_sided(np.zeros(3), SMALL_TABLE, 0.9 * hi)

@@ -134,35 +134,33 @@ def cmd_mgf(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     est_cfg = _estimator_config(cfg)
     kind = cfg.statistic_kind
-    if kind == "bridge":  # before sampling: a geometry the oracle refuses is a config error
-        try:
-            targets = {k: moment_bridge(cfg.x, cfg.y, cfg.t, cfg.potential, k)
-                       for k in cfg.k_list}
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    values, tails = estimators._collect(kind, cfg.n_paths, est_cfg)
     t = cfg.t if kind == "bridge" else est_cfg.resolved_free_horizon()
+    # a tail-corrected free or two-sided sample (k = 1) estimates the untruncated law
+    corrected = {k: kind != "bridge" and k == 1 and cfg.tail_correction for k in cfg.k_list}
+
+    def target(k):
+        if kind == "bridge":
+            return moment_bridge(cfg.x, cfg.y, t, cfg.potential, k)
+        if kind == "free":
+            return moment_free(cfg.x, math.inf if corrected[k] else t, cfg.potential, k)
+        return moment_two_sided(cfg.x, cfg.y, cfg.potential, k) if corrected[k] else None
+
+    try:  # before sampling: a geometry the oracle refuses is a config error
+        targets = {k: target(k) for k in cfg.k_list}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    values, tails = estimators._collect(kind, cfg.n_paths, est_cfg)
     rows, entries = [], []
     all_pass = True
     for k in cfg.k_list:
-        sample = tail_corrected(values, tails, k)
-        # a tail-corrected free or two-sided sample estimates the untruncated law
-        corrected = sample is not values
-        est = McEstimate.from_samples(sample**k)
-        if kind == "bridge":
-            target = targets[k]
-        elif kind == "free":
-            horizon = math.inf if corrected else t
-            target = moment_free(cfg.x, horizon, cfg.potential, k)
-        else:
-            target = moment_two_sided(cfg.x, cfg.y, cfg.potential, k) \
-                if corrected else None
+        est = McEstimate.from_samples(tail_corrected(values, tails, k)**k)
+        target = targets[k]
         if target is None:
             rows.append(ReportRow(f"moment[{kind}]", str(k), t, est.mean,
                                   est.std_error, None, None, None))
             entries.append({"k": k, **est.as_dict(), "target": None})
             continue
-        terr = DEFAULT.tolerance(k, cfg.potential, infinite_horizon=corrected,
+        terr = DEFAULT.tolerance(k, cfg.potential, infinite_horizon=corrected[k],
                                  bridge=kind == "bridge") * abs(target)
         gap = abs(est.mean - target)
         row = ReportRow(f"moment[{kind}]", str(k), t, est.mean, est.std_error,

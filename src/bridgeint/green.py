@@ -20,7 +20,7 @@ and every operator here is an equation in space built on it:
   extreme eigenvalues of G v (Birman 1961; Schwinger 1961);
 * Kac's resolvent (Kac 1949), which carries the gauge's Bessel basis to
   complex kappa channel by channel and gives radial bridge moments
-  k = 1, 2 and 3 once inverted in time.
+  k = 1, 2 and 3 once inverted in time, and, applied to 1, free ones.
 """
 
 from __future__ import annotations
@@ -896,7 +896,8 @@ def mgf_one_sided(x, v: Potential, alpha: float) -> float:
 # coefficient, a trapezoid Cauchy integral over |alpha| = rho (Lyness & Moler
 # 1967).  For |alpha| below alpha1 of |v| the kernel is bounded by that of
 # |alpha| |v|, whose bridge mgf stays bounded in t, so G has no singularity
-# in Re lambda > 0; the contour wraps the cut lambda <= 0 of kappa_0.
+# in Re lambda > 0; the contour wraps the cut lambda <= 0 of kappa_0.  Free
+# motion inverts the resolvent applied to 1 on the same grid (``_Projection``).
 
 # Talbot nodes: 24 while the scattered wave's saddle point A = D^2 / (2 t)
 # (D the endpoints' radial distance outside the support) lies left of the
@@ -1056,100 +1057,169 @@ def _scattered_channel(d: int, bands, qs, q0, r: float, s: float, l: int):
     return -2.0 * u_r[0] * far * scale / wronskian - free
 
 
-@functools.lru_cache(maxsize=256)
-def _resolvent_moments(key: tuple, r: float, s: float, gap: float, t: float):
-    """((E Z, E Z^2, E Z^3), channels, errors) for the bridge of length t between radii r <= s.
+class _Projection:
+    """Talbot's nodes in lambda and a circle of alphas, and sums of F(lambda; alpha) over them.
 
-    gap = |y - x| fixes the angle between the endpoints, seen from the
-    centre; it is exactly 0, and the angle exactly 0, when x = y.  ``errors``
-    estimates each moment's relative error: _ROUNDING times the condition
-    number of its sum over channels, nodes and alphas, and what the rule
-    makes of a subtracted constant.  E Z is the cross-check against the
-    exact k = 1 time rule of ``quadrature.moment_bridge``.
+    ``qs`` and ``q0`` are q = 2 (alpha h - lambda) on each band and outside
+    the support, flat over the grid.  ``add`` sums values of F, and
+    ``moments`` reads off the alpha^k coefficients of F's inverse at t.
     """
-    d, bands = key
-    nu = d / 2.0 - 1.0
-    radius = bands[-1][1]
-    rho = _CAUCHY_RADIUS * _alpha1((d, tuple((lo, hi, abs(h)) for lo, hi, h in bands)), 1.0)
-    alpha = rho * np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
-    reach = (max(r - radius, 0.0) + max(s - radius, 0.0)) ** 2 / (2.0 * t)
-    lam, w = _talbot_rule(t, reach)
-    # one more column at lambda = _NEAR_ZERO / t: a constant in lambda inverts
-    # to 0 at t > 0, so the sums may subtract it, which removes the transform's
-    # value at 0 that the long-horizon sums cancel
-    lam = np.append(lam, _NEAR_ZERO / t)
-    qs = [(2.0 * h * alpha[:, None] - 2.0 * lam[None, :]).ravel() for _, _, h in bands]
-    q0 = np.broadcast_to(-2.0 * lam, (alpha.size, lam.size)).ravel().astype(complex)
-    # row k - 1 sums 2 (alpha / rho)^-k w_j over the grid: rho^k times the
-    # alpha^k coefficient, k = 1, 2, 3, up to the channel weights' 1 / |S^(d-1)|
-    # and the bridge's 1 / p(t, x, y)
-    unit = np.exp(-2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
-    project = np.stack([np.outer(unit**k, 2.0 * w).ravel() for k in (1, 2, 3)])
-    cos_gamma = 1.0 if r == 0.0 else \
-        min(max((r * r + s * s - gap * gap) / (2.0 * r * s), -1.0), 1.0)
-    # [plain sums, sums less the lambda -> 0 column]; ``lost`` is what the
-    # rule makes of that column, a constant whose exact inverse is 0
-    total, spread = np.zeros((2, 3)), np.zeros((2, 3))
-    lost = np.zeros(3)
-    edge = np.stack([unit**k for k in (1, 2, 3)]) * (2.0 * w.sum())
 
-    def add(values, weight, size=None):
+    def __init__(self, key: tuple, t: float, reach: float):
+        d, bands = key
+        self.rho = _CAUCHY_RADIUS * _alpha1((d, tuple((lo, hi, abs(h)) for lo, hi, h in bands)),
+                                            1.0)
+        self.alpha = self.rho * np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
+        lam, w = _talbot_rule(t, reach)
+        # one more column at lambda = _NEAR_ZERO / t: a constant in lambda inverts
+        # to 0 at t > 0, so the sums may subtract it, which removes the transform's
+        # value at 0 that the long-horizon sums cancel
+        self.lam = np.append(lam, _NEAR_ZERO / t)
+        self.qs = [(2.0 * h * self.alpha[:, None] - 2.0 * self.lam[None, :]).ravel()
+                   for _, _, h in bands]
+        self.q0 = np.broadcast_to(-2.0 * self.lam,
+                                  (self.alpha.size, self.lam.size)).ravel().astype(complex)
+        # row k - 1 sums 2 (alpha / rho)^-k w_j over the grid: rho^k
+        # _CAUCHY_NODES times the alpha^k coefficient, k = 1, 2, 3
+        unit = np.exp(-2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
+        self.project = np.stack([np.outer(unit**k, 2.0 * w).ravel() for k in (1, 2, 3)])
+        # [plain sums, sums less the lambda -> 0 column]; ``lost`` is what the
+        # rule makes of that column, a constant whose exact inverse is 0
+        self.total, self.spread = np.zeros((2, 3)), np.zeros((2, 3))
+        self.lost = np.zeros(3)
+        self.edge = np.stack([unit**k for k in (1, 2, 3)]) * (2.0 * w.sum())
+
+    def add(self, values, weight, size=None):
         """Add weight times the sums of ``values``; returns the unweighted sums.
 
         ``size`` bounds |values| where they are differences of larger terms.
         """
-        values = values.reshape(alpha.size, lam.size)
+        values = values.reshape(self.alpha.size, self.lam.size)
         # any constant will do: 0 where K of high order overflows near lambda = 0
         values[:, -1] = np.where(np.isfinite(values[:, -1]), values[:, -1], 0.0)
         size = np.abs(values) if size is None else size.reshape(values.shape)
         size[:, -1] = np.where(np.isfinite(size[:, -1]), size[:, -1], 0.0)
         sums = []
         for i, grid in enumerate((values[:, :-1], values[:, :-1] - values[:, -1:])):
-            sums.append((project @ grid.ravel()).real)
-            total[i] += weight * sums[-1]
+            sums.append((self.project @ grid.ravel()).real)
+            self.total[i] += weight * sums[-1]
             bound = size[:, :-1] + i * size[:, -1:]
-            spread[i] += abs(weight) * (np.abs(project) @ bound.ravel())
-        lost[:] += weight * (edge @ values[:, -1]).real
+            self.spread[i] += abs(weight) * (np.abs(self.project) @ bound.ravel())
+        self.lost[:] += weight * (self.edge @ values[:, -1]).real
         return np.array(sums)
 
+    def moments(self, scale: float) -> tuple:
+        """((E Z, E Z^2, E Z^3), errors) from the row of sums with the smaller k = 2, 3 errors.
+
+        An error is _ROUNDING times the condition number of its sum, plus
+        what the rule makes of a subtracted constant, relative.
+        """
+        errors = (_ROUNDING * self.spread + [np.zeros(3), np.abs(self.lost)]) / np.abs(self.total)
+        best = int(np.argmin(np.max(errors[:, 1:], axis=1)))
+        return (tuple(math.factorial(k) * self.total[best, k - 1] / self.rho**k * scale
+                      for k in (1, 2, 3)), tuple(errors[best]))
+
+
+@functools.lru_cache(maxsize=256)
+def _resolvent_moments(key: tuple, r: float, s: float, gap: float, t: float):
+    """((E Z, E Z^2, E Z^3), errors) for the bridge of length t between radii r <= s.
+
+    gap = |y - x| fixes the angle between the endpoints, seen from the
+    centre; it is exactly 0, and the angle exactly 0, when x = y.  E Z is
+    the cross-check against the exact k = 1 time rule of ``quadrature``.
+    """
+    d, bands = key
+    nu = d / 2.0 - 1.0
+    radius = bands[-1][1]
+    grid = _Projection(key, t, (max(r - radius, 0.0) + max(s - radius, 0.0)) ** 2 / (2.0 * t))
+    qs, q0 = grid.qs, grid.q0
+    cos_gamma = 1.0 if r == 0.0 else \
+        min(max((r * r + s * s - gap * gap) / (2.0 * r * s), -1.0), 1.0)
     j = _band_of(bands, r)
     if j == _band_of(bands, s) and j < len(bands) and bands[j][2] != 0.0:
         local, size = _free_difference(d, np.sqrt(-qs[j]), np.sqrt(-q0), gap)
-        add(local, 1.0, size)
+        grid.add(local, 1.0, size)
     quiet = 0
     for l in range(1 if r == 0.0 else _CHANNEL_CAP):  # a centre endpoint sees channel 0
         size = (l + nu) / nu
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = add(_scattered_channel(d, bands, qs, q0, r, s, l),
-                       size * special.eval_gegenbauer(l, nu, cos_gamma))
-        if not np.all(np.isfinite(total)):  # K of order nu + l overflows its scale
+            sums = grid.add(_scattered_channel(d, bands, qs, q0, r, s, l),
+                            size * special.eval_gegenbauer(l, nu, cos_gamma))
+        if not np.all(np.isfinite(grid.total)):  # K of order nu + l overflows its scale
             break
         # the channel's size before its Gegenbauer factor: at most C_l^nu(1)
         bound = size * special.eval_gegenbauer(l, nu, 1.0) * np.abs(sums[:, 1:])
-        quiet = quiet + 1 if np.all(bound <= _CHANNEL_TOL * np.abs(total[:, 1:])) else 0
+        quiet = quiet + 1 if np.all(bound <= _CHANNEL_TOL * np.abs(grid.total[:, 1:])) else 0
         if quiet == 2:
             break
     if quiet < 2 and r > 0.0:
         raise ValueError(f"the resolvent's channel sum for radii {r}, {s} did not "
                          f"settle within {l + 1} channels")
-    errors = (_ROUNDING * spread + [np.zeros(3), np.abs(lost)]) / np.abs(total)
-    best = int(np.argmin(np.max(errors[:, 1:], axis=1)))
+    # the channel weights' 1 / |S^(d-1)| and the bridge's 1 / p(t, x, y)
     density = (2.0 * math.pi * t) ** (-d / 2.0) * math.exp(-gap * gap / (2.0 * t))
-    scale = 1.0 / (sphere_area(d) * _CAUCHY_NODES * density)
-    moments = tuple(math.factorial(k) * total[best, k - 1] / rho**k * scale for k in (1, 2, 3))
-    return moments, l + 1, tuple(errors[best])
+    return grid.moments(1.0 / (sphere_area(d) * _CAUCHY_NODES * density))
+
+
+@functools.lru_cache(maxsize=256)
+def _free_resolvent_moments(key: tuple, r: float, t: float):
+    """((E Y, E Y^2, E Y^3), errors) for free motion from radius r over [0, t].
+
+    Kac's resolvent applied to 1: w = int_0^inf e^(-lambda t) E_r e^(alpha
+    Y(t)) dt solves (lambda - Delta / 2 - alpha v) w = 1.  w is radial, so
+    channel 0 carries it.  On band j, w = p_j + f with p_j = 1 / (lambda -
+    alpha h_j), and 1 / lambda outside; f is homogeneous, its slope
+    continuous and its value jumping by J = p_left - p_right at each band
+    edge a.  With u regular at 0, U decaying at infinity and W = u U' - u' U,
+    each jump adds -J u(r) U'(a) / W(a) for r <= a and -J u'(a) U(r) / W(a)
+    for r > a: ratios of one solution that decay away from a, so no term
+    cancels another's growth.  w - 1 / lambda inverts to E e^(alpha Y(t)) - 1.
+    """
+    d, bands = key
+    radius = bands[-1][1]
+    grid = _Projection(key, t, max(r - radius, 0.0) ** 2 / (2.0 * t))
+    qs, q0 = grid.qs, grid.q0
+    alpha, lam = grid.alpha[:, None], grid.lam[None, :]
+
+    def jump(h_in, h_out):
+        """1 / (lambda - alpha h_in) - 1 / (lambda - alpha h_out) on the grid, flat."""
+        return (alpha * (h_in - h_out) / ((lam - alpha * h_in) * (lam - alpha * h_out))).ravel()
+
+    heights, edges = [h for _, _, h in bands] + [0.0], [hi for _, hi, _ in bands]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [jump(heights[_band_of(bands, r)], 0.0)]
+        if r > radius:
+            (_, p2), (_, dp2), growth = _band_basis(d, q0, radius, r)
+            big_r = (p2, dp2, -growth)
+        else:  # U(r) is read only past an edge, so never at r = 0
+            u_r = _outward(d, bands, qs, [r], 0)[0]
+            big_r = _inward(d, bands, qs, q0, r, 0) if r > edges[0] else None
+        for i, (a, u_a) in enumerate(zip(edges, _outward(d, bands, qs, edges, 0))):
+            if heights[i] == heights[i + 1]:
+                continue
+            big_a = _inward(d, bands, qs, q0, a, 0)
+            wronskian = u_a[0] * big_a[1] - u_a[1] * big_a[0]
+            if r <= a:
+                ratio = u_r[0] * big_a[1] * np.exp(u_r[2] - u_a[2])
+            else:
+                ratio = u_a[1] * big_r[0] * np.exp(big_r[2] - big_a[2])
+            terms.append(-jump(heights[i], heights[i + 1]) * ratio / wronskian)
+        grid.add(sum(terms), 1.0, sum(np.abs(term) for term in terms))
+        return grid.moments(1.0 / _CAUCHY_NODES)
 
 
 def resolvent_moments(x, y, t: float, v: Potential) -> tuple:
-    """((E Z, E Z^2, E Z^3), channels, errors) for the bridge from x to y over [0, t].
+    """((E Z, E Z^2, E Z^3), errors) for the bridge from x to y over [0, t], or free motion.
 
-    Kac's resolvent above, for a radial v in d >= 3.  It reads the endpoints
-    only through their distances to the centre and their distance apart, so
-    the result is symmetric under (x, y) <-> (y, x).  ``errors`` estimates
-    each moment's relative error; a channel sum that does not settle raises
-    ValueError.
+    Kac's resolvent above, for a radial v in d >= 3; y None is free motion
+    from x.  A bridge reads its endpoints only through their distances to
+    the centre and their distance apart, so the result is symmetric under
+    (x, y) <-> (y, x).  ``errors`` estimates each moment's relative error; a
+    channel sum that does not settle raises ValueError.
     """
     x = np.asarray(x, dtype=float)
+    if y is None:
+        return _free_resolvent_moments(_radial_key(v), float(np.linalg.norm(x - v.center)),
+                                       float(t))
     y = np.asarray(y, dtype=float)
     n1, n2 = (float(np.linalg.norm(p - v.center)) for p in (x, y))
     return _resolvent_moments(_radial_key(v), min(n1, n2), max(n1, n2),

@@ -251,12 +251,14 @@ def _plan_steps(nodes, node, s, dist, radius: float, y_off, least: float, stops,
     return to, s_to
 
 
+@np.errstate(over="ignore")
 def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
     """The path engine behind both batch calls; ``y`` is None for a free path.
 
     Returns (values, terminal positions, recorded positions or None), each
     in path order.  Phase 1 walks the cohort node by node; phase 2 moves
-    every path that left it by distance-adaptive steps (module notes).
+    every path that left it by distance-adaptive steps (module notes).  A
+    distance that overflows to inf reads as far, so overflow is silent.
     """
     last = nodes.size - 1
     t = nodes[-1]

@@ -13,18 +13,14 @@ potential's support.  This module holds the rules in time, and the public
   the one-point law integrated over sigma = sqrt(s) on doubling
   Gauss-Legendre panels, a bridge taking its second half from the far
   endpoint at s = t - sigma^2;
-* free second moments at a finite horizon run over panel-refined pair
-  grids that resolve the boundary layer at the start and the long
-  polynomial tail;
-* the bridge second moment of a tabulated potential is the pair law
-  E Z^2 = 2 int int_{s1 < s2} E v(X_s1) v(X_s2): the bridge's coordinates
+* the second moment of a tabulated potential, bridge or free, is the pair
+  law E Z^2 = 2 int int_{s1 < s2} E v(X_s1) v(X_s2): the path's coordinates
   are independent, so each axis gives a matrix of bivariate normal cell
   masses (Owen's T), contracted with the table axis by axis; the time rule
   integrates the covariance of the two values, in sqrt substitutions at
-  s1 -> 0, at s2 - s1 -> 0 and at s2 -> t, and adds (E Z)^2;
-* the other tabulated moments, k = 3 on a bridge and k = 2 free, take
-  tensor-product Gauss-Legendre rules, with a correspondingly coarser
-  declared tolerance.
+  s1 -> 0, at s2 - s1 -> 0 and, on a bridge, at s2 -> t, and adds (E Z)^2;
+* k = 3 on a tabulated bridge takes a tensor-product Gauss-Legendre rule,
+  with a correspondingly coarser declared tolerance.
 
 A bridge rule integrates only the times at which the bridge's mean path
 comes within reach of the support, so endpoints far from it and from each
@@ -32,8 +28,10 @@ other give 0 or a bounded number of panels; a rule that would need more
 raises ValueError.
 
 Infinite-horizon moments come from the Green chain of ``green``: band by
-band for a radial potential, on sub-cells for a tabulated one; radial
-bridge moments k = 2 and 3 come from Kac's resolvent (``green``).
+band for a radial potential, on sub-cells for a tabulated one.  Radial
+moments k = 2 and 3 at a finite horizon come from Kac's resolvent
+(``green``): bridge moments from its kernel, free ones from the resolvent
+applied to 1.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from .green import (
     cell_chain,
     green_chain,
     panel_rule,
-    radial_rule,
     resolvent_moments,
 )
 from .potentials import Potential
@@ -95,36 +92,30 @@ class QuadConfig:
                   bridge: bool = False) -> float:
         """Declared relative tolerance of the oracle for order k.
 
-        Radial potentials follow the semi-analytic reductions; non-radial
-        ones go through the tensor fallback, whose k >= 2 accuracy is
-        limited by aliasing of v on the node set.  Infinite-horizon radial
-        moments collapse to one-dimensional panel rules and are tighter.
-        A finite-horizon radial bridge (``bridge``) takes k = 2 and 3 from
-        Kac's resolvent.  On 374 cases (d = 3-5, three radial potentials,
-        seven endpoint pairs, t = 0.2-2560) its values moved by at most
-        1.3e-8 under 24 -> 32 Talbot nodes, an alpha radius of 0.25 -> 0.125
-        or 0.375 of alpha1 and a channel tolerance of 1e-13 -> 1e-15,
-        wherever its own error estimate is at most 1e-6: the bound it
-        enforces.  The free k = 2 pair rule keeps 5e-3.  A tabulated
-        bridge k = 2 takes the pair rule: on 15 cases (the bloch_near
-        bridges, a table read from a corner of its cells, ends off and
-        outside the table, x = y, t = 0.05 to 32, and the 21^3 staircase
-        ball) it was within 6.1e-6 of the same rule refined to a sixteenth
-        of its base with 12 nodes a panel, so it declares 1e-5.  A tabulated
-        v at infinite horizon takes the cell operators of ``green``, which
-        declare ``green.CELL_TOLERANCE``.
+        Radial k = 1 is the sqrt(s) time rule.  Radial k = 2 and 3 at a
+        finite horizon come from Kac's resolvent, which refuses a call whose
+        own error estimate exceeds 1e-6, the bound it declares.  On 374
+        bridge cases (d = 3-5, three radial potentials, seven endpoint pairs,
+        t = 0.2-2560) its values moved by at most 1.3e-8 under 24 -> 32
+        Talbot nodes, an alpha radius of 0.25 -> 0.125 or 0.375 of alpha1 and
+        a channel tolerance of 1e-13 -> 1e-15; free k = 2 met mpmath
+        inversions of the band transform to 7.4e-9 on 270 cases (d = 3-5,
+        T = 0.05-1e4).  Tabulated ones are five times the largest difference
+        from the same rule refined to a sixteenth of its base: k = 1, with 32
+        nodes a panel, 2.8e-15 on 23 bridges and free starts, cell faces
+        among them; the pair rule (k = 2), with 12 nodes a panel, 6.1e-6 on
+        15 bridges (``bridge``) and 2.5e-5 on 16 free starts.  Infinite-
+        horizon radial moments are panel rules in the radius; a tabulated v
+        there takes the cell operators of ``green``, which declare
+        ``green.CELL_TOLERANCE``.
         """
         if v.is_radial:
             if infinite_horizon:
                 return {0: 0.0, 1: 1e-8, 2: 1e-7, 3: 1e-6}.get(k, 1e-4)
-            if bridge and k in (2, 3):
-                return 1e-6
-            return {0: 0.0, 1: 1e-6, 2: 5e-3, 3: 5e-2}.get(k, 1e-1)
+            return {0: 0.0, 1: 1e-6, 2: 1e-6, 3: 1e-6}.get(k, 1e-1)
         if infinite_horizon:
             return {0: 0.0, **CELL_TOLERANCE}.get(k, 2e-1)
-        if bridge and k == 2:
-            return 1e-5
-        return {0: 0.0, 1: 1e-5, 2: 1e-1, 3: 2e-1}.get(k, 2e-1)
+        return {0: 0.0, 1: 1.4e-14, 2: 1e-5 if bridge else 1.25e-4, 3: 2e-1}.get(k, 2e-1)
 
 
 DEFAULT = QuadConfig()
@@ -337,28 +328,6 @@ def radial_expectation(v: Potential, b, var):
     return total if total.ndim else float(total)
 
 
-def _radial_norm_pdf(u, b: float, var: float, d: int):
-    """Density of |Z| at u for Z ~ N(b e1, var I_d)."""
-    u = np.asarray(u, dtype=float)
-    if var <= 0.0:
-        raise ValueError("the radial density needs positive variance")
-    sigma = math.sqrt(var)
-    if b < 1e-12 * sigma:
-        logc = math.log(2.0) - (d / 2.0) * math.log(2.0 * var) - special.gammaln(d / 2.0)
-        return np.exp(logc + (d - 1) * np.log(np.maximum(u, 1e-300)) - u * u / (2.0 * var))
-    if b / sigma > 1e4:
-        mu_r = math.sqrt(b * b + (d - 1) * var)
-        z = (u - mu_r) / sigma
-        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    if d == 3:
-        # exp(-(u - b)^2 / 2v) - exp(-(u + b)^2 / 2v) without its cancellation
-        # at small u b / v
-        pref = u / (b * sigma * math.sqrt(2.0 * math.pi))
-        return pref * np.exp(-((u - b) ** 2) / (2.0 * var)) * -np.expm1(-2.0 * u * b / var)
-    from scipy import stats
-    return (2.0 * u / var) * stats.ncx2.pdf(u * u / var, d, b * b / var)
-
-
 # -- first moments -----------------------------------------------------------
 
 def _smear(v: Potential, mu, var):
@@ -490,55 +459,7 @@ def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
     return total
 
 
-# -- finite-horizon second moments -------------------------------------------
-
-def _pair_nodes(t: float, base: float, m: int):
-    """Ordered (s1, delta) nodes and weights over {s1 >= 0, delta > 0, s1 + delta <= t}."""
-    s1, ws = panel_rule(_log_edges(t, base), m)
-    out_s, out_d, out_w = [], [], []
-    for s, w in zip(s1, ws):
-        rem = t - s
-        if rem <= 0:
-            continue
-        dd, wd = panel_rule(_log_edges(rem, base), m)
-        out_s.append(np.full(dd.size, s))
-        out_d.append(dd)
-        out_w.append(w * wd)
-    return np.concatenate(out_s), np.concatenate(out_d), np.concatenate(out_w)
-
-
-def _moment_free_k2(x, horizon: float, v: Potential) -> float:
-    if not v.is_radial:
-        return _moment_free_fin_k2_general(x, horizon, v)
-    d = v.dim
-    b = float(np.linalg.norm(np.asarray(x, float) - v.center))
-    base = 0.5 * min(1.0, max(v.support_radius**2, 1e-3))
-    s1, delta, wt = _pair_nodes(horizon, base, _TIME_NODES)
-    u, wu = radial_rule(v)
-    if u.size == 0:
-        return 0.0
-    rho = v.profile(u)
-    total = 0.0
-    sigma_floor = 0.03 * max(v.support_radius, 1e-6)
-    chunk = 256
-    for i0 in range(0, s1.size, chunk):
-        s = s1[i0:i0 + chunk]
-        dl = delta[i0:i0 + chunk]
-        w = wt[i0:i0 + chunk]
-        inner = radial_expectation(v, u[None, :], dl[:, None])
-        small = np.sqrt(s) < sigma_floor
-        vals = np.empty(s.size)
-        if np.any(small):
-            point = v.profile(np.full(np.sum(small), b)) * \
-                np.asarray(radial_expectation(v, b, dl[small]))
-            vals[small] = point
-        if np.any(~small):
-            idx = np.where(~small)[0]
-            pdf = np.stack([_radial_norm_pdf(u, b, s[i], d) for i in idx])
-            vals[idx] = np.sum(wu[None, :] * pdf * rho[None, :] * inner[idx], axis=1)
-        total += float(np.sum(w * vals))
-    return 2.0 * total
-
+# -- the tabulated tensor rule (bridge k = 3) ----------------------------------
 
 def _box_mass(mu, var, lo, hi):
     """Exact Gaussian mass of the box [lo, hi] for N(mu, var I), batched."""
@@ -578,37 +499,6 @@ def _normalized_gauss_matrix(pts, w, dist2, var, lo, hi):
     ok = (raw > 1e-300) & (exact > 1e-300)
     scale[ok] = exact[ok] / raw[ok]
     return kern * scale[:, None]
-
-
-def _moment_free_fin_k2_general(x, horizon: float, v: Potential) -> float:
-    pts, w, vv = _box_nodes(v)
-    lo, hi = v.support_box()
-    x = np.asarray(x, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.sum(diff * diff, axis=-1)
-    base = max(0.5 * min(1.0, max(v.support_radius**2, 1e-3)), horizon / 256.0)
-    s1, delta, wt = _pair_nodes(horizon, base, _TIME_NODES - 2)
-    total = 0.0
-    for s, dl, wgt in zip(s1, delta, wt):
-        a = vv * w * _normalized_gauss_vector(pts, w, x, s, lo, hi)
-        m = _normalized_gauss_matrix(pts, w, dist2, dl, lo, hi)
-        total += wgt * float(a @ m @ (vv * w))
-    return 2.0 * total
-
-
-# -- bridge moments -----------------------------------------------------------
-
-def _radial_bridge_moment(x, y, t: float, v: Potential, k: int) -> float:
-    """E Z(t)^k, k = 2 or 3, for a radial v in d >= 3, from Kac's resolvent."""
-    if v.dim < 3:
-        raise ValueError("bridge moments k >= 2 of a radial potential need d >= 3")
-    moments, _, errors = resolvent_moments(x, y, t, v)
-    if not errors[k - 1] <= DEFAULT.tolerance(k, v, bridge=True):
-        raise ValueError(
-            f"the bridge k = {k} oracle loses its declared accuracy over t = {t} "
-            f"(rounding estimate {errors[k - 1]:.1e} relative): the endpoints are "
-            "too far from each other, and from the support, for so short a horizon")
-    return float(moments[k - 1])
 
 
 def _box_nodes(v: Potential):
@@ -656,14 +546,14 @@ def _moment_bridge_tensor(x, y, t: float, v: Potential, k: int) -> float:
     return math.factorial(k) * total / math.exp(log_norm)
 
 
-# -- the tabulated bridge pair rule -------------------------------------------
+# -- the tabulated pair rule ---------------------------------------------------
 
 # The pair rule's time grid: doubling sigma panels from _PAIR_BASE times
 # min(spacing, sqrt(t)), with Gauss-Legendre orders per panel from the
 # innermost (the last repeats), in the lag up to t/2 and in s1 at each such
-# lag.  Lags past t/2 leave s1 + (t - s2) < t/2, where both times are near
-# their endpoints and the covariance is small: one panel in sqrt(t - lag)
-# and fewer nodes in s1 hold the same accuracy there.
+# lag.  Lags past t/2 leave s1 + (t - s2) < t/2, where s1 is near its start
+# (and a bridge's s2 near its end) and the covariance is small: one panel in
+# sqrt(t - lag) and fewer nodes in s1 hold the same accuracy there.
 _PAIR_BASE = 0.75
 _PAIR_LAG_ORDERS = (4, 4, 3)
 _PAIR_TIME_ORDERS = (6, 5, 4)
@@ -685,13 +575,14 @@ def _graded_nodes(length: float, base: float, cap: float, orders) -> tuple:
     return sigma * sigma, 2.0 * sigma * w
 
 
-def _bridge_pair_nodes(t: float, base: float, cap: float) -> tuple:
+def _pair_time_nodes(t: float, base: float, cap: float, bridge: bool) -> tuple:
     """(s1, lag, rest, weight) over the simplex s1 + lag + rest = t.
 
     The lag is graded in sqrt from 0 over [0, t/2] and taken on one panel
-    in sqrt(t - lag) over [t/2, t] (panels no longer than cap); at each
-    lag, s1 is graded in sqrt from both ends of its span t - lag.  The node
-    set maps to itself under s1 <-> rest, which is time reversal.
+    in sqrt(t - lag) over [t/2, t] (panels no longer than cap).  At each
+    lag, a bridge's s1 is graded in sqrt from both ends of its span t - lag,
+    so the node set maps to itself under s1 <-> rest, which is time
+    reversal; free motion's s1 is graded from 0 over the whole span.
     """
     near, w_near = _graded_nodes(t, base, cap, _PAIR_LAG_ORDERS)
     far, w_far = _graded_nodes(t, min(math.sqrt(t / 2.0), cap), cap, _PAIR_FAR_LAG_ORDERS)
@@ -699,9 +590,10 @@ def _bridge_pair_nodes(t: float, base: float, cap: float) -> tuple:
     for lags, spans, weights, orders in ((near, t - near, w_near, _PAIR_TIME_ORDERS),
                                          (t - far, far, w_far, _PAIR_FAR_TIME_ORDERS)):
         for lag, span, wl in zip(lags, spans, weights):
-            b, wb = _graded_nodes(span, base, cap, orders)
-            parts.append((np.concatenate([b, span - b]), np.full(2 * b.size, lag),
-                          np.concatenate([span - b, b]), np.concatenate([wl * wb, wl * wb])))
+            n = 2 if bridge else 1  # a bridge takes the mirror image s1 <-> rest too
+            b, wb = _graded_nodes(2.0 * span / n, base, cap, orders)
+            parts.append((np.concatenate([b, span - b][:n]), np.full(n * b.size, lag),
+                          np.concatenate([span - b, b][:n]), np.tile(wl * wb, n)))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -736,31 +628,34 @@ def _cell_pair_masses(edges, mu1, mu2, sd1, sd2, rho, r) -> np.ndarray:
     return np.diff(np.diff(cdf, axis=1), axis=2)
 
 
-def _pair_covariance(v: Potential, x, y, t: float, s1, lag, rest) -> np.ndarray:
-    """Cov(v(X_s1), v(X_s2)) along the bridge x -> y, s2 = s1 + lag = t - rest.
+def _pair_covariance(v: Potential, mu1, mu2, sd1, sd2, rho, r) -> np.ndarray:
+    """Cov(v(X1), v(X2)) per row, X1 ~ N(mu1, sd1^2 I) and X2 ~ N(mu2, sd2^2 I).
 
-    E v(X_s1) v(X_s2) contracts the table with each axis's cell-pair masses
-    in turn, as ``_tabulated_smear`` does with cell masses for k = 1.
+    Each axis is correlated rho >= 0, r = sqrt(1 - rho^2).  E v(X1) v(X2)
+    contracts the table with each axis's cell-pair masses in turn, as
+    ``_tabulated_smear`` does with cell masses for k = 1.
     """
-    s2 = s1 + lag
-    u1 = lag + rest  # t - s1
-    sd1 = np.sqrt(s1 * u1 / t)
-    sd2 = np.sqrt(s2 * rest / t)
-    rho = np.sqrt(s1 * rest / (s2 * u1))
-    r = np.sqrt(t * lag / (s2 * u1))  # sqrt(1 - rho^2), without its cancellation
-    mu1 = x + (s1 / t)[:, None] * (y - x)
-    mu2 = y + (rest / t)[:, None] * (x - y)
     shape = v.values.shape
-    acc = np.broadcast_to(v.values, (s1.size, *shape))
+    acc = np.broadcast_to(v.values, (rho.size, *shape))
     for axis in range(v.dim):
         edges = v.origin[axis] + v.spacing * np.arange(shape[axis] + 1)
         mass = _cell_pair_masses(edges, mu1[:, axis], mu2[:, axis], sd1, sd2, rho, r)
         # contract the leading table axis; its cell-pair index goes last
-        acc = mass @ acc.reshape(s1.size, shape[axis], -1)
-        acc = np.moveaxis(acc.reshape(s1.size, shape[axis], *shape[axis + 1:],
+        acc = mass @ acc.reshape(rho.size, shape[axis], -1)
+        acc = np.moveaxis(acc.reshape(rho.size, shape[axis], *shape[axis + 1:],
                                       *shape[:axis]), 1, -1)
-    joint = acc.reshape(s1.size, -1) @ v.values.ravel()
+    joint = acc.reshape(rho.size, -1) @ v.values.ravel()
     return joint - _tabulated_smear(v, mu1, sd1 * sd1) * _tabulated_smear(v, mu2, sd2 * sd2)
+
+
+def _pair_sum(v: Potential, w, *law) -> float:
+    """sum_i w_i Cov(v(X1_i), v(X2_i)) for the pair law ``law`` of ``_pair_covariance``.
+
+    The time pairs go in chunks that keep the running contraction small.
+    """
+    chunk = max(1, _PAIR_CHUNK // v.values.size)
+    return sum(float(w[i:i + chunk] @ _pair_covariance(v, *(a[i:i + chunk] for a in law)))
+               for i in range(0, w.size, chunk))
 
 
 def _moment_bridge_pair(x, y, t: float, v: Potential) -> float:
@@ -781,15 +676,45 @@ def _moment_bridge_pair(x, y, t: float, v: Potential) -> float:
                          "panels per time axis")
     m1 = _occupation_k1(v, x, t, y)
     base = min(_PAIR_BASE * min(v.spacing, math.sqrt(t)), cap)
-    s1, lag, rest, w = _bridge_pair_nodes(t, base, cap)
-    chunk = max(1, _PAIR_CHUNK // v.values.size)
-    cov = sum(float(w[i:i + chunk] @ _pair_covariance(
-        v, x, y, t, s1[i:i + chunk], lag[i:i + chunk], rest[i:i + chunk]))
-        for i in range(0, s1.size, chunk))
-    return 2.0 * cov + m1 * m1
+    s1, lag, rest, w = _pair_time_nodes(t, base, cap, True)
+    # s2 = s1 + lag = t - rest along the bridge x -> y
+    s2 = s1 + lag
+    u1 = lag + rest  # t - s1
+    law = (x + (s1 / t)[:, None] * (y - x), y + (rest / t)[:, None] * (x - y),
+           np.sqrt(s1 * u1 / t), np.sqrt(s2 * rest / t), np.sqrt(s1 * rest / (s2 * u1)),
+           np.sqrt(t * lag / (s2 * u1)))  # sqrt(1 - rho^2), without its cancellation
+    return 2.0 * _pair_sum(v, w, *law) + m1 * m1
+
+
+def _moment_free_pair(x, horizon: float, v: Potential) -> float:
+    """E Y(horizon)^2 of a tabulated v for free motion from x: the pair rule.
+
+    The law of ``_moment_bridge_pair`` with free covariances, sd_i =
+    sqrt(s_i) and rho = sqrt(s1 / s2), and s1 graded in sqrt from 0 alone.
+    """
+    m1 = _occupation_k1(v, x, horizon)
+    base = _PAIR_BASE * min(v.spacing, math.sqrt(horizon))
+    s1, lag, _, w = _pair_time_nodes(horizon, base, math.inf, False)
+    s2 = s1 + lag
+    mu = np.broadcast_to(x, (s1.size, v.dim))
+    law = (mu, mu, np.sqrt(s1), np.sqrt(s2), np.sqrt(s1 / s2), np.sqrt(lag / s2))
+    return 2.0 * _pair_sum(v, w, *law) + m1 * m1
 
 
 # -- public operations --------------------------------------------------------
+
+def _radial_moment(x, y, t: float, v: Potential, k: int) -> float:
+    """E Z(t)^k, k = 2 or 3, of a radial v in d >= 3 from Kac's resolvent; y None is free."""
+    if v.dim < 3:
+        raise ValueError("moments k >= 2 of a radial potential at a finite horizon need d >= 3")
+    moments, errors = resolvent_moments(x, y, t, v)
+    if not errors[k - 1] <= DEFAULT.tolerance(k, v):
+        raise ValueError(
+            f"the k = {k} oracle loses its declared accuracy over t = {t} (rounding "
+            f"estimate {errors[k - 1]:.1e} relative): the path's ends are too far from "
+            "each other, or from the support, for so short a horizon")
+    return float(moments[k - 1])
+
 
 def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     """E[(int_0^horizon v(W_s) ds)^k] for Brownian motion started at x.
@@ -797,7 +722,9 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     horizon may be inf (d >= 3 required there).  Infinite-horizon moments
     come from the Green chain (``green.green_chain`` for a radial v,
     ``green.cell_chain`` for a tabulated one); a finite-horizon first moment
-    from the sqrt(s) time rule, and a second from the pair-correlation form.
+    from the sqrt(s) time rule, and a second from Kac's resolvent applied to
+    1 (radial v, d >= 3) or the pair rule (tabulated v).  A radial call whose
+    rounding estimate exceeds the declared tolerance raises ValueError.
     """
     _check_order(k)
     if not (horizon > 0):
@@ -815,7 +742,8 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     if k == 1:
         return _occupation_k1(v, x, horizon)
     if k == 2:
-        return float(_moment_free_k2(x, horizon, v))
+        return _radial_moment(x, None, horizon, v, 2) if v.is_radial else \
+            _moment_free_pair(x, horizon, v)
     raise ValueError("finite-horizon k=3 free moments are not supported; "
                      "use the infinite-horizon Green chain or Monte Carlo")
 
@@ -843,7 +771,7 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
     if k == 1:
         return _occupation_k1(v, x, t, y)
     if v.is_radial:
-        return _radial_bridge_moment(x, y, t, v, k)
+        return _radial_moment(x, y, t, v, k)
     if k == 2:
         return _moment_bridge_pair(x, y, t, v)
     forward = _moment_bridge_tensor(x, y, t, v, k)

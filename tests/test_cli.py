@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,16 @@ class TestOracleCoverage:
         assert "declared accuracy" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
+    def test_free_beyond_the_declared_accuracy_rejected(self, tmp_path, capsys):
+        # a start 29 of its standard deviations from the ball: the resolvent
+        # applied to 1 cannot resolve E Y(1)^2, and says so before sampling
+        cfg = {"dimension": 3, "potential": _BALL, "statistic_kind": "free",
+               "x": [30.0, 0.0, 0.0], "free_horizon": 1.0, "n_paths": 20, "k_list": [1, 2]}
+        path = write_config(tmp_path, cfg)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "declared accuracy" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_bridge_k2_on_axis_in_d4_accepted(self):
         cfg = dict(self._D4, x=[0.5, 0.0, 0.0, 0.0], y=[-0.3, 0.0, 0.0, 0.0])
         assert load_config(cfg, "moments").k_list == [2]
@@ -428,8 +439,6 @@ class TestOracleCoverage:
              "values": [[[1.0] * 2] * 2] * 2}
 
     @pytest.mark.parametrize("potential", [_BALL, _CUBE], ids=["ball", "tabulated"])
-    # the sampler squares coordinates of 1e300 on its way to the far end
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_far_endpoint_ends(self, tmp_path, potential):
         # |y - x| overflowed the k = 1 rule's panel cap, which then appended
         # empty panels for ever; now the mean path is in reach only in the
@@ -437,7 +446,12 @@ class TestOracleCoverage:
         cfg = base_bridge_config(potential=potential, x=[1e300, 0.0, 0.0], t=1.0,
                                  n_paths=20, k_list=[1])
         path = write_config(tmp_path, cfg)
-        code = main(["moments", "--config", path, "--out", str(tmp_path)])
+        # the sampler squares coordinates of 1e300 on its way to the far end,
+        # and an infinite distance reads as far without a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["moments", "--config", path, "--out", str(tmp_path)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code in (EXIT_OK, EXIT_FAIL)
         with open(tmp_path / "moments.csv") as fh:
             row = list(csv.DictReader(fh))[0]

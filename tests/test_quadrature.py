@@ -144,7 +144,7 @@ class TestRadialPrimitives:
         assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
         assert f2 >= f1 - 1e-15
         inner = [p for p in (b - 3.0 * math.sqrt(var), b, b + 3.0 * math.sqrt(var)) if r1 < p < r2]
-        mass, _ = integrate.quad(quadrature._radial_norm_pdf, r1, r2, args=(b, var, 3),
+        mass, _ = integrate.quad(_radial_density3, r1, r2, args=(b, var),
                                  points=inner or None, epsabs=1e-13, epsrel=1e-13, limit=200)
         assert f2 - f1 == pytest.approx(mass, abs=1e-10)
 
@@ -163,6 +163,19 @@ class TestRadialPrimitives:
             lower = radial_ball_cdf(lo, b, var, 3) if lo > 0 else 0.0
             per_band = per_band + h * (radial_ball_cdf(hi, b, var, 3) - lower)
         assert np.array_equal(radial_expectation(v, b, var), per_band)
+
+
+def _radial_density3(u, b, var):
+    """Density of |Z| at u for Z ~ N(b e1, var I_3), the reference for the ball CDF.
+
+    exp(-(u - b)^2 / 2 var) - exp(-(u + b)^2 / 2 var), over b, without its
+    cancellation at small u b / var; the chi law with 3 degrees at b = 0.
+    """
+    sigma = math.sqrt(var)
+    if b < 1e-12 * sigma:
+        return math.sqrt(2.0 / math.pi) * u * u / sigma**3 * math.exp(-u * u / (2.0 * var))
+    return (u / (b * sigma * math.sqrt(2.0 * math.pi)) * math.exp(-((u - b) ** 2) / (2.0 * var))
+            * -math.expm1(-2.0 * u * b / var))
 
 
 class TestFreeMoments:
@@ -308,6 +321,14 @@ class TestOracleInvariants:
         free = moment_free(x, t, v, 1)
         assert moment_free(lam * x, lam * lam * t, zoom, 1) == \
             pytest.approx(lam * lam * free, rel=tol, abs=1e-12)
+        # finite free k = 2 scales by lam^4, for v and for a table of its dimension
+        for w in (v, {3: FACE_TABLE, 4: TABLE4}[v.dim]):
+            try:
+                free2 = moment_free(x, t, w, 2)
+            except ValueError:  # a start the resolvent refuses at so short a horizon
+                continue
+            assert moment_free(lam * x, lam * lam * t, w.dilated(lam), 2) == \
+                pytest.approx(lam**4 * free2, rel=CFG.tolerance(2, w), abs=1e-12)
 
     @_PROPERTY
     @given(_radial_case(), st.floats(-3.0, 3.0))
@@ -614,7 +635,7 @@ class TestResolventAccuracy:
         # the resolvent's own rounding estimate
         v = _potentials(d)[name]
         r, s = sorted(float(np.linalg.norm(p)) for p in (x, y))
-        (m1, _, _), _, errors = green._resolvent_moments(
+        (m1, _, _), errors = green._resolvent_moments(
             green._radial_key(v), r, s, float(np.linalg.norm(y - x)), t)
         exact = quadrature._occupation_k1(v, x, t, y)
         assert abs(m1 - exact) <= max(1e-12, errors[0]) * abs(exact) + 1e-15
@@ -856,6 +877,110 @@ class TestBridgePairRule:
         assert moment_bridge(x, y, 1.0, FACE_TABLE, 3) == 3.0
         assert calls == [(x, 3), (y, 3)]
         assert moment_bridge(x, y, 1.0, FACE_TABLE, 2) > 0.0 and len(calls) == 2
+
+
+SIGNED_TABLE = Potential.tabulated(3, [-0.8, -0.8, -0.8], 0.4,
+                                   np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4, 4)))
+TABLE4 = Potential.tabulated(4, [-0.6] * 4, 0.4,
+                             np.random.default_rng(9).uniform(0.0, 1.0, (3, 3, 3, 3)))
+# (potential, x, horizon): starts in cells, on their faces and off the table;
+# a signed table and a d = 4 one
+_FREE_PAIR_ACCURACY = [
+    *(("near", [0.3, -0.2, 0.1], t) for t in (1.0, 10.0, 100.0)),
+    *(("near", [0.5, 0.5, 0.5], t) for t in (1.0, 10.0, 100.0)),
+    ("face", [0.0, 0.0, 0.0], 1.0), ("face", [0.0, 0.0, 0.0], 4.0),
+    ("face", [-0.4, 0.4, 0.0], 0.05), ("near", [2.0, 0.0, 0.0], 3.0),
+    ("near", [0.1, 0.2, -0.3], 0.05), ("near", [0.1, 0.2, -0.3], 1000.0),
+    ("signed", [0.1, -0.3, 0.2], 2.0), ("d4", [0.0, 0.1, 0.0, -0.2], 2.0),
+]
+_FREE_TABLES = {"near": NEAR_TABLE, "face": FACE_TABLE, "signed": SIGNED_TABLE, "d4": TABLE4}
+
+
+def _radial(d, bands):
+    """The radial potential of ``bands`` [(outer radius, height), ...] in dimension d."""
+    return Potential.radial_step(d, [b for b, _ in bands], [h for _, h in bands])
+
+
+# E Y(T)^2 of free motion from x = r e1, recorded from an mpmath inversion of
+# the band transform, independent of the library: per band, F(lambda; alpha)
+# = 1 / (lambda - alpha h) + A r^-nu I_nu(k r) + B r^-nu K_nu(k r), k =
+# sqrt(2 (lambda - alpha h)), and 1 / lambda + C r^-nu K_nu(k0 r) outside;
+# A, B and C from one linear solve that matches value and slope at every edge
+# (30 digits), E Y^2 the Talbot inversion (mpmath.invertlaplace) of
+# d^2 F / d alpha^2 at alpha = 0.  The d = 3 ball at the centre has the closed
+# form F = 1 / (lambda - alpha) + k1 D (1 + k0) / (k0 sinh k1 + k1 cosh k1),
+# D = 1 / lambda - 1 / (lambda - alpha), k0 = sqrt(2 lambda), k1 = sqrt(2
+# (lambda - alpha)).
+_FREE_RADIAL_REFS = [
+    (3, [(1.0, 1.0)], 0.0, 4.0, 0.80833042996457),
+    (3, [(1.0, 1.0)], 0.0, 40.0, 1.36742471650234),
+    (3, [(1.0, 1.0)], 0.0, 50.0, 1.39839150545371),
+    (3, [(0.5, 2.0), (1.0, -0.5)], 0.5, 4.0, 0.074341609399213589),
+    (3, [(0.5, 2.0), (1.0, -0.5)], 1.5, 40.0, 0.040458550423369144),
+    (3, [(0.5, 2.0), (1.0, -0.5)], 0.3, 1e4, 0.11686637583426539),
+    (4, [(1.0, 1.0)], 0.0, 1e4, 0.37497916120291865),
+    (4, [(1.0, 1.0)], 0.7, 4.0, 0.21689988621811450),
+    (5, [(0.5, 2.0), (1.0, -0.5)], 0.5, 40.0, 0.015112346788664650),
+    (5, [(0.6, 1.2), (1.2, 0.4)], 1.2, 40.0, 0.020607213289528825),
+]
+
+
+class TestFreeSecondMoment:
+    """Finite-horizon E Y(T)^2: Kac's resolvent applied to 1, and the free pair rule."""
+
+    @pytest.mark.parametrize("d, bands, r, t, ref", _FREE_RADIAL_REFS)
+    def test_radial_against_mpmath(self, d, bands, r, t, ref):
+        # the pair rule read 8.0e-5 and 6.7e-5 low at the centre of the ball
+        # at T = 4 and 40, and 2.8e-3 low on the signed step
+        x = np.zeros(d)
+        x[0] = r
+        assert moment_free(x, t, _radial(d, bands), 2) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("t", [0.05, 4.0, 1e4])
+    def test_first_moment_is_the_time_rule(self, d, t):
+        # the resolvent's alpha^1 coefficient against the sqrt(s) k = 1 rule
+        for v in _potentials(d).values():
+            for r in (0.0, 0.5, 1.0, 1.5):
+                m, _ = green.resolvent_moments(_e(d, r), None, t, v)
+                assert m[0] == pytest.approx(quadrature._occupation_k1(v, _e(d, r), t), rel=1e-9)
+
+    def test_declared_tolerances(self):
+        assert CFG.tolerance(2, BALL) == CFG.tolerance(2, BALL, bridge=True) == 1e-6
+        assert CFG.tolerance(2, NEAR_TABLE) == 1.25e-4
+        assert CFG.tolerance(1, NEAR_TABLE) == CFG.tolerance(1, NEAR_TABLE, bridge=True) == 1.4e-14
+
+    @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["radial", "tabulated"])
+    def test_finite_third_moment_refused(self, v):
+        with pytest.raises(ValueError, match="k=3"):
+            moment_free(np.zeros(3), 1.0, v, 3)
+
+    @pytest.mark.parametrize("t, ref", [(1.0, 0.1415264), (10.0, 0.8749006),
+                                        (100.0, 1.4438826)])
+    def test_recorded_pair_law(self, t, ref):
+        # the pair law on a finer grid; the tensor rule read 0.1519178,
+        # 0.9340596 and 1.5377405 here (+7.3 %, +6.8 %, +6.5 %)
+        assert moment_free([0.3, -0.2, 0.1], t, NEAR_TABLE, 2) == pytest.approx(
+            ref, rel=CFG.tolerance(2, NEAR_TABLE))
+
+    @pytest.mark.parametrize("name, x, t", _FREE_PAIR_ACCURACY,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(_FREE_PAIR_ACCURACY)])
+    def test_refined_rule_agreement(self, name, x, t, monkeypatch):
+        v = _FREE_TABLES[name]
+        value = moment_free(x, t, v, 2)
+        monkeypatch.setattr(quadrature, "_PAIR_BASE", quadrature._PAIR_BASE / 16.0)
+        for orders in ("_PAIR_LAG_ORDERS", "_PAIR_TIME_ORDERS", "_PAIR_FAR_LAG_ORDERS",
+                       "_PAIR_FAR_TIME_ORDERS"):
+            monkeypatch.setattr(quadrature, orders, (12,))
+        assert value == pytest.approx(moment_free(x, t, v, 2), rel=CFG.tolerance(2, v))
+
+    def test_matches_monte_carlo(self):
+        x = np.array([0.3, -0.2, 0.1])
+        q = moment_free(x, 1.0, NEAR_TABLE, 2)
+        est = mc_moment("free", 2, 32_768,
+                        EstimatorConfig(potential=NEAR_TABLE, x=x, free_horizon=1.0,
+                                        h_fine=0.0025, seed=77, tail_correction=False))
+        assert abs(est.mean - q) <= 3.0 * est.std_error
 
 
 class TestFarEndpoints:

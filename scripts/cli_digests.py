@@ -117,19 +117,25 @@ RUNS = [
     ("mgf_free", "mgf",
      dict(FREE, n_paths=2000, alphas=[-0.5, 0.0, 0.5, 40.0]), [], 0),
     ("moments_free", "moments", dict(FREE, n_paths=4000, k_list=[1, 2]), [], 0),
-    # finite-horizon free k = 2 targets: the pair rule on a table, and Kac's
-    # resolvent applied to 1 on a signed radial step.  The step's row fails:
-    # past sqrt(t) the grid steps by min(1, t / 100), which samples the
-    # paths' returns to the support coarsely and reads E Y(50)^2 0.0936 +-
-    # 0.0041 against the exact 0.0712 (paths on a uniform 0.02 grid read
-    # 0.0728 +- 0.0014)
+    # finite-horizon free targets, every row at the horizon 50: k = 1 from the
+    # time rule, and k = 2 from the pair rule on a table and from Kac's
+    # resolvent applied to 1 on a signed radial step.  The step's k = 1 row
+    # passes (z = -0.56); its k = 2 row fails: past sqrt(t) the grid steps by
+    # min(1, t / 100), which samples the paths' returns to the support
+    # coarsely and reads E Y(50)^2 0.0936 +- 0.0041 against the exact 0.0712
+    # (z = +5.4; paths on a uniform 0.02 grid read 0.0728 +- 0.0014)
     ("moments_free_tabulated", "moments",
      dict(FREE, potential=TABLE, n_paths=4000, k_list=[1, 2]), [], 0),
     ("moments_free_signed", "moments",
      dict(FREE, potential=SIGNED, n_paths=4000, k_list=[1, 2]), [], 3),
-    ("moments_two_sided_raw", "moments",
+    # both legs to the free horizon, against the binomial sum at it
+    ("moments_two_sided", "moments",
      dict(FREE, statistic_kind="two_sided", y=[0.5, 0.0, 0.0], n_paths=3000,
-          k_list=[1, 2], tail_correction=False), [], 0),
+          k_list=[1, 2]), [], 0),
+    # free legs are judged at their own horizon, so the tail correction
+    # and its key are gone
+    ("tail_correction_rejected", "moments",
+     dict(FREE, n_paths=4000, k_list=[1], tail_correction=True), [], 2),
     # K1 and the exact alpha1 of a table, from its cell operators; the keys
     # of the Monte Carlo alpha1 probe that exact alpha1 replaced are errors
     ("bounds_tabulated", "bounds", {"dimension": 3, "potential": TABLE}, [], 0),

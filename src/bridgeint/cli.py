@@ -29,7 +29,7 @@ from .convergence import (
 )
 # estimators._collect is looked up at call time, so a wrapper on it sees every pass
 from . import estimators
-from .estimators import EstimatorConfig, McEstimate, mc_mgf, tail_corrected
+from .estimators import EstimatorConfig, McEstimate, mc_mgf
 from .gaussian import transition_density
 from .green import alpha1_interval, k1_bound
 from .quadrature import DEFAULT, moment_bridge, moment_free, moment_two_sided
@@ -81,7 +81,7 @@ def _estimator_config(cfg: ExperimentConfig, channel: int = 0) -> EstimatorConfi
     return EstimatorConfig(
         potential=cfg.potential, x=cfg.x, y=cfg.y, t=cfg.t,
         free_horizon=cfg.free_horizon, h_fine=cfg.h_fine, seed=cfg.seed,
-        stream_channel=channel, workers=cfg.workers, tail_correction=cfg.tail_correction,
+        stream_channel=channel, workers=cfg.workers,
     )
 
 
@@ -93,17 +93,12 @@ def _control_entry(est: McEstimate):
 # -- commands -----------------------------------------------------------------
 
 def cmd_sample(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    values, tails = estimators._collect(cfg.statistic_kind, cfg.n_paths,
-                                        _estimator_config(cfg))
-    rows = []
-    for i, val in enumerate(values):
-        tail = tails[i] if tails is not None else None
-        rows.append([cfg.statistic_kind, i, val, tail])
+    values = estimators._collect(cfg.statistic_kind, cfg.n_paths, _estimator_config(cfg))
+    rows = [[cfg.statistic_kind, i, val] for i, val in enumerate(values)]
     payload = {"n": int(values.size), "kind": cfg.statistic_kind,
                "mean": float(np.mean(values))}
     if fmt == "csv":
-        _write_rows(out / "sample.csv", rows,
-                    columns=("kind", "index", "value", "tail_potential"))
+        _write_rows(out / "sample.csv", rows, columns=("kind", "index", "value"))
     else:
         payload["values"] = [float(v) for v in values]
     _write_summary(out / "sample_summary.json", "sample", cfg, payload)
@@ -134,34 +129,27 @@ def cmd_mgf(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
     est_cfg = _estimator_config(cfg)
     kind = cfg.statistic_kind
+    # every kind is judged at its own horizon: t, or the free legs' horizon
     t = cfg.t if kind == "bridge" else est_cfg.resolved_free_horizon()
-    # a tail-corrected free or two-sided sample (k = 1) estimates the untruncated law
-    corrected = {k: kind != "bridge" and k == 1 and cfg.tail_correction for k in cfg.k_list}
 
     def target(k):
         if kind == "bridge":
             return moment_bridge(cfg.x, cfg.y, t, cfg.potential, k)
         if kind == "free":
-            return moment_free(cfg.x, math.inf if corrected[k] else t, cfg.potential, k)
-        return moment_two_sided(cfg.x, cfg.y, cfg.potential, k) if corrected[k] else None
+            return moment_free(cfg.x, t, cfg.potential, k)
+        return moment_two_sided(cfg.x, cfg.y, cfg.potential, k, horizon=t)
 
     try:  # before sampling: a geometry the oracle refuses is a config error
         targets = {k: target(k) for k in cfg.k_list}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    values, tails = estimators._collect(kind, cfg.n_paths, est_cfg)
+    values = estimators._collect(kind, cfg.n_paths, est_cfg)
     rows, entries = [], []
     all_pass = True
     for k in cfg.k_list:
-        est = McEstimate.from_samples(tail_corrected(values, tails, k)**k)
+        est = McEstimate.from_samples(values**k)
         target = targets[k]
-        if target is None:
-            rows.append(ReportRow(f"moment[{kind}]", str(k), t, est.mean,
-                                  est.std_error, None, None, None))
-            entries.append({"k": k, **est.as_dict(), "target": None})
-            continue
-        terr = DEFAULT.tolerance(k, cfg.potential, infinite_horizon=corrected[k],
-                                 bridge=kind == "bridge") * abs(target)
+        terr = DEFAULT.tolerance(k, cfg.potential, bridge=kind == "bridge") * abs(target)
         gap = abs(est.mean - target)
         row = ReportRow(f"moment[{kind}]", str(k), t, est.mean, est.std_error,
                         target, terr, gap)

@@ -48,8 +48,8 @@ _SWEEP = {"horizons", "alphas", "k_list", "n_paths", "n_paths_by_horizon",
 
 _COMMAND_KEYS = {
     "sample": _PATH,
-    "mgf": _PATH | {"alphas", "tail_correction"},
-    "moments": _PATH | {"k_list", "tail_correction"},
+    "mgf": _PATH | {"alphas"},
+    "moments": _PATH | {"k_list"},
     "bounds": {"probe_points"},
     "theorem1": _SWEEP | {"x", "y"},
     "theorem2": _SWEEP | {"x", "endpoint_rule"},
@@ -58,7 +58,7 @@ _COMMAND_KEYS = {
 }
 
 _UNREAD_BY_KIND = {
-    "bridge": ("free_horizon", "tail_correction"),
+    "bridge": ("free_horizon",),
     "free": ("t", "y"),
     "two_sided": ("t",),
 }
@@ -187,9 +187,6 @@ class ExperimentConfig:
 
         self.seed = _integer(raw.get("seed", 0), "seed")
         self.workers = parse_workers(raw.get("workers", 1))
-        self.tail_correction = raw.get("tail_correction", True)
-        _require(isinstance(self.tail_correction, bool),
-                 "tail_correction must be true or false")
 
         self.h_fine = _real(grid.get("h_fine", 0.01), "grid.h_fine", positive=True)
 
@@ -254,8 +251,8 @@ class ExperimentConfig:
                          "bridge statistics need endpoints x, y and horizon t")
             if self.statistic_kind == "two_sided":
                 _require(self.y is not None, "two_sided statistics need both endpoints")
-            # a bridge has an exact horizon t and no truncated tail; a free
-            # leg starts at x only and runs to free_horizon
+            # a bridge runs to t; a free leg starts at x only and runs to
+            # free_horizon
             for key in _UNREAD_BY_KIND[self.statistic_kind]:
                 _require(self.raw.get(key) is None,
                          f"{c} with statistic_kind {self.statistic_kind} "
@@ -279,9 +276,9 @@ class ExperimentConfig:
                              "draws no mgf reference")
         if c in ("moments", "theorem1", "theorem2", "lemma4"):
             # the oracles stop at k = 2, except bridge k = 3 and the
-            # infinite-horizon Green chain; a free k = 3 sample would need
-            # the finite-horizon k = 3 moment
-            k_top = 3 if c == "moments" and self.statistic_kind != "free" else 2
+            # infinite-horizon Green chain; a free or two-sided k = 3 sample
+            # would need the finite-horizon free k = 3 moment
+            k_top = 3 if c == "moments" and self.statistic_kind == "bridge" else 2
             where = f"moments with statistic_kind {self.statistic_kind}" \
                 if c == "moments" else c
             _require(all(0 <= k <= k_top for k in self.k_list),

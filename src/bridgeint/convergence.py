@@ -307,7 +307,7 @@ def _sweep(plan: SweepPlan, legs: list, stats: list, meta: dict,
     report = ConvergenceReport(meta=meta)
     groups: dict = {}
     for i, (t, (kind, cfg)) in enumerate(zip(plan.horizons, legs)):
-        values, _ = estimators._collect(kind, plan.budget_for(i), cfg)
+        values = estimators._collect(kind, plan.budget_for(i), cfg)
         for stat in stats:
             est = stat.estimate(values)
             value = abs(est.mean - 1.0) if stat.minus_one else est.mean
@@ -376,8 +376,7 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     meta = {"theorem": plan.theorem, "alphas": list(alphas),
             "horizons": list(plan.horizons),
             "x_sequence": [list(map(float, p)) for p in plan.x_sequence]}
-    legs = [("free", _sampler(plan, v, 10 + i, x=x_n, free_horizon=t,
-                              tail_correction=False))
+    legs = [("free", _sampler(plan, v, 10 + i, x=x_n, free_horizon=t))
             for i, (t, x_n) in enumerate(zip(plan.horizons, plan.x_sequence))]
     if plan.theorem == "L4b":
         stats = [_Stat("mgf_minus_one", _fmt(a), alpha=a, minus_one=True) for a in alphas]

@@ -21,13 +21,9 @@ plain mean: the sweeps judge a finite-t estimate against its t = infinity
 limit, and a smaller standard error would turn the finite-t gap into a
 verdict.
 
-Free and two-sided integrals are truncated at a finite horizon.  For
-first moments the estimator adds the closed-form Green potential of the
-terminal position, which removes the truncation bias of the mean entirely
-(tower property); the correction is optional and applies only where it is
-unbiased.  The mgf estimator applies the same correction inside the
-exponent, which cancels the first-order truncation bias and leaves a
-documented second-order one.
+Free and two-sided samples are the raw integrals to a finite horizon T,
+so they estimate the law at T, whose moments ``quadrature.moment_free``
+and ``moment_two_sided`` give exactly; the part beyond T is not sampled.
 """
 
 from __future__ import annotations
@@ -49,7 +45,8 @@ from .path_sim import (
     free_integral_batch,
     stream,
 )
-from .green import cell_mass_potential, green_potential, green_potential_radial, k1_bound
+# unused here: the benchmark's tracer hooks both Green potentials at these names (ROADMAP item 0)
+from .green import green_potential, green_potential_radial, k1_bound
 from .potentials import Potential
 from .quadrature import DEFAULT, moment_bridge
 
@@ -58,7 +55,6 @@ __all__ = [
     "MomentControl",
     "MgfCurve",
     "EstimatorConfig",
-    "tail_corrected",
     "mc_moment",
     "mc_mgf",
     "bloch_green",
@@ -155,10 +151,9 @@ class EstimatorConfig:
     The law is checked on construction: the dimension must be transient
     (d >= 3), and ``t`` and ``free_horizon`` positive and finite when
     given; the path kernels reject non-finite endpoints.
-    ``free_horizon`` defaults to 100 R^2 (support radius R), the scale at
-    which exterior occupation is negligible by transience; the adequacy of
-    the truncation is checked by the doubling test in the suite.  Paths
-    are drawn in batches of ``batch_size``, one stream per batch.
+    ``free_horizon`` is the horizon T of free and two-sided legs, 100 R^2
+    (support radius R) by default; their samples are the integrals to T.
+    Paths are drawn in batches of ``batch_size``, one stream per batch.
     """
 
     batch_size: ClassVar[int] = BATCH_SIZE
@@ -172,7 +167,6 @@ class EstimatorConfig:
     seed: int = 0
     stream_channel: int = 0
     workers: int = 1
-    tail_correction: bool = True
 
     def __post_init__(self):
         if self.dim < 3:
@@ -207,48 +201,26 @@ def _stream_id(channel: int, leg: int, batch: int) -> int:
     return batch + (leg << 32) + (channel << 40)
 
 
-def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int):
-    """One batch of path integrals; returns (values, tail_potential or None).
-
-    Tails are computed only when ``cfg.tail_correction`` will use them.
-    """
+def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int) -> np.ndarray:
+    """One batch of path integrals; a two-sided value is the sum of its two legs."""
     v = cfg.potential
     if kind == "bridge":
         if cfg.x is None or cfg.y is None or cfg.t is None:
             raise ValueError("bridge sampling needs x, y and t in the config")
         rng = stream(cfg.seed, _stream_id(cfg.stream_channel, 0, batch))
         vals, _ = bridge_integral_batch(cfg.x, cfg.y, cfg.grid_for(cfg.t), v, rng, count)
-        return vals, None
+        return vals
     grid = cfg.grid_for(cfg.resolved_free_horizon(), kind="free")
     starts = [cfg.x]
     if kind == "two_sided":
         if cfg.y is None:
             raise ValueError("two-sided sampling needs both endpoints")
         starts.append(cfg.y)
-    vals, tails = 0.0, 0.0
+    vals = 0.0
     for leg, start in enumerate(starts):
         rng = stream(cfg.seed, _stream_id(cfg.stream_channel, leg, batch))
-        leg_vals, term = free_integral_batch(start, grid, v, rng, count)
-        vals = vals + leg_vals
-        if cfg.tail_correction:
-            tails = tails + _green_potential_vec(v, term)
-    return vals, (tails if cfg.tail_correction else None)
-
-
-def _green_potential_vec(v: Potential, points: np.ndarray) -> np.ndarray:
-    """Green potential of v at many points (the exact mean of the lost tail).
-
-    A tabulated v takes the exact cell integrals at points inside its
-    support ball; outside it, where every cell centre lies over half a cell
-    side away, each cell's mass sits at its centre (``cell_mass_potential``).
-    """
-    if v.is_radial:
-        b = np.linalg.norm(points - v.center, axis=1)
-        return np.asarray(green_potential_radial(v, b))
-    inside = np.linalg.norm(points - v.center, axis=1) <= v.support_radius
-    return np.array([green_potential(v, p) if near else
-                     cell_mass_potential(p, v.origin, v.spacing, v.values)
-                     for p, near in zip(points, inside)])
+        vals = vals + free_integral_batch(start, grid, v, rng, count)[0]
+    return vals
 
 
 def _batch_plan(n: int, batch_size: int):
@@ -270,13 +242,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _collect(kind: str, n: int, cfg: EstimatorConfig, meanwhile=None):
-    """Raw path-integral samples plus terminal tail potentials, in batch order.
+def _collect(kind: str, n: int, cfg: EstimatorConfig, meanwhile=None) -> np.ndarray:
+    """Raw path-integral samples, in batch order.
 
-    Returns (values, tails); ``tails`` is None for the bridge kind, where
-    the horizon is exact and no truncation correction exists, and when
-    ``cfg.tail_correction`` is off.  Every estimator and harness samples
-    through this call, so one sampling pass can feed several statistics.
+    Every estimator and harness samples through this call, so one sampling
+    pass can feed several statistics.
     The pool has min(workers, batches, usable CPUs) processes: a fork pool
     starts all of them at its first task, and the samples do not depend on
     their number.  ``meanwhile``, if given, is called in this process once
@@ -298,31 +268,7 @@ def _collect(kind: str, n: int, cfg: EstimatorConfig, meanwhile=None):
         parts = [_run_batch(kind, cfg, b, c) for b, c in plan]
         if meanwhile is not None:
             meanwhile()
-    values = np.concatenate([p[0] for p in parts])
-    tails = None
-    if parts[0][1] is not None:
-        tails = np.concatenate([p[1] for p in parts])
-    return values, tails
-
-
-def tail_corrected(values: np.ndarray, tails, k: int = 1):
-    """The sample with its closed-form expected tail added where that applies.
-
-    The correction is the exact mean of the truncated part, so it is added
-    only for first-order statistics (k = 1: the mean, and the mgf, which
-    takes it inside the exponent) and only where tails were drawn (None
-    for bridges and with ``tail_correction`` off).
-
-    Inside the exponent it biases the mgf low for every alpha != 0: exp is
-    convex, so E[exp(alpha Y_rest) | W_T] >= exp(alpha E[Y_rest | W_T]).
-    The bias is second order in alpha Y_rest.  For the unit ball at horizon
-    1600 and alpha = -0.5 it is about -0.19% per leg (exp(-E Y_rest / 2)
-    is about 1 - 0.0067 where E exp(-Y_rest / 2) is about 1 - 0.0048), and
-    -0.37% on a two-sided product: 0.4184 against the exact 0.41997.
-    """
-    if k == 1 and tails is not None:
-        return values + tails
-    return values
+    return np.concatenate(parts)
 
 
 def _mgf_estimate(values: np.ndarray, alpha: float, exact=None) -> McEstimate:
@@ -376,16 +322,14 @@ def _mgf_estimate(values: np.ndarray, alpha: float, exact=None) -> McEstimate:
 def mc_moment(kind: str, k: int, n: int, cfg: EstimatorConfig) -> McEstimate:
     """Empirical k-th moment of the requested path integral.
 
-    For free and two-sided first moments the truncated sample is augmented
-    by the closed-form expected tail beyond the horizon (exactly unbiased);
-    higher moments use the plain truncated integral.
+    A free or two-sided sample is the integral to ``cfg``'s free horizon T,
+    so the estimate is of the k-th moment at T.
     """
     if k < 1:
         raise ValueError("moment order must be at least 1")
     if n < 2:
         raise ValueError("at least 2 samples are required")
-    values, tails = _collect(kind, n, cfg)
-    return McEstimate.from_samples(tail_corrected(values, tails, k)**k)
+    return McEstimate.from_samples(_collect(kind, n, cfg)**k)
 
 
 def _mgf_warnings(alphas: np.ndarray, v: Potential):
@@ -430,7 +374,7 @@ def _bridge_sample(n: int, cfg: EstimatorConfig) -> tuple:
     The exact moments are computed while the pool draws the sample.
     """
     exact = []
-    values, _ = _collect("bridge", n, cfg, meanwhile=lambda: exact.append(_bridge_moments(cfg)))
+    values = _collect("bridge", n, cfg, meanwhile=lambda: exact.append(_bridge_moments(cfg)))
     return values, exact[0]
 
 
@@ -448,7 +392,7 @@ def mc_mgf(kind: str, alphas, n: int, cfg: EstimatorConfig) -> MgfCurve:
     if kind == "bridge":
         values, exact = _bridge_sample(n, cfg)
     else:
-        values, exact = tail_corrected(*_collect(kind, n, cfg)), None
+        values, exact = _collect(kind, n, cfg), None
     estimates = [_mgf_estimate(values, a, exact) for a in alphas]
     unstable = np.array([e.max_sample_share > 0.5 for e in estimates], dtype=bool)
     return MgfCurve(alphas, estimates, unstable)

@@ -40,7 +40,6 @@ __all__ = [
     "ball_green_integral",
     "green_potential_radial",
     "green_potential",
-    "cell_mass_potential",
     "BoundsReport",
     "default_probes",
     "k1_bound",
@@ -101,8 +100,8 @@ def ball_green_integral(radius: float, b, d: int):
 def green_potential_radial(v: Potential, dist, *, absolute: bool = False):
     """Green potential of a radial v at distances ``dist`` from its center.
 
-    Vectorized band-by-band closed form; the workhorse behind k1 bounds,
-    infinite-horizon moments and truncation-tail corrections.
+    Vectorized band-by-band closed form; the workhorse behind k1 bounds
+    and infinite-horizon moments.
     """
     if not v.is_radial:
         raise ValueError("the radial Green potential needs a radial potential")
@@ -367,7 +366,7 @@ def _contract(values: np.ndarray, factors) -> np.ndarray:
     return acc[:, 0]
 
 
-def cell_mass_potential(x, origin, step: float, values: np.ndarray) -> float:
+def _cell_mass_potential(x, origin, step: float, values: np.ndarray) -> float:
     """c_d step^d sum_c values_c |x - c|^(2-d): each cell's mass at its centre c."""
     d = values.ndim
     axes = [origin[i] + step * (np.arange(values.shape[i]) + 0.5) for i in range(d)]
@@ -390,7 +389,7 @@ def _cell_potential(x, origin, step: float, values: np.ndarray) -> float:
     lo = np.asarray(origin, dtype=float)
     outside = np.maximum(np.maximum(lo - x, x - lo - step * np.asarray(values.shape)), 0.0)
     if math.hypot(*outside) >= _FAR_CELLS * step:
-        return cell_mass_potential(x, origin, step, values)
+        return _cell_mass_potential(x, origin, step, values)
     edges = [origin[i] - x[i] + step * np.arange(values.shape[i] + 1) for i in range(d)]
     far = math.hypot(*(float(np.max(np.abs(e))) for e in edges))
     sigma, w, top = _sigma_rule(step, far)
@@ -937,7 +936,8 @@ def _talbot_rule(t: float, reach: float):
     b = 0.6407 * theta
     z = stretch * n * (0.5017 * theta / np.tan(b) - 0.6122 + 0.2645j * theta)
     dz = stretch * n * (0.5017 / np.tan(b) - 0.5017 * b / np.sin(b) ** 2 + 0.2645j)
-    return z / t, np.exp(z) * dz / (1j * n * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # past e^709 the caller's estimate refuses
+        return z / t, np.exp(z) * dz / (1j * n * t)
 
 
 def _outward(d: int, bands, qs, radii, l: int):

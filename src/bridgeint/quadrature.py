@@ -78,8 +78,10 @@ _SQRT_CAP = 2.0
 # A bridge's one-point law puts less than 1e-300 of its mass beyond _REACH
 # standard deviations of its widest point, sqrt(t) / 2, so its mean path
 # reaches the support only where it comes within the support radius plus
-# that distance.  Inside that window, one half of a time rule takes at most
-# _MAX_PANELS panels, and the pair rule at most _PAIR_MAX_PANELS per time axis.
+# that distance; a free start, whose widest point is sqrt(T), reaches it
+# only from within _REACH sqrt(T) of the support ball.  Inside a bridge's
+# window, one half of a time rule takes at most _MAX_PANELS panels, and the
+# pair rule at most _PAIR_MAX_PANELS per time axis.
 _REACH = 40.0
 _MAX_PANELS = 4096
 _PAIR_MAX_PANELS = 64
@@ -723,8 +725,10 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     come from the Green chain (``green.green_chain`` for a radial v,
     ``green.cell_chain`` for a tabulated one); a finite-horizon first moment
     from the sqrt(s) time rule, and a second from Kac's resolvent applied to
-    1 (radial v, d >= 3) or the pair rule (tabulated v).  A radial call whose
-    rounding estimate exceeds the declared tolerance raises ValueError.
+    1 (radial v, d >= 3) or the pair rule (tabulated v).  At a finite
+    horizon, a start more than _REACH sqrt(horizon) from the support ball
+    gives 0.0.  A radial call whose rounding estimate exceeds the declared
+    tolerance raises ValueError.
     """
     _check_order(k)
     if not (horizon > 0):
@@ -739,6 +743,10 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
         if v.is_radial:
             return green_chain(v, float(np.linalg.norm(np.asarray(x, float) - v.center)), k)
         return cell_chain(v, x, k)
+    with np.errstate(over="ignore"):
+        gap = float(np.linalg.norm(np.asarray(x, float) - v.center)) - v.support_radius
+    if gap > _REACH * math.sqrt(horizon):
+        return 0.0  # the one-point law misses the support by over _REACH s.d. up to the horizon
     if k == 1:
         return _occupation_k1(v, x, horizon)
     if k == 2:
@@ -780,22 +788,18 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
     return 0.5 * (forward + _moment_bridge_tensor(y, x, t, v, k))
 
 
-def _two_sided_moment(x, y, horizon: float, v: Potential, k: int) -> float:
-    """E[(Y_x(h) + Y'_y(h))^k] by the binomial sum over one-sided moments."""
+def moment_two_sided(x, y, v: Potential, k: int, horizon: float = math.inf) -> float:
+    """E[(Y_x(h) + Y'_y(h))^k] for independent one-sided integrals to horizon h.
+
+    Binomial expansion over the one-sided moments of ``moment_free``; the
+    default horizon is infinite.
+    """
+    _check_order(k)
     total = 0.0
     for j in range(k + 1):
         total += math.comb(k, j) * moment_free(x, horizon, v, j) * \
             moment_free(y, horizon, v, k - j)
     return total
-
-
-def moment_two_sided(x, y, v: Potential, k: int) -> float:
-    """E[(Y_x + Y'_y)^k] for independent infinite-horizon one-sided integrals.
-
-    Binomial expansion over the one-sided moments.
-    """
-    _check_order(k)
-    return _two_sided_moment(x, y, math.inf, v, k)
 
 
 def horizon_moment_gap(x, y, t: float, u: float, v: Potential, k: int) -> float:
@@ -809,5 +813,5 @@ def horizon_moment_gap(x, y, t: float, u: float, v: Potential, k: int) -> float:
         raise ValueError("the comparison horizon must satisfy 0 < u <= t")
     if u == t:
         return 0.0
-    return (_two_sided_moment(x, y, t, v, k)
-            - _two_sided_moment(x, y, u, v, k)) / math.factorial(k)
+    return (moment_two_sided(x, y, v, k, t)
+            - moment_two_sided(x, y, v, k, u)) / math.factorial(k)

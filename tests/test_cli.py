@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bridgeint.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from bridgeint.config import ConfigError, load_config
-from bridgeint.quadrature import QuadConfig
+from bridgeint.quadrature import QuadConfig, moment_free, moment_two_sided
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -142,7 +142,10 @@ _IGNORED_KEYS = [
     ("theorem1", "free_horizon", 50.0),
     ("theorem2", "free_horizon", 50.0),
     ("lemma4", "free_horizon", 50.0),
+    # the tail correction is gone, and its key with it, on every command
     ("sample", "tail_correction", False),
+    ("mgf", "tail_correction", False),
+    ("moments", "tail_correction", False),
     ("bounds", "tail_correction", False),
     ("theorem1", "tail_correction", False),
     ("theorem2", "tail_correction", False),
@@ -171,6 +174,7 @@ class TestSchemaRejectsIgnoredKeys:
 
 
 _WRONG_TYPES = [
+    # a removed key is rejected whatever its value
     ("moments", "tail_correction", "false"),
     ("moments", "tail_correction", 0),
     ("moments", "n_paths", 20.9),
@@ -276,6 +280,8 @@ _OUT_OF_RANGE_ORDERS = [
     ("moments", _MINIMAL["moments"], [-1]),
     ("theorem1", _MINIMAL["theorem1"], [3]),
     ("moments", dict(_FREE_MOMENTS, statistic_kind="free"), [1, 3]),
+    # the two-sided binomial sum would need the finite-horizon free k = 3
+    ("moments", dict(_FREE_MOMENTS, statistic_kind="two_sided", y=[0.5, 0.0, 0.0]), [1, 3]),
 ]
 
 
@@ -284,7 +290,7 @@ class TestMomentOrders:
 
     @pytest.mark.parametrize("command, base, k_list", _OUT_OF_RANGE_ORDERS,
                              ids=["moments-4", "moments-negative", "theorem1-3",
-                                  "moments-free-3"])
+                                  "moments-free-3", "moments-two_sided-3"])
     def test_order_rejected(self, tmp_path, capsys, command, base, k_list):
         path = write_config(tmp_path, dict(base, k_list=k_list))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -309,6 +315,8 @@ _UNREAD_BASES = {
 _UNREAD_KEYS = [
     ("moments", "bridge", "free_horizon", 7.0),
     ("moments", "bridge", "tail_correction", False),
+    ("moments", "free", "tail_correction", False),
+    ("moments", "two_sided", "tail_correction", False),
     ("moments", "free", "t", 99.0),
     ("moments", "free", "y", [5.0, 0.0, 0.0]),
     ("moments", "two_sided", "t", 99.0),
@@ -595,7 +603,7 @@ class TestMomentsCommand:
         assert main(["sample", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
         with open(tmp_path / "sample.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["kind", "index", "value", "tail_potential"]
+        assert rows[0] == ["kind", "index", "value"]
         assert len(rows) == 51
 
     def test_json_format_skips_rows_file(self, tmp_path):
@@ -617,13 +625,14 @@ class TestMomentsCommand:
         code = main(["moments", "--config", path, "--out", str(tmp_path)])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "moments_summary.json").read_text())
-        k1 = next(e for e in doc["moments"] if e["k"] == 1)
-        k2 = next(e for e in doc["moments"] if e["k"] == 2)
-        assert k1["target"] == pytest.approx(2.0, abs=1e-3)
-        assert k2["target"] is None
+        v = load_config(cfg, "moments").potential
+        for k, entry in zip((1, 2), doc["moments"]):
+            # both legs run to the free horizon, and each row is judged there
+            assert entry["target"] == moment_two_sided(cfg["x"], cfg["y"], v, k, horizon=100.0)
+            assert entry["verdict"] == "PASS"
 
-    def test_corrected_rows_use_the_infinite_horizon_tolerance(self, tmp_path):
-        # the tail-corrected k = 1 row estimates the untruncated law; k = 2 does not
+    def test_free_rows_use_the_finite_horizon_tolerance(self, tmp_path):
+        # the raw integral to the free horizon estimates the law at that horizon
         cfg = dict(_FREE_MOMENTS, statistic_kind="free", k_list=[1, 2], n_paths=200,
                    free_horizon=20.0, grid={"h_fine": 0.05})
         path = write_config(tmp_path, cfg)
@@ -631,10 +640,11 @@ class TestMomentsCommand:
         with open(tmp_path / "moments.csv") as fh:
             rows = {row["k_or_alpha"]: row for row in csv.DictReader(fh)}
         v = load_config(cfg, "moments").potential
-        for k, infinite in ((1, True), (2, False)):
+        for k in (1, 2):
             target = float(rows[str(k)]["target"])
             terr = float(rows[str(k)]["target_error"])
-            assert terr == QuadConfig().tolerance(k, v, infinite_horizon=infinite) * abs(target)
+            assert target == moment_free(cfg["x"], 20.0, v, k)
+            assert terr == QuadConfig().tolerance(k, v) * abs(target)
 
     def test_bloch_zero_potential_equals_kernel(self, tmp_path):
         from bridgeint.gaussian import transition_density

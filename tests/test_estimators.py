@@ -17,7 +17,7 @@ from bridgeint.estimators import (
 from bridgeint.gaussian import transition_density
 from bridgeint.green import k1_bound
 from bridgeint.potentials import Potential
-from bridgeint.quadrature import QuadConfig, moment_bridge
+from bridgeint.quadrature import QuadConfig, moment_bridge, moment_free, moment_two_sided
 
 BALL = Potential.ball_indicator(3, 1.0)
 ZERO = Potential.ball_indicator(3, 1.0, height=0.0)
@@ -104,8 +104,7 @@ class TestMcMoment:
         # E (A + B)^2 = 2 E A^2 + 2 (E A)^2 for iid legs
         n = 30_000
         shared = dict(potential=BALL, x=np.zeros(3), y=np.zeros(3),
-                      free_horizon=60.0, h_fine=0.02,
-                      tail_correction=False, seed=101)
+                      free_horizon=60.0, h_fine=0.02, seed=101)
         two = mc_moment("two_sided", 2, n, EstimatorConfig(**shared))
         leg1 = mc_moment("free", 1, n, EstimatorConfig(stream_channel=7, **shared))
         leg2 = mc_moment("free", 2, n, EstimatorConfig(stream_channel=8, **shared))
@@ -115,12 +114,15 @@ class TestMcMoment:
                        (4 * leg1.mean * leg1.std_error)**2)
         assert abs(lhs - rhs) < 3.0 * se
 
-    def test_two_sided_mean_reaches_two(self):
-        # both legs from the ball center: corrected mean must sit at 2 E Y0 = 2
+    def test_two_sided_mean_matches_the_horizon_oracle(self):
+        # both legs from the ball center, each the raw integral to T = 100:
+        # the mean sits at 2 E Y0(100), about 0.1 below 2 E Y0 = 2
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), y=np.zeros(3),
                               free_horizon=100.0, h_fine=0.005, seed=404, workers=2)
         est = mc_moment("two_sided", 1, 100_000, cfg)
-        assert abs(est.mean - 2.0) < 3.0 * est.std_error
+        exact = moment_two_sided(cfg.x, cfg.y, BALL, 1, horizon=100.0)
+        assert exact == 2.0 * moment_free(cfg.x, 100.0, BALL, 1)
+        assert abs(est.mean - exact) < 3.0 * est.std_error
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -164,27 +166,19 @@ class TestMcMoment:
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(EstimatorConfig, "batch_size", 4)
         cfg = bridge_cfg(t=1.0, h_fine=0.1, workers=5000)
-        values, _ = estimators._collect("bridge", 12, cfg)
+        values = estimators._collect("bridge", 12, cfg)
         assert sizes == expected
-        serial, _ = estimators._collect("bridge", 12, replace(cfg, workers=1))
+        serial = estimators._collect("bridge", 12, replace(cfg, workers=1))
         assert np.array_equal(values, serial)
 
-    def test_green_tails_skipped_without_tail_correction(self, monkeypatch):
-        calls = []
-        real = estimators._green_potential_vec
-
-        def spy(v, points):
-            calls.append(len(points))
-            return real(v, points)
-
-        monkeypatch.setattr(estimators, "_green_potential_vec", spy)
+    def test_free_mean_matches_the_horizon_oracle(self):
+        # a free sample is the raw integral to its horizon, over two batches
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=4.0,
-                              h_fine=0.05, seed=9, tail_correction=False)
-        raw = mc_moment("free", 1, 10_000, cfg)
-        assert calls == []
-        corrected = mc_moment("free", 1, 10_000, replace(cfg, tail_correction=True))
-        assert calls == [8192, 1808]
-        assert corrected.mean > raw.mean
+                              h_fine=0.05, seed=9)
+        values = estimators._collect("free", 10_000, cfg)
+        assert values.shape == (10_000,)
+        est = McEstimate.from_samples(values)
+        assert abs(est.mean - moment_free(cfg.x, 4.0, BALL, 1)) < 3.0 * est.std_error
 
 
 class TestMcMgf:
@@ -195,7 +189,7 @@ class TestMcMgf:
 
     def test_negative_alpha_bounded_for_nonneg_potential(self):
         cfg = bridge_cfg()
-        values, _ = estimators._collect("bridge", 5_000, cfg)
+        values = estimators._collect("bridge", 5_000, cfg)
         w = np.exp(-0.7 * values)
         assert np.all(w <= 1.0) and np.all(w > 0.0)
         curve = mc_mgf("bridge", [-0.7], 5_000, cfg)
@@ -283,7 +277,7 @@ class TestMgfControl:
         m1, m1_error, m2, m2_error = estimators._bridge_moments(cfg)
         assert m2 is None and m2_error is None
         est = mc_mgf("bridge", [-1.0], 2_000, cfg).estimates[0]
-        values, _ = estimators._collect("bridge", 2_000, cfg)
+        values = estimators._collect("bridge", 2_000, cfg)
         assert est == estimators._mgf_estimate(values, -1.0, (m1, m1_error, None, None))
         control = est.control
         assert control.m2 is None and control.beta2 is None and control.gap2 is None
@@ -314,7 +308,7 @@ class TestMgfControl:
     def test_share_is_the_raw_sample_share(self):
         cfg = bridge_cfg(t=2.0, h_fine=0.02)
         curve = mc_mgf("bridge", [-0.5, 0.5], 2_000, cfg)
-        values, _ = estimators._collect("bridge", 2_000, cfg)
+        values = estimators._collect("bridge", 2_000, cfg)
         for alpha, est in zip(curve.alphas, curve.estimates):
             raw = McEstimate.from_samples(np.exp(alpha * values))
             assert est.control is not None and est.mean != raw.mean
@@ -326,7 +320,7 @@ class TestMgfControl:
         cfg = bridge_cfg()
         alphas = [-1.0, -0.3, 0.3]
         curve = mc_mgf("bridge", alphas, 20_000, cfg)
-        values, _ = estimators._collect("bridge", 20_000, cfg)
+        values = estimators._collect("bridge", 20_000, cfg)
         for alpha, est in zip(alphas, curve.estimates):
             raw = McEstimate.from_samples(np.exp(alpha * values))
             assert abs(est.mean - raw.mean) <= 3.0 * raw.std_error
@@ -337,7 +331,7 @@ class TestMgfControl:
         cfg = EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=20.0,
                               h_fine=0.05, seed=4)
         curve = mc_mgf("free", [-1.0], 500, cfg)
-        values = estimators.tail_corrected(*estimators._collect("free", 500, cfg))
+        values = estimators._collect("free", 500, cfg)
         assert curve.estimates[0] == McEstimate.from_samples(np.exp(-values))
 
 
@@ -346,7 +340,7 @@ class TestReactionProbability:
 
     def test_survival_in_unit_interval_pathwise(self):
         cfg = bridge_cfg(t=4.0)
-        values, _ = estimators._collect("bridge", 5_000, cfg)
+        values = estimators._collect("bridge", 5_000, cfg)
         w = np.exp(-values)
         assert np.all((w > 0.0) & (w <= 1.0))
 
@@ -405,7 +399,7 @@ class TestBlochGreen:
         n = 1_000
         cfg = EstimatorConfig(potential=potential, seed=12, h_fine=0.02)
         est = bloch_green(x, y, t, n, cfg)
-        values, _ = estimators._collect("bridge", n, replace(cfg, x=x, y=y, t=t))
+        values = estimators._collect("bridge", n, replace(cfg, x=x, y=y, t=t))
         f = np.exp(-values)
         plain = McEstimate.from_samples(f)
         m1 = moment_bridge(x, y, t, potential, 1)
@@ -440,7 +434,7 @@ class TestBlochGreen:
         cfg = EstimatorConfig(potential=NEAR_TABLE, h_fine=0.0025, seed=7,
                               stream_channel=20 + index)
         est = bloch_green(x, y, t, 4_096, cfg)
-        values, _ = estimators._collect("bridge", 4_096, replace(cfg, x=x, y=y, t=t))
+        values = estimators._collect("bridge", 4_096, replace(cfg, x=x, y=y, t=t))
         kernel = transition_density(t, y - x)
         plain = McEstimate.from_samples(kernel * np.exp(-values))
         assert est.control is not None

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from bridgeint import estimators, green, quadrature
-from bridgeint.estimators import EstimatorConfig, mc_moment, tail_corrected
+from bridgeint.estimators import EstimatorConfig, mc_moment
 from bridgeint.green import MGF_TOLERANCE, alpha1_interval, mgf_one_sided
 from bridgeint.potentials import Potential
 from bridgeint.quadrature import (
@@ -208,8 +208,7 @@ class TestFreeMoments:
         q = moment_free([0, 0, 0], T, BALL, 2)
         est = mc_moment("free", 2, 40_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=T,
-                                        h_fine=0.004, seed=14,
-                                        tail_correction=False))
+                                        h_fine=0.004, seed=14))
         # MC carries a discretization bias of order h; allow it on top of 3 SE
         assert abs(est.mean - q) < 3.0 * est.std_error + 0.02
 
@@ -228,8 +227,7 @@ class TestFreeMoments:
         q3 = moment_free([0, 0, 0], math.inf, BALL, 3)
         est = mc_moment("free", 3, 60_000,
                         EstimatorConfig(potential=BALL, x=np.zeros(3), free_horizon=2000.0,
-                                        h_fine=0.01, seed=15,
-                                        tail_correction=False, workers=2))
+                                        h_fine=0.01, seed=15, workers=2))
         assert abs(est.mean - q3) < 3.0 * est.std_error + 0.08
 
     @pytest.mark.parametrize("b, exact", [(0.0, 61.0 / 15.0), (0.5, 24611.0 / 6720.0)])
@@ -695,6 +693,22 @@ class TestTwoSided:
         m2 = moment_free([0, 0, 0], math.inf, BALL, 2)
         val = moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 2)
         assert val == pytest.approx(2.0 * m2 + 2.0 * m1 * m1, rel=1e-12)
+        assert moment_two_sided([0, 0, 0], [0, 0, 0], BALL, 2, horizon=math.inf) == val
+
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["ball", "tabulated"])
+    def test_finite_horizon_binomial_sum(self, tabulated):
+        # both legs to the same horizon T; the sum tends to the T = inf law
+        v = NEAR_TABLE if tabulated else BALL
+        x, y = np.zeros(3), np.array([0.5, 0.0, 0.0])
+        for k in (1, 2):
+            binomial = sum(math.comb(k, j) * moment_free(x, 50.0, v, j) *
+                           moment_free(y, 50.0, v, k - j) for j in range(k + 1))
+            assert moment_two_sided(x, y, v, k, horizon=50.0) == pytest.approx(binomial,
+                                                                             rel=1e-14)
+            limit = moment_two_sided(x, y, v, k)
+            gaps = [limit - moment_two_sided(x, y, v, k, horizon=T)
+                    for T in (50.0, 800.0, 12_800.0)]
+            assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
 class TestHorizonGap:
@@ -979,7 +993,7 @@ class TestFreeSecondMoment:
         q = moment_free(x, 1.0, NEAR_TABLE, 2)
         est = mc_moment("free", 2, 32_768,
                         EstimatorConfig(potential=NEAR_TABLE, x=x, free_horizon=1.0,
-                                        h_fine=0.0025, seed=77, tail_correction=False))
+                                        h_fine=0.0025, seed=77))
         assert abs(est.mean - q) <= 3.0 * est.std_error
 
 
@@ -1012,6 +1026,31 @@ class TestFarEndpoints:
         # time, a few 1e-10, with a bounded number of panels
         value = moment_bridge([1e9, 0, 0], [-1e9, 0, 0], 1.0, BALL, 1)
         assert 1e-10 < value < 1e-9
+
+    @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["ball", "tabulated"])
+    def test_free_start_out_of_reach_is_zero(self, v):
+        # 10 e1 at T = 0.05 is more than 40 sqrt(T) from the unit ball, where
+        # the resolvent's Talbot weights overflowed; the table's pair rule
+        # reads 0 there too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 2):
+                assert moment_free([10.0, 0, 0], 0.05, v, k) == 0.0
+
+    @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["ball", "tabulated"])
+    def test_free_start_far_but_in_reach(self, v):
+        # 30 e1 at T = 1, 29 standard deviations out, is in reach: the values
+        # are below 1e-180 but not 0, so the resolvent refuses its k = 2 with
+        # its declared error, as it does up to the edge of reach
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 <= moment_free([30.0, 0, 0], 1.0, v, 1) < 1e-180
+            if not v.is_radial:
+                assert 0.0 <= moment_free([30.0, 0, 0], 1.0, v, 2) < 1e-180
+                return
+            for x, horizon in ((30.0, 1.0), (1.0 + 39.9 * math.sqrt(0.05), 0.05)):
+                with pytest.raises(ValueError, match="declared accuracy"):
+                    moment_free([x, 0, 0], horizon, v, 2)
 
     def test_window_keeps_the_near_rule(self):
         # in reach all along, the window is the whole bridge
@@ -1169,13 +1208,15 @@ class TestCellOperators:
         assert m[:3] == [moment_free(x, math.inf, NEAR_TABLE, k) for k in (1, 2, 3)]
 
     def test_gauge_against_free_legs(self):
-        # tail-corrected free legs to horizon 8,316 (4 x 400 R^2), where the
-        # convexity bias of the tail correction is below 0.1 %: with 131,072
-        # legs it read -0.14 % and -0.74 % at alpha = -0.5 and 0.5 at a
-        # quarter of that horizon, and 0.000 % and +0.13 % at it
+        # raw free legs to horizon 8,316 (4 x 400 R^2).  No tabulated mgf at
+        # a finite horizon exists, so the legs carry the truncation bias
+        # E exp(alpha Y(T)) - E exp(alpha Y): E Y - E Y(T) is 0.00916, so to
+        # first order the bias is -alpha u 0.00916, +0.0029 (1.9 standard
+        # errors) at alpha = -0.5 and -0.0087 (0.5) at alpha = 0.5.  The
+        # gaps read +0.0030 and -0.0053
         cfg = EstimatorConfig(potential=NEAR_TABLE, x=np.zeros(3), free_horizon=8316.0,
                               h_fine=0.01, seed=2024, stream_channel=5, workers=2)
-        sample = tail_corrected(*estimators._collect("free", 16_384, cfg))
+        sample = estimators._collect("free", 16_384, cfg)
         for alpha in (-0.5, 0.5):
             est = estimators._mgf_estimate(sample, alpha)
             exact = mgf_one_sided(np.zeros(3), NEAR_TABLE, alpha)

@@ -33,6 +33,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -201,14 +202,20 @@ def _stream_id(channel: int, leg: int, batch: int) -> int:
     return batch + (leg << 32) + (channel << 40)
 
 
-def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int) -> np.ndarray:
-    """One batch of path integrals; a two-sided value is the sum of its two legs."""
+def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int, *,
+               draw_ahead: bool = False) -> np.ndarray:
+    """One batch of path integrals; a two-sided value is the sum of its two legs.
+
+    ``draw_ahead`` is handed to the batch calls: their cohorts draw normals
+    on a helper thread, with the same values.
+    """
     v = cfg.potential
     if kind == "bridge":
         if cfg.x is None or cfg.y is None or cfg.t is None:
             raise ValueError("bridge sampling needs x, y and t in the config")
         rng = stream(cfg.seed, _stream_id(cfg.stream_channel, 0, batch))
-        vals, _ = bridge_integral_batch(cfg.x, cfg.y, cfg.grid_for(cfg.t), v, rng, count)
+        vals, _ = bridge_integral_batch(cfg.x, cfg.y, cfg.grid_for(cfg.t), v, rng, count,
+                                        draw_ahead=draw_ahead)
         return vals
     grid = cfg.grid_for(cfg.resolved_free_horizon(), kind="free")
     starts = [cfg.x]
@@ -219,7 +226,7 @@ def _run_batch(kind: str, cfg: EstimatorConfig, batch: int, count: int) -> np.nd
     vals = 0.0
     for leg, start in enumerate(starts):
         rng = stream(cfg.seed, _stream_id(cfg.stream_channel, leg, batch))
-        vals = vals + free_integral_batch(start, grid, v, rng, count)[0]
+        vals = vals + free_integral_batch(start, grid, v, rng, count, draw_ahead=draw_ahead)[0]
     return vals
 
 
@@ -249,23 +256,28 @@ def _collect(kind: str, n: int, cfg: EstimatorConfig, meanwhile=None) -> np.ndar
     pass can feed several statistics.
     The pool has min(workers, batches, usable CPUs) processes: a fork pool
     starts all of them at its first task, and the samples do not depend on
-    their number.  ``meanwhile``, if given, is called in this process once
-    every batch is handed to the pool, so work that does not need the
-    samples runs while they are drawn.
+    their number.  Each batch draws its cohort's normals ahead on a helper
+    thread when 2 x pool size <= usable CPUs, so that every helper has a
+    CPU of its own; the samples do not depend on that either.
+    ``meanwhile``, if given, is called in this process once every batch is
+    handed to the pool, so work that does not need the samples runs while
+    they are drawn.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; expected one of {_KINDS}")
     plan = _batch_plan(n, cfg.batch_size)
-    pool_size = min(cfg.workers, len(plan), _usable_cpus())
+    cpus = _usable_cpus()
+    pool_size = min(cfg.workers, len(plan), cpus)
+    run_batch = partial(_run_batch, draw_ahead=2 * pool_size <= cpus)
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             columns = [[kind] * len(plan), [cfg] * len(plan), *zip(*plan)]
-            pending = pool.map(_run_batch, *columns)  # submits every batch
+            pending = pool.map(run_batch, *columns)  # submits every batch
             if meanwhile is not None:
                 meanwhile()
             parts = list(pending)
     else:
-        parts = [_run_batch(kind, cfg, b, c) for b, c in plan]
+        parts = [run_batch(kind, cfg, b, c) for b, c in plan]
         if meanwhile is not None:
             meanwhile()
     return np.concatenate(parts)

@@ -53,11 +53,21 @@ Randomness comes from counter-based Philox streams keyed by
 work is split across workers.  Estimators consume paths in fixed-size
 batches; the stream id is the batch index, which keeps every batch
 bitwise reproducible.
+
+Draw-ahead.  With ``draw_ahead``, the cohort (phase 1) takes its normals
+from ``_Normals``, whose helper thread fills chunks of the same stream
+while the cohort steps (numpy's fill releases the interpreter lock).  The
+chunks arrive in stream order, so every path sees the values of inline
+draws, bit for bit, and the generator is left where inline draws leave
+it.  Phase 2 draws inline after the helper is joined: its steps cost
+Python overhead per iteration, not draws.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +94,13 @@ _KAPPA = 6.0
 _LEAVE_NODES = 128
 _CHECK_EVERY = 8
 _COHORT_SHARE = 0.5
+
+# draw-ahead (module notes): normals per chunk and chunks queued ahead.  With
+# the chunk being drawn, the look-ahead holds at most 384 KB of float64.  The
+# helper's draw time, not its chunk size, bounds its speed; on 4,096 bridges
+# to t = 10 (2-vCPU VM) peak memory rose 0.8 MB with these, 2.5 MB with 2^16
+_CHUNK_DRAWS = 1 << 14
+_QUEUED_CHUNKS = 2
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -160,26 +177,104 @@ def _finite_point(p) -> np.ndarray:
     return p
 
 
+class _Normals:
+    """The standard normals of ``rng`` in stream order, drawn ahead on a helper thread.
+
+    ``take(shape)`` returns what ``rng.standard_normal(shape)`` would, the
+    helper filling chunks of ``chunk`` draws at most ``_QUEUED_CHUNKS``
+    ahead.  ``close()`` joins the helper and leaves ``rng`` where inline
+    draws of the same shapes would have left it; until then ``rng`` belongs
+    to the helper.  A draw that raises in the helper is raised by ``take``.
+    """
+
+    def __init__(self, rng: np.random.Generator, chunk: int):
+        self._rng = rng
+        self._chunk = chunk
+        # the chunk being served, its first unserved draw, and the
+        # generator's state at its start, from which close() replays it
+        self._block = np.empty(0)
+        self._used = 0
+        self._start = rng.bit_generator.state
+        self._queue = queue.Queue(maxsize=_QUEUED_CHUNKS)
+        self._stop = threading.Event()
+        self._helper = threading.Thread(target=self._fill, name="path_sim-normals",
+                                        daemon=True)
+        self._helper.start()
+
+    def _fill(self):
+        try:
+            while not self._stop.is_set():
+                state = self._rng.bit_generator.state
+                self._queue.put((state, self._rng.standard_normal(self._chunk)))
+        except BaseException as exc:  # not swallowed: take() raises it
+            self._queue.put((None, exc))
+
+    def _next_block(self):
+        state, block = self._queue.get()
+        if state is None:
+            raise block
+        self._start, self._block, self._used = state, block, 0
+
+    def take(self, shape) -> np.ndarray:
+        count = math.prod(shape)
+        if self._used + count <= self._block.size:
+            part = self._block[self._used:self._used + count]
+            self._used += count
+            return part.reshape(shape)
+        parts = [self._block[self._used:]]
+        count -= parts[0].size
+        while count:
+            self._next_block()
+            parts.append(self._block[:count])
+            self._used = parts[-1].size
+            count -= self._used
+        return np.concatenate(parts).reshape(shape)
+
+    def close(self):
+        self._stop.set()
+        # after the stop the helper puts at most once more, and a queue
+        # emptied here has room for it, so the join cannot block for good
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                break
+        self._helper.join()
+        self._rng.bit_generator.state = self._start
+        if self._used:
+            self._rng.standard_normal(self._used)
+
+
 def bridge_integral_batch(x, y, grid: TimeGrid, v: Potential,
                           rng: np.random.Generator, n: int,
-                          record_idx=None):
+                          record_idx=None, *, draw_ahead: bool = False):
     """Integrals of v along n bridge paths from x to y over [0, grid.horizon].
 
     Returns (values, recorded) where recorded stacks positions at the
     requested node indices with shape (len(record_idx), n, d).  Memory
     stays O(n d) regardless of the grid size.
+
+    ``draw_ahead`` draws the cohort's normals on a helper thread (module
+    notes), in stream order: the outputs and the state ``rng`` is left in
+    are those of inline draws, bit for bit.  Phase 2 always draws inline.
     """
     x, y = _finite_point(x), _finite_point(y)
     if x.shape != y.shape:
         raise ValueError("bridge endpoints must have the same dimension")
-    values, _, recorded = _integrate(x, y, grid.nodes, v, rng, n, record_idx)
+    values, _, recorded = _integrate(x, y, grid.nodes, v, rng, n, record_idx, draw_ahead)
     return values, recorded
 
 
 def free_integral_batch(x, grid: TimeGrid, v: Potential,
-                        rng: np.random.Generator, n: int):
-    """Integrals of v along n free paths; also returns terminal positions."""
-    values, terminal, _ = _integrate(_finite_point(x), None, grid.nodes, v, rng, n, None)
+                        rng: np.random.Generator, n: int, *, draw_ahead: bool = False):
+    """Integrals of v along n free paths; also returns terminal positions.
+
+    ``draw_ahead`` is as for ``bridge_integral_batch``: the cohort's
+    normals come from a helper thread in stream order, the outputs and the
+    final state of ``rng`` are unchanged, and phase 2 draws inline.
+    """
+    values, terminal, _ = _integrate(_finite_point(x), None, grid.nodes, v, rng, n, None,
+                                     draw_ahead)
     return values, terminal
 
 
@@ -252,12 +347,13 @@ def _plan_steps(nodes, node, s, dist, radius: float, y_off, least: float, stops,
 
 
 @np.errstate(over="ignore")
-def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
+def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx, draw_ahead: bool):
     """The path engine behind both batch calls; ``y`` is None for a free path.
 
     Returns (values, terminal positions, recorded positions or None), each
-    in path order.  Phase 1 walks the cohort node by node; phase 2 moves
-    every path that left it by distance-adaptive steps (module notes).  A
+    in path order.  Phase 1 walks the cohort node by node, with its normals
+    drawn ahead on a helper thread when ``draw_ahead``; phase 2 moves every
+    path that left it by distance-adaptive steps (module notes).  A
     distance that overflows to inf reads as far, so overflow is silent.
     """
     last = nodes.size - 1
@@ -284,36 +380,43 @@ def _integrate(x, y, nodes, v: Potential, rng, n: int, record_idx):
     if slot[0] >= 0:
         rec[slot[0]] = z
     left = []
-    for j in range(last):
-        # a path leaves only while it could jump K nodes: near the horizon
-        # the cohort has too few nodes left to save
-        if j % _CHECK_EVERY == 0 and j + _LEAVE_NODES <= last:
-            reach = radius + _KAPPA * math.sqrt(nodes[j + _LEAVE_NODES] - nodes[j])
-            far = _row_norms(z, center) > reach
-            if far.any():
-                if ids.size - np.count_nonzero(far) < _COHORT_SHARE * n:
-                    far[:] = True
-                # a leaver closes its last cohort step with that step's right half
-                gone = acc[far] + v(z[far]) * half[j - 1] if j else acc[far]
-                left.append((ids[far], z[far], gone, np.full(np.count_nonzero(far), j)))
-                ids, z, acc = ids[~far], z[~far], acc[~far]
-                if ids.size == 0:
-                    break
-        s_j, s_next = nodes[j], nodes[j + 1]
-        ds = s_next - s_j
-        acc += v(z) * weight[j]
-        if y is None:
-            z = _advance(z, None, None, math.sqrt(ds), rng.standard_normal(z.shape))
-        elif s_next >= t:
-            z = np.broadcast_to(y, z.shape).copy()
+    # the helper's look-ahead never exceeds what the cohort could draw
+    supply = _Normals(rng, min(_CHUNK_DRAWS, n * d * last)) if draw_ahead else None
+    draw = rng.standard_normal if supply is None else supply.take
+    try:
+        for j in range(last):
+            # a path leaves only while it could jump K nodes: near the horizon
+            # the cohort has too few nodes left to save
+            if j % _CHECK_EVERY == 0 and j + _LEAVE_NODES <= last:
+                reach = radius + _KAPPA * math.sqrt(nodes[j + _LEAVE_NODES] - nodes[j])
+                far = _row_norms(z, center) > reach
+                if far.any():
+                    if ids.size - np.count_nonzero(far) < _COHORT_SHARE * n:
+                        far[:] = True
+                    # a leaver closes its last cohort step with that step's right half
+                    gone = acc[far] + v(z[far]) * half[j - 1] if j else acc[far]
+                    left.append((ids[far], z[far], gone, np.full(np.count_nonzero(far), j)))
+                    ids, z, acc = ids[~far], z[~far], acc[~far]
+                    if ids.size == 0:
+                        break
+            s_j, s_next = nodes[j], nodes[j + 1]
+            ds = s_next - s_j
+            acc += v(z) * weight[j]
+            if y is None:
+                z = _advance(z, None, None, math.sqrt(ds), draw(z.shape))
+            elif s_next >= t:
+                z = np.broadcast_to(y, z.shape).copy()
+            else:
+                z = _advance(z, y, ds / (t - s_j), math.sqrt(ds * (t - s_next) / (t - s_j)),
+                             draw(z.shape))
+            if slot[j + 1] >= 0:
+                rec[slot[j + 1], ids] = z
         else:
-            z = _advance(z, y, ds / (t - s_j), math.sqrt(ds * (t - s_next) / (t - s_j)),
-                         rng.standard_normal(z.shape))
-        if slot[j + 1] >= 0:
-            rec[slot[j + 1], ids] = z
-    else:
-        acc += v(z) * half[-1]
-        values[ids], terminal[ids] = acc, z
+            acc += v(z) * half[-1]
+            values[ids], terminal[ids] = acc, z
+    finally:
+        if supply is not None:
+            supply.close()
     # phase 2: per-path clocks, all leavers stepping together
     if left:
         ids, z, acc, node = (np.concatenate(parts) for parts in zip(*left))

@@ -1,6 +1,7 @@
 """Monte Carlo estimator contracts: moments, mgf curve, survival, kernel value."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -142,12 +143,21 @@ class TestMcMoment:
         b = mc_moment("bridge", 1, 20_000, bridge_cfg(workers=2))
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    @pytest.mark.parametrize("cpus, expected", [(64, [3]), (2, [2]), (1, [])])
+    @pytest.mark.parametrize("cpus, expected", [
+        # (workers, pool sizes, draw-ahead)
+        (64, (5000, [3], True)), (2, (5000, [2], False)), (1, (5000, [], False)),
+        pytest.param(2, (1, [], True), id="1_worker_on_2_cpus"),
+        pytest.param(2, (2, [2], False), id="2_workers_on_2_cpus"),
+        pytest.param(4, (2, [2], True), id="2_workers_on_4_cpus"),
+    ])
     def test_pool_capped_at_batches_and_cpus(self, monkeypatch, cpus, expected):
         # a fork pool starts all max_workers processes at its first task, so
-        # 5000 workers must ask for no more than the batches and the CPUs;
-        # the fake pool records its size and starts no process
-        sizes = []
+        # it must ask for no more than the workers, batches and CPUs; the
+        # fake pool records its size and the threads alive when it would
+        # fork, and starts no process.  Batches draw ahead only when every
+        # helper thread has a CPU, and the samples are the inline ones.
+        workers, pools, draw_ahead = expected
+        sizes, forked_with, drew_ahead = [], [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -160,16 +170,31 @@ class TestMcMoment:
                 return False
 
             def map(self, fn, *columns):
+                forked_with.append(threading.active_count())
                 return map(fn, *columns)
 
+        def watched(*args, draw_ahead):
+            drew_ahead.append(draw_ahead)
+            return bridge_integral_batch(*args, draw_ahead=draw_ahead)
+
+        bridge_integral_batch = estimators.bridge_integral_batch
+        monkeypatch.setattr(estimators, "bridge_integral_batch", watched)
         monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(EstimatorConfig, "batch_size", 4)
-        cfg = bridge_cfg(t=1.0, h_fine=0.1, workers=5000)
+        cfg = bridge_cfg(t=1.0, h_fine=0.1, workers=workers)
+        threads = threading.active_count()
+        batches = estimators._batch_plan(12, 4)
+        inline = np.concatenate([estimators._run_batch("bridge", cfg, *b) for b in batches])
+        ahead = np.concatenate([estimators._run_batch("bridge", cfg, *b, draw_ahead=True)
+                                for b in batches])
+        assert np.array_equal(ahead, inline)
+        drew_ahead.clear()
         values = estimators._collect("bridge", 12, cfg)
-        assert sizes == expected
-        serial = estimators._collect("bridge", 12, replace(cfg, workers=1))
-        assert np.array_equal(values, serial)
+        assert sizes == pools and forked_with == [threads] * len(pools)
+        assert drew_ahead == [draw_ahead] * 3
+        assert np.array_equal(values, inline)
+        assert threading.active_count() == threads
 
     def test_free_mean_matches_the_horizon_oracle(self):
         # a free sample is the raw integral to its horizon, over two batches

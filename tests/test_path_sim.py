@@ -1,12 +1,14 @@
 """Sampler laws, grid policies, path-integral quadrature and reproducibility."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgeint import path_sim
 from bridgeint.estimators import EstimatorConfig
 from bridgeint.gaussian import bridge_marginal
 from bridgeint.path_sim import (
@@ -455,6 +457,151 @@ class TestNodeSkipping:
             se = vals.std(ddof=1) / math.sqrt(n)
             band = 3.0 * se + qcfg.tolerance(1, BALL) * abs(target)
             assert abs(vals.mean() - target) < band, (kind, vals.mean(), target, se)
+
+
+def _same_state(a, b) -> bool:
+    """Whether two ``bit_generator.state`` dicts are equal, arrays included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class _ThirdDrawFails(np.random.Generator):
+    """A generator whose third ``standard_normal`` call raises."""
+
+    calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("third draw failed")
+        return super().standard_normal(*args, **kwargs)
+
+
+class _Raises:
+    """A potential that raises on its ``after``-th evaluation."""
+
+    is_radial = False
+
+    def __init__(self, v, after):
+        self.v, self.dim, self.after = v, v.dim, after
+        self.center, self.support_radius = v.center, v.support_radius
+
+    def __call__(self, z):
+        self.after -= 1
+        if self.after == 0:
+            raise FloatingPointError("potential failed")
+        return self.v(z)
+
+
+class TestDrawAhead:
+    """Cohort normals drawn on a helper thread are the inline draws, bit for bit."""
+
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        """(draws served from the current chunk, its size) at each supply's close."""
+        seen = []
+
+        class Watched(path_sim._Normals):
+            def close(self):
+                seen.append((self._used, self._block.size))
+                super().close()
+
+        monkeypatch.setattr(path_sim, "_Normals", Watched)
+        return seen
+
+    @pytest.mark.parametrize("chunk", [97, path_sim._CHUNK_DRAWS], ids=["chunk97", "default_chunk"])
+    @pytest.mark.parametrize("kind, n", [("bridge", 300), ("bridge", 1), ("free", 300),
+                                         ("free", 1)])
+    def test_matches_inline_draws(self, monkeypatch, closes, kind, n, chunk):
+        # with 97-draw chunks a take of 3 n normals spans chunks; the 300-path
+        # runs hand their cohort to phase 2 partway through a chunk
+        monkeypatch.setattr(path_sim, "_CHUNK_DRAWS", chunk)
+        if kind == "bridge":
+            grid = TimeGrid.refined(10.0, h_fine=0.004)
+            idx = [0, 40] + [int(np.argmin(np.abs(grid.nodes - s))) for s in (1.0, 5.0)]
+            idx.append(grid.nodes.size - 1)
+
+            def run(draw_ahead):
+                rng = stream(3, 0)
+                spy = _Spy(STEP)
+                vals, rec = bridge_integral_batch([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], grid, spy,
+                                                  rng, n, record_idx=idx,
+                                                  draw_ahead=draw_ahead)
+                return vals, rec, rng.bit_generator.state, spy.points
+        else:
+            grid = TimeGrid.uniform(16.0, 0.01)
+
+            def run(draw_ahead):
+                rng = stream(3, 1)
+                spy = _Spy(Potential.ball_indicator(3, 2.0))
+                vals, term = free_integral_batch([2.5, 0.0, 0.0], grid, spy, rng, n,
+                                                 draw_ahead=draw_ahead)
+                return vals, term, rng.bit_generator.state, spy.points
+
+        inline, ahead = run(False), run(True)
+        assert np.array_equal(inline[0], ahead[0])
+        assert np.array_equal(inline[1], ahead[1])
+        assert _same_state(inline[2], ahead[2])
+        assert len(closes) == 1
+        if n > 1:
+            assert sum(len(p) for p in ahead[3]) < n * (grid.nodes.size - 1)  # phase 2 ran
+            used, size = closes[0]
+            assert 0 < used < size
+
+    def test_take_spans_chunks(self):
+        # takes across one, two and three chunks, and one ending on a chunk's end
+        inline, rng = stream(21, 4), stream(21, 4)
+        supply = path_sim._Normals(rng, chunk=10)
+        try:
+            for shape in [(4, 3), (2,), (25,), (1, 3), (3,), (2, 2)]:
+                assert np.array_equal(supply.take(shape), inline.standard_normal(shape))
+        finally:
+            supply.close()
+        assert _same_state(rng.bit_generator.state, inline.bit_generator.state)
+
+    def test_no_thread_outlives_the_call(self):
+        threads = threading.active_count()
+        bridge_integral_batch(np.zeros(3), np.zeros(3), TimeGrid.refined(10.0, 0.01), BALL,
+                              stream(4, 0), 64, draw_ahead=True)
+        free_integral_batch(np.zeros(3), TimeGrid.uniform(2.0, 0.01), BALL, stream(4, 1), 64,
+                            draw_ahead=True)
+        assert threading.active_count() == threads
+
+    def test_potential_error_in_the_cohort(self):
+        # the helper is joined and the generator left where inline draws leave it
+        grid = TimeGrid.uniform(2.0, 0.01)
+        threads = threading.active_count()
+        states = []
+        for draw_ahead in (False, True):
+            rng = stream(4, 2)
+            with pytest.raises(FloatingPointError, match="potential failed"):
+                free_integral_batch(np.zeros(3), grid, _Raises(BALL, 50), rng, 64,
+                                    draw_ahead=draw_ahead)
+            states.append(rng.bit_generator.state)
+            assert threading.active_count() == threads
+        assert _same_state(*states)
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # the helper's third chunk fails; the cohort needs more than two
+        monkeypatch.setattr(path_sim, "_CHUNK_DRAWS", 100)
+        threads = threading.active_count()
+        raised = []
+
+        def run():
+            rng = _ThirdDrawFails(stream(4, 3).bit_generator)
+            try:
+                free_integral_batch(np.zeros(3), TimeGrid.uniform(2.0, 0.01), BALL, rng, 8,
+                                    draw_ahead=True)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in raised] == ["third draw failed"]
+        assert threading.active_count() == threads
 
 
 def _grids():

@@ -178,6 +178,17 @@ RUNS = [
     ("moments_k3_long_horizon", "moments",
      dict(README_MOMENTS, t=40.0, k_list=[1, 3], n_paths=4000,
           grid={"h_fine": 0.02}, seed=5), [], 0),
+    # k = 3 of a table from the chain law, bridge and free, and of free and
+    # two-sided legs on the ball from Kac's resolvent applied to 1
+    ("moments_tabulated_k3", "moments",
+     dict(README_MOMENTS, potential=TABLE, t=4.0, k_list=[1, 2, 3], n_paths=4000,
+          grid={"h_fine": 0.02}, seed=61), [], 0),
+    ("moments_free_k3", "moments", dict(FREE, n_paths=4000, k_list=[1, 2, 3]), [], 0),
+    ("moments_free_tabulated_k3", "moments",
+     dict(FREE, potential=TABLE, n_paths=4000, k_list=[1, 2, 3]), [], 0),
+    ("moments_two_sided_k3", "moments",
+     dict(FREE, statistic_kind="two_sided", y=[0.5, 0.0, 0.0], n_paths=3000,
+          k_list=[1, 2, 3]), [], 0),
     ("mgf_signed_beyond_alpha0", "mgf",
      {"dimension": 3, "potential": SIGNED, "statistic_kind": "bridge",
       "x": ZERO, "y": ZERO, "t": 3.0, "alphas": [0.0, 0.5, 4.0],

@@ -275,14 +275,10 @@ class ExperimentConfig:
                              f"{c} does not read {key!r} without alphas: it "
                              "draws no mgf reference")
         if c in ("moments", "theorem1", "theorem2", "lemma4"):
-            # the oracles stop at k = 2, except bridge k = 3 and the
-            # infinite-horizon Green chain; a free or two-sided k = 3 sample
-            # would need the finite-horizon free k = 3 moment
-            k_top = 3 if c == "moments" and self.statistic_kind == "bridge" else 2
-            where = f"moments with statistic_kind {self.statistic_kind}" \
-                if c == "moments" else c
+            # every finite-horizon oracle reaches k = 3; the sweeps stop at 2
+            k_top = 3 if c == "moments" else 2
             _require(all(0 <= k <= k_top for k in self.k_list),
-                     f"k_list orders must lie in 0..{k_top} for {where}")
+                     f"k_list orders must lie in 0..{k_top} for {c}")
         if c == "theorem1":
             _require(self.x is not None and self.y is not None,
                      "theorem1 needs fixed endpoints x and y")

@@ -19,8 +19,10 @@ potential's support.  This module holds the rules in time, and the public
   masses (Owen's T), contracted with the table axis by axis; the time rule
   integrates the covariance of the two values, in sqrt substitutions at
   s1 -> 0, at s2 - s1 -> 0 and, on a bridge, at s2 -> t, and adds (E Z)^2;
-* k = 3 on a tabulated bridge takes a tensor-product Gauss-Legendre rule,
-  with a correspondingly coarser declared tolerance.
+* the third moment of a tabulated potential, bridge or free, is the chain
+  law E Z^3 / 3! = int ds2 E[v(X_s2) G1 G3]: given X_s2 = z, the paths
+  before and after s2 are independent, and the occupation G of each is the
+  table contracted axis by axis with normal cell masses, at nodes in z.
 
 A bridge rule integrates only the times at which the bridge's mean path
 comes within reach of the support, so endpoints far from it and from each
@@ -57,17 +59,11 @@ __all__ = [
     "moment_bridge",
     "moment_two_sided",
     "horizon_moment_gap",
-    "ordered_simplex_nodes",
     "radial_ball_cdf",
     "radial_expectation",
 ]
 
 
-# Gauss-Legendre orders: per time panel (or per simplex dimension in the
-# tensor fallback), and per axis of the tensor fallback.  The declared
-# tolerances hold for these orders and for the radial rule of ``green``.
-_TIME_NODES = 8
-_BOX_NODES = 7
 # The k = 1 time rule: nodes per panel in sigma = sqrt(s), its first panel
 # as a fraction of min(1, R), and its longest bridge panel in units of
 # t / |y - x|.  Doubling panels from a first panel this small resolve the
@@ -81,10 +77,12 @@ _SQRT_CAP = 2.0
 # that distance; a free start, whose widest point is sqrt(T), reaches it
 # only from within _REACH sqrt(T) of the support ball.  Inside a bridge's
 # window, one half of a time rule takes at most _MAX_PANELS panels, and the
-# pair rule at most _PAIR_MAX_PANELS per time axis.
+# pair and chain rules at most _PAIR_MAX_PANELS per time axis.
 _REACH = 40.0
 _MAX_PANELS = 4096
 _PAIR_MAX_PANELS = 64
+# Kac's resolvent refuses a call whose own error estimate exceeds this.
+_RESOLVENT_BOUND = 1e-6
 
 
 class QuadConfig:
@@ -106,7 +104,13 @@ class QuadConfig:
         from the same rule refined to a sixteenth of its base: k = 1, with 32
         nodes a panel, 2.8e-15 on 23 bridges and free starts, cell faces
         among them; the pair rule (k = 2), with 12 nodes a panel, 6.1e-6 on
-        15 bridges (``bridge``) and 2.5e-5 on 16 free starts.  Infinite-
+        15 bridges (``bridge``) and 2.5e-5 on 16 free starts; the chain law
+        (k = 3), with 12 nodes a panel and 12 per cell and axis (10 in d =
+        4), 3.6e-5 on 18 bridges and free starts (faces, ends off the table,
+        a signed and a d = 4 table).  Radial free k = 3 is five times its
+        largest difference from mpmath inversions of the band transform on
+        21 cases, 4.3e-7 (1.5 e1 outside the d = 3 ball at T = 0.05, which
+        the resolvent estimated at 3.3e-8).  Infinite-
         horizon radial moments are panel rules in the radius; a tabulated v
         there takes the cell operators of ``green``, which declare
         ``green.CELL_TOLERANCE``.
@@ -114,10 +118,11 @@ class QuadConfig:
         if v.is_radial:
             if infinite_horizon:
                 return {0: 0.0, 1: 1e-8, 2: 1e-7, 3: 1e-6}.get(k, 1e-4)
-            return {0: 0.0, 1: 1e-6, 2: 1e-6, 3: 1e-6}.get(k, 1e-1)
+            return {0: 0.0, 1: 1e-6, 2: _RESOLVENT_BOUND,
+                    3: _RESOLVENT_BOUND if bridge else 2.2e-6}.get(k, 1e-1)
         if infinite_horizon:
             return {0: 0.0, **CELL_TOLERANCE}.get(k, 2e-1)
-        return {0: 0.0, 1: 1.4e-14, 2: 1e-5 if bridge else 1.25e-4, 3: 2e-1}.get(k, 2e-1)
+        return {0: 0.0, 1: 1.4e-14, 2: 1e-5 if bridge else 1.25e-4, 3: 1.8e-4}.get(k, 2e-1)
 
 
 DEFAULT = QuadConfig()
@@ -141,37 +146,6 @@ def _log_edges(length: float, base: float, cap: float = math.inf):
         h = min(2.0 * h, cap)
     edges.append(length)
     return edges
-
-
-def ordered_simplex_nodes(k: int, t: float, m: int):
-    """Product Gauss-Legendre rule over {0 < s_1 < ... < s_k < t}.
-
-    Returns (nodes, weights) with nodes of shape (M, k) in increasing
-    order per row; integrating the constant 1 yields t^k / k!.
-    """
-    if k < 1 or k > 3:
-        raise ValueError("ordered simplex rule supports 1 <= k <= 3")
-    x, w = np.polynomial.legendre.leggauss(m)
-    a = 0.5 * (x + 1.0)
-    wa = 0.5 * w
-    if k == 1:
-        return (t * a)[:, None], t * wa
-    if k == 2:
-        A, B = np.meshgrid(a, a, indexing="ij")
-        WA, WB = np.meshgrid(wa, wa, indexing="ij")
-        s2 = t * A
-        s1 = s2 * B
-        wt = WA * WB * t * t * A
-        nodes = np.stack([s1.ravel(), s2.ravel()], axis=1)
-        return nodes, wt.ravel()
-    A, B, C = np.meshgrid(a, a, a, indexing="ij")
-    WA, WB, WC = np.meshgrid(wa, wa, wa, indexing="ij")
-    s3 = t * A
-    s2 = s3 * B
-    s1 = s2 * C
-    wt = WA * WB * WC * t**3 * A * A * B
-    nodes = np.stack([s1.ravel(), s2.ravel(), s3.ravel()], axis=1)
-    return nodes, wt.ravel()
 
 
 # -- radial primitives -------------------------------------------------------
@@ -461,93 +435,6 @@ def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
     return total
 
 
-# -- the tabulated tensor rule (bridge k = 3) ----------------------------------
-
-def _box_mass(mu, var, lo, hi):
-    """Exact Gaussian mass of the box [lo, hi] for N(mu, var I), batched."""
-    mu = np.atleast_2d(mu)
-    sd = math.sqrt(var)
-    upper = special.ndtr((hi[None, :] - mu) / sd)
-    lower = special.ndtr((lo[None, :] - mu) / sd)
-    return np.prod(upper - lower, axis=1)
-
-
-def _normalized_gauss_vector(pts, w, mu, var, lo, hi):
-    """Discrete Gaussian density at the nodes, rescaled to its exact box mass.
-
-    Without the rescaling a Gaussian narrower than the node spacing is
-    grossly mis-integrated; with it the discrete kernel carries exactly the
-    mass the continuous one does, which keeps coarse tensor rules stable
-    down to vanishing time gaps.
-    """
-    d = pts.shape[1]
-    diff = pts - np.asarray(mu, dtype=float)
-    dens = np.exp(-np.sum(diff * diff, axis=1) / (2.0 * var))
-    dens *= (2.0 * math.pi * var) ** (-d / 2.0)
-    raw = float(np.sum(dens * w))
-    exact = float(_box_mass(np.asarray(mu, float), var, lo, hi)[0])
-    if raw <= 1e-300 or exact <= 1e-300:
-        return np.zeros(pts.shape[0])
-    return dens * (exact / raw)
-
-
-def _normalized_gauss_matrix(pts, w, dist2, var, lo, hi):
-    """Row-normalized transition kernel between the tensor nodes."""
-    d = pts.shape[1]
-    kern = np.exp(-dist2 / (2.0 * var)) * (2.0 * math.pi * var) ** (-d / 2.0)
-    raw = kern @ w
-    exact = _box_mass(pts, var, lo, hi)
-    scale = np.zeros(raw.shape)
-    ok = (raw > 1e-300) & (exact > 1e-300)
-    scale[ok] = exact[ok] / raw[ok]
-    return kern * scale[:, None]
-
-
-def _box_nodes(v: Potential):
-    lo, hi = v.support_box()
-    x, w = np.polynomial.legendre.leggauss(_BOX_NODES)
-    axes, weights = [], []
-    for i in range(v.dim):
-        half = 0.5 * (hi[i] - lo[i])
-        axes.append(0.5 * (lo[i] + hi[i]) + half * x)
-        weights.append(half * w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    wts = np.prod(np.stack(np.meshgrid(*weights, indexing="ij")), axis=0).ravel()
-    return pts, wts, v(pts)
-
-
-def _moment_bridge_tensor(x, y, t: float, v: Potential, k: int) -> float:
-    """Tensor-product fallback on the support box; resolution limited.
-
-    Every Gaussian factor (start, transitions, terminal) is rescaled to its
-    exact box mass so that time gaps narrower than the node spacing stay
-    bounded; what remains is the aliasing of v on the coarse node set,
-    which dominates the declared tolerance for non-radial potentials.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pts, w, vv = _box_nodes(v)
-    lo, hi = v.support_box()
-    nodes, tw = ordered_simplex_nodes(k, t, _TIME_NODES)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.sum(diff * diff, axis=-1)
-    log_norm = (-v.dim / 2.0 * math.log(2.0 * math.pi * t)
-                - float((y - x) @ (y - x)) / (2.0 * t))
-    total = 0.0
-    for row, wgt in zip(nodes, tw):
-        s = row
-        vec = vv * w * _normalized_gauss_vector(pts, w, x, s[0], lo, hi)
-        for j in range(1, k):
-            ds = s[j] - s[j - 1]
-            m = _normalized_gauss_matrix(pts, w, dist2, ds, lo, hi)
-            vec = (vec @ m) * (vv * w)
-        tail = t - s[k - 1]
-        vec = vec * _normalized_gauss_vector(pts, w, y, tail, lo, hi)
-        total += wgt * float(np.sum(vec))
-    return math.factorial(k) * total / math.exp(log_norm)
-
-
 # -- the tabulated pair rule ---------------------------------------------------
 
 # The pair rule's time grid: doubling sigma panels from _PAIR_BASE times
@@ -660,6 +547,23 @@ def _pair_sum(v: Potential, w, *law) -> float:
                for i in range(0, w.size, chunk))
 
 
+def _time_grid(v: Potential, x, y, t: float, base: float):
+    """(first sigma panel, cap) of a k >= 2 rule for the bridge x -> y, or free (y None).
+
+    None out of reach; ValueError when the cap needs over _PAIR_MAX_PANELS.
+    """
+    if y is None:
+        return base * min(v.spacing, math.sqrt(t)), math.inf
+    if _reach_window(v, x, y, t) is None:
+        return None
+    cap = _bridge_cap(x, y, t)
+    if not math.sqrt(t / 2.0) <= _PAIR_MAX_PANELS * cap:
+        raise ValueError("the bridge endpoints are too far apart for so short a horizon: "
+                         f"its k >= 2 time rules would need more than {_PAIR_MAX_PANELS} "
+                         "panels per time axis")
+    return min(base * min(v.spacing, math.sqrt(t)), cap), cap
+
+
 def _moment_bridge_pair(x, y, t: float, v: Potential) -> float:
     """E Z(t)^2 of a tabulated v along the bridge x -> y: the pair rule.
 
@@ -669,16 +573,11 @@ def _moment_bridge_pair(x, y, t: float, v: Potential) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if _reach_window(v, x, y, t) is None:
+    grid = _time_grid(v, x, y, t, _PAIR_BASE)
+    if grid is None:
         return 0.0
-    cap = _bridge_cap(x, y, t)
-    if not math.sqrt(t / 2.0) <= _PAIR_MAX_PANELS * cap:
-        raise ValueError("the bridge endpoints are too far apart for so short a horizon: "
-                         f"the k = 2 pair rule would need more than {_PAIR_MAX_PANELS} "
-                         "panels per time axis")
     m1 = _occupation_k1(v, x, t, y)
-    base = min(_PAIR_BASE * min(v.spacing, math.sqrt(t)), cap)
-    s1, lag, rest, w = _pair_time_nodes(t, base, cap, True)
+    s1, lag, rest, w = _pair_time_nodes(t, *grid, True)
     # s2 = s1 + lag = t - rest along the bridge x -> y
     s2 = s1 + lag
     u1 = lag + rest  # t - s1
@@ -695,12 +594,104 @@ def _moment_free_pair(x, horizon: float, v: Potential) -> float:
     sqrt(s_i) and rho = sqrt(s1 / s2), and s1 graded in sqrt from 0 alone.
     """
     m1 = _occupation_k1(v, x, horizon)
-    base = _PAIR_BASE * min(v.spacing, math.sqrt(horizon))
-    s1, lag, _, w = _pair_time_nodes(horizon, base, math.inf, False)
+    s1, lag, _, w = _pair_time_nodes(horizon, *_time_grid(v, x, None, horizon, _PAIR_BASE), False)
     s2 = s1 + lag
     mu = np.broadcast_to(x, (s1.size, v.dim))
     law = (mu, mu, np.sqrt(s1), np.sqrt(s2), np.sqrt(s1 / s2), np.sqrt(lag / s2))
     return 2.0 * _pair_sum(v, w, *law) + m1 * m1
+
+
+# -- the tabulated chain law ---------------------------------------------------
+
+# The chain law's time axes: doubling sigma panels from _CHAIN_BASE times
+# min(spacing, sqrt(t)), _CHAIN_TIME_NODES Gauss-Legendre nodes a panel; and
+# _CHAIN_CELL_NODES nodes per cell and axis in the middle point z.
+_CHAIN_BASE = 0.375
+_CHAIN_TIME_NODES = 8
+_CHAIN_CELL_NODES = 8
+
+
+def _two_ended_nodes(length: float, base: float, cap: float) -> tuple:
+    """s in (0, length) on doubling sigma panels toward both ends, and weights in s."""
+    s, w = _graded_nodes(length, base, cap, (_CHAIN_TIME_NODES,))
+    return np.concatenate([s, length - s]), np.concatenate([w, w])
+
+
+def _cell_weights(edges, nodes, w, mu: float, sd: float) -> np.ndarray:
+    """Weights of N(mu, sd^2) at each cell's nodes (n, m), rescaled to the cell's mass.
+
+    The density is scaled by its largest value per cell before the
+    rescaling, so a law narrower than the node spacing keeps its mass.
+    """
+    q = -0.5 * ((nodes - mu) / sd) ** 2
+    dens = w * np.exp(q - q.max(axis=1, keepdims=True))
+    exact = np.diff(special.ndtr((edges - mu) / sd))
+    return (dens * (exact / dens.sum(axis=1))[:, None]).ravel()
+
+
+def _conditional_sum(values, masses, w) -> np.ndarray:
+    """sum_s w_s sum_c values[c] prod_a masses[a][s, i_a, c_a]: shape (N_1, ..., N_d).
+
+    Axes d to 2 are batched products over s; axis 1 and the weights are one.
+    """
+    size = w.size
+    if values.ndim == 1:
+        return w @ (masses[0] @ values)
+    acc = values.reshape(-1, values.shape[-1]) @ masses[-1].transpose(0, 2, 1)
+    for mass in masses[-2:0:-1]:  # acc is (S, cells left, points)
+        cells, points = mass.shape[2], acc.shape[-1]
+        acc = (mass[:, None] @ acc.reshape(size, -1, cells, points)).reshape(
+            size, -1, mass.shape[1] * points)
+    first = (masses[0] * w[:, None, None]).transpose(1, 0, 2)
+    out = first.reshape(first.shape[0], -1) @ acc.reshape(-1, acc.shape[-1])
+    return out.reshape(*(m.shape[1] for m in masses))
+
+
+def _leg_occupation(v: Potential, edges, z, end, span: float, base: float,
+                    cap: float) -> np.ndarray:
+    """int_0^span E v(X_u) du on the grid z, X the bridge from z to end, or free (end None)."""
+    u, w = _two_ended_nodes(span, base, cap)
+    if end is None:
+        mean, sd = [np.broadcast_to(p, (u.size, p.size)) for p in z], np.sqrt(u)
+    else:
+        mean = [p + (u / span)[:, None] * (b - p) for p, b in zip(z, end)]
+        sd = np.sqrt(u * (span - u) / span)
+    return _conditional_sum(v.values, [
+        np.diff(special.ndtr((e - m[:, :, None]) / sd[:, None, None]), axis=2)
+        for e, m in zip(edges, mean)], w)
+
+
+def _chain_moments(x, y, t: float, v: Potential, base: float, cap: float) -> tuple:
+    """(E Z^2, E Z^3) of a tabulated v along the bridge x -> y, or free motion (y None).
+
+    Given X_s2 = z, the paths before and after s2 are independent, so with
+    G1(z) = int_0^s2 E[v(X_s1) | X_s2 = z] ds1 and G3 the same over (s2, t),
+    E Z^2 = int ds2 E[v (G1 + G3)] and E Z^3 / 3! = int ds2 E[v G1 G3], at
+    _CHAIN_CELL_NODES nodes per cell and axis in z.  G1 runs from z back to
+    x, so the rule maps to itself under time reversal.
+    """
+    x = np.asarray(x, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
+    gl, gw = np.polynomial.legendre.leggauss(_CHAIN_CELL_NODES)
+    edges = [v.origin[a] + v.spacing * np.arange(n + 1) for a, n in enumerate(v.values.shape)]
+    nodes = [(e[:-1, None] + e[1:, None] + v.spacing * gl) / 2.0 for e in edges]
+    m2 = m3 = 0.0
+    for s, ws in zip(*_two_ended_nodes(t, base, cap)):
+        mu, sd = (x, math.sqrt(s)) if y is None else \
+            (x + (s / t) * (y - x), math.sqrt(s * (t - s) / t))
+        weights = [_cell_weights(e, n, gw, m, sd) for e, n, m in zip(edges, nodes, mu)]
+        keep = [np.flatnonzero(wz) for wz in weights]
+        if any(k.size == 0 for k in keep):
+            continue  # the one-point law misses the support
+        z = [n.ravel()[k] for n, k in zip(nodes, keep)]
+        # phi_s2(z) v(z) dz on the kept nodes, v constant on each cell
+        mass = v.values[np.ix_(*(k // _CHAIN_CELL_NODES for k in keep))] * \
+            functools.reduce(np.multiply.outer, (wz[k] for wz, k in zip(weights, keep)))
+        g1 = _leg_occupation(v, edges, z, x, s, base, cap)
+        g3 = _leg_occupation(v, edges, z, y, t - s, base, cap)
+        m2 += ws * float(np.sum(mass * (g1 + g3)))
+        m3 += ws * float(np.sum(mass * g1 * g3))
+    return m2, 6.0 * m3
 
 
 # -- public operations --------------------------------------------------------
@@ -710,7 +701,7 @@ def _radial_moment(x, y, t: float, v: Potential, k: int) -> float:
     if v.dim < 3:
         raise ValueError("moments k >= 2 of a radial potential at a finite horizon need d >= 3")
     moments, errors = resolvent_moments(x, y, t, v)
-    if not errors[k - 1] <= DEFAULT.tolerance(k, v):
+    if not errors[k - 1] <= _RESOLVENT_BOUND:
         raise ValueError(
             f"the k = {k} oracle loses its declared accuracy over t = {t} (rounding "
             f"estimate {errors[k - 1]:.1e} relative): the path's ends are too far from "
@@ -724,11 +715,12 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     horizon may be inf (d >= 3 required there).  Infinite-horizon moments
     come from the Green chain (``green.green_chain`` for a radial v,
     ``green.cell_chain`` for a tabulated one); a finite-horizon first moment
-    from the sqrt(s) time rule, and a second from Kac's resolvent applied to
-    1 (radial v, d >= 3) or the pair rule (tabulated v).  At a finite
+    from the sqrt(s) time rule.  At a finite horizon, k = 2 and 3 of a
+    radial v (d >= 3) come from Kac's resolvent applied to 1; a tabulated v
+    takes the pair rule for k = 2 and the chain law for k = 3.  At a finite
     horizon, a start more than _REACH sqrt(horizon) from the support ball
-    gives 0.0.  A radial call whose rounding estimate exceeds the declared
-    tolerance raises ValueError.
+    gives 0.0.  A radial call whose rounding estimate exceeds 1e-6 raises
+    ValueError.
     """
     _check_order(k)
     if not (horizon > 0):
@@ -749,11 +741,11 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
         return 0.0  # the one-point law misses the support by over _REACH s.d. up to the horizon
     if k == 1:
         return _occupation_k1(v, x, horizon)
+    if v.is_radial:
+        return _radial_moment(x, None, horizon, v, k)
     if k == 2:
-        return _radial_moment(x, None, horizon, v, 2) if v.is_radial else \
-            _moment_free_pair(x, horizon, v)
-    raise ValueError("finite-horizon k=3 free moments are not supported; "
-                     "use the infinite-horizon Green chain or Monte Carlo")
+        return _moment_free_pair(x, horizon, v)
+    return _chain_moments(x, None, horizon, v, *_time_grid(v, x, None, horizon, _CHAIN_BASE))[1]
 
 
 def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
@@ -765,9 +757,9 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
     come from Kac's resolvent, which reads the endpoints only through their
     distances to the centre and the angle between them; a geometry whose
     rounding estimate exceeds the declared tolerance raises ValueError.
-    k = 2 of a tabulated v is the pair rule, whose node set is symmetric
-    under time reversal; k = 3 averages the tensor rule over both
-    orientations.  Endpoints too far apart for the horizon raise ValueError.
+    A tabulated v takes the pair rule for k = 2 and the chain law for k = 3,
+    whose node sets are symmetric under time reversal.  Endpoints too far
+    apart for the horizon raise ValueError.
     """
     _check_order(k)
     if not (t > 0) or not math.isfinite(t):
@@ -782,10 +774,8 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
         return _radial_moment(x, y, t, v, k)
     if k == 2:
         return _moment_bridge_pair(x, y, t, v)
-    forward = _moment_bridge_tensor(x, y, t, v, k)
-    if np.array_equal(np.asarray(x, float), np.asarray(y, float)):
-        return forward  # both orientations are the same call
-    return 0.5 * (forward + _moment_bridge_tensor(y, x, t, v, k))
+    grid = _time_grid(v, x, y, t, _CHAIN_BASE)
+    return 0.0 if grid is None else _chain_moments(x, y, t, v, *grid)[1]
 
 
 def moment_two_sided(x, y, v: Potential, k: int, horizon: float = math.inf) -> float:

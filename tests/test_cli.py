@@ -279,18 +279,20 @@ _OUT_OF_RANGE_ORDERS = [
     ("moments", _MINIMAL["moments"], [4]),
     ("moments", _MINIMAL["moments"], [-1]),
     ("theorem1", _MINIMAL["theorem1"], [3]),
-    ("moments", dict(_FREE_MOMENTS, statistic_kind="free"), [1, 3]),
-    # the two-sided binomial sum would need the finite-horizon free k = 3
-    ("moments", dict(_FREE_MOMENTS, statistic_kind="two_sided", y=[0.5, 0.0, 0.0]), [1, 3]),
 ]
+# free and two-sided legs take k = 3 from the finite-horizon free oracle
+_THIRD_ORDER_KINDS = {
+    "free": dict(_FREE_MOMENTS, statistic_kind="free", k_list=[1, 3]),
+    "two_sided": dict(_FREE_MOMENTS, statistic_kind="two_sided", y=[0.5, 0.0, 0.0],
+                      k_list=[1, 3]),
+}
 
 
 class TestMomentOrders:
     """An order no oracle computes is a config error, not a traceback."""
 
     @pytest.mark.parametrize("command, base, k_list", _OUT_OF_RANGE_ORDERS,
-                             ids=["moments-4", "moments-negative", "theorem1-3",
-                                  "moments-free-3", "moments-two_sided-3"])
+                             ids=["moments-4", "moments-negative", "theorem1-3"])
     def test_order_rejected(self, tmp_path, capsys, command, base, k_list):
         path = write_config(tmp_path, dict(base, k_list=k_list))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -300,6 +302,19 @@ class TestMomentOrders:
     def test_bridge_third_moment_accepted(self):
         cfg = load_config(dict(_MINIMAL["moments"], k_list=[1, 2, 3]), "moments")
         assert cfg.k_list == [1, 2, 3]
+
+    @pytest.mark.parametrize("kind", sorted(_THIRD_ORDER_KINDS))
+    def test_free_third_moment_runs(self, tmp_path, kind):
+        # a free or two-sided k = 3 row is judged against the finite-horizon oracle
+        config = _THIRD_ORDER_KINDS[kind]
+        path = write_config(tmp_path, config)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) != EXIT_CONFIG
+        rows = json.loads((tmp_path / "moments_summary.json").read_text())["moments"]
+        x, horizon = config["x"], 100.0  # the unit ball's default free horizon
+        v = load_config(config, "moments").potential
+        exact = moment_free(x, horizon, v, 3) if kind == "free" else \
+            moment_two_sided(x, config["y"], v, 3, horizon=horizon)
+        assert [r["k"] for r in rows] == [1, 3] and rows[1]["target"] == exact
 
 
 # valid configs that do not read the key each case below adds to them

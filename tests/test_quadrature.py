@@ -1,4 +1,4 @@
-"""Moment oracles: exact Green reductions, simplex rules, Monte Carlo agreement.
+"""Moment oracles: exact Green reductions, time rules, Monte Carlo agreement.
 
 Frozen constants were computed with 30-digit mpmath quadrature of the
 one-dimensional closed forms; Monte Carlo cross-checks use the samplers as
@@ -25,7 +25,6 @@ from bridgeint.quadrature import (
     moment_bridge,
     moment_free,
     moment_two_sided,
-    ordered_simplex_nodes,
     radial_ball_cdf,
     radial_expectation,
 )
@@ -58,16 +57,32 @@ class TestQuadConfig:
 
 
 class TestSimplexRule:
+    """The chain law's nested time rule over the ordered simplex 0 < s1 < s2 < s3 < t."""
+
+    @staticmethod
+    def _nested(t):
+        """s2 nodes and weights, with the s1 rule over (0, s2) and the s3 rule over (s2, t)."""
+        base = quadrature._CHAIN_BASE * min(0.4, math.sqrt(t))
+        s2, w2 = quadrature._two_ended_nodes(t, base, math.inf)
+        return s2, w2, [(quadrature._two_ended_nodes(s, base, math.inf),
+                         quadrature._two_ended_nodes(t - s, base, math.inf)) for s in s2]
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.5, 2.0, 17.0])
     def test_volume(self, k, t):
-        nodes, w = ordered_simplex_nodes(k, t, 12)
-        assert float(np.sum(w)) == pytest.approx(t**k / math.factorial(k), rel=1e-8)
+        # integrating 1 over {0 < s_1 < ... < s_k < t} yields t^k / k!
+        s2, w2, inner = self._nested(t)
+        factor = {1: lambda a, b: 1.0, 2: lambda a, b: a[1].sum(),
+                  3: lambda a, b: a[1].sum() * b[1].sum()}[k]
+        total = sum(w * factor(a, b) for w, (a, b) in zip(w2, inner))
+        assert total == pytest.approx(t**k / math.factorial(k), rel=1e-12)
 
     def test_nodes_ordered(self):
-        nodes, _ = ordered_simplex_nodes(3, 5.0, 6)
-        assert np.all(np.diff(nodes, axis=1) > 0)
-        assert np.all(nodes > 0) and np.all(nodes < 5.0)
+        s2, _, inner = self._nested(5.0)
+        assert np.all(s2 > 0) and np.all(s2 < 5.0)
+        for s, ((s1, _), (u, _)) in zip(s2, inner):
+            assert np.all(s1 > 0) and np.all(s1 < s)
+            assert np.all(u > 0) and np.all(s + u < 5.0)
 
 
 # (r, b, var, d, P(|Z| <= r) for Z ~ N(b e1, var I_d)), from 60-digit mpmath:
@@ -220,8 +235,11 @@ class TestFreeMoments:
         assert moment_free([0, 0, 0], 2.0, BALL, 0) == 1.0
 
     def test_order_gating(self):
-        with pytest.raises(ValueError):
-            moment_free([0, 0, 0], 1.0, BALL, 3)  # finite horizon unsupported
+        # k = 3 is computed at a finite horizon too; k = 4 is refused at either
+        assert moment_free([0, 0, 0], 1.0, BALL, 3) > 0.0
+        for horizon in (1.0, math.inf):
+            with pytest.raises(ValueError, match="must lie in 0..3"):
+                moment_free([0, 0, 0], horizon, BALL, 4)
 
     def test_third_moment_green_chain_vs_mc(self):
         q3 = moment_free([0, 0, 0], math.inf, BALL, 3)
@@ -882,16 +900,6 @@ class TestBridgePairRule:
                                   lower_limit=[edges[a], edges[b]])
                     assert mass[p, a, b] == pytest.approx(ref, abs=1e-7)
 
-    def test_tensor_rule_kept_for_k3(self, monkeypatch):
-        # k = 3 averages the tensor rule over both orientations; k = 2 never calls it
-        calls = []
-        monkeypatch.setattr(quadrature, "_moment_bridge_tensor",
-                            lambda x, y, t, v, k: calls.append((x, k)) or float(k))
-        x, y = [0.1, 0.0, 0.2], [-0.3, 0.2, 0.0]
-        assert moment_bridge(x, y, 1.0, FACE_TABLE, 3) == 3.0
-        assert calls == [(x, 3), (y, 3)]
-        assert moment_bridge(x, y, 1.0, FACE_TABLE, 2) > 0.0 and len(calls) == 2
-
 
 SIGNED_TABLE = Potential.tabulated(3, [-0.8, -0.8, -0.8], 0.4,
                                    np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4, 4)))
@@ -964,11 +972,6 @@ class TestFreeSecondMoment:
         assert CFG.tolerance(2, NEAR_TABLE) == 1.25e-4
         assert CFG.tolerance(1, NEAR_TABLE) == CFG.tolerance(1, NEAR_TABLE, bridge=True) == 1.4e-14
 
-    @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["radial", "tabulated"])
-    def test_finite_third_moment_refused(self, v):
-        with pytest.raises(ValueError, match="k=3"):
-            moment_free(np.zeros(3), 1.0, v, 3)
-
     @pytest.mark.parametrize("t, ref", [(1.0, 0.1415264), (10.0, 0.8749006),
                                         (100.0, 1.4438826)])
     def test_recorded_pair_law(self, t, ref):
@@ -997,6 +1000,170 @@ class TestFreeSecondMoment:
         assert abs(est.mean - q) <= 3.0 * est.std_error
 
 
+# E Y(T)^3 of free motion from x = r e1, from the mpmath inversion of
+# _FREE_RADIAL_REFS applied to d^3 F / d alpha^3 at alpha = 0.  The d = 3 ball
+# at the centre tends to the Green chain's 61/15 like T^(-1/2).
+_FREE_RADIAL_K3_REFS = [
+    (3, [(1.0, 1.0)], 0.0, 4.0, 1.165038405980422),
+    (3, [(1.0, 1.0)], 0.0, 50.0, 3.0584543963216203),
+    (3, [(1.0, 1.0)], 0.0, 1e4, 3.9938769110703135),
+    (3, [(1.0, 1.0)], 0.0, 1e6, 4.0593869276247877),
+    (3, [(1.0, 1.0)], 0.0, 40.0, 2.9452292170600813),
+    (3, [(0.5, 2.0), (1.0, -0.5)], 0.5, 4.0, 0.028648675011160068),
+    (3, [(0.5, 2.0), (1.0, -0.5)], 1.5, 40.0, -0.0083849096271894052),
+    (3, [(0.5, 2.0), (1.0, -0.5)], 0.3, 1e4, 0.04557458063484212),
+    (4, [(1.0, 1.0)], 0.0, 1e4, 0.39579815731175539),
+    (4, [(1.0, 1.0)], 0.7, 4.0, 0.19520703106275125),
+    (5, [(0.5, 2.0), (1.0, -0.5)], 0.5, 40.0, -0.0022167321983465175),
+    (5, [(0.6, 1.2), (1.2, 0.4)], 1.2, 40.0, 0.0086394783401329372),
+]
+# starts outside the d = 3 ball at short horizons, where the resolvent's own
+# error estimate read up to 13 times below its real error (stable from 30 to
+# 45 digits)
+_FREE_RADIAL_K3_OUTSIDE = [
+    (1.5, 0.05, 1.7480704203272145e-8),
+    (2.0, 0.2, 7.2496910063862314e-7),
+    (1.2, 0.05, 2.2601790209633615e-6),
+]
+
+
+class TestFreeThirdMoment:
+    """Finite-horizon E Y(T)^3: the resolvent's third coefficient, and the chain law."""
+
+    @pytest.mark.parametrize("d, bands, r, t, ref", _FREE_RADIAL_K3_REFS)
+    def test_radial_against_mpmath(self, d, bands, r, t, ref):
+        x = np.zeros(d)
+        x[0] = r
+        assert moment_free(x, t, _radial(d, bands), 3) == pytest.approx(
+            ref, rel=1e-9)
+
+    @pytest.mark.parametrize("r, t, ref", _FREE_RADIAL_K3_OUTSIDE)
+    def test_outside_at_short_horizons(self, r, t, ref):
+        # the declared tolerance is five times the worst of these, 4.3e-7
+        assert CFG.tolerance(3, BALL) == 2.2e-6 and CFG.tolerance(3, BALL, bridge=True) == 1e-6
+        assert moment_free([r, 0.0, 0.0], t, BALL, 3) == pytest.approx(
+            ref, rel=CFG.tolerance(3, BALL))
+
+    def test_ball_centre_inverted_here(self):
+        # the closed form F at the centre of the d = 3 ball (see
+        # _FREE_RADIAL_REFS), inverted at T = 4 independently of the table
+        mp = pytest.importorskip("mpmath")
+
+        def transform(lam, a):
+            k0, k1 = mp.sqrt(2 * lam), mp.sqrt(2 * (lam - a))
+            jump = 1 / lam - 1 / (lam - a)
+            return 1 / (lam - a) + k1 * jump * (1 + k0) / (k0 * mp.sinh(k1) + k1 * mp.cosh(k1))
+
+        with mp.workdps(30):
+            ref = mp.invertlaplace(lambda lam: mp.diff(lambda a: transform(lam, a), 0, 3),
+                                   4, method="talbot")
+        assert moment_free(np.zeros(3), 4.0, BALL, 3) == pytest.approx(float(ref), rel=1e-9)
+
+    def test_radial_tends_to_the_green_chain(self):
+        # sqrt(T) times the gap to 61/15 settles as T grows
+        limit = moment_free(np.zeros(3), math.inf, BALL, 3)
+        assert limit == pytest.approx(61.0 / 15.0, rel=1e-6)
+        gaps = [math.sqrt(t) * (limit - moment_free(np.zeros(3), t, BALL, 3))
+                for t in (1e4, 1e6)]
+        assert gaps[0] == pytest.approx(gaps[1], rel=0.01)
+
+    def test_tabulated_matches_monte_carlo(self):
+        # the digest table from off its faces; 32,768 paths at h = 0.001 read
+        # 0.021772 +- 0.000180
+        x = np.array([0.3, -0.2, 0.1])
+        q = moment_free(x, 1.0, FACE_TABLE, 3)
+        est = mc_moment("free", 3, 16_384,
+                        EstimatorConfig(potential=FACE_TABLE, x=x, free_horizon=1.0,
+                                        h_fine=0.0025, seed=83))
+        assert abs(est.mean - q) <= 3.0 * est.std_error
+
+
+def _chain(x, y, t, v):
+    """(E Z^2, E Z^3) from the chain law: the bridge x -> y, or free motion when y is None."""
+    x = np.asarray(x, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
+    grid = quadrature._time_grid(v, x, y, t, quadrature._CHAIN_BASE)
+    return quadrature._chain_moments(x, y, t, v, *grid)
+
+
+@st.composite
+def _small_table_case(draw):
+    """A random table of at most 3 cells an axis, two points near it and a horizon."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = Potential.tabulated(3, rng.uniform(-1.0, 0.0, 3), draw(st.floats(0.2, 0.8)),
+                            rng.uniform(-0.5, 1.0, shape))
+    x, y = rng.uniform(-1.5, 1.5, (2, 3))
+    return v, x, y, draw(st.floats(0.05, 4.0))
+
+
+_CHAIN_PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+class TestChainLaw:
+    """Tabulated E Z^3, bridge and free: the chain law conditioned on the middle time."""
+
+    @pytest.mark.parametrize("h", [1.0, -0.7])
+    def test_uniform_table_wider_than_the_path(self, h):
+        # every one-point law lies inside the middle cell, so E Z^k = (h t)^k
+        wide = Potential.tabulated(3, [-60.0] * 3, 40.0, np.full((3, 3, 3), h))
+        x, y = [0.2, -0.1, 0.3], [1.0, 0.5, -0.4]
+        for t in (0.5, 3.0):
+            assert moment_bridge(x, y, t, wide, 3) == pytest.approx((h * t) ** 3, rel=1e-12)
+            assert moment_free(x, t, wide, 3) == pytest.approx((h * t) ** 3, rel=1e-12)
+            for end in (y, None):
+                assert _chain(x, end, t, wide)[0] == pytest.approx((h * t) ** 2, rel=1e-12)
+
+    @_CHAIN_PROPERTY
+    @given(_small_table_case())
+    def test_time_reversal(self, case):
+        v, x, y, t = case
+        scale = (t * float(np.max(np.abs(v.values)))) ** 3
+        assert moment_bridge(y, x, t, v, 3) == pytest.approx(
+            moment_bridge(x, y, t, v, 3), rel=1e-10, abs=1e-12 * scale)
+
+    @_CHAIN_PROPERTY
+    @given(_small_table_case(), st.floats(0.25, 4.0))
+    def test_brownian_scaling(self, case, lam):
+        # lam W at time s / lam^2 is a Brownian path: Z is the same integral
+        v, x, y, t = case
+        zoom = v.dilated(lam).with_height_factor(lam**-2)
+        scale = (t * float(np.max(np.abs(v.values)))) ** 3
+        assert moment_bridge(lam * x, lam * y, lam * lam * t, zoom, 3) == pytest.approx(
+            moment_bridge(x, y, t, v, 3), rel=1e-10, abs=1e-12 * scale)
+        assert moment_free(lam * x, lam * lam * t, zoom, 3) == pytest.approx(
+            moment_free(x, t, v, 3), rel=1e-10, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_recorded_values(self, index):
+        # the chain at the bloch_near bridges, refined to a sixteenth of its
+        # base with 12 nodes a panel and 12 per cell and axis; the tensor rule
+        # read 0.013082 / 0.112072 / 0.606415 / 2.199242 here
+        x, y, t = NEAR_POINTS[index]
+        ref = (0.01961714633, 0.1018419952, 0.5361766133, 1.856659504)[index]
+        m2, m3 = _chain(x, y, t, NEAR_TABLE)
+        assert m3 == pytest.approx(ref, rel=CFG.tolerance(3, NEAR_TABLE))
+        # a cross-check of the chain's z and time rules: its own E Z^2
+        assert m2 == pytest.approx(moment_bridge(x, y, t, NEAR_TABLE, 2), rel=1e-5)
+
+    def test_free_second_moment_is_the_pair_law(self):
+        assert _chain([0.0, 0.0, 0.0], None, 4.0, FACE_TABLE)[0] == pytest.approx(
+            moment_free([0.0, 0.0, 0.0], 4.0, FACE_TABLE, 2), rel=1e-5)
+
+    def test_matches_monte_carlo(self):
+        # 32,768 bridges at h = 0.001 read 0.019599 +- 0.000053
+        x, y, t = (np.array(p) if i < 2 else p for i, p in enumerate(NEAR_POINTS[0]))
+        q = moment_bridge(x, y, t, NEAR_TABLE, 3)
+        est = mc_moment("bridge", 3, 16_384,
+                        EstimatorConfig(potential=NEAR_TABLE, x=x, y=y, t=t,
+                                        h_fine=0.0025, seed=43))
+        assert abs(est.mean - q) <= 3.0 * est.std_error
+
+    def test_declared_tolerance(self):
+        assert CFG.tolerance(3, NEAR_TABLE) == CFG.tolerance(3, NEAR_TABLE, bridge=True) \
+            == 1.8e-4
+
+
 class TestFarEndpoints:
     """Endpoints far from the support and from each other end in a value or ValueError."""
 
@@ -1004,14 +1171,14 @@ class TestFarEndpoints:
     def test_out_of_reach_is_zero(self, v):
         # the mean path passes 50 away at t = 1: the one-point laws miss the
         # support by more than 40 standard deviations
-        for k in (1, 2) if not v.is_radial else (1,):
+        for k in (1, 2, 3) if not v.is_radial else (1,):
             assert moment_bridge([50.0, 0, 0], [60.0, 0, 0], 1.0, v, k) == 0.0
 
     @pytest.mark.parametrize("x", [[1e300, 0.0, 0.0], [1e9, 0.0, 0.0], [1.7e308, 0.0, 0.0]],
                              ids=["overflowing_gap", "far", "unrepresentable"])
     def test_value_or_value_error(self, x):
         y = [-x[0] if x[0] > 1e308 else 0.0, 0.0, 0.0]
-        for v, k in ((BALL, 1), (NEAR_TABLE, 1), (NEAR_TABLE, 2)):
+        for v, k in ((BALL, 1), (NEAR_TABLE, 1), (NEAR_TABLE, 2), (NEAR_TABLE, 3)):
             start = time.perf_counter()
             try:
                 value = moment_bridge(x, y, 1.0, v, k)
@@ -1030,11 +1197,11 @@ class TestFarEndpoints:
     @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["ball", "tabulated"])
     def test_free_start_out_of_reach_is_zero(self, v):
         # 10 e1 at T = 0.05 is more than 40 sqrt(T) from the unit ball, where
-        # the resolvent's Talbot weights overflowed; the table's pair rule
-        # reads 0 there too
+        # the resolvent's Talbot weights overflowed; the table's pair and
+        # chain rules read 0 there too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 assert moment_free([10.0, 0, 0], 0.05, v, k) == 0.0
 
     @pytest.mark.parametrize("v", [BALL, NEAR_TABLE], ids=["ball", "tabulated"])
@@ -1046,7 +1213,8 @@ class TestFarEndpoints:
             warnings.simplefilter("error")
             assert 0.0 <= moment_free([30.0, 0, 0], 1.0, v, 1) < 1e-180
             if not v.is_radial:
-                assert 0.0 <= moment_free([30.0, 0, 0], 1.0, v, 2) < 1e-180
+                for k in (2, 3):
+                    assert 0.0 <= moment_free([30.0, 0, 0], 1.0, v, k) < 1e-180
                 return
             for x, horizon in ((30.0, 1.0), (1.0 + 39.9 * math.sqrt(0.05), 0.05)):
                 with pytest.raises(ValueError, match="declared accuracy"):

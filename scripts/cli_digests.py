@@ -98,9 +98,10 @@ RUNS = [
     # no sweep reads target_n_paths and target_free_horizon, since every
     # mgf target is exact; 300 paths per horizon pass
     ("theorem1_readme_reduced", "theorem1", README_THEOREM1, [], 0),
-    # a tabulated potential: exact targets from the cell operators.  At
-    # alpha = +1.04 the bridge mgf at t = 16 is still 0.47 (3.7 combined
-    # standard errors) below its limit, so that row fails
+    # a tabulated potential: exact targets from the cell operators.  The
+    # default alphas are +-alpha0 / 2 = +-1.0291, from K1 at the sub-cell
+    # centres; at alpha = +1.0291 the bridge mgf at t = 16 is still 0.45
+    # (3.6 combined standard errors) below its limit, so that row fails
     ("theorem1_tabulated", "theorem1", THEOREM1_TAB, [], 3),
     ("theorem2_sqrt", "theorem2",
      dict(THEOREM2, endpoint_rule={"kind": "sqrt_t", "scale": 1.0}), [], 0),
@@ -158,8 +159,9 @@ RUNS = [
     ("moments_on_axis_d4", "moments",
      dict(ORACLE_BRIDGES, dimension=4, x=[0.5, 0.0, 0.0, 0.0], y=[-1.0, 0.0, 0.0, 0.0],
           t=4.0, seed=41), [], 0),
-    # at t = 2560 the k = 2 bridge oracle takes ball probabilities of
-    # variance up to t / 4, so its d = 3 CDF reaches the small-a series
+    # at t = 2560 the k = 1 time rule takes ball probabilities of variance
+    # up to t / 4, so its d = 3 CDF reaches the small-a series; the k = 2
+    # target is Kac's resolvent
     ("moments_long_horizon", "moments",
      dict(README_MOMENTS, t=2560.0, n_paths=400, grid={"h_fine": 0.1}, seed=43), [], 0),
     ("moments_off_axis_d4", "moments",

@@ -168,7 +168,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
 
 
 def cmd_bounds(cfg: ExperimentConfig, out: Path, fmt: str) -> int:
-    report = k1_bound(cfg.potential, cfg.probe_points)
+    report = k1_bound(cfg.potential)
     payload = report.as_dict()
     v = cfg.potential
     if v.is_nonnegative:

@@ -19,6 +19,7 @@ import numbers
 import numpy as np
 
 from .convergence import EndpointRule, SweepPlan
+from .path_sim import DEFAULT_H_FINE
 from .potentials import Potential
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_workers"]
@@ -50,7 +51,7 @@ _COMMAND_KEYS = {
     "sample": _PATH,
     "mgf": _PATH | {"alphas"},
     "moments": _PATH | {"k_list"},
-    "bounds": {"probe_points"},
+    "bounds": set(),
     "theorem1": _SWEEP | {"x", "y"},
     "theorem2": _SWEEP | {"x", "endpoint_rule"},
     "lemma4": _SWEEP | {"part", "x", "x_sequence"},
@@ -188,7 +189,7 @@ class ExperimentConfig:
         self.seed = _integer(raw.get("seed", 0), "seed")
         self.workers = parse_workers(raw.get("workers", 1))
 
-        self.h_fine = _real(grid.get("h_fine", 0.01), "grid.h_fine", positive=True)
+        self.h_fine = _real(grid.get("h_fine", DEFAULT_H_FINE), "grid.h_fine", positive=True)
 
         self.statistic_kind = raw.get("statistic_kind", "bridge")
         _require(self.statistic_kind in ("bridge", "free", "two_sided"),
@@ -213,7 +214,6 @@ class ExperimentConfig:
         self.part = raw.get("part", "a")
         _require(self.part in ("a", "b"), "lemma4 part must be 'a' or 'b'")
         self.x_sequence = raw.get("x_sequence")
-        self.probe_points = raw.get("probe_points")
         self.bloch_points = raw.get("bloch_points")
 
         for p in (self.x, self.y):
@@ -302,11 +302,6 @@ class ExperimentConfig:
                     _require(self.raw.get(key) is None,
                              f"lemma4 part b does not read {key!r}; it reports "
                              "|mgf - 1| along the start points x_sequence")
-        if c == "bounds" and self.probe_points is not None:
-            _require(isinstance(self.probe_points, list) and self.probe_points,
-                     "probe_points must be a non-empty list of points")
-            for p in self.probe_points:
-                _point(_reals(p, "probe point"), self.dimension, "probe point")
         if c == "bloch":
             _require(self.bloch_points, "bloch needs a bloch_points list")
             for entry in self.bloch_points:

@@ -27,6 +27,7 @@ from . import estimators
 from .estimators import EstimatorConfig, McEstimate, _mgf_estimate
 from .gaussian import TimePoints, density_ratio
 from .green import k1_bound, mgf_one_sided, mgf_tolerance
+from .path_sim import DEFAULT_H_FINE
 from .potentials import Potential
 from .quadrature import DEFAULT, moment_free, moment_two_sided
 
@@ -85,7 +86,7 @@ class SweepPlan:
     k_list: tuple = (1, 2)
     seed: int = 0
     workers: int = 1
-    h_fine: float = 0.01
+    h_fine: float = DEFAULT_H_FINE
 
     def __post_init__(self):
         if self.theorem not in ("T1", "T2a", "T2b", "L4a", "L4b"):

@@ -41,6 +41,7 @@ import numpy as np
 from .gaussian import transition_density
 from .path_sim import (
     BATCH_SIZE,
+    DEFAULT_H_FINE,
     TimeGrid,
     bridge_integral_batch,
     free_integral_batch,
@@ -164,7 +165,7 @@ class EstimatorConfig:
     y: np.ndarray = None
     t: float = None
     free_horizon: float | None = None
-    h_fine: float = 0.01
+    h_fine: float = DEFAULT_H_FINE
     seed: int = 0
     stream_channel: int = 0
     workers: int = 1

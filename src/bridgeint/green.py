@@ -41,7 +41,6 @@ __all__ = [
     "green_potential_radial",
     "green_potential",
     "BoundsReport",
-    "default_probes",
     "k1_bound",
     "panel_rule",
     "radial_rule",
@@ -141,67 +140,42 @@ def green_potential(v: Potential, y, *, absolute: bool = False) -> float:
 
 @dataclass
 class BoundsReport:
-    """Occupation-integral bound K1 and the implied mgf radius alpha0 = 1/K1."""
+    """K1 = sup G|v| (``k1_bound``) and the mgf radius alpha0 = 1/K1 it implies."""
 
     k1: float
     alpha0: float | None
     degenerate: bool = False
-    probe_count: int = 0
 
     def as_dict(self):
-        return {
-            "k1": self.k1,
-            "alpha0": self.alpha0,
-            "degenerate": self.degenerate,
-            "probe_count": self.probe_count,
-        }
+        return {"k1": self.k1, "alpha0": self.alpha0, "degenerate": self.degenerate}
 
 
-def default_probes(v: Potential) -> np.ndarray:
-    """Probe points: support center, direction shells at R and 2R.
+def k1_bound(v: Potential) -> BoundsReport:
+    """K1 = sup_x int |v(z)| c_d |x - z|^(2-d) dz, read from v alone, and alpha0 = 1/K1.
 
-    The Green-potential integral decays like |y|^(2-d) away from the
-    support, so its sup over R^d is attained on or near the support; a
-    finite probe set with boundary and exterior shells suffices.
-    """
-    d = v.dim
-    center = v.center
-    R = v.support_radius
-    if R == 0.0:
-        return center.reshape(1, d)
-    if d <= 4:
-        dirs = np.array([p for p in np.ndindex(*(3,) * d)], dtype=float) - 1.0
-        dirs = dirs[np.any(dirs != 0, axis=1)]
-    else:
-        eye = np.eye(d)
-        dirs = np.vstack([eye, -eye])
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    probes = [center.reshape(1, d), center + R * dirs, center + 2.0 * R * dirs]
-    return np.vstack(probes)
-
-
-def k1_bound(v: Potential, probe_points=None) -> BoundsReport:
-    """Upper envelope of the expected total occupation integral of |v|.
-
-    Evaluates int |v(z)| c_d |z - y|^(2-d) dz over a probe set of start
-    points y and reports the maximum as K1, together with alpha0 = 1/K1.
-    A potential that vanishes a.e. is reported as degenerate with
-    unbounded alpha0.
+    G|v| is harmonic off the support and vanishes at infinity, so its sup
+    lies on the support.  For a radial v it does not increase with the
+    radius, and K1 is its centre value.  For a table K1 is the largest of
+    the centre value and the values at the sub-cell centres of the cell
+    solves (``_subcells``): exact point values of G|v|, so K1 approaches
+    the sup from below.  A potential that vanishes a.e. is reported as
+    degenerate with unbounded alpha0.
     """
     if v.dim < 3:
         raise ValueError(
             "K1 requires d >= 3: in lower dimension Brownian motion is "
             "recurrent and the time-integrated occupation bound diverges"
         )
-    probes = default_probes(v) if probe_points is None else np.atleast_2d(
-        np.asarray(probe_points, dtype=float))
-    if probes.size == 0:
-        raise ValueError("the probe set must be nonempty")
-    vals = [green_potential(v, y, absolute=True) for y in probes]
-    k1 = float(np.max(vals))
+    k1 = green_potential(v, v.center, absolute=True)
+    if not v.is_radial:
+        key = _cell_key(v)
+        for m in _subcells(key):
+            cells = _cells(key, m)
+            k1 = max(k1, float(np.max(cells.green(np.abs(cells.values)))))
     if k1 == 0.0:
-        return BoundsReport(k1=0.0, alpha0=None, degenerate=True, probe_count=len(probes))
-    return BoundsReport(k1=k1, alpha0=1.0 / k1, degenerate=False, probe_count=len(probes))
+        return BoundsReport(k1=0.0, alpha0=None, degenerate=True)
+    return BoundsReport(k1=k1, alpha0=1.0 / k1)
+
 
 # -- radial rules and the Green chain -----------------------------------------
 

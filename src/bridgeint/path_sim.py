@@ -76,6 +76,7 @@ from .potentials import Potential, _row_norms
 
 __all__ = [
     "BATCH_SIZE",
+    "DEFAULT_H_FINE",
     "TimeGrid",
     "stream",
     "bridge_integral_batch",
@@ -83,6 +84,9 @@ __all__ = [
 ]
 
 BATCH_SIZE = 8192
+
+# the default fine step of ``TimeGrid.refined``, the config key grid.h_fine
+DEFAULT_H_FINE = 0.01
 
 _MASK64 = (1 << 64) - 1
 
@@ -142,7 +146,7 @@ class TimeGrid:
         return cls(np.linspace(0.0, t, n + 1))
 
     @classmethod
-    def refined(cls, t: float, h_fine: float = 0.01, both_ends: bool = True) -> "TimeGrid":
+    def refined(cls, t: float, h_fine: float = DEFAULT_H_FINE, both_ends: bool = True) -> "TimeGrid":
         """Fine steps near the start (and the end), a coarse bulk between.
 
         Steps are at most h_fine within u = sqrt(t) of 0 and, when

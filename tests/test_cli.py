@@ -376,16 +376,18 @@ class TestKeysReadOnlyInSomeModes:
 
 
 _BAD_BOUNDS = [
-    ({"probe_points": [[0.0, 0.0]]}, "dimension mismatch"),
-    ({"probe_points": []}, "non-empty list"),
-    ({"probe_points": [[float("nan"), 0.0, 0.0]]}, "finite"),
+    # K1 is read from the potential alone, so probe points are an unknown
+    # key, whatever their value
+    ({"probe_points": [[0.0, 0.0]]}, "unknown config keys: ['probe_points']"),
+    ({"probe_points": []}, "unknown config keys: ['probe_points']"),
+    ({"probe_points": [[float("nan"), 0.0, 0.0]]}, "unknown config keys: ['probe_points']"),
     # the alpha1 probe's grid is gone with the probe: an unknown key
     ({"alphas": [0.5, 0.2], "n_paths": 20}, "unknown config keys"),
 ]
 
 
 class TestBoundsInput:
-    """Bad probe points, and the removed alpha1 probe's keys, are config errors."""
+    """The removed probe_points key, and the removed alpha1 probe's keys, are config errors."""
 
     @pytest.mark.parametrize("overrides, message", _BAD_BOUNDS,
                              ids=["probe_point_2d", "no_probe_points", "nan_probe_point",

@@ -258,9 +258,8 @@ class TestK1Bound:
         rep = k1_bound(v)
         assert rep.k1 == pytest.approx(1.0, abs=1e-12)
         assert rep.alpha0 == pytest.approx(1.0, abs=1e-12)
-        # the sup is attained at the center probe
-        center_val = green_potential(v, v.center, absolute=True)
-        assert rep.k1 == pytest.approx(center_val, rel=1e-14)
+        # the sup is attained at the center
+        assert rep.k1 == green_potential(v, v.center, absolute=True)
 
     def test_zero_potential_degenerate(self):
         v = Potential.ball_indicator(3, 1.0, height=0.0)
@@ -277,8 +276,7 @@ class TestK1Bound:
     def test_monotone_in_magnitude(self):
         small = Potential.radial_step(3, [0.5, 1.0], [0.5, 0.25])
         big = Potential.radial_step(3, [0.5, 1.0], [1.0, -0.5])
-        probes = np.array([[0.0, 0, 0], [0.5, 0, 0], [1.5, 0, 0]])
-        assert k1_bound(small, probes).k1 <= k1_bound(big, probes).k1
+        assert k1_bound(small).k1 <= k1_bound(big).k1
 
     def test_translation_invariance(self):
         v = Potential.radial_step(3, [0.6, 1.2], [1.2, 0.4])
@@ -303,9 +301,41 @@ class TestK1Bound:
         with pytest.raises(ValueError):
             k1_bound(Potential.ball_indicator(2, 1.0))
 
-    def test_empty_probes_rejected(self):
-        with pytest.raises(ValueError):
-            k1_bound(Potential.ball_indicator(3, 1.0), probe_points=np.empty((0, 3)))
+    def test_no_probe_points_argument(self):
+        # K1 is read from v alone
+        with pytest.raises(TypeError):
+            k1_bound(Potential.ball_indicator(3, 1.0), probe_points=np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("v", [
+        Potential.radial_step(3, [0.5, 1.0], [1.0, -0.5]),
+        Potential.radial_step(5, [0.6, 1.2], [1.2, 0.4]),
+        Potential.radial_step(5, [0.5, 1.0], [-0.3, 1.1], center=[0.2, 0, 0, -1.0, 0.5]),
+    ], ids=["signed_d3", "step_d5", "signed_off_centre_d5"])
+    def test_radial_k1_is_the_centre_value(self, v):
+        # G|v| of a radial v does not increase with the radius
+        assert k1_bound(v).k1 == green_potential(v, v.center, absolute=True)
+
+    # a 4^3 table with only its corner cell on, and a 6^3 table with one face
+    # slab on, each with the centre of the box it fills: G|v| peaks there,
+    # far from the table's centre
+    _CORNER = np.zeros((4, 4, 4))
+    _CORNER[0, 0, 0] = 1.0
+    _SLAB = np.zeros((6, 6, 6))
+    _SLAB[0] = 1.0
+
+    @pytest.mark.parametrize("values, top", [(_CORNER, [0.25, 0.25, 0.25]),
+                                             (_SLAB, [0.25, 1.5, 1.5])],
+                             ids=["corner_cell", "face_slab"])
+    def test_table_k1_bounds_every_cell_centre(self, values, top):
+        v = Potential.tabulated(3, [0.0, 0.0, 0.0], 0.5, values.tolist())
+        k1 = k1_bound(v).k1
+        axes = [0.5 * (np.arange(n) + 0.5) for n in values.shape]
+        centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        peak = max(green_potential(v, c, absolute=True) for c in [v.center, *centres])
+        # K1 is a maximum of exact values of G|v| (up to rounding), so it lies
+        # between the largest of them here and the sup
+        assert peak * (1.0 - 1e-12) <= k1 <= green_potential(v, top, absolute=True) * (1.0 + 1e-12)
+        assert k1 > 1.5 * green_potential(v, v.center, absolute=True)
 
 
 class TestDivergenceProbe:
@@ -342,6 +372,6 @@ class TestDivergenceProbe:
         assert alpha1_interval(v)[1] > 0.3
 
     def test_report_dict_roundtrip(self):
-        rep = BoundsReport(k1=2.0, alpha0=0.5, probe_count=3)
+        rep = BoundsReport(k1=2.0, alpha0=0.5)
         d = rep.as_dict()
         assert d["k1"] == 2.0 and d["alpha0"] == 0.5 and not d["degenerate"]

@@ -10,11 +10,10 @@ the batch size of a path step:
 - ``two_band_step``: the radial step [0.6, 1.2] / [1.2, 0.4], at standard
   normal points.
 
-The script compares two checkouts, a parent and a change.  It runs 10
-rounds; each round times both sides, in a fresh interpreter each, and
-alternates which side goes first, so that a drift in machine speed falls
-on both.  Each interpreter warms up, then times 20 calls per potential.
-The median and quartiles over a side's 200 calls, in ns per point, go to
+The script compares two checkouts, a parent and a change, in 10
+alternating rounds of fresh interpreters (``benchlib``).  Each interpreter
+warms up, then times 20 calls per potential.  The median and quartiles
+over a side's 200 calls, in ns per point, go to
 ``BENCH_potential_eval.json`` in the working directory:
 
     python3 scripts/bench_potential_eval.py --parent <parent>/src --change src
@@ -22,15 +21,12 @@ The median and quartiles over a side's 200 calls, in ns per point, go to
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import subprocess
 import sys
 import time
 
 import numpy as np
+
+import benchlib
 
 N_POINTS = 8192
 ROUNDS = 10
@@ -69,56 +65,13 @@ def time_round() -> dict:
     return out
 
 
-def run_round(src: str) -> dict:
-    """One round in a fresh interpreter that imports bridgeint from ``src``."""
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, __file__, "--round"], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def summary(per_call) -> dict:
-    q1, median, q3 = np.percentile(per_call, [25, 50, 75])
-    return {"ns_per_point_median": round(float(median), 2),
-            "ns_per_point_q1": round(float(q1), 2),
-            "ns_per_point_q3": round(float(q3), 2),
-            "calls": len(per_call)}
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="src directory of the parent checkout")
-    parser.add_argument("--change", help="src directory of the changed checkout")
-    parser.add_argument("--round", action="store_true",
-                        help="time one round of the importable bridgeint and print it")
-    args = parser.parse_args(argv)
-    if args.round:
-        print(json.dumps(time_round()))
-        return 0
-    if not (args.parent and args.change):
-        parser.error("--parent and --change are required")
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    calls = {side: {} for side in sides}
-    for r in range(ROUNDS):
-        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-            for name, per_call in run_round(sides[side]).items():
-                calls[side].setdefault(name, []).extend(per_call)
-    record = {
-        "layer": "potentials.eval",
-        "what": (f"wall time of Potential.__call__ on {N_POINTS} x 3 points, ns per point; "
-                 f"median and quartiles over {ROUNDS} alternating rounds of "
-                 f"{CALLS_PER_ROUND} calls per side"),
-        "environment": {"numpy": np.__version__, "python": platform.python_version(),
-                        "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))},
-        "runs": {side: {name: summary(c) for name, c in calls[side].items()} for side in sides},
-    }
-    with open(OUT, "w") as fh:
-        fh.write(json.dumps(record, indent=2) + "\n")
-    for side in sides:
-        for name, stats in record["runs"][side].items():
-            print(f"{side} {name} {stats['ns_per_point_median']:.2f} ns/point "
-                  f"[{stats['ns_per_point_q1']:.2f}, {stats['ns_per_point_q3']:.2f}]")
-    return 0
+    return benchlib.main(
+        argv, script=__file__, doc=__doc__, time_round=time_round, layer="potentials.eval",
+        what=(f"wall time of Potential.__call__ on {N_POINTS} x 3 points, ns per point; "
+              f"median and quartiles over {ROUNDS} alternating rounds of "
+              f"{CALLS_PER_ROUND} calls per side"),
+        unit="ns_per_point", out=OUT, rounds=ROUNDS)
 
 
 if __name__ == "__main__":

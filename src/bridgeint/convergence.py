@@ -254,11 +254,6 @@ def _one_sided_mgf_reference(v, x, alphas):
     return {a: (u, mgf_tolerance(v) * abs(u)) for a, u in exact.items()}
 
 
-def _reference_meta(alphas) -> dict:
-    """The summary's record of where the mgf targets came from; empty without mgf rows."""
-    return {"mgf_reference": "exact"} if alphas else {}
-
-
 def _resolve_alphas(plan: SweepPlan, v: Potential):
     if plan.alphas is not None:
         return tuple(float(a) for a in plan.alphas)
@@ -344,8 +339,7 @@ def run_theorem1(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     legs = [("bridge", _sampler(plan, v, 10 + i, x=x, y=y, t=t))
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
-        "theorem": "T1", "alphas": list(alphas), "horizons": list(plan.horizons),
-        **_reference_meta(alphas)})
+        "theorem": "T1", "alphas": list(alphas), "horizons": list(plan.horizons)})
 
 
 def run_theorem2(plan: SweepPlan, v: Potential) -> ConvergenceReport:
@@ -358,8 +352,7 @@ def run_theorem2(plan: SweepPlan, v: Potential) -> ConvergenceReport:
             for i, t in enumerate(plan.horizons)]
     return _sweep(plan, legs, stats, {
         "theorem": plan.theorem, "alphas": list(alphas),
-        "endpoint_rule": plan.endpoint_rule.kind, "horizons": list(plan.horizons),
-        **_reference_meta(alphas)})
+        "endpoint_rule": plan.endpoint_rule.kind, "horizons": list(plan.horizons)})
 
 
 def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
@@ -383,7 +376,7 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
         stats = [_Stat("mgf_minus_one", _fmt(a), alpha=a, minus_one=True) for a in alphas]
         return _sweep(plan, legs, stats, meta, verdict=_trend_verdict)
     stats = _one_sided_stats("free", plan.x, alphas, plan, v)
-    return _sweep(plan, legs, stats, {**meta, **_reference_meta(alphas)})
+    return _sweep(plan, legs, stats, meta)
 
 
 def density_ratio_sweep(x, y, horizons, v: Potential, *, probe_points=None,

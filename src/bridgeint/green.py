@@ -14,13 +14,14 @@ and every operator here is an equation in space built on it:
   infinite-horizon moments: band by band for a radial potential, on
   sub-cells for a tabulated one;
 * the gauge u(x) = E_x exp(alpha Y) (Chung & Zhao 1995), with the interval
-  of alpha on which it is finite: for a radial potential the solution of a
-  radial ODE in closed form band by band in Bessel functions, for a
-  tabulated one a linear solve on sub-cells, whose interval ends are the
-  extreme eigenvalues of G v (Birman 1961; Schwinger 1961);
-* Kac's resolvent (Kac 1949), which carries the gauge's Bessel basis to
-  complex kappa channel by channel and gives radial bridge moments
-  k = 1, 2 and 3 once inverted in time, and, applied to 1, free ones.
+  of alpha on which it is finite: for a radial potential a radial ODE
+  solved band by band in the resolvent's Bessel basis at one real alpha,
+  for a tabulated one a linear solve on sub-cells, whose interval ends are
+  the extreme eigenvalues of G v (Birman 1961; Schwinger 1961);
+* Kac's resolvent (Kac 1949), channel by channel in one radial Bessel
+  basis, r^-nu I and r^-nu K of complex kappa, in which J and Y are the
+  case of imaginary kappa; inverted in time it gives radial bridge moments
+  k = 1, 2 and 3, and, applied to 1, free ones.
 """
 
 from __future__ import annotations
@@ -183,13 +184,11 @@ def k1_bound(v: Potential) -> BoundsReport:
 # infinite-horizon moments hold for this order.
 _SPACE_NODES = 12
 
-_LEG_CACHE: dict = {}
 
-
+@functools.cache
 def _leggauss(m: int):
-    if m not in _LEG_CACHE:
-        _LEG_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _LEG_CACHE[m]
+    """Gauss-Legendre nodes and weights of order m on [-1, 1]; callers must not write to them."""
+    return np.polynomial.legendre.leggauss(m)
 
 
 def panel_rule(edges, m: int):
@@ -608,22 +607,129 @@ def _cell_gauge(x, v: Potential, alpha: float) -> float:
     return _checked(_extrapolate(values), CELL_MGF_TOLERANCE, f"the mgf at {alpha}")
 
 
+# -- the radial Bessel basis --------------------------------------------------
+#
+# On a band where v = h, channel l of the radial equations of the gauge and
+# of Kac's resolvent (below) reads
+#   w'' + (d-1)/r w' - l (l + d - 2) / r^2 w + q w = 0,  q = 2 (alpha h - lambda),
+# solved in closed form on an array of complex q: the resolvent's grid of
+# (alpha, lambda), or one real alpha of the gauge.  The solution regular at 0
+# is carried outward as (value, slope, log scale) by a 2 x 2 solve at each
+# band edge.
+
+# Re kappa r from which ``_regular`` reads 0F1 as a scaled I: 0F1 itself
+# overflows from about 700.
+_SCALED = 50.0
+
+
+def _band_basis(d: int, q, a: float, r: float, l: int = 0):
+    """Channel l's two solutions on a band of constant q = -kappa^2 from a > 0, at radius r.
+
+    They are r^-nu I_(nu+l)(kappa r) and r^-nu K_(nu+l)(kappa r), nu = d/2 - 1
+    and Re kappa >= 0; J and Y are the case of imaginary kappa (q > 0), up to
+    constant factors, and q = 0 takes r^l and r^(2-d-l).  Returns ((psi1,
+    psi2), (dpsi1, dpsi2), growth) on an array q, growth = Re kappa (r - a):
+    psi1 e^(growth) and psi2 e^(-growth) are constant multiples of the two,
+    each psi at most the size of its exponentially scaled Bessel function,
+    and psi2 keeps the phase of e^(-kappa (r - a)).
+    """
+    nu = d / 2.0 - 1.0
+    k = np.sqrt(-q)
+    flat = k == 0.0
+    k = np.where(flat, 1.0, k)  # a finite stand-in where the powers of r are set below
+    z = k * r
+    p = r**-nu
+    turn = np.exp(-1j * k.imag * (r - a))
+    i0, i1 = special.ive(nu + l, z), special.ive(nu + l + 1.0, z)
+    k0, k1 = special.kve(nu + l, z) * turn, special.kve(nu + l + 1.0, z) * turn
+    psi = (p * i0, p * k0)
+    dpsi = (p * (k * i1 + l / r * i0), p * (l / r * k0 - k * k1))
+    growth = k.real * (r - a)
+    if flat.any():
+        powers = (l, 2.0 - d - l)
+        psi = tuple(np.where(flat, r**e, f) for e, f in zip(powers, psi))
+        dpsi = tuple(np.where(flat, e * r ** (e - 1.0), f) for e, f in zip(powers, dpsi))
+        growth = np.where(flat, 0.0, growth)
+    return psi, dpsi, growth
+
+
+def _regular(d: int, q, r: float, l: int = 0):
+    """(w, w', log scale) of channel l's solution regular at 0, on a band from 0.
+
+    w = r^l 0F1(; b; -q r^2 / 4), b = nu + l + 1, on an array q, with r^l in
+    the log scale; it needs r > 0 when l > 0.  Where Re kappa r >= _SCALED,
+    0F1 is Gamma(b) (2 / kappa r)^(b-1) I_(b-1)(kappa r) with e^(Re kappa r)
+    in the log scale, so a band that alpha v makes steeply repulsive stays
+    finite.
+    """
+    nu = d / 2.0 - 1.0
+    if r == 0.0:
+        return np.ones(q.shape, complex), np.zeros(q.shape, complex), 0.0
+    b = nu + l + 1.0
+    z = np.sqrt(-q) * r
+    big = z.real >= _SCALED
+    c = np.where(big, 0.0, -0.25 * q * r * r)  # big elements are set below
+    w = special.hyp0f1(b, c)
+    dw = 2.0 * c / r / b * special.hyp0f1(b + 1.0, c)
+    log_scale = l * math.log(r)
+    if big.any():
+        zb = z[big]
+        pre = np.exp(special.gammaln(b) + (b - 1.0) * np.log(2.0 / zb))
+        w[big] = pre * special.ive(b - 1.0, zb)
+        dw[big] = zb / r * pre * special.ive(b, zb)
+        log_scale = log_scale + np.where(big, z.real, 0.0)
+    return w, l / r * w + dw, log_scale
+
+
+def _split(d: int, q, a: float, state, l: int = 0):
+    """Coefficients (c1, c2) of ``state`` = (w, w', L) at a in the band basis from a."""
+    f, g, _ = state
+    (p1, p2), (dp1, dp2), _ = _band_basis(d, q, a, a, l)
+    det = p1 * dp2 - p2 * dp1
+    return (f * dp2 - g * p2) / det, (p1 * g - dp1 * f) / det
+
+
+def _continue(d: int, q, a: float, state, r: float, l: int = 0):
+    """(w, w', log scale) at r of the solution with ``state`` = (w, w', L) at a > 0; r < a too."""
+    c1, c2 = _split(d, q, a, state, l)
+    (p1, p2), (dp1, dp2), growth = _band_basis(d, q, a, r, l)
+    size = np.abs(growth)
+    up, down = np.exp(growth - size), np.exp(-growth - size)  # the smaller underflows quietly
+    return c1 * p1 * up + c2 * p2 * down, c1 * dp1 * up + c2 * dp2 * down, state[2] + size
+
+
+def _outward(d: int, bands, qs, radii, l: int):
+    """States (w, w', L) of channel l's regular solution at increasing radii <= R."""
+    out = []
+    state, band = None, 0
+    for r in radii:
+        while r > bands[band][1]:
+            lo, hi, _ = bands[band]
+            state = _regular(d, qs[band], hi, l) if state is None else \
+                _continue(d, qs[band], lo, state, hi, l)
+            band += 1
+        lo = bands[band][0]
+        out.append(_regular(d, qs[band], r, l) if state is None else
+                   _continue(d, qs[band], lo, state, r, l))
+    return out
+
+
 # -- infinite-horizon mgf -----------------------------------------------------
 #
 # u(r) = E_r exp(alpha Y) is the gauge of a radial v: it solves
 # u'' + (d-1)/r u' + 2 alpha v u = 0, is regular at 0 and tends to 1 at
-# infinity.  On a band of height h, with q = 2 alpha h and nu = d/2 - 1,
-# the solutions are r^-nu J_nu, r^-nu Y_nu (q > 0), r^-nu I_nu, r^-nu K_nu
-# (q < 0, exponentially scaled) and 1, r^(2-d) (q = 0).  The regular
-# solution w is carried band by band as (value, slope, log scale) and
-# u = w / D with D = w(R) + R w'(R) / (d - 2); outside the support
-# u = 1 + (w(R) / D - 1) (R / r)^(d-2).
+# infinity, channel 0 of the basis above at lambda = 0.  One real alpha is a
+# one-element q = 2 alpha h per band; the regular solution w is real, and
+# its imaginary parts are rounding.  u = w / D with D = w(R) + R w'(R) /
+# (d - 2); outside the support u = 1 + (w(R) / D - 1) (R / r)^(d-2).
 
 # Declared relative error of ``mgf_one_sided`` inside its interval of
 # finiteness; 1/D magnifies rounding toward its ends.  Measured: the d = 3
-# closed forms agree to 2e-15, and a 40-digit Taylor-series solve of the
-# ODE to 7e-14 on eight radial potentials in d = 3 to 6, at up to 0.99 of
-# either end, inside, on and outside the support; a margin of over 100.
+# closed forms agree to 1.5e-15 for |alpha| up to alpha1 / 2 and to 2.7e-14
+# up to 0.99 alpha1, and a 40-digit Taylor-series solve of the ODE to
+# 4.2e-13 on eight radial potentials in d = 3 to 6, 426 values at up to
+# 0.99 of either end, inside, on and outside the support (the largest next
+# to alpha1- of a d = 5 step with a band of height 0); a margin of over 20.
 MGF_TOLERANCE = 1e-11
 # Steps per interior phase pi in the scan for the first zero of D.  By WKB
 # consecutive zeros of D lie about one phase pi apart, so a step of pi/8 does
@@ -641,114 +747,20 @@ def _radial_key(v: Potential) -> tuple:
     return v.dim, tuple(v.bands())
 
 
-def _band_basis(d: int, q, a: float, r: float, l: int = 0):
-    """Two solutions on a band of constant q that starts at a > 0, at radius r.
-
-    Returns ((psi1, psi2), (dpsi1, dpsi2), growth): the scaled solutions and
-    their slopes, where the true solutions are psi1 e^(growth) and
-    psi2 e^(-growth); growth is k (r - a) for q < 0 and 0 otherwise.
-
-    A complex array q = -kappa^2 (the resolvent's bands) takes channel l:
-    r^-nu I_(nu+l)(kappa r) and r^-nu K_(nu+l)(kappa r), Re kappa > 0, with
-    growth Re kappa (r - a) and the phase of e^(-kappa (r - a)) kept in psi2.
-    Real q is the gauge's channel 0.
-    """
-    nu = d / 2.0 - 1.0
-    if np.iscomplexobj(q):
-        k = np.sqrt(-q)
-        z = k * r
-        p = r**-nu
-        turn = np.exp(-1j * k.imag * (r - a))
-        i0, i1 = special.ive(nu + l, z), special.ive(nu + l + 1.0, z)
-        k0, k1 = special.kve(nu + l, z) * turn, special.kve(nu + l + 1.0, z) * turn
-        return ((p * i0, p * k0), (p * (k * i1 + l / r * i0), p * (l / r * k0 - k * k1)),
-                k.real * (r - a))
-    if q == 0.0:
-        return (1.0, r ** (2.0 - d)), (0.0, (2.0 - d) * r ** (1.0 - d)), 0.0
-    k = math.sqrt(abs(q))
-    z = k * r
-    p = r**-nu
-    if q > 0.0:
-        return ((p * special.jv(nu, z), p * special.yv(nu, z)),
-                (-k * p * special.jv(nu + 1.0, z), -k * p * special.yv(nu + 1.0, z)), 0.0)
-    return ((p * special.ive(nu, z), p * special.kve(nu, z)),
-            (k * p * special.ive(nu + 1.0, z), -k * p * special.kve(nu + 1.0, z)),
-            k * (r - a))
-
-
-def _regular(d: int, q, r: float, l: int = 0):
-    """(w, w', log scale) of the solution with w(0) = 1, w'(0) = 0 on a band from 0.
-
-    A complex array q takes channel l, w = r^l 0F1(; nu + l + 1; -q r^2 / 4),
-    with r^l in the log scale; it needs r > 0 when l > 0.
-    """
-    nu = d / 2.0 - 1.0
-    if np.iscomplexobj(q):
-        if r == 0.0:
-            return np.ones(q.shape, complex), np.zeros(q.shape, complex), 0.0
-        c = -0.25 * q * r * r
-        w = special.hyp0f1(nu + l + 1.0, c)
-        dw = l / r * w + 2.0 * c / r / (nu + l + 1.0) * special.hyp0f1(nu + l + 2.0, c)
-        return w, dw, l * math.log(r)
-    if q == 0.0 or r == 0.0:
-        return 1.0, 0.0, 0.0
-    z = math.sqrt(abs(q)) * r
-    if q > 0.0 or z < 50.0:
-        c = -0.25 * q * r * r  # w = 0F1(; nu + 1; c), w' = 2 c / r / (nu + 1) 0F1(; nu + 2; c)
-        return (float(special.hyp0f1(nu + 1.0, c)),
-                2.0 * c / r / (nu + 1.0) * float(special.hyp0f1(nu + 2.0, c)), 0.0)
-    # Gamma(nu + 1) (2/z)^nu I_nu(z), with e^z in the log scale
-    pre = math.exp(special.gammaln(nu + 1.0) + nu * math.log(2.0 / z))
-    return pre * special.ive(nu, z), z / r * pre * special.ive(nu + 1.0, z), z
-
-
-def _split(d: int, q, a: float, state, l: int = 0):
-    """Coefficients (c1, c2) of ``state`` = (w, w', L) at a in the band basis from a."""
-    f, g, _ = state
-    (p1, p2), (dp1, dp2), _ = _band_basis(d, q, a, a, l)
-    det = p1 * dp2 - p2 * dp1
-    return (f * dp2 - g * p2) / det, (p1 * g - dp1 * f) / det
-
-
-def _continue(d: int, q, a: float, state, r: float, l: int = 0):
-    """(w, w', log scale) at r of the solution with ``state`` = (w, w', L) at a > 0.
-
-    Complex q (channel l) may also carry inward, r < a.
-    """
-    log_scale = state[2]
-    c1, c2 = _split(d, q, a, state, l)
-    (p1, p2), (dp1, dp2), growth = _band_basis(d, q, a, r, l)
-    if np.iscomplexobj(q):
-        size = np.abs(growth)
-        up, down = np.exp(growth - size), np.exp(-growth - size)
-        return (c1 * p1 * up + c2 * p2 * down, c1 * dp1 * up + c2 * dp2 * down,
-                log_scale + size)
-    if growth == 0.0:
-        return c1 * p1 + c2 * p2, c1 * dp1 + c2 * dp2, log_scale
-    if c1 == 0.0:  # only the decaying solution: its own scale
-        return c2 * p2, c2 * dp2, log_scale - growth
-    decay = math.exp(-2.0 * growth)  # underflows to 0 without a warning
-    return (c1 * p1 + c2 * p2 * decay, c1 * dp1 + c2 * dp2 * decay, log_scale + growth)
-
-
-@functools.lru_cache(maxsize=1024)
-def _shoot(key: tuple, alpha: float) -> tuple:
-    """Per band, (lo, hi, q, state at lo), and the state at the support radius."""
+def _gauge_states(key: tuple, alpha: float, radii) -> list:
+    """Real parts of the regular solution's states (w, w', L) at increasing radii <= R."""
     d, bands = key
-    out = []
-    state = None
-    for lo, hi, h in bands:
-        q = 2.0 * alpha * h
-        out.append((lo, hi, q, state))
-        state = _regular(d, q, hi) if state is None else _continue(d, q, lo, state, hi)
-    return tuple(out), state
+    qs = [np.array([2.0 * alpha * h], complex) for _, _, h in bands]
+    return [tuple(float(np.ravel(part)[0].real) for part in state)
+            for state in _outward(d, bands, qs, radii, 0)]
 
 
 def _denominator(key: tuple, alpha: float) -> float:
     """D(alpha) = w(R) + R w'(R) / (d - 2), up to a positive factor."""
     d, bands = key
-    f, g, _ = _shoot(key, alpha)[1]
-    return f + bands[-1][1] * g / (d - 2.0)
+    radius = bands[-1][1]
+    f, g, _ = _gauge_states(key, alpha, [radius])[0]
+    return f + radius * g / (d - 2.0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -838,16 +850,14 @@ def mgf_one_sided(x, v: Potential, alpha: float) -> float:
         return _cell_gauge(x, v, alpha)
     key = _radial_key(v)
     d, bands = key
-    per_band, (f_r, _, scale_r) = _shoot(key, alpha)
     radius = bands[-1][1]
-    dn = _denominator(key, alpha)
     rho = float(np.linalg.norm(np.asarray(x, dtype=float).reshape(d) - v.center))
-    if rho >= radius:
+    inside = rho < radius
+    *at_rho, (f_r, g_r, scale_r) = _gauge_states(key, alpha, [rho, radius] if inside else [radius])
+    dn = f_r + radius * g_r / (d - 2.0)
+    if not inside:
         return 1.0 + (f_r / dn - 1.0) * (radius / rho) ** (d - 2.0)
-    for lo_b, hi_b, q, state in per_band:
-        if rho <= hi_b:
-            break
-    w, _, scale = _regular(d, q, rho) if state is None else _continue(d, q, lo_b, state, rho)
+    w, _, scale = at_rho[0]
     return w / dn * math.exp(scale - scale_r)
 
 
@@ -862,8 +872,8 @@ def mgf_one_sided(x, v: Potential, alpha: float) -> float:
 # r <= s, where u is channel l's radial solution regular at 0, U the one
 # decaying at infinity and W = r^(d-1) (u U' - u' U).  On a band of height h
 # both combine r^-nu I_(nu+l)(kappa r) and r^-nu K_(nu+l)(kappa r) with
-# kappa^2 = 2 (lambda - alpha h): the gauge's basis at complex q = -kappa^2,
-# carried across band edges by the same 2 x 2 solve.  The scattered part
+# kappa^2 = 2 (lambda - alpha h), the radial Bessel basis above on the grid
+# of complex q = -kappa^2.  The scattered part
 # G - G^0 inverts on Talbot's contour (Trefethen, Weideman & Schmelzer 2006)
 # to p(t, x, y) (E e^(alpha Z(t)) - 1), and E Z(t)^k is k! times its alpha^k
 # coefficient, a trapezoid Cauchy integral over |alpha| = rho (Lyness & Moler
@@ -912,22 +922,6 @@ def _talbot_rule(t: float, reach: float):
     dz = stretch * n * (0.5017 / np.tan(b) - 0.5017 * b / np.sin(b) ** 2 + 0.2645j)
     with np.errstate(over="ignore", invalid="ignore"):  # past e^709 the caller's estimate refuses
         return z / t, np.exp(z) * dz / (1j * n * t)
-
-
-def _outward(d: int, bands, qs, radii, l: int):
-    """States (w, w', L) of channel l's regular solution at increasing radii <= R."""
-    out = []
-    state, band = None, 0
-    for r in radii:
-        while r > bands[band][1]:
-            lo, hi, _ = bands[band]
-            state = _regular(d, qs[band], hi, l) if state is None else \
-                _continue(d, qs[band], lo, state, hi, l)
-            band += 1
-        lo = bands[band][0]
-        out.append(_regular(d, qs[band], r, l) if state is None else
-                   _continue(d, qs[band], lo, state, r, l))
-    return out
 
 
 def _inward(d: int, bands, qs, q0, r: float, l: int):

@@ -46,6 +46,7 @@ from scipy import special
 
 from .green import (
     CELL_TOLERANCE,
+    _leggauss,
     cell_chain,
     green_chain,
     panel_rule,
@@ -672,7 +673,7 @@ def _chain_moments(x, y, t: float, v: Potential, base: float, cap: float) -> tup
     """
     x = np.asarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
-    gl, gw = np.polynomial.legendre.leggauss(_CHAIN_CELL_NODES)
+    gl, gw = _leggauss(_CHAIN_CELL_NODES)
     edges = [v.origin[a] + v.spacing * np.arange(n + 1) for a, n in enumerate(v.values.shape)]
     nodes = [(e[:-1, None] + e[1:, None] + v.spacing * gl) / 2.0 for e in edges]
     m2 = m3 = 0.0

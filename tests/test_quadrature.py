@@ -434,7 +434,7 @@ class TestOneSidedMgf:
         for r in (0.0, 0.5, 3.0):
             x = [r, 0.0, 0.0]
             assert math.isfinite(mgf_one_sided(x, BALL, alpha1 * (1.0 - 1e-9)))
-            assert mgf_one_sided(x, BALL, alpha1) == math.inf
+            assert mgf_one_sided(x, BALL, np.nextafter(alpha1, math.inf)) == math.inf
             assert mgf_one_sided(x, BALL, 1.5 * alpha1) == math.inf
             # cos(sqrt(2 alpha)) = 1 > 0 again, past the second zero: still infinite
             assert mgf_one_sided(x, BALL, 2.0 * math.pi**2) == math.inf

@@ -215,6 +215,47 @@ RUNS = [
     # every number is finite: json writes and reads NaN and Infinity
     ("nonfinite_alpha_rejected", "mgf",
      dict(FREE, n_paths=2000, alphas=[float("nan"), float("inf")]), [], 2),
+    # a mean path out of reach gives 0 at every order and for both kinds:
+    # the ball's k = 2 and 3 once ended in "channel sum did not settle"
+    ("moments_out_of_reach_k3", "moments",
+     dict(README_MOMENTS, x=[30.0, 0.0, 0.0], y=[30.0, 0.0, 0.0], t=0.2,
+          k_list=[1, 2, 3], n_paths=200), [], 0),
+    # from 1e300 e1 the reach window rounds to the single time t, so every
+    # target is 0; the table's k = 3 was a config error.  The run fails
+    # (exit 3): each path's last node lies in the support, and the
+    # trapezoid rule gives it half that step, Z = 0.005 against E Z = 0
+    ("moments_far_endpoint_tabulated_k3", "moments",
+     dict(README_MOMENTS, potential=TABLE, x=[1e300, 0.0, 0.0], t=1.0,
+          k_list=[1, 2, 3], n_paths=200), [], 3),
+    # the ball's E Z^2 overflowed in the resolvent's Talbot rule here (exit 1)
+    ("mgf_far_endpoint", "mgf",
+     dict(BRIDGE, x=[1e300, 0.0, 0.0], t=1.0, n_paths=200, alphas=[0.5]), [], 0),
+    ("bloch_far_endpoint", "bloch",
+     dict(BLOCH, n_paths=200,
+          bloch_points=[{"x": [1e300, 0.0, 0.0], "y": ZERO, "t": 1.0}]), [], 0),
+    # p(t, x, y) = e^-991 underflowed (exit 1 on all three): the resolvent
+    # refuses E Z^2 before sampling, and mgf and bloch keep E Z alone
+    ("moments_density_underflow", "moments",
+     dict(README_MOMENTS, x=[0.5, 0.0, 0.0], y=[-0.5, 0.0, 0.0], t=5e-4,
+          n_paths=200), [], 2),
+    ("mgf_density_underflow", "mgf",
+     dict(BRIDGE, x=[0.5, 0.0, 0.0], y=[-0.5, 0.0, 0.0], t=5e-4, n_paths=200,
+          alphas=[0.5]), [], 0),
+    ("bloch_density_underflow", "bloch",
+     dict(BLOCH, n_paths=200,
+          bloch_points=[{"x": [0.5, 0.0, 0.0], "y": [-0.5, 0.0, 0.0], "t": 5e-4}]), [], 0),
+    # at t = 1e-300 (2 pi t)^(-3/2) overflowed (exit 1); bloch's own free
+    # kernel overflows there, which is a config error
+    ("moments_density_overflow", "moments", dict(README_MOMENTS, t=1e-300, n_paths=200),
+     [], 2),
+    ("mgf_density_overflow", "mgf",
+     dict(BRIDGE, t=1e-300, n_paths=200, alphas=[0.5]), [], 0),
+    ("bloch_density_overflow", "bloch",
+     dict(BLOCH, n_paths=200, bloch_points=[{"x": ZERO, "y": ZERO, "t": 1e-300}]), [], 2),
+    # a grid over path_sim.MAX_GRID_NODES is refused at load: t = 1e12 asked
+    # for 7.28 TiB (exit 1), and t = 1e300 for more than numpy can index
+    ("sample_horizon_1e12", "sample", dict(BRIDGE, t=1e12, n_paths=200), [], 2),
+    ("sample_horizon_1e300", "sample", dict(BRIDGE, t=1e300, n_paths=200), [], 2),
 ]
 
 

@@ -19,7 +19,9 @@ import numbers
 import numpy as np
 
 from .convergence import EndpointRule, SweepPlan
-from .path_sim import DEFAULT_H_FINE
+from .estimators import EstimatorConfig
+from .gaussian import log_transition_density
+from .path_sim import DEFAULT_H_FINE, refined_steps
 from .potentials import Potential
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_workers"]
@@ -183,8 +185,6 @@ class ExperimentConfig:
                  "throughout the limit statements)")
         _require("potential" in raw, "potential is required")
         self.potential = _build_potential(raw["potential"], self.dimension)
-        _require(self.potential.support_radius > 0 or self.potential.is_zero,
-                 "potential support radius must be positive unless v is zero")
 
         self.seed = _integer(raw.get("seed", 0), "seed")
         self.workers = parse_workers(raw.get("workers", 1))
@@ -308,9 +308,26 @@ class ExperimentConfig:
                 _require(isinstance(entry, dict) and
                          set(entry) == {"x", "y", "t"},
                          "each bloch point needs exactly x, y and t")
-                _point(_reals(entry["x"], "bloch x"), self.dimension, "bloch x")
-                _point(_reals(entry["y"], "bloch y"), self.dimension, "bloch y")
-                _real(entry["t"], "bloch t", positive=True)
+                x, y = _reals(entry["x"], "bloch x"), _reals(entry["y"], "bloch y")
+                _point(x, self.dimension, "bloch x")
+                _point(y, self.dimension, "bloch y")
+                t = _real(entry["t"], "bloch t", positive=True)
+                _require(log_transition_density(t, y - x) < math.log(np.finfo(float).max),
+                         f"bloch t = {t:g}: the free kernel p(t, x, y) overflows")
+        # every horizon sampled: bridges are refined at both ends, and free legs
+        # run to free_horizon (or its default), or to each lemma4 horizon
+        if c in ("sample", "mgf", "moments"):
+            free = EstimatorConfig(potential=self.potential, free_horizon=self.free_horizon)
+            grids = [(self.t, True) if self.statistic_kind == "bridge"
+                     else (free.resolved_free_horizon(), False)]
+        else:
+            grids = [(t, c != "lemma4") for t in self.horizons or ()] + \
+                [(float(entry["t"]), True) for entry in self.bloch_points or ()]
+        for t, both_ends in grids:
+            try:
+                refined_steps(t, self.h_fine, both_ends)
+            except ValueError as exc:  # a grid too large to allocate
+                raise ConfigError(str(exc)) from exc
 
     # -- derived objects -------------------------------------------------
 

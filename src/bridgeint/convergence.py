@@ -379,27 +379,24 @@ def run_lemma4(plan: SweepPlan, v: Potential) -> ConvergenceReport:
     return _sweep(plan, legs, stats, meta)
 
 
-def density_ratio_sweep(x, y, horizons, v: Potential, *, probe_points=None,
+def density_ratio_sweep(x, y, horizons, v: Potential, *,
                         endpoint_rule: EndpointRule | None = None) -> ConvergenceReport:
     """Worst-case deviation of the bridge/free density ratio from 1 per horizon.
 
     Probes use interior times straddling the bulk, s_j < u < t - u < s_{j+1}
-    with u = sqrt(t), and space points inside the support.  With fixed
-    endpoints the deviation must shrink along the horizon grid; with a
-    sqrt-growth endpoint the ratio stays inside fixed positive bounds instead.
+    with u = sqrt(t), and space points inside the support: its centre, and
+    0.5 and 0.99 of its radius either way along e1.  With fixed endpoints
+    the deviation must shrink along the horizon grid; with a sqrt-growth
+    endpoint the ratio stays inside fixed positive bounds instead.
     """
     d = v.dim
     x = np.asarray(x, dtype=float).reshape(d)
-    if probe_points is None:
-        probes = [v.center.copy()]
-        if v.support_radius > 0:
-            e1 = np.zeros(d)
-            e1[0] = 1.0
-            for frac in (0.5, 0.99):
-                probes.append(v.center + frac * v.support_radius * e1)
-                probes.append(v.center - frac * v.support_radius * e1)
-        probe_points = probes
-    probe_points = [np.asarray(p, dtype=float).reshape(d) for p in probe_points]
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    probe_points = [v.center.copy()]
+    for frac in (0.5, 0.99):
+        probe_points.append(v.center + frac * v.support_radius * e1)
+        probe_points.append(v.center - frac * v.support_radius * e1)
 
     report = ConvergenceReport(meta={"horizons": [float(t) for t in horizons]})
     max_rows = []

@@ -883,18 +883,21 @@ def mgf_one_sided(x, v: Potential, alpha: float) -> float:
 # motion inverts the resolvent applied to 1 on the same grid (``_Projection``).
 
 # Talbot nodes: 24 while the scattered wave's saddle point A = D^2 / (2 t)
-# (D the endpoints' radial distance outside the support) lies left of the
-# contour's crossing; farther out the contour is stretched to cross at A and
-# given about 15 sqrt(A) nodes, up to _TALBOT_CAP.  Alpha nodes on the circle,
-# and its radius as a fraction of alpha1 of |v|: at half of alpha1 the
-# alias of order k + 32 moved long-horizon moments by 4e-9.  A channel is
-# negligible when its alpha^2 and alpha^3 terms are below _CHANNEL_TOL of
-# the sum, before its Gegenbauer factor, twice in a row; no geometry may
-# need more than _CHANNEL_CAP channels.  _ROUNDING is the relative error of
-# one term of the final sums, which their condition number multiplies: it
-# overstates the measured errors about tenfold.  _NEAR_ZERO * t^-1 is the
-# lambda of a column whose value approximates the transform at 0.
-# Endpoints with |kappa| |y - x| below _COINCIDENT count as one point.
+# lies left of the contour's crossing; farther out the contour is stretched
+# to cross at A and given about 15 sqrt(A) nodes, up to _TALBOT_CAP.  D is
+# the larger of |y - x| and the ends' radial distance outside the support
+# (with the latter alone, ends 1 apart inside the unit ball read E Z(t)^2 =
+# -1.1e5 at t = 0.01, where it is t^2).  Alpha nodes on the circle, and its
+# radius as a fraction of alpha1 of |v|: at half of alpha1 the alias of
+# order k + 32 moved long-horizon moments by 4e-9.  A channel is negligible
+# when its alpha^2 and alpha^3 terms are below _CHANNEL_TOL of the sum,
+# before its Gegenbauer factor, twice in a row; no geometry may need more
+# than _CHANNEL_CAP channels.  _ROUNDING is the relative error of one term
+# of the final sums, which their condition number multiplies: it overstates
+# the measured errors about tenfold on the 24-node contour, and read k = 3
+# 3x low at A = 100.  _NEAR_ZERO * t^-1 is the lambda of a column whose
+# value approximates the transform at 0.  Endpoints with |kappa| |y - x|
+# below _COINCIDENT count as one point.
 _TALBOT_NODES = 24
 _TALBOT_CAP = 128
 _CAUCHY_NODES = 32
@@ -904,6 +907,7 @@ _CHANNEL_CAP = 400
 _ROUNDING = 1e-13
 _NEAR_ZERO = 1e-2
 _COINCIDENT = 1e-8
+_LOG_RANGE = 700.0  # e^700 and e^-700 leave room inside the float range
 
 
 def _talbot_rule(t: float, reach: float):
@@ -1082,7 +1086,9 @@ class _Projection:
         An error is _ROUNDING times the condition number of its sum, plus
         what the rule makes of a subtracted constant, relative.
         """
-        errors = (_ROUNDING * self.spread + [np.zeros(3), np.abs(self.lost)]) / np.abs(self.total)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero sum has no accuracy
+            errors = (_ROUNDING * self.spread + [np.zeros(3), np.abs(self.lost)]) / \
+                np.abs(self.total)
         best = int(np.argmin(np.max(errors[:, 1:], axis=1)))
         return (tuple(math.factorial(k) * self.total[best, k - 1] / self.rho**k * scale
                       for k in (1, 2, 3)), tuple(errors[best]))
@@ -1097,9 +1103,16 @@ def _resolvent_moments(key: tuple, r: float, s: float, gap: float, t: float):
     the cross-check against the exact k = 1 time rule of ``quadrature``.
     """
     d, bands = key
+    # p(t, x, y) = (2 pi t)^(-d/2) e^(-gap^2 / 2t) in logs: where it may leave
+    # the float range (t = 1e-300, or ends far apart for so short a horizon),
+    # the sums cannot carry p E Z^k, and the errors are infinite
+    logs = (-d / 2.0 * math.log(2.0 * math.pi * t), -gap * gap / (2.0 * t))
+    if not abs(logs[0]) + abs(logs[1]) < _LOG_RANGE:
+        return (math.nan,) * 3, (math.inf,) * 3
     nu = d / 2.0 - 1.0
     radius = bands[-1][1]
-    grid = _Projection(key, t, (max(r - radius, 0.0) + max(s - radius, 0.0)) ** 2 / (2.0 * t))
+    outside = max(r - radius, 0.0) + max(s - radius, 0.0)
+    grid = _Projection(key, t, max(gap, outside) ** 2 / (2.0 * t))
     qs, q0 = grid.qs, grid.q0
     cos_gamma = 1.0 if r == 0.0 else \
         min(max((r * r + s * s - gap * gap) / (2.0 * r * s), -1.0), 1.0)
@@ -1124,7 +1137,7 @@ def _resolvent_moments(key: tuple, r: float, s: float, gap: float, t: float):
         raise ValueError(f"the resolvent's channel sum for radii {r}, {s} did not "
                          f"settle within {l + 1} channels")
     # the channel weights' 1 / |S^(d-1)| and the bridge's 1 / p(t, x, y)
-    density = (2.0 * math.pi * t) ** (-d / 2.0) * math.exp(-gap * gap / (2.0 * t))
+    density = (2.0 * math.pi * t) ** (-d / 2.0) * math.exp(logs[1])
     return grid.moments(1.0 / (sphere_area(d) * _CAUCHY_NODES * density))
 
 

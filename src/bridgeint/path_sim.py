@@ -77,7 +77,9 @@ from .potentials import Potential, _row_norms
 __all__ = [
     "BATCH_SIZE",
     "DEFAULT_H_FINE",
+    "MAX_GRID_NODES",
     "TimeGrid",
+    "refined_steps",
     "stream",
     "bridge_integral_batch",
     "free_integral_batch",
@@ -87,6 +89,11 @@ BATCH_SIZE = 8192
 
 # the default fine step of ``TimeGrid.refined``, the config key grid.h_fine
 DEFAULT_H_FINE = 0.01
+
+# the most nodes a refined grid may hold: building one peaks at 25 bytes a
+# node and a batch of paths on it at about 50, so 2^22 nodes take about
+# 0.2 GiB per worker (t = 1e12 at the default h_fine would take 7.3 TiB)
+MAX_GRID_NODES = 1 << 22
 
 _MASK64 = (1 << 64) - 1
 
@@ -152,25 +159,39 @@ class TimeGrid:
         Steps are at most h_fine within u = sqrt(t) of 0 and, when
         ``both_ends`` (a bridge, pinned at t), of t; the bulk steps by at
         most min(1, t/100).  A free path leaves the support for good
-        (transience), so only its start needs the window.
+        (transience), so only its start needs the window.  Node counts are
+        checked before any node is allocated (``refined_steps``).
         """
-        if t <= 0:
-            raise ValueError("horizon must be positive")
-        if not (math.isfinite(h_fine) and h_fine > 0):
-            raise ValueError("h_fine must be positive and finite")
+        nf, nc = refined_steps(t, h_fine, both_ends)
         u = math.sqrt(t)
-        h_bulk = min(1.0, t / 100.0)
-        fine_span = 2.0 * u if both_ends else u
-        if fine_span >= t:
-            n = max(1, math.ceil(t / h_fine))
-            return cls(np.linspace(0.0, t, n + 1))
-        nf = max(1, math.ceil(u / h_fine))
-        nc = max(1, math.ceil((t - fine_span) / h_bulk))
+        if not nc:
+            return cls(np.linspace(0.0, t, nf + 1))
         parts = [np.linspace(0.0, u, nf + 1),
                  np.linspace(u, t - u if both_ends else t, nc + 1)[1:]]
         if both_ends:
             parts.append(np.linspace(t - u, t, nf + 1)[1:])
         return cls(np.concatenate(parts))
+
+
+def refined_steps(t: float, h_fine: float = DEFAULT_H_FINE, both_ends: bool = True) -> tuple:
+    """(steps per fine window, bulk steps) of ``TimeGrid.refined``, counted, not built.
+
+    The bulk is 0 where one fine grid spans [0, t].  A grid of more than
+    MAX_GRID_NODES nodes raises ValueError before any node is allocated.
+    """
+    if t <= 0:
+        raise ValueError("horizon must be positive")
+    if not (math.isfinite(h_fine) and h_fine > 0):
+        raise ValueError("h_fine must be positive and finite")
+    u = math.sqrt(t)
+    fine_span = 2.0 * u if both_ends else u
+    fine, bulk = (t / h_fine, 0.0) if fine_span >= t else \
+        (u / h_fine, (t - fine_span) / min(1.0, t / 100.0))
+    size = fine + bulk + (fine if both_ends and bulk else 0.0)
+    if not size <= MAX_GRID_NODES - 4:  # each count rounds up, and node 0 comes on top
+        raise ValueError(f"the time grid to t = {t:g} at h_fine = {h_fine:g} would hold "
+                         f"{size:.3g} nodes, over the {MAX_GRID_NODES:,} a sampler may allocate")
+    return max(1, math.ceil(fine)), max(1, math.ceil(bulk)) if bulk else 0
 
 
 def _finite_point(p) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Bounded, compactly supported potentials.
 
-A potential carries its sup bound K and support radius R explicitly.  It is
-radial (a ball indicator or a radial step) or tabulated on a regular grid;
-its Green potential and occupation bound are in ``green``.
+A potential carries its support radius R explicitly.  It is radial (a
+radial step, of which a ball indicator is the one-band case) or tabulated
+on a regular grid; its Green potential and occupation bound are in
+``green``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Potential"]
-
-_RADIAL_KINDS = ("ball_indicator", "radial_step")
-KINDS = _RADIAL_KINDS + ("tabulated",)
 
 
 def _row_norms(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -39,38 +37,33 @@ def _row_norms(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
 class Potential:
     """Bounded measurable potential with bounded support.
 
-    Radial kinds (ball_indicator, radial_step) are piecewise constant in
-    the distance from the center: heights[i] on (breakpoints[i-1],
-    breakpoints[i]].  Tabulated potentials are piecewise constant on the
-    half-open cells [origin + i h, origin + (i + 1) h) of a regular grid of
-    spacing h, so the table's upper faces lie outside it; measurability is
-    all that is assumed, so no smoothing is applied.  NaN and infinite
-    points evaluate to 0.  The table is padded with one zero cell on every
-    side and flattened once, when the potential is built, and each call
-    reads every point's value with one gather from it.  ``values`` is a
-    view of the padded table's interior, so the table is stored once, in C
-    order whatever the layout it was given in.
+    Radial potentials (radial_step; a ball indicator is one band) are
+    piecewise constant in the distance from the center: heights[i] on
+    (breakpoints[i-1], breakpoints[i]].  Tabulated potentials are piecewise
+    constant on the half-open cells [origin + i h, origin + (i + 1) h) of a
+    regular grid of spacing h, so the table's upper faces lie outside it;
+    measurability is all that is assumed, so no smoothing is applied.  NaN
+    and infinite points evaluate to 0.  The table is padded with one zero
+    cell on every side and flattened once, when the potential is built, and
+    each call reads every point's value with one gather from it.  ``values``
+    is a view of the padded table's interior, so the table is stored once,
+    in C order whatever the layout it was given in.
     """
 
-    def __init__(self, dim, kind, center, sup_bound, support_radius, *,
+    def __init__(self, dim, kind, center, support_radius, *,
                  breakpoints=None, heights=None,
                  origin=None, spacing=None, values=None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown potential kind {kind!r}; expected one of {KINDS}")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = int(dim)
         self.kind = kind
         self.center = np.asarray(center, dtype=float).reshape(self.dim)
-        self.sup_bound = float(sup_bound)
         self.support_radius = float(support_radius)
         self.breakpoints = None if breakpoints is None else np.asarray(breakpoints, float)
         self.heights = None if heights is None else np.asarray(heights, float)
         self.origin = None if origin is None else np.asarray(origin, float).reshape(self.dim)
         self.spacing = None if spacing is None else float(spacing)
         self.values = None if values is None else np.asarray(values, float)
-        if self.sup_bound < 0 or self.support_radius < 0:
-            raise ValueError("sup bound and support radius must be nonnegative")
         if kind == "tabulated":
             # one zero cell on every side, so every point reads one entry of
             # the flat table: the cell it lies in, or a zero pad cell.  The
@@ -88,12 +81,10 @@ class Potential:
 
     @classmethod
     def ball_indicator(cls, dim, radius, height=1.0, center=None):
-        """height * indicator of the ball of the given radius."""
+        """height * indicator of the ball of the given radius: a one-band radial step."""
         if radius <= 0:
             raise ValueError("ball radius must be positive")
-        center = np.zeros(dim) if center is None else center
-        return cls(dim, "ball_indicator", center, abs(float(height)), float(radius),
-                   breakpoints=[radius], heights=[height])
+        return cls.radial_step(dim, [radius], [height], center)
 
     @classmethod
     def radial_step(cls, dim, breakpoints, heights, center=None):
@@ -105,8 +96,7 @@ class Potential:
         if bp[0] <= 0 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be positive and strictly increasing")
         center = np.zeros(dim) if center is None else center
-        return cls(dim, "radial_step", center, float(np.max(np.abs(h))) if h.size else 0.0,
-                   float(bp[-1]), breakpoints=bp, heights=h)
+        return cls(dim, "radial_step", center, float(bp[-1]), breakpoints=bp, heights=h)
 
     @classmethod
     def tabulated(cls, dim, origin, spacing, values):
@@ -131,14 +121,14 @@ class Potential:
         extent = spacing * np.asarray(values.shape, dtype=float)
         center = origin + extent / 2.0
         radius = 0.5 * float(np.linalg.norm(extent)) + spacing / 2.0
-        return cls(dim, "tabulated", center, float(np.max(np.abs(values))),
-                   radius, origin=origin, spacing=spacing, values=values)
+        return cls(dim, "tabulated", center, radius, origin=origin, spacing=spacing,
+                   values=values)
 
     # -- evaluation ----------------------------------------------------
 
     @property
     def is_radial(self) -> bool:
-        return self.kind in _RADIAL_KINDS
+        return self.kind == "radial_step"
 
     def profile(self, u):
         """Radial profile at distances u from the center (radial kinds only)."""
@@ -195,9 +185,8 @@ class Potential:
         """Potential factor * v."""
         factor = float(factor)
         if self.is_radial:
-            return Potential(self.dim, self.kind, self.center,
-                             abs(factor) * self.sup_bound, self.support_radius,
-                             breakpoints=self.breakpoints, heights=factor * self.heights)
+            return Potential.radial_step(self.dim, self.breakpoints, factor * self.heights,
+                                         self.center)
         return Potential.tabulated(self.dim, self.origin, self.spacing, factor * self.values)
 
     def dilated(self, lam: float) -> "Potential":
@@ -205,18 +194,16 @@ class Potential:
         if lam <= 0:
             raise ValueError("dilation factor must be positive")
         if self.is_radial:
-            return Potential(self.dim, self.kind, lam * self.center, self.sup_bound,
-                             lam * self.support_radius,
-                             breakpoints=lam * self.breakpoints, heights=self.heights)
+            return Potential.radial_step(self.dim, lam * self.breakpoints, self.heights,
+                                         lam * self.center)
         return Potential.tabulated(self.dim, lam * self.origin, lam * self.spacing, self.values)
 
     def shifted(self, delta) -> "Potential":
         """Potential z -> v(z - delta)."""
         delta = np.asarray(delta, dtype=float).reshape(self.dim)
         if self.is_radial:
-            return Potential(self.dim, self.kind, self.center + delta, self.sup_bound,
-                             self.support_radius,
-                             breakpoints=self.breakpoints, heights=self.heights)
+            return Potential.radial_step(self.dim, self.breakpoints, self.heights,
+                                         self.center + delta)
         return Potential.tabulated(self.dim, self.origin + delta, self.spacing, self.values)
 
     @property
@@ -229,14 +216,6 @@ class Potential:
         data = self.heights if self.is_radial else self.values
         return bool(np.all(data == 0.0))
 
-    def support_box(self):
-        """Axis-aligned box (lo, hi) containing the support."""
-        if self.kind == "tabulated":
-            extent = self.spacing * np.asarray(self.values.shape, dtype=float)
-            return self.origin.copy(), self.origin + extent
-        r = self.support_radius
-        return self.center - r, self.center + r
-
     def __repr__(self):
         return (f"Potential(kind={self.kind!r}, dim={self.dim}, "
-                f"sup_bound={self.sup_bound:g}, support_radius={self.support_radius:g})")
+                f"support_radius={self.support_radius:g})")

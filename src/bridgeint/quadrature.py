@@ -24,16 +24,15 @@ potential's support.  This module holds the rules in time, and the public
   before and after s2 are independent, and the occupation G of each is the
   table contracted axis by axis with normal cell masses, at nodes in z.
 
-A bridge rule integrates only the times at which the bridge's mean path
-comes within reach of the support, so endpoints far from it and from each
-other give 0 or a bounded number of panels; a rule that would need more
-raises ValueError.
-
-Infinite-horizon moments come from the Green chain of ``green``: band by
-band for a radial potential, on sub-cells for a tabulated one.  Radial
-moments k = 2 and 3 at a finite horizon come from Kac's resolvent
-(``green``): bridge moments from its kernel, free ones from the resolvent
-applied to 1.
+Every finite-horizon moment, bridge or free, of every order and potential
+kind, goes through ``_finite_moment`` and one reach rule, ``_reach_window``:
+a path whose mean never comes within reach of the support reads 0, and a
+bridge rule integrates only the times at which its mean is in reach, so
+ends far from the support and from each other give 0 or a bounded number
+of panels; a rule that would need more raises ValueError.  Radial k = 2
+and 3 come from Kac's resolvent (``green``), infinite-horizon moments from
+the Green chain of ``green``: band by band for a radial potential, on
+sub-cells for a tabulated one.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def _log_edges(length: float, base: float, cap: float = math.inf):
     if length <= 0:
         return [0.0]
     edges = [0.0]
-    h = min(base, length)
+    h = min(base, cap, length)
     while edges[-1] + h < length:
         edges.append(edges[-1] + h)
         h = min(2.0 * h, cap)
@@ -341,19 +340,22 @@ def _tabulated_smear(v: Potential, mu: np.ndarray, var: np.ndarray) -> np.ndarra
 def _reach_window(v: Potential, x, y, t: float):
     """The times (lo, hi) at which the mean path of the bridge x -> y is in reach.
 
-    Reach is the support radius plus _REACH times the bridge's widest
-    standard deviation; at any other time the one-point law misses the
+    Reach is the support radius plus _REACH times the path's widest
+    standard deviation, sqrt(t) / 2 on a bridge and sqrt(t) on free motion
+    (y None, mean path x); at any other time the one-point law misses the
     support to below 1e-300.  Returns None when the mean path is never in
     reach, and (0, t) whenever it is in reach all along.  Raises ValueError
-    when y - x overflows.
+    when x - center or y - x overflows.
     """
+    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        a = np.asarray(x, dtype=float) - v.center
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    reach = v.support_radius + _REACH * 0.5 * math.sqrt(t)
+        a = x - v.center
+        d = np.zeros_like(a) if y is None else np.asarray(y, dtype=float) - x
+    reach = v.support_radius + _REACH * (1.0 if y is None else 0.5) * math.sqrt(t)
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(d))), reach)
     if not math.isfinite(scale):
-        raise ValueError("the bridge endpoints are too far apart to represent their distance")
+        raise ValueError("the path's ends and the support are too far apart to represent "
+                         "their distance")
     a, d, reach = a / scale, d / scale, reach / scale
     # |a + u d| <= reach for u = s / t in [0, 1]
     aa, ad, dd = float(a @ a), float(a @ d), float(d @ d)
@@ -391,8 +393,8 @@ def _half_edges(lo: float, hi: float, base: float, cap: float):
     return list(np.linspace(a, b, max(1, math.ceil((b - a) / cap)) + 1))
 
 
-def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
-    """E int_0^horizon v(X_s) ds for free motion from x, or the bridge x -> y.
+def _occupation_k1(v: Potential, x, horizon: float, y, window) -> float:
+    """E int_0^horizon v(X_s) ds for free motion from x (y None), or the bridge x -> y.
 
     The substitution s = sigma^2 turns the sqrt(s) layer of a start on a
     band edge into a smooth integrand, and doubling Gauss-Legendre panels
@@ -401,19 +403,15 @@ def _occupation_k1(v: Potential, x, horizon: float, y=None) -> float:
     is symmetric under time reversal; both halves share their nodes unless
     the reach window cuts one of them.  Where the bridge's mean crosses a
     band edge, its one-point law changes over a sigma interval of about
-    horizon / (2 |y - x|) at any s, which caps the bridge panels.
+    horizon / (2 |y - x|) at any s, which caps the bridge panels inside the
+    reach ``window`` of ``_reach_window``.
     """
-    x = np.asarray(x, dtype=float)
     base = _SQRT_BASE * min(1.0, v.support_radius)
     if y is None:
         sigma, w = panel_rule(_log_edges(math.sqrt(horizon), base), _SQRT_NODES)
         s = sigma * sigma
-        w = 2.0 * sigma * w
-        return float(np.sum(w * _smear(v, np.broadcast_to(x, (s.size, v.dim)), s)))
-    y = np.asarray(y, dtype=float)
-    window = _reach_window(v, x, y, horizon)
-    if window is None:
-        return 0.0
+        mu = np.broadcast_to(x, (s.size, v.dim))
+        return float(np.sum(2.0 * sigma * w * _smear(v, mu, s)))
     lo, hi = window
     half = horizon / 2.0
     cap = _bridge_cap(x, y, horizon)
@@ -549,15 +547,8 @@ def _pair_sum(v: Potential, w, *law) -> float:
 
 
 def _time_grid(v: Potential, x, y, t: float, base: float):
-    """(first sigma panel, cap) of a k >= 2 rule for the bridge x -> y, or free (y None).
-
-    None out of reach; ValueError when the cap needs over _PAIR_MAX_PANELS.
-    """
-    if y is None:
-        return base * min(v.spacing, math.sqrt(t)), math.inf
-    if _reach_window(v, x, y, t) is None:
-        return None
-    cap = _bridge_cap(x, y, t)
+    """(first sigma panel, cap) of a k >= 2 rule, cap inf if free; ValueError over the cap."""
+    cap = math.inf if y is None else _bridge_cap(x, y, t)
     if not math.sqrt(t / 2.0) <= _PAIR_MAX_PANELS * cap:
         raise ValueError("the bridge endpoints are too far apart for so short a horizon: "
                          f"its k >= 2 time rules would need more than {_PAIR_MAX_PANELS} "
@@ -565,40 +556,25 @@ def _time_grid(v: Potential, x, y, t: float, base: float):
     return min(base * min(v.spacing, math.sqrt(t)), cap), cap
 
 
-def _moment_bridge_pair(x, y, t: float, v: Potential) -> float:
-    """E Z(t)^2 of a tabulated v along the bridge x -> y: the pair rule.
+def _pair_moment(x, y, t: float, v: Potential, m1: float) -> float:
+    """E Z(t)^2 of a tabulated v along the bridge x -> y, or free motion (y None).
 
-    E Z^2 = (E Z)^2 + 2 int int_{s1 < s2} Cov(v(X_s1), v(X_s2)); the
-    covariance vanishes as either time reaches its endpoint, which leaves
-    the time rule only the endpoint layers' remainders to resolve.
+    The pair rule: E Z^2 = m1^2 + 2 int int_{s1 < s2} Cov(v(X_s1), v(X_s2)),
+    m1 = E Z.  On a bridge the covariance vanishes as either time reaches
+    its end, which leaves the time rule only the endpoint layers' remainders
+    to resolve; free motion has rho = sqrt(s1 / s2), s1 graded from 0 alone.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    grid = _time_grid(v, x, y, t, _PAIR_BASE)
-    if grid is None:
-        return 0.0
-    m1 = _occupation_k1(v, x, t, y)
-    s1, lag, rest, w = _pair_time_nodes(t, *grid, True)
-    # s2 = s1 + lag = t - rest along the bridge x -> y
+    s1, lag, rest, w = _pair_time_nodes(t, *_time_grid(v, x, y, t, _PAIR_BASE), y is not None)
     s2 = s1 + lag
-    u1 = lag + rest  # t - s1
-    law = (x + (s1 / t)[:, None] * (y - x), y + (rest / t)[:, None] * (x - y),
-           np.sqrt(s1 * u1 / t), np.sqrt(s2 * rest / t), np.sqrt(s1 * rest / (s2 * u1)),
-           np.sqrt(t * lag / (s2 * u1)))  # sqrt(1 - rho^2), without its cancellation
-    return 2.0 * _pair_sum(v, w, *law) + m1 * m1
-
-
-def _moment_free_pair(x, horizon: float, v: Potential) -> float:
-    """E Y(horizon)^2 of a tabulated v for free motion from x: the pair rule.
-
-    The law of ``_moment_bridge_pair`` with free covariances, sd_i =
-    sqrt(s_i) and rho = sqrt(s1 / s2), and s1 graded in sqrt from 0 alone.
-    """
-    m1 = _occupation_k1(v, x, horizon)
-    s1, lag, _, w = _pair_time_nodes(horizon, *_time_grid(v, x, None, horizon, _PAIR_BASE), False)
-    s2 = s1 + lag
-    mu = np.broadcast_to(x, (s1.size, v.dim))
-    law = (mu, mu, np.sqrt(s1), np.sqrt(s2), np.sqrt(s1 / s2), np.sqrt(lag / s2))
+    if y is None:
+        mu = np.broadcast_to(x, (s1.size, v.dim))
+        law = (mu, mu, np.sqrt(s1), np.sqrt(s2), np.sqrt(s1 / s2), np.sqrt(lag / s2))
+    else:
+        # s2 = s1 + lag = t - rest along the bridge x -> y
+        u1 = lag + rest  # t - s1
+        law = (x + (s1 / t)[:, None] * (y - x), y + (rest / t)[:, None] * (x - y),
+               np.sqrt(s1 * u1 / t), np.sqrt(s2 * rest / t), np.sqrt(s1 * rest / (s2 * u1)),
+               np.sqrt(t * lag / (s2 * u1)))  # sqrt(1 - rho^2), without its cancellation
     return 2.0 * _pair_sum(v, w, *law) + m1 * m1
 
 
@@ -671,8 +647,6 @@ def _chain_moments(x, y, t: float, v: Potential, base: float, cap: float) -> tup
     _CHAIN_CELL_NODES nodes per cell and axis in z.  G1 runs from z back to
     x, so the rule maps to itself under time reversal.
     """
-    x = np.asarray(x, dtype=float)
-    y = None if y is None else np.asarray(y, dtype=float)
     gl, gw = _leggauss(_CHAIN_CELL_NODES)
     edges = [v.origin[a] + v.spacing * np.arange(n + 1) for a, n in enumerate(v.values.shape)]
     nodes = [(e[:-1, None] + e[1:, None] + v.spacing * gl) / 2.0 for e in edges]
@@ -710,18 +684,38 @@ def _radial_moment(x, y, t: float, v: Potential, k: int) -> float:
     return float(moments[k - 1])
 
 
+def _finite_moment(x, y, t: float, v: Potential, k: int) -> float:
+    """E Z(t)^k, k = 1-3, for the bridge x -> y, or free motion from x (y None).
+
+    The one finite-horizon path of ``moment_bridge`` and ``moment_free``: a
+    mean path never in reach of the support (``_reach_window`` None or
+    empty) gives 0.0 for every k.  Otherwise k = 1 is the sqrt(s) time rule;
+    k = 2 and 3 of a radial v (d >= 3) come from Kac's resolvent, and of a
+    table from the pair rule (k = 2) and the chain law (k = 3).  A radial
+    rounding estimate over 1e-6, or ends too far apart for t, raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
+    window = _reach_window(v, x, y, t)
+    if window is None or window[0] == window[1]:
+        return 0.0  # the one-point laws miss the support to below 1e-300
+    if k == 1:
+        return _occupation_k1(v, x, t, y, window)
+    if v.is_radial:
+        return _radial_moment(x, y, t, v, k)
+    if k == 2:
+        return _pair_moment(x, y, t, v, _occupation_k1(v, x, t, y, window))
+    return _chain_moments(x, y, t, v, *_time_grid(v, x, y, t, _CHAIN_BASE))[1]
+
+
 def moment_free(x, horizon: float, v: Potential, k: int) -> float:
     """E[(int_0^horizon v(W_s) ds)^k] for Brownian motion started at x.
 
     horizon may be inf (d >= 3 required there).  Infinite-horizon moments
     come from the Green chain (``green.green_chain`` for a radial v,
-    ``green.cell_chain`` for a tabulated one); a finite-horizon first moment
-    from the sqrt(s) time rule.  At a finite horizon, k = 2 and 3 of a
-    radial v (d >= 3) come from Kac's resolvent applied to 1; a tabulated v
-    takes the pair rule for k = 2 and the chain law for k = 3.  At a finite
-    horizon, a start more than _REACH sqrt(horizon) from the support ball
-    gives 0.0.  A radial call whose rounding estimate exceeds 1e-6 raises
-    ValueError.
+    ``green.cell_chain`` for a tabulated one); finite ones from
+    ``_finite_moment``, where a radial k = 2 or 3 is Kac's resolvent
+    applied to 1.
     """
     _check_order(k)
     if not (horizon > 0):
@@ -736,31 +730,16 @@ def moment_free(x, horizon: float, v: Potential, k: int) -> float:
         if v.is_radial:
             return green_chain(v, float(np.linalg.norm(np.asarray(x, float) - v.center)), k)
         return cell_chain(v, x, k)
-    with np.errstate(over="ignore"):
-        gap = float(np.linalg.norm(np.asarray(x, float) - v.center)) - v.support_radius
-    if gap > _REACH * math.sqrt(horizon):
-        return 0.0  # the one-point law misses the support by over _REACH s.d. up to the horizon
-    if k == 1:
-        return _occupation_k1(v, x, horizon)
-    if v.is_radial:
-        return _radial_moment(x, None, horizon, v, k)
-    if k == 2:
-        return _moment_free_pair(x, horizon, v)
-    return _chain_moments(x, None, horizon, v, *_time_grid(v, x, None, horizon, _CHAIN_BASE))[1]
+    return _finite_moment(x, None, horizon, v, k)
 
 
 def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
     """E[(int_0^t v(X_s) ds)^k] for the bridge from x to y over [0, t].
 
-    The result is symmetric under the time reversal (x, y) <-> (y, x),
-    which the bridge law satisfies exactly.  k = 1 is the sqrt(s) time rule,
-    which treats both endpoints alike.  k = 2 and 3 of a radial v (d >= 3)
-    come from Kac's resolvent, which reads the endpoints only through their
-    distances to the centre and the angle between them; a geometry whose
-    rounding estimate exceeds the declared tolerance raises ValueError.
-    A tabulated v takes the pair rule for k = 2 and the chain law for k = 3,
-    whose node sets are symmetric under time reversal.  Endpoints too far
-    apart for the horizon raise ValueError.
+    Every order comes from ``_finite_moment``, whose rules are symmetric
+    under the time reversal (x, y) <-> (y, x), as the bridge law is: Kac's
+    resolvent reads the endpoints only through their distances to the
+    centre and to each other.
     """
     _check_order(k)
     if not (t > 0) or not math.isfinite(t):
@@ -769,14 +748,7 @@ def moment_bridge(x, y, t: float, v: Potential, k: int) -> float:
         return 1.0
     if v.is_zero:
         return 0.0
-    if k == 1:
-        return _occupation_k1(v, x, t, y)
-    if v.is_radial:
-        return _radial_moment(x, y, t, v, k)
-    if k == 2:
-        return _moment_bridge_pair(x, y, t, v)
-    grid = _time_grid(v, x, y, t, _CHAIN_BASE)
-    return 0.0 if grid is None else _chain_moments(x, y, t, v, *grid)[1]
+    return _finite_moment(x, y, t, v, k)
 
 
 def moment_two_sided(x, y, v: Potential, k: int, horizon: float = math.inf) -> float:

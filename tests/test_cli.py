@@ -15,8 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bridgeint import estimators
 from bridgeint.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from bridgeint.config import ConfigError, load_config
+from bridgeint.estimators import EstimatorConfig
+from bridgeint.potentials import Potential
 from bridgeint.quadrature import QuadConfig, moment_free, moment_two_sided
 
 
@@ -153,6 +156,34 @@ _IGNORED_KEYS = [
     ("bloch", "tail_correction", False),
     ("bounds", "grid", {"h_fine": 0.05}),
 ]
+
+
+class TestGridTooLarge:
+    """A horizon whose time grid would not fit in memory is a config error, found at load."""
+
+    @pytest.mark.parametrize("t", [1e12, 1e300])
+    @pytest.mark.parametrize("command, where", [
+        ("sample", "t"), ("moments", "free_horizon"), ("sample", "radius"),
+        ("theorem1", "horizons"), ("lemma4", "horizons"), ("bloch", "bloch_points")])
+    def test_exit_2(self, tmp_path, capsys, command, where, t):
+        # sample at t = 1e12 asked for 7.28 TiB of grid nodes, and t = 1e300
+        # exceeded numpy's largest array; a free leg's horizon defaults to
+        # 100 R^2
+        cfg = json.loads(json.dumps(_MINIMAL[command]))
+        if where == "t":
+            cfg["t"] = t
+        elif where in ("free_horizon", "radius"):
+            free = {"statistic_kind": "free", "free_horizon": t}
+            if where == "radius":
+                free = {"statistic_kind": "free", "potential": dict(_BALL, radius=t**0.5)}
+            cfg = {k: v for k, v in cfg.items() if k not in ("y", "t")} | free
+        elif where == "horizons":
+            cfg["horizons"] = [4.0, t]
+        else:
+            cfg["bloch_points"].append({"x": [0, 0, 0], "y": [0, 0, 0], "t": t})
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "time grid" in capsys.readouterr().err
 
 
 class TestSchemaRejectsIgnoredKeys:
@@ -481,6 +512,50 @@ class TestOracleCoverage:
         with open(tmp_path / "moments.csv") as fh:
             row = list(csv.DictReader(fh))[0]
         assert float(row["target"]) == 0.0
+
+    @pytest.mark.parametrize("potential", [_BALL, _CUBE], ids=["ball", "tabulated"])
+    def test_far_endpoint_targets_every_order(self, tmp_path, potential):
+        # every order reads 0 from 1e300 e1, as k = 1 did: radial k = 2 ended
+        # in an OverflowError (exit 1) and a table's k = 3 in exit 2
+        cfg = base_bridge_config(potential=potential, x=[1e300, 0.0, 0.0], t=1.0,
+                                 n_paths=20, k_list=[1, 2, 3])
+        path = write_config(tmp_path, cfg)
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_FAIL)
+        with open(tmp_path / "moments.csv") as fh:
+            assert [float(row["target"]) for row in csv.DictReader(fh)] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("command", ["mgf", "bloch"])
+    def test_far_endpoint_mgf_and_bloch_run(self, tmp_path, command):
+        # both died with an OverflowError in the resolvent's Talbot rule
+        x, y = [1e300, 0.0, 0.0], [0.0, 0.0, 0.0]
+        cfg = base_bridge_config(x=x, y=y, t=1.0, n_paths=20, alphas=[0.5]) \
+            if command == "mgf" else dict(_MINIMAL["bloch"],
+                                          bloch_points=[{"x": x, "y": y, "t": 1.0}])
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+
+    _DENSITY_CASES = [([0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], 5e-4), ([0.0] * 3, [0.0] * 3, 1e-300)]
+
+    @pytest.mark.parametrize("x, y, t", _DENSITY_CASES, ids=["underflow", "overflow"])
+    def test_density_out_of_range(self, tmp_path, capsys, x, y, t):
+        # p(t, x, y) underflowed to 0 (ZeroDivisionError) or overflowed
+        # (OverflowError), and every command exited 1: now moments refuses
+        # its k = 2 target before sampling, and mgf and bloch keep E Z(t)
+        # alone as a linear control; bloch's own free kernel overflows at
+        # t = 1e-300, which is a config error
+        base = dict(x=x, y=y, t=t, n_paths=20)
+        path = write_config(tmp_path, base_bridge_config(k_list=[1, 2], **base))
+        assert main(["moments", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "declared accuracy" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+        law = EstimatorConfig(potential=Potential.ball_indicator(3, 1.0), x=x, y=y, t=t)
+        assert estimators._bridge_moments(law)[2:] == (None, None)
+        path = write_config(tmp_path, base_bridge_config(alphas=[0.5], **base))
+        assert main(["mgf", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        cfg = dict(_MINIMAL["bloch"], bloch_points=[{"x": x, "y": y, "t": t}])
+        path = write_config(tmp_path, cfg)
+        code = main(["bloch", "--config", path, "--out", str(tmp_path)])
+        assert code == (EXIT_OK if t > 1e-300 else EXIT_CONFIG)
 
     def test_far_endpoint_k2_is_a_config_error(self, tmp_path, capsys):
         # the tabulated k = 2 pair rule would need 1e8 panels a side here

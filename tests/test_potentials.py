@@ -43,14 +43,14 @@ class TestPotentialKinds:
         assert v(np.zeros(3)) == 2.5
         assert v(np.array([1.0, 0.0, 0.0])) == 2.5  # boundary inclusive
         assert v(np.array([1.0001, 0.0, 0.0])) == 0.0
-        assert v.sup_bound == 2.5 and v.support_radius == 1.0
+        assert v.support_radius == 1.0
+        assert v.kind == "radial_step" and v.bands() == [(0.0, 1.0, 2.5)]
 
     def test_radial_step_bands(self):
         v = Potential.radial_step(3, [0.5, 1.5], [2.0, -1.0])
         assert v(np.array([0.2, 0, 0])) == 2.0
         assert v(np.array([1.0, 0, 0])) == -1.0
         assert v(np.array([2.0, 0, 0])) == 0.0
-        assert v.sup_bound == 2.0
         assert v.bands() == [(0.0, 0.5, 2.0), (0.5, 1.5, -1.0)]
 
     @pytest.mark.parametrize("v", [
@@ -94,7 +94,7 @@ class TestPotentialKinds:
         v = Potential.radial_step(3, [0.4, 1.1], [1.5, 0.25], center=[1.0, 0.0, 0.0])
         pts = rng.normal(scale=2.0, size=(4000, 3))
         vals = v(pts)
-        assert np.all(np.abs(vals) <= v.sup_bound)
+        assert np.all(np.abs(vals) <= np.max(np.abs(v.heights)))
         outside = np.linalg.norm(pts - v.center, axis=1) > v.support_radius
         assert np.all(vals[outside] == 0.0)
 
@@ -104,8 +104,6 @@ class TestPotentialKinds:
         assert v(np.array([0.2, 0.3, 0.9])) == vals[0, 0, 0]
         assert v(np.array([1.5, 1.5, 1.5])) == vals[1, 1, 1]
         assert v(np.array([-0.1, 0.5, 0.5])) == 0.0
-        lo, hi = v.support_box()
-        assert np.allclose(lo, 0.0) and np.allclose(hi, 2.0)
 
     def test_transforms(self):
         v = Potential.ball_indicator(3, 1.0)
